@@ -25,7 +25,6 @@ from .geometry import (
 )
 from .psh import (
     laplacian_sup,
-    levi_form,
     min_levi_eigenvalue,
     mollifier_kernel,
     mollify,
@@ -66,8 +65,8 @@ __all__ = [
     "Annulus", "Complement", "Disk", "Grid", "Intersection", "LevelRegion",
     "Polydisk", "ScalarField", "dump_field_csv", "field_from_function",
     "halton_sample", "mass_integral", "sample_grid", "sample_slice_grid",
-    "laplacian_sup", "levi_form", "min_levi_eigenvalue", "mollifier_kernel",
-    "mollify", "reg_max_fields", "regmax_kernel",
+    "laplacian_sup", "min_levi_eigenvalue", "mollifier_kernel", "mollify",
+    "reg_max_fields", "regmax_kernel",
     "ChartPair", "GluedCover", "IdentityCover", "PowerCover", "VietaCover",
     "pushforward",
     "ChartOverlap", "CocycleChart", "CurvePatch", "KahlerCocycle",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CoverageError, DomainError
 from .geometry import Domain, ScalarField, as_points, gauss_legendre, halton_sample
-from .psh import check_pluriharmonic, levi_form_many
+from .psh import levi_form_many
 
 
 @dataclass(frozen=True)

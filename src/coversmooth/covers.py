@@ -288,21 +288,6 @@ class IdentityCover(Cover):
         return np.full(B.shape[0], np.inf)
 
 
-def branch_sublevel(cover: Cover, radius: float, anchor=None,
-                    label: str = "") -> Domain:
-    """Sublevel neighbourhood {|discriminant| < radius} of the branch locus."""
-    if radius <= 0:
-        raise ValueError("sublevel radius must be positive")
-    lo, hi = cover.downstairs.bbox()
-    if anchor is None:
-        anchor = tuple(cover.downstairs.center)
-    region = LevelRegion(
-        level=lambda B: cover.discriminant_many(B),
-        threshold=float(radius), dim=cover.n, anchor=tuple(anchor),
-        bounds=(lo, hi), label=label or f"disc<{radius:g}")
-    return Intersection((region, cover.downstairs), anchor=tuple(anchor))
-
-
 def smooth_locus(cover: Cover, within: Optional[Domain] = None) -> Domain:
     """Open set where the discriminant is nonzero, clipped to a chart."""
     dom = within or cover.downstairs
@@ -374,12 +359,6 @@ class GluedCover:
     @property
     def degree(self) -> int:
         return self.pairs[0].cover.degree
-
-    def pair_for(self, downstairs_name: str) -> ChartPair:
-        for p in self.pairs:
-            if p.downstairs_name == downstairs_name:
-                return p
-        raise KeyError(downstairs_name)
 
 
 def as_glued(cover, downstairs_name: str = "base",

@@ -41,7 +41,3 @@ class RootSolveError(CoverSmoothError):
 
 class ScenarioError(CoverSmoothError):
     """Unknown scenario id or invalid configuration override."""
-
-
-class ReportError(CoverSmoothError):
-    """A stored verification report is malformed or internally inconsistent."""

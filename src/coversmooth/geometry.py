@@ -62,12 +62,6 @@ class ComplexPoint:
     def from_row(row: np.ndarray) -> "ComplexPoint":
         return ComplexPoint(tuple(complex(c) for c in np.asarray(row).ravel()))
 
-    def reals(self) -> list:
-        out = []
-        for c in self.coords:
-            out.extend((c.real, c.imag))
-        return out
-
 
 def as_points(z, n: Optional[int] = None) -> np.ndarray:
     """Coerce scalars / ComplexPoint / sequences / arrays to an (m, n) block."""
@@ -121,13 +115,6 @@ class Domain:
         if margin <= 0:
             raise ValueError("shrink margin must be positive")
         return ShrunkDomain(self, margin)
-
-    # scalar conveniences
-    def contains(self, p) -> bool:
-        return bool(self.contains_many(as_points(p, self.n))[0])
-
-    def boundary_distance(self, p) -> float:
-        return float(self.boundary_distance_many(as_points(p, self.n))[0])
 
 
 def _softmin(columns: Sequence[np.ndarray], gap: float) -> np.ndarray:
@@ -627,12 +614,6 @@ def field_from_function(fn: Callable[[np.ndarray], np.ndarray], domain: Domain,
     return ScalarField(fn, domain, smooth_on=smooth_on, name=name, meta=dict(meta or {}))
 
 
-def constant_field(value: float, domain: Domain, name: str = "const") -> ScalarField:
-    v = float(value)
-    return ScalarField(lambda Z: np.full(Z.shape[0], v), domain,
-                       smooth_on=domain, name=name)
-
-
 # ---------------------------------------------------------------------------
 # discrete operators
 
@@ -660,12 +641,6 @@ def discrete_laplacian_many(f: ScalarField, Z, h: float) -> np.ndarray:
         minus = vals[(2 + 2 * k) * m:(3 + 2 * k) * m]
         acc += plus + minus - 2.0 * center
     return acc / (h * h)
-
-
-def discrete_laplacian(f: ScalarField, p, h: float) -> float:
-    if h <= 0:
-        raise ValueError("h must be positive")
-    return float(discrete_laplacian_many(f, p, h)[0])
 
 
 def mass_integral(f: ScalarField, disk: Domain, h: float) -> float:

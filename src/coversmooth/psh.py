@@ -1,18 +1,16 @@
 """Plurisubharmonicity machinery.
 
-Finite-difference Levi forms, pluriharmonicity tests, mollification by a
-compactly supported radial bump, and the regularized maximum.  The Levi form
-is the Hermitian matrix of mixed second derivatives d^2 u / dz_j dz_bar_k;
-in the package's normalization the n=1 Levi value is a quarter of the
-ordinary Laplacian.
+Finite-difference Levi forms, mollification by a compactly supported radial
+bump, and the regularized maximum.  The Levi form is the Hermitian matrix
+of mixed second derivatives d^2 u / dz_j dz_bar_k; in the package's
+normalization the n=1 Levi value is a quarter of the ordinary Laplacian.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -50,36 +48,11 @@ def bump_profile(t):
 # Levi forms
 
 @dataclass(frozen=True)
-class LeviMatrix:
-    entries: np.ndarray  # (n, n) complex, Hermitian-symmetrized
-    location: ComplexPoint
-    spacing: float
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def min_eigenvalue(self) -> float:
-        return float(hermitian_min_eigenvalues(self.entries[None, :, :])[0])
-
-
-@dataclass(frozen=True)
 class PshReport:
     min_eigenvalue: float
     argmin_location: ComplexPoint
     grid: Grid
     fd_h: float
-
-    @property
-    def margin(self) -> float:
-        return self.min_eigenvalue
-
-    def to_json_dict(self) -> dict:
-        return {
-            "min_eigenvalue": self.min_eigenvalue,
-            "argmin": self.argmin_location.reals(),
-            "h": self.fd_h,
-        }
 
 
 def _levi_offsets(n: int, h: float):
@@ -147,18 +120,13 @@ def levi_form_many(f, Z, h: float) -> np.ndarray:
     return 0.5 * (L + np.conj(np.transpose(L, (0, 2, 1))))
 
 
-def levi_form(f: ScalarField, p, h: float) -> LeviMatrix:
-    Z = as_points(p, f.n)
-    L = levi_form_many(f, Z, h)[0]
-    return LeviMatrix(L, ComplexPoint.from_row(Z[0]), float(h))
-
-
 def hermitian_min_eigenvalues(L: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each Hermitian matrix in an (m, n, n) stack.
 
-    Closed forms for n <= 2; cyclic Jacobi for larger n.
+    Closed forms for n <= 2, which keep whole Levi grids free of per-matrix
+    LAPACK calls; stacked eigvalsh for larger n.
     """
-    m, n, _ = L.shape
+    n = L.shape[1]
     if n == 1:
         return L[:, 0, 0].real.copy()
     if n == 2:
@@ -167,47 +135,7 @@ def hermitian_min_eigenvalues(L: np.ndarray) -> np.ndarray:
         b = L[:, 0, 1]
         disc = np.sqrt((a - d) ** 2 + 4.0 * (b.real ** 2 + b.imag ** 2))
         return 0.5 * (a + d - disc)
-    return np.array([np.min(hermitian_eigenvalues(L[i])) for i in range(m)])
-
-
-def hermitian_eigenvalues(H: np.ndarray, tol: float = 1e-12,
-                          max_sweeps: int = 60) -> np.ndarray:
-    """All eigenvalues of one Hermitian matrix by cyclic Jacobi rotations.
-
-    Iterates 2x2 Hermitian diagonalizations until the off-diagonal norm
-    falls below tol relative to the matrix scale.
-    """
-    A = np.array(H, dtype=complex)
-    n = A.shape[0]
-    if n == 1:
-        return np.array([A[0, 0].real])
-    scale = max(1.0, float(np.max(np.abs(A))))
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(np.abs(A - np.diag(np.diag(A))) ** 2)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = A[p, q]
-                if abs(b) <= 1e-18 * scale:
-                    continue
-                a = A[p, p].real
-                d = A[q, q].real
-                half = 0.5 * (a + d)
-                r = math.hypot(0.5 * (a - d), abs(b))
-                lam1 = half - r
-                v1 = np.array([b, lam1 - a], dtype=complex)
-                nv = np.linalg.norm(v1)
-                if nv == 0.0:
-                    continue
-                v1 /= nv
-                v2 = np.array([-np.conj(v1[1]), np.conj(v1[0])], dtype=complex)
-                U = np.stack([v1, v2], axis=1)
-                A[:, [p, q]] = A[:, [p, q]] @ U
-                A[[p, q], :] = U.conj().T @ A[[p, q], :]
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-    return np.sort(np.diag(A).real)
+    return np.linalg.eigvalsh(L)[:, 0]
 
 
 def min_levi_eigenvalue(f: ScalarField, g: Grid, h: float) -> PshReport:
@@ -225,18 +153,6 @@ def min_levi_eigenvalue(f: ScalarField, g: Grid, h: float) -> PshReport:
             best = float(eigs[i])
             best_row = block[i]
     return PshReport(best, ComplexPoint.from_row(best_row), g, float(h))
-
-
-def check_pluriharmonic(f: ScalarField, g: Grid, h: float,
-                        tol: float) -> Tuple[bool, float]:
-    """True iff the Levi matrix max-norm stays below tol over the grid."""
-    if len(g) == 0:
-        raise EmptyGridError("empty grid")
-    dev = 0.0
-    for lo in range(0, len(g), _EVAL_CHUNK // 32 + 1):
-        L = levi_form_many(f, g.nodes[lo:lo + _EVAL_CHUNK // 32 + 1], h)
-        dev = max(dev, float(np.max(np.abs(L))))
-    return dev <= tol, dev
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +178,15 @@ def c2_refinement_ratio(f: ScalarField, grid_h: Grid, grid_h2: Grid,
     The finite-difference step defaults to each grid's own spacing.
     """
     h = grid_h.h if h is None else h
-    s1 = laplacian_sup(f, grid_h, h)
-    s2 = laplacian_sup(f, grid_h2, 0.5 * h)
-    if s1 == 0.0:
-        return 1.0 if s2 == 0.0 else np.inf
-    return s2 / s1
+    return c2_ratio(laplacian_sup(f, grid_h, h), laplacian_sup(f, grid_h2, 0.5 * h))
+
+
+def c2_ratio(sup_h: float, sup_h2: float) -> float:
+    """sup_h2 / sup_h, guarded: 1.0 when both sups vanish (a flat field is
+    C2), inf when only the coarse one does."""
+    if sup_h == 0.0:
+        return 1.0 if sup_h2 == 0.0 else np.inf
+    return sup_h2 / sup_h
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +225,13 @@ def mollifier_kernel(two_n: int, order: int) -> MollifierKernel:
     return MollifierKernel(cplx, full, m2, order, two_n)
 
 
-def mollify(f: ScalarField, eps: float, quad_order: int = 8,
-            tau_samples: int = 256) -> ScalarField:
+def mollify(f: ScalarField, eps: float, quad_order: int = 8) -> ScalarField:
     """Convolution with the radial bump of radius eps, by fixed quadrature.
 
     The valid domain shrinks by eps (in the domain's own gauge units; for
     metric domains this is the metric margin).  The result is smooth on its
-    whole domain.  meta records the kernel second moment m2 = eps^2 * m2_unit
-    and a sampled sup-distance estimate tau of |f_eps - f|.
+    whole domain.  meta records the kernel node count and second moment
+    m2 = eps^2 * m2_unit.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -341,14 +260,11 @@ def mollify(f: ScalarField, eps: float, quad_order: int = 8,
 
     g = ScalarField(_eval, new_domain, smooth_on=new_domain,
                     name=f"mollify({f.name or 'f'},{eps:g})")
-    pts = halton_sample(new_domain, tau_samples)
-    tau = float(np.max(np.abs(g.eval_many(pts) - f.eval_many(pts))))
     g.meta.update({
         "eps": float(eps),
         "quad_order": int(quad_order),
         "kernel_nodes": int(K),
         "m2": float(eps * eps * kern.m2_unit),
-        "tau_estimate": tau,
     })
     return g
 
@@ -360,19 +276,15 @@ def mollify(f: ScalarField, eps: float, quad_order: int = 8,
 class RegMaxKernel:
     """Discretized even bump used by the regularized maximum.
 
-    ``profile`` is the normalized bump (unit integral); nodes/weights are the
-    Gauss-Legendre discretization of the profile with weights normalized to
-    sum to one, which makes the max bounds, symmetry, monotonicity, convexity
-    and translation equivariance hold exactly for the discrete operator.
+    nodes/weights are the Gauss-Legendre discretization of the bump profile
+    with weights normalized to sum to one, which makes the max bounds,
+    symmetry, monotonicity, convexity and translation equivariance hold
+    exactly for the discrete operator.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     order: int
-    normalization: float = BUMP_NORMALIZATION
-
-    def profile(self, t):
-        return self.normalization * bump_profile(t)
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -52,7 +52,13 @@ from .cocycle import (
     curve_mass,
     validate_cocycle,
 )
-from .psh import BUMP_INTEGRAL, laplacian_sup, min_levi_eigenvalue, mollifier_kernel
+from .psh import (
+    BUMP_INTEGRAL,
+    c2_ratio,
+    laplacian_sup,
+    min_levi_eigenvalue,
+    mollifier_kernel,
+)
 from .smoothing import (
     GlueStep,
     NestedOpens,
@@ -99,7 +105,7 @@ class Scenario:
     params: SmoothingParams
     X1: Optional[Domain] = None
     X2: Optional[Domain] = None
-    aux: dict = field(default_factory=dict)
+    battery: tuple = ()  # ordered check specs, run by run_scenario
 
 
 def scenario_defaults(scenario_id: str) -> Dict[str, float]:
@@ -174,22 +180,20 @@ def _build_s1(config: dict) -> Scenario:
     opens = NestedOpens(Disk(0.0, u_r), Disk(0.0, v_r), Disk(0.0, w_r))
     steps = (GlueStep("w", opens, label="branch point disk"),)
 
-    aux = {
-        "agreement_region": Annulus(0.0, n, 1.5),
-        "levi_grids": (
-            ("kink", "w", Disk(0.0, 0.75 * npr), config["h"]),
-            ("band", "w", Annulus(0.0, u_r - 0.07, w_r + 0.11), config["h"]),
-        ),
-        "c2_zone": Disk(0.0, npr),
-        "c2_h": config["h"],
-        "mass_disk": Disk(0.0, max(1.0, w_r + 0.05)),
-        "mass_h": 4e-3,
-        "mass_oracle": 4.0 * np.pi,
-    }
+    h = config["h"]
+    kink = Lattice(Disk(0.0, 0.75 * npr))
+    battery = (
+        Agreement("w", Annulus(0.0, n, 1.5), opens.V),
+        LeviZone("kink", "w", kink, h),
+        LeviZone("band", "w", Lattice(Annulus(0.0, u_r - 0.07, w_r + 0.11)), h),
+        C2Zone("w", Lattice(Disk(0.0, npr)), h),
+        DiskMass("w", Disk(0.0, max(1.0, w_r + 0.05)), 4.0 * np.pi),
+        FieldDump("w", kink, h, "S1_w_smoothed.csv"),
+    )
     return Scenario("S1", _TITLES["S1"], config, cover, upstairs, (), steps,
                     _smoothing_params(config),
                     X1=Complement(Disk(0.0, npr), within=down),
-                    X2=Disk(0.0, n), aux=aux)
+                    X2=Disk(0.0, n), battery=battery)
 
 
 def _disc_abs(Z: np.ndarray) -> np.ndarray:
@@ -264,26 +268,25 @@ def _build_s2(config: dict) -> Scenario:
 
     hs = config["h"] / _DEFAULTS["S2"]["h"]  # battery spacing scales with h
     s_band, s_gap = 0.9, 1.65
-    aux = {
-        "agreement_region": Complement(_sublevel(n + 0.01, rads, 4.0),
-                                       within=Polydisk((0.0, 0.0), (1.85, 1.85))),
-        # (zone, window, free_axis, basepoint, base spacing)
-        "levi_slices": (
-            ("kink_slice", _annulus_window(0.0, 1, -1.0, 0.05, 2.0),
-             1, (0.0, 0.0), 3e-3 * hs),
-            ("band_slice", _annulus_window(s_band ** 2 / 4.0, 1, 0.14, 0.25, 2.0),
-             1, (s_band, 0.0), 5e-3 * hs),
-            ("boxgap_slice", _annulus_window(s_gap ** 2 / 4.0, 1, 0.05, 0.10, 2.0),
-             1, (s_gap, 0.0), 4e-3 * hs),
-            ("far_slice", _annulus_window(1.549j, 0, 0.12, 0.26, 2.0),
-             0, (0.0, -0.6), 6e-3 * hs),
-        ),
-        "c2_slice_index": 0,
-        "mass_slice_s": s_band,
-        "mass_disk": Disk(s_band ** 2 / 4.0, 0.30),
-        "mass_h": 4e-3,
-        "mass_oracle": 2.4 * np.pi,
-    }
+    kink = Lattice(_annulus_window(0.0, 1, -1.0, 0.05, 2.0), 1, (0.0, 0.0))
+    battery = (
+        Agreement("sp", Complement(_sublevel(n + 0.01, rads, 4.0),
+                                   within=Polydisk((0.0, 0.0), (1.85, 1.85))),
+                  opens.V),
+        LeviZone("kink_slice", "sp", kink, 3e-3 * hs),
+        LeviZone("band_slice", "sp", Lattice(
+            _annulus_window(s_band ** 2 / 4.0, 1, 0.14, 0.25, 2.0),
+            1, (s_band, 0.0)), 5e-3 * hs),
+        LeviZone("boxgap_slice", "sp", Lattice(
+            _annulus_window(s_gap ** 2 / 4.0, 1, 0.05, 0.10, 2.0),
+            1, (s_gap, 0.0)), 4e-3 * hs),
+        LeviZone("far_slice", "sp", Lattice(
+            _annulus_window(1.549j, 0, 0.12, 0.26, 2.0),
+            0, (0.0, -0.6)), 6e-3 * hs),
+        C2Zone("sp", kink, 3e-3 * hs),
+        DiskMass("sp", Disk(s_band ** 2 / 4.0, 0.30), 2.4 * np.pi, slice_s=s_band),
+        FieldDump("sp", kink, 3e-3 * hs, "S2_sp_smoothed_kink_slice.csv"),
+    )
     return Scenario("S2", _TITLES["S2"], config, cover, upstairs, (), steps,
                     _smoothing_params(config, moll_order=6),
                     X1=Complement(Intersection(
@@ -292,7 +295,7 @@ def _build_s2(config: dict) -> Scenario:
                         within=dom),
                     X2=Intersection((_sublevel(n, rads, 4.0), dom),
                                     anchor=(0.0, 0.0)),
-                    aux=aux)
+                    battery=battery)
 
 
 def _fs_product(Z: np.ndarray) -> np.ndarray:
@@ -401,35 +404,32 @@ def _build_s3(config: dict) -> Scenario:
 
     two_pi = 2.0 * np.pi
     hs = config["h"] / _DEFAULTS["S3"]["h"]
-    aux = {
-        "agreement_regions": (
-            ("D1", Complement(_sublevel(n + 0.01, (2.5, 3.5), 7.0),
-                              within=Polydisk((0.0, 0.0), (2.3, 2.2)))),
-            ("D3", Complement(_sublevel(n + 0.01, (1.75, 1.05), 6.0),
-                              within=Polydisk((0.0, 0.0), (1.69, 0.99)))),
-        ),
-        # (zone, chart, window, free_axis, basepoint, base spacing)
-        "levi_slices": (
-            ("kink_slice_D1", "D1",
-             Polydisk((0.0, 0.0), (2.5, 0.05)), 1, (0.0, 0.0), 3e-3 * hs),
-            ("kink_slice_D3", "D3",
-             Polydisk((0.0, 0.0), (1.75, 0.05)), 1, (0.0, 0.0), 3e-3 * hs),
-            ("band_slice_D1", "D1",
-             _annulus_window(0.0, 1, 0.14, 0.24, 0.01), 1, (0.0, 0.0), 5e-3 * hs),
-            ("band_slice_D3", "D3",
-             _annulus_window(0.0, 1, 0.14, 0.24, 0.01), 1, (0.0, 0.0), 5e-3 * hs),
-        ),
-        "c2_slice_index": 0,
-        "mass_patches_up": (CurvePatch("zz", map_zz, (0.0, 1.0), (0.0, two_pi)),
-                            CurvePatch("tt", map_tt, (0.0, 1.0), (0.0, two_pi))),
-        "mass_patches_down": (CurvePatch("D1", map_d1, (0.0, 1.0), (0.0, two_pi)),
-                              CurvePatch("D3", map_d3, (0.0, 1.0), (0.0, two_pi))),
-        "mass_oracle": 8.0 * np.pi,
-        "mass_quad_order": 32,
-        "mass_levi_h": 1e-3,
-    }
+    kink_d1 = Lattice(Polydisk((0.0, 0.0), (2.5, 0.05)), 1, (0.0, 0.0))
+    kink_d3 = Lattice(Polydisk((0.0, 0.0), (1.75, 0.05)), 1, (0.0, 0.0))
+    band = Lattice(_annulus_window(0.0, 1, 0.14, 0.24, 0.01), 1, (0.0, 0.0))
+    battery = (
+        OverlapDevChange(downstairs_overlaps),
+        Agreement("D1", Complement(_sublevel(n + 0.01, (2.5, 3.5), 7.0),
+                                   within=Polydisk((0.0, 0.0), (2.3, 2.2))),
+                  tri1.V, name="agreement_outside_N_sup_D1"),
+        Agreement("D3", Complement(_sublevel(n + 0.01, (1.75, 1.05), 6.0),
+                                   within=Polydisk((0.0, 0.0), (1.69, 0.99))),
+                  tri3.V, name="agreement_outside_N_sup_D3"),
+        LeviZone("kink_slice_D1", "D1", kink_d1, 3e-3 * hs),
+        LeviZone("kink_slice_D3", "D3", kink_d3, 3e-3 * hs),
+        LeviZone("band_slice_D1", "D1", band, 5e-3 * hs),
+        LeviZone("band_slice_D3", "D3", band, 5e-3 * hs),
+        C2Zone("D1", kink_d1, 3e-3 * hs),
+        CurveMass(up=(CurvePatch("zz", map_zz, (0.0, 1.0), (0.0, two_pi)),
+                      CurvePatch("tt", map_tt, (0.0, 1.0), (0.0, two_pi))),
+                  down=(CurvePatch("D1", map_d1, (0.0, 1.0), (0.0, two_pi)),
+                        CurvePatch("D3", map_d3, (0.0, 1.0), (0.0, two_pi))),
+                  oracle=8.0 * np.pi),
+        FieldDump("D1", kink_d1, 3e-3 * hs, "S3_D1_smoothed_kink_slice.csv"),
+        FieldDump("D3", kink_d3, 3e-3 * hs, "S3_D3_smoothed_kink_slice.csv"),
+    )
     return Scenario("S3", _TITLES["S3"], config, cover, upstairs,
-                    downstairs_overlaps, steps, params, aux=aux)
+                    downstairs_overlaps, steps, params, battery=battery)
 
 
 def _build_s4(config: dict) -> Scenario:
@@ -455,15 +455,15 @@ def _build_s4(config: dict) -> Scenario:
     def inv(Z: np.ndarray) -> np.ndarray:
         return 1.0 / as_points(Z, 1)
 
-    ov_nf = ChartOverlap("near", "far", Annulus(0.0, 0.47, 0.79), inv)
-    ov_fn = ChartOverlap("far", "near",
-                         Annulus(0.0, 1.0 / 0.79, 1.0 / 0.47), inv)
+    overlaps = (ChartOverlap("near", "far", Annulus(0.0, 0.47, 0.79), inv),
+                ChartOverlap("far", "near",
+                             Annulus(0.0, 1.0 / 0.79, 1.0 / 0.47), inv))
     upstairs = KahlerCocycle(
         (CocycleChart("near", dom_near,
                       ScalarField(phi_near, dom_near, name="near")),
          CocycleChart("far", dom_far,
                       ScalarField(phi_far, dom_far, name="far"))),
-        (ov_nf, ov_fn))
+        overlaps)
     cover = GluedCover((ChartPair("near", "near", IdentityCover(dom_near)),
                         ChartPair("far", "far", IdentityCover(dom_far))))
 
@@ -481,26 +481,24 @@ def _build_s4(config: dict) -> Scenario:
     steps = (GlueStep("near", opens, label="kink ring"),)
 
     hs = config["h"] / _DEFAULTS["S4"]["h"]
-    aux = {
-        # (chart, region, correction support seen from that chart)
-        "agreement_regions": (
-            ("near", Annulus(0.0, n + 0.005, 0.79), opens.V),
-            ("far", Disk(0.0, 1.58), MappedRegion(opens.V, inv, 1)),
-        ),
-        "levi_grids": (
-            ("near_disk", "near", Disk(0.0, 0.66), 5e-3 * hs),
-            ("far_ring", "far", Annulus(0.0, 1.70, 2.10), 5e-3 * hs),
-        ),
-        "lift_ring": Annulus(0.0, 1.0 / 0.61, 2.10),
-        "c2_zone": Disk(0.0, npr),
-        "c2_h": 0.01,
-        "mass_disk": Disk(0.0, 0.65),
-        "mass_h": 4e-3,
-        "mass_oracle": 2.0 * np.pi * 2.0 * 0.65 ** 2 / (1.0 + 0.65 ** 2),
-        "bitwise_zone": Disk(0.0, 0.78),
-    }
-    return Scenario("S4", _TITLES["S4"], config, cover, upstairs,
-                    (ov_nf, ov_fn), steps, _smoothing_params(config), aux=aux)
+    c2_zone = Lattice(Disk(0.0, npr))
+    battery = (
+        OverlapDevChange(overlaps),
+        CorrectionLift("far", Annulus(0.0, 1.0 / 0.61, 2.10)),
+        Agreement("near", Annulus(0.0, n + 0.005, 0.79), opens.V,
+                  name="agreement_outside_N_sup_near"),
+        Agreement("far", Disk(0.0, 1.58), MappedRegion(opens.V, inv, 1),
+                  name="agreement_outside_N_sup_far"),
+        LeviZone("near_disk", "near", Lattice(Disk(0.0, 0.66)), 5e-3 * hs),
+        LeviZone("far_ring", "far", Lattice(Annulus(0.0, 1.70, 2.10)), 5e-3 * hs),
+        C2Zone("near", c2_zone, 0.01),
+        DiskMass("near", Disk(0.0, 0.65),
+                 2.0 * np.pi * 2.0 * 0.65 ** 2 / (1.0 + 0.65 ** 2)),
+        GlueVsLocal("near", Disk(0.0, 0.78)),
+        FieldDump("near", c2_zone, 5e-3 * hs, "S4_near_smoothed.csv"),
+    )
+    return Scenario("S4", _TITLES["S4"], config, cover, upstairs, overlaps,
+                    steps, _smoothing_params(config), battery=battery)
 
 
 _BUILDERS: Dict[str, Callable[[dict], Scenario]] = {
@@ -510,6 +508,12 @@ _BUILDERS: Dict[str, Callable[[dict], Scenario]] = {
 
 # ---------------------------------------------------------------------------
 # checks
+#
+# Each builder lists its checks as an ordered tuple of specs, and
+# run_scenario walks the tuple once.  A spec names the checks it emits, in
+# report order (names), and computes them: run(scenario, pushforward run,
+# dump_dir) yields one (timing key, check) pair per check, so a failure
+# midway keeps the checks already made.
 
 def _check(name: str, value: float, tol: float, kind: str = "le") -> dict:
     value = float(value)
@@ -547,94 +551,16 @@ def verify_agreement(psi: ScalarField, reference: ScalarField, region: Domain,
         out = _check(name, 0.0, 0.0)
         out["status"] = "not-applicable"
         return out
-    sup = float(np.max(np.abs(psi.eval_many(pts) - reference.eval_many(pts))))
-    return _check(name, sup, 0.0)
+    return _check(name, _sup_gap(psi, reference, pts), 0.0)
 
 
-class _Stopwatch:
-    def __init__(self, sink: Optional[dict]):
-        self.sink = sink
-
-    def note(self, name: str, t0: float) -> None:
-        if self.sink is not None:
-            self.sink[name] = self.sink.get(name, 0.0) + (time.time() - t0)
+def _sup_gap(f: ScalarField, g: ScalarField, pts: np.ndarray) -> float:
+    return float(np.max(np.abs(f.eval_many(pts) - g.eval_many(pts))))
 
 
-def _levi_pair(field_: ScalarField, zone_name: str,
-               grid_at: Callable[[float], Grid], h: float,
-               checks: List[dict], watch: _Stopwatch) -> None:
-    for suffix, hh in (("h", h), ("h2", h / 2.0)):
-        t0 = time.time()
-        rep = min_levi_eigenvalue(field_, grid_at(hh), hh)
-        name = f"levi_min_{zone_name}_{suffix}"
-        checks.append(_check(name, rep.min_eigenvalue, 1e-9, kind="ge"))
-        watch.note(name, t0)
-
-
-def _c2_pair(raw: ScalarField, smoothed: ScalarField,
-             grid_at: Callable[[float], Grid], h: float,
-             checks: List[dict], watch: _Stopwatch) -> None:
-    t0 = time.time()
-    g1, g2 = grid_at(h), grid_at(h / 2.0)
-    raw_ratio = laplacian_sup(raw, g2, h / 2.0) / laplacian_sup(raw, g1, h)
-    checks.append(_check("c2_ratio_raw", raw_ratio, 1.9, kind="ge"))
-    sm_ratio = laplacian_sup(smoothed, g2, h / 2.0) / laplacian_sup(smoothed, g1, h)
-    checks.append(_check("c2_ratio_smoothed", sm_ratio, 1.5))
-    watch.note("c2_ratios", t0)
-
-
-def _mass_pair(raw: ScalarField, smoothed: ScalarField, disk: Disk, mh: float,
-               oracle: float, checks: List[dict], watch: _Stopwatch) -> None:
-    t0 = time.time()
-    m_raw = mass_integral(raw, disk, mh)
-    m_sm = mass_integral(smoothed, disk, mh)
-    checks.append(_check("mass_raw_rel_err", abs(m_raw - oracle) / oracle, 0.01))
-    checks.append(_check("mass_smoothed_drift", abs(m_sm - m_raw), 1e-9))
-    watch.note("mass_conservation", t0)
-
-
-def _upstairs_dev_check(s: Scenario, checks: List[dict], watch: _Stopwatch) -> None:
-    t0 = time.time()
-    devs = validate_cocycle(s.upstairs, h=1e-3, samples=64)
-    worst = max(devs.values()) if devs else 0.0
-    checks.append(_check("upstairs_cocycle_dev_max", worst, 1e-4))
-    watch.note("upstairs_cocycle_dev_max", t0)
-
-
-def _dev_change_checks(run, checks: List[dict], watch: _Stopwatch) -> None:
-    t0 = time.time()
-    devs_raw = validate_cocycle(run.raw, h=1e-3, samples=64)
-    devs_glued = validate_cocycle(run.cocycle, h=1e-3, samples=64)
-    for key in devs_raw:
-        change = abs(devs_glued[key] - devs_raw[key])
-        checks.append(_check(
-            f"overlap_dev_change_{key.replace('->', '_')}", change, 1e-8))
-    watch.note("overlap_dev_change", t0)
-
-
-def _battery_s1(s: Scenario, run, checks: List[dict], watch: _Stopwatch,
-                dump_dir: Optional[str]) -> None:
-    aux = s.aux
-    raw = run.raw.chart("w").potential
-    psi = run.cocycle.chart("w").potential
-    V = s.steps[0].opens.V
-
-    t0 = time.time()
-    checks.append(verify_agreement(psi, raw, aux["agreement_region"],
-                                   AGREE_SAMPLES, correction_support=V))
-    watch.note("agreement_outside_N_sup", t0)
-
-    for zone_name, _, zone, bh in aux["levi_grids"]:
-        _levi_pair(psi, zone_name, lambda hh, z=zone: sample_grid(z, hh),
-                   bh, checks, watch)
-    _c2_pair(raw, psi, lambda hh: sample_grid(aux["c2_zone"], hh),
-             aux["c2_h"], checks, watch)
-    _mass_pair(raw, psi, aux["mass_disk"], aux["mass_h"], aux["mass_oracle"],
-               checks, watch)
-    if dump_dir:
-        zone_name, _, zone, bh = aux["levi_grids"][0]
-        dump_field_csv(psi, sample_grid(zone, bh),
-                       os.path.join(dump_dir, "S1_w_smoothed.csv"))
+def _fields(res, chart: str) -> Tuple[ScalarField, ScalarField]:
+    """(raw pushforward, smoothed) potentials of one downstairs chart."""
+    return res.raw.chart(chart).potential, res.cocycle.chart(chart).potential
 
 
 def _slice_field_at(f: ScalarField, s0: complex, valid: Domain) -> ScalarField:
@@ -645,141 +571,198 @@ def _slice_field_at(f: ScalarField, s0: complex, valid: Domain) -> ScalarField:
     return ScalarField(ev, valid)
 
 
-def _battery_s2(s: Scenario, run, checks: List[dict], watch: _Stopwatch,
-                dump_dir: Optional[str]) -> None:
-    aux = s.aux
-    raw = run.raw.chart("sp").potential
-    psi = run.cocycle.chart("sp").potential
-    V = s.steps[0].opens.V
+@dataclass(frozen=True)
+class Lattice:
+    """Evaluation lattice on a window: the full grid, or the one-variable
+    slice through basepoint along free_axis."""
 
-    t0 = time.time()
-    checks.append(verify_agreement(psi, raw, aux["agreement_region"],
-                                   AGREE_SAMPLES, correction_support=V))
-    watch.note("agreement_outside_N_sup", t0)
+    window: Domain
+    free_axis: Optional[int] = None
+    basepoint: tuple = ()
 
-    for zone_name, window, axis, base, bh in aux["levi_slices"]:
-        _levi_pair(psi, zone_name,
-                   lambda hh, w=window, a=axis, b=base:
-                   sample_slice_grid(w, hh, a, b),
-                   bh, checks, watch)
-
-    _, window, axis, base, bh = aux["levi_slices"][aux["c2_slice_index"]]
-    _c2_pair(raw, psi,
-             lambda hh: sample_slice_grid(window, hh, axis, base),
-             bh, checks, watch)
-
-    s0 = aux["mass_slice_s"]
-    valid = Disk(aux["mass_disk"].center_value, aux["mass_disk"].radius + 0.10)
-    _mass_pair(_slice_field_at(raw, s0, valid), _slice_field_at(psi, s0, valid),
-               aux["mass_disk"], aux["mass_h"], aux["mass_oracle"],
-               checks, watch)
-    if dump_dir:
-        _, window, axis, base, bh = aux["levi_slices"][0]
-        dump_field_csv(psi, sample_slice_grid(window, bh, axis, base),
-                       os.path.join(dump_dir, "S2_sp_smoothed_kink_slice.csv"))
+    def grid(self, h: float) -> Grid:
+        if self.free_axis is None:
+            return sample_grid(self.window, h)
+        return sample_slice_grid(self.window, h, self.free_axis, self.basepoint)
 
 
-def _battery_s3(s: Scenario, run, checks: List[dict], watch: _Stopwatch,
-                dump_dir: Optional[str]) -> None:
-    aux = s.aux
-    _dev_change_checks(run, checks, watch)
+@dataclass(frozen=True)
+class Agreement:
+    """Smoothed equals raw exactly on a region outside N (verify_agreement);
+    support is the correction's support seen from the chart."""
 
-    for chart_name, region in aux["agreement_regions"]:
-        t0 = time.time()
-        raw = run.raw.chart(chart_name).potential
-        psi = run.cocycle.chart(chart_name).potential
-        step = next(st for st in s.steps if st.chart_name == chart_name)
-        cname = f"agreement_outside_N_sup_{chart_name}"
-        checks.append(verify_agreement(psi, raw, region, AGREE_SAMPLES,
-                                       correction_support=step.opens.V,
-                                       name=cname))
-        watch.note(cname, t0)
+    chart: str
+    region: Domain
+    support: Domain
+    name: str = "agreement_outside_N_sup"
 
-    for zone_name, chart_name, window, axis, base, bh in aux["levi_slices"]:
-        psi = run.cocycle.chart(chart_name).potential
-        _levi_pair(psi, zone_name,
-                   lambda hh, w=window, a=axis, b=base:
-                   sample_slice_grid(w, hh, a, b),
-                   bh, checks, watch)
+    @property
+    def names(self) -> Tuple[str, ...]:
+        return (self.name,)
 
-    _, c2_chart, window, axis, base, bh = aux["levi_slices"][aux["c2_slice_index"]]
-    _c2_pair(run.raw.chart(c2_chart).potential,
-             run.cocycle.chart(c2_chart).potential,
-             lambda hh: sample_slice_grid(window, hh, axis, base),
-             bh, checks, watch)
-
-    t0 = time.time()
-    q = aux["mass_quad_order"]
-    mh = aux["mass_levi_h"]
-    oracle = aux["mass_oracle"]
-    m_up = curve_mass(s.upstairs, aux["mass_patches_up"], quad_order=q, h=mh)
-    checks.append(_check("curve_mass_upstairs_rel_err",
-                         abs(m_up - oracle) / oracle, 0.02))
-    m_raw = curve_mass(run.raw, aux["mass_patches_down"], quad_order=q, h=mh)
-    checks.append(_check("curve_mass_raw_rel_err",
-                         abs(m_raw - oracle) / oracle, 0.02))
-    m_glued = curve_mass(run.cocycle, aux["mass_patches_down"], quad_order=q, h=mh)
-    checks.append(_check("curve_mass_smoothed_rel_err",
-                         abs(m_glued - oracle) / oracle, 0.02))
-    watch.note("curve_mass_class", t0)
-    if dump_dir:
-        for zone_name, chart_name, window, axis, base, bh in aux["levi_slices"][:2]:
-            psi = run.cocycle.chart(chart_name).potential
-            dump_field_csv(
-                psi, sample_slice_grid(window, bh, axis, base),
-                os.path.join(dump_dir, f"S3_{chart_name}_smoothed_kink_slice.csv"))
+    def run(self, s, res, dump_dir):
+        raw, psi = _fields(res, self.chart)
+        yield self.name, verify_agreement(psi, raw, self.region, AGREE_SAMPLES,
+                                          correction_support=self.support,
+                                          name=self.name)
 
 
-def _battery_s4(s: Scenario, run, checks: List[dict], watch: _Stopwatch,
-                dump_dir: Optional[str]) -> None:
-    aux = s.aux
-    _dev_change_checks(run, checks, watch)
+@dataclass(frozen=True)
+class OverlapDevChange:
+    """Gluing leaves each downstairs overlap's cocycle deviation unchanged."""
 
-    t0 = time.time()
-    psi_far = run.cocycle.chart("far").potential
-    raw_far = run.raw.chart("far").potential
-    ring = halton_sample(aux["lift_ring"], 2000, start=HALTON_START)
-    lift = float(np.max(np.abs(psi_far.eval_many(ring) - raw_far.eval_many(ring))))
-    checks.append(_check("correction_lift_sup", lift, 1e-6, kind="ge"))
-    watch.note("correction_lift_sup", t0)
+    overlaps: Tuple[ChartOverlap, ...]
 
-    for chart_name, region, support in aux["agreement_regions"]:
-        t0 = time.time()
-        raw = run.raw.chart(chart_name).potential
-        psi = run.cocycle.chart(chart_name).potential
-        cname = f"agreement_outside_N_sup_{chart_name}"
-        checks.append(verify_agreement(psi, raw, region, AGREE_SAMPLES,
-                                       correction_support=support, name=cname))
-        watch.note(cname, t0)
+    @property
+    def names(self) -> Tuple[str, ...]:
+        return tuple(f"overlap_dev_change_{ov.src}_{ov.dst}" for ov in self.overlaps)
 
-    for zone_name, chart_name, zone, bh in aux["levi_grids"]:
-        psi = run.cocycle.chart(chart_name).potential
-        _levi_pair(psi, zone_name, lambda hh, z=zone: sample_grid(z, hh),
-                   bh, checks, watch)
-
-    raw_near = run.raw.chart("near").potential
-    psi_near = run.cocycle.chart("near").potential
-    _c2_pair(raw_near, psi_near,
-             lambda hh: sample_grid(aux["c2_zone"], hh), aux["c2_h"],
-             checks, watch)
-    _mass_pair(raw_near, psi_near, aux["mass_disk"], aux["mass_h"],
-               aux["mass_oracle"], checks, watch)
-
-    t0 = time.time()
-    direct = local_smooth(raw_near, s.steps[0].opens, s.params)
-    pts = halton_sample(aux["bitwise_zone"], 4000, start=HALTON_START)
-    sup = float(np.max(np.abs(direct.psi.eval_many(pts)
-                              - psi_near.eval_many(pts))))
-    checks.append(_check("glue_matches_local_sup", sup, 0.0))
-    watch.note("glue_matches_local_sup", t0)
-    if dump_dir:
-        dump_field_csv(psi_near, sample_grid(aux["c2_zone"], aux["levi_grids"][0][3]),
-                       os.path.join(dump_dir, "S4_near_smoothed.csv"))
+    def run(self, s, res, dump_dir):
+        devs_raw = validate_cocycle(res.raw, h=1e-3, samples=64)
+        devs_glued = validate_cocycle(res.cocycle, h=1e-3, samples=64)
+        for name, ov in zip(self.names, self.overlaps):
+            key = f"{ov.src}->{ov.dst}"
+            yield "overlap_dev_change", _check(
+                name, abs(devs_glued[key] - devs_raw[key]), 1e-8)
 
 
-_BATTERIES = {
-    "S1": _battery_s1, "S2": _battery_s2, "S3": _battery_s3, "S4": _battery_s4,
-}
+@dataclass(frozen=True)
+class CorrectionLift:
+    """A correction made in another chart reaches this one through the
+    overlaps: the smoothed field differs from the raw one on the ring."""
+
+    chart: str
+    ring: Domain
+    names = ("correction_lift_sup",)
+
+    def run(self, s, res, dump_dir):
+        raw, psi = _fields(res, self.chart)
+        ring = halton_sample(self.ring, 2000, start=HALTON_START)
+        (name,) = self.names
+        yield name, _check(name, _sup_gap(psi, raw, ring), 1e-6, kind="ge")
+
+
+@dataclass(frozen=True)
+class LeviZone:
+    """Smallest Levi eigenvalue of the smoothed field stays positive on the
+    lattice at spacing h and h/2."""
+
+    zone: str
+    chart: str
+    lattice: Lattice
+    h: float
+
+    @property
+    def names(self) -> Tuple[str, ...]:
+        return (f"levi_min_{self.zone}_h", f"levi_min_{self.zone}_h2")
+
+    def run(self, s, res, dump_dir):
+        psi = res.cocycle.chart(self.chart).potential
+        for name, hh in zip(self.names, (self.h, self.h / 2.0)):
+            rep = min_levi_eigenvalue(psi, self.lattice.grid(hh), hh)
+            yield name, _check(name, rep.min_eigenvalue, 1e-9, kind="ge")
+
+
+@dataclass(frozen=True)
+class C2Zone:
+    """Laplacian sup ratio under halving h: the raw kink at least doubles
+    (>= 1.9), the smoothed field stays bounded (<= 1.5)."""
+
+    chart: str
+    lattice: Lattice
+    h: float
+    names = ("c2_ratio_raw", "c2_ratio_smoothed")
+
+    def run(self, s, res, dump_dir):
+        h = self.h
+        g1, g2 = self.lattice.grid(h), self.lattice.grid(h / 2.0)
+        for name, f, tol, kind in zip(self.names, _fields(res, self.chart),
+                                      (1.9, 1.5), ("ge", "le")):
+            ratio = c2_ratio(laplacian_sup(f, g1, h), laplacian_sup(f, g2, h / 2.0))
+            yield "c2_ratios", _check(name, ratio, tol, kind=kind)
+
+
+@dataclass(frozen=True)
+class DiskMass:
+    """Raw disk mass (lattice spacing 4e-3) within 1% of the oracle, moved
+    at most 1e-9 by the smoothing.  With slice_s the disk lies in the second
+    coordinate of the slice {first coordinate = slice_s}."""
+
+    chart: str
+    disk: Disk
+    oracle: float
+    slice_s: Optional[float] = None
+    names = ("mass_raw_rel_err", "mass_smoothed_drift")
+
+    def run(self, s, res, dump_dir):
+        raw, psi = _fields(res, self.chart)
+        if self.slice_s is not None:
+            valid = Disk(self.disk.center_value, self.disk.radius + 0.10)
+            raw = _slice_field_at(raw, self.slice_s, valid)
+            psi = _slice_field_at(psi, self.slice_s, valid)
+        m_raw = mass_integral(raw, self.disk, 4e-3)
+        m_sm = mass_integral(psi, self.disk, 4e-3)
+        err_name, drift_name = self.names
+        yield "mass_conservation", _check(
+            err_name, abs(m_raw - self.oracle) / self.oracle, 0.01)
+        yield "mass_conservation", _check(drift_name, abs(m_sm - m_raw), 1e-9)
+
+
+@dataclass(frozen=True)
+class CurveMass:
+    """Curve mass within 2% of the class oracle: upstairs on the up patches,
+    downstairs before and after smoothing on the down patches."""
+
+    up: Tuple[CurvePatch, ...]
+    down: Tuple[CurvePatch, ...]
+    oracle: float
+    names = ("curve_mass_upstairs_rel_err", "curve_mass_raw_rel_err",
+             "curve_mass_smoothed_rel_err")
+
+    def run(self, s, res, dump_dir):
+        for name, cocycle, patches in zip(
+                self.names, (s.upstairs, res.raw, res.cocycle),
+                (self.up, self.down, self.down)):
+            m = curve_mass(cocycle, patches, quad_order=32, h=1e-3)
+            yield "curve_mass_class", _check(
+                name, abs(m - self.oracle) / self.oracle, 0.02)
+
+
+@dataclass(frozen=True)
+class GlueVsLocal:
+    """The glued field of the chart equals local_smooth run directly on its
+    raw potential, bit for bit on a Halton sample of zone."""
+
+    chart: str
+    zone: Domain
+    names = ("glue_matches_local_sup",)
+
+    def run(self, s, res, dump_dir):
+        raw, psi = _fields(res, self.chart)
+        step = next(st for st in s.steps if st.chart_name == self.chart)
+        direct = local_smooth(raw, step.opens, step.params or s.params)
+        pts = halton_sample(self.zone, 4000, start=HALTON_START)
+        (name,) = self.names
+        yield name, _check(name, _sup_gap(direct.psi, psi, pts), 0.0)
+
+
+@dataclass(frozen=True)
+class FieldDump:
+    """CSV dump of the smoothed field on a lattice; emits no check and
+    writes only when the run has a dump directory."""
+
+    chart: str
+    lattice: Lattice
+    h: float
+    filename: str
+    names = ()
+
+    def run(self, s, res, dump_dir):
+        if dump_dir:
+            dump_field_csv(res.cocycle.chart(self.chart).potential,
+                           self.lattice.grid(self.h),
+                           os.path.join(dump_dir, self.filename))
+        return ()
 
 
 def _environment(s: Scenario) -> dict:
@@ -797,12 +780,8 @@ def _environment(s: Scenario) -> dict:
         "bump_integral": BUMP_INTEGRAL,
         "gate_h": s.params.h,
     }
-    zones = {}
-    for spec in s.aux.get("levi_slices", ()):
-        zones[spec[0]] = [spec[-1], spec[-1] / 2.0]
-    for spec in s.aux.get("levi_grids", ()):
-        zones[spec[0]] = [spec[-1], spec[-1] / 2.0]
-    env["battery_h"] = zones
+    env["battery_h"] = {spec.zone: [spec.h, spec.h / 2.0]
+                        for spec in s.battery if isinstance(spec, LeviZone)}
     return env
 
 
@@ -810,27 +789,42 @@ def run_scenario(s: Scenario, dump_dir: Optional[str] = None,
                  timings: Optional[dict] = None) -> dict:
     """Execute the pipeline and the scenario's full check battery.
 
-    Pipeline failures (infeasible parameters, domain errors) do not raise:
-    they are embedded as a failing check so the report always exists.
+    The upstairs cocycle check comes first, then the pipeline, then the
+    specs of s.battery in order.  Pipeline failures (infeasible parameters,
+    domain errors) do not raise: they are embedded as a failing check so
+    the report always exists.
     """
     if dump_dir:
         os.makedirs(dump_dir, exist_ok=True)
-    watch = _Stopwatch(timings)
+
+    def note(name: str, t0: float) -> None:
+        if timings is not None:
+            timings[name] = timings.get(name, 0.0) + (time.time() - t0)
+
     checks: List[dict] = []
     t_total = time.time()
     try:
-        _upstairs_dev_check(s, checks, watch)
         t0 = time.time()
-        run = smooth_pushforward(s.cover, s.upstairs, s.downstairs_overlaps,
+        devs = validate_cocycle(s.upstairs, h=1e-3, samples=64)
+        checks.append(_check("upstairs_cocycle_dev_max",
+                             max(devs.values(), default=0.0), 1e-4))
+        note("upstairs_cocycle_dev_max", t0)
+        t0 = time.time()
+        res = smooth_pushforward(s.cover, s.upstairs, s.downstairs_overlaps,
                                  s.steps, s.params, X1=s.X1, X2=s.X2)
-        watch.note("pipeline", t0)
-        _BATTERIES[s.scenario_id](s, run, checks, watch, dump_dir)
+        note("pipeline", t0)
+        for spec in s.battery:
+            t0 = time.time()
+            for stage, check in spec.run(s, res, dump_dir):
+                checks.append(check)
+                note(stage, t0)
+                t0 = time.time()
     except CoverSmoothError as exc:
         bad = _check("pipeline", 1.0, 0.0)
         bad["error"] = f"{type(exc).__name__}: {exc}"
         bad["error_type"] = type(exc).__name__
         checks.append(bad)
-    watch.note("total", t_total)
+    note("total", t_total)
     return {
         "scenario": s.scenario_id,
         "params": dict(s.config),

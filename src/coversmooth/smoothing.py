@@ -30,7 +30,6 @@ through the declared overlaps, so the cocycle relations are untouched.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -95,16 +94,12 @@ class SmoothingParams:
     regmax_order: int = 16
     band_samples: int = 400
     u_samples: int = 256
-    delta_step: float = 0.0
     halton_start: int = 1
 
     def __post_init__(self):
         for name in ("eps", "delta", "eta", "h"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} > 0", f"{name} = {getattr(self, name)!r}")
-
-    def with_delta(self, delta: float) -> "SmoothingParams":
-        return dataclasses.replace(self, delta=delta)
 
 
 def _ramp(sU: np.ndarray, sV: np.ndarray) -> np.ndarray:
@@ -287,7 +282,7 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
 
     outside = Complement(V, within=opens.W) if opens.W is not None else None
     if phi.smooth_on is not None and outside is not None:
-        smooth_on = UnionRegion((opens.U, _SmoothIntersect(phi.smooth_on, outside)))
+        smooth_on = UnionRegion((opens.U, Intersection((phi.smooth_on, outside))))
     else:
         smooth_on = opens.U
 
@@ -298,11 +293,6 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
     chi = ScalarField(_chi_eval, phi.valid_on, name="correction")
     chi.meta.update({"support": "closure(V)"})
     return LocalSmoothResult(psi, chi, phi_eps, sigma, opens, params, measurements)
-
-
-def _SmoothIntersect(a: Domain, b: Domain) -> Domain:
-    from .geometry import Intersection
-    return Intersection((a, b))
 
 
 @dataclass(frozen=True)
@@ -377,17 +367,14 @@ def global_glue(cocycle: KahlerCocycle, steps: Sequence[GlueStep],
     Step k smooths the accumulated field of its chart, mollifying that
     field itself; since corrections of earlier steps keep it psh, the
     mollification dominates it and the s_max gate holds automatically.
-    Step k uses delta_k = delta + (k-1)*delta_step unless the step carries
-    its own params.  A single step reproduces local_smooth exactly.
+    Each step runs with its own params when it carries them, else with the
+    sweep's.  A single step reproduces local_smooth exactly.
     """
     current = cocycle
     records: List[StepRecord] = []
     covered: Optional[Domain] = X1
     for k, step in enumerate(steps, start=1):
-        if step.params is not None:
-            params_k = step.params
-        else:
-            params_k = params.with_delta(params.delta + (k - 1) * params.delta_step)
+        params_k = step.params or params
         delta_k = params_k.delta
         chart = current.chart(step.chart_name)
         try:
@@ -399,7 +386,7 @@ def global_glue(cocycle: KahlerCocycle, steps: Sequence[GlueStep],
 
         omega = None
         if covered is not None:
-            omega = _SmoothIntersect(step.opens.V, covered)
+            omega = Intersection((step.opens.V, covered))
         covered = (UnionRegion((covered, step.opens.U))
                    if covered is not None else step.opens.U)
 

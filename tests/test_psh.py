@@ -15,7 +15,9 @@ from coversmooth.psh import (
     BUMP_INTEGRAL,
     BUMP_NORMALIZATION,
     bump_profile,
+    c2_ratio,
     c2_refinement_ratio,
+    hermitian_min_eigenvalues,
     laplacian_sup,
     levi_form_many,
     min_levi_eigenvalue,
@@ -137,6 +139,20 @@ def test_levi_annihilates_pluriharmonic_cubic():
     assert abs(L[0, 0]) < 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hermitian_min_eigenvalues_match_eigvalsh(n):
+    # n = 1 and 2 take the closed forms, n = 3 the stacked eigvalsh branch;
+    # the error is relative to each matrix's largest |eigenvalue|
+    rng = np.random.default_rng(20050117 + n)
+    A = rng.normal(size=(500, n, n)) + 1j * rng.normal(size=(500, n, n))
+    H = 0.5 * (A + np.conj(np.transpose(A, (0, 2, 1))))
+    want = np.linalg.eigvalsh(H)
+    scale = np.max(np.abs(want), axis=1)
+    got = hermitian_min_eigenvalues(H)
+    assert got.shape == (500,)
+    assert np.all(np.abs(got - want[:, 0]) <= 1e-12 * scale)
+
+
 def test_min_levi_eigenvalue_report():
     f = field_from_function(lambda Z: 2.0 * np.abs(Z[:, 0]) ** 2, Disk(0.0, 1.0), name="q")
     g = sample_grid(Disk(0.0, 0.4), 0.02)
@@ -158,6 +174,16 @@ def test_c2_refinement_ratio_separates_kink_from_smooth():
     smooth = field_from_function(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(0.0, 2.0), name="s")
     assert c2_refinement_ratio(kink, gh, gh2) >= 1.9
     assert c2_refinement_ratio(smooth, gh, gh2) <= 1.1
+
+
+def test_c2_ratio_guards_a_vanishing_coarse_sup():
+    assert c2_ratio(0.0, 0.0) == 1.0
+    assert c2_ratio(0.0, 3.0) == np.inf
+    assert c2_ratio(2.0, 3.0) == 1.5
+    gh = sample_grid(Disk(0.0, 0.05), 0.01)
+    gh2 = sample_grid(Disk(0.0, 0.05), 0.005)
+    flat = field_from_function(lambda Z: np.full(Z.shape[0], 3.0), Disk(0.0, 2.0))
+    assert c2_refinement_ratio(flat, gh, gh2) == 1.0
 
 
 def test_regmax_kernel_fields_and_frozen_c0():

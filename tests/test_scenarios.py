@@ -1,17 +1,23 @@
-"""Scenario construction, the agreement check, and report shape."""
+"""Scenario construction, the check specs, the agreement check, and report
+shape."""
 
 import numpy as np
 import pytest
 
+from coversmooth.cocycle import CocycleChart, KahlerCocycle
 from coversmooth.errors import ScenarioError
 from coversmooth.geometry import Annulus, Disk, field_from_function
 from coversmooth.scenarios import (
     SCENARIO_IDS,
+    C2Zone,
+    FieldDump,
+    Lattice,
     build_scenario,
     check_passes,
     scenario_defaults,
     verify_agreement,
 )
+from coversmooth.smoothing import GlueResult, PushforwardRun, smooth_pushforward
 
 S1_DEFAULTS = {
     "h": 0.01,
@@ -158,3 +164,95 @@ def test_every_shipped_scenario_passes_at_defaults(scenario_runs):
     for sid, (report, _) in scenario_runs.items():
         failing = [c["name"] for c in report["checks"] if not c["pass"]]
         assert report["pass"] is True, (sid, failing)
+
+
+# Report check order per scenario.  The benchmark gate compares reports to a
+# frozen list position by position, so a reordering is a breaking change.
+CHECK_NAMES = {
+    "S1": [
+        "upstairs_cocycle_dev_max", "agreement_outside_N_sup",
+        "levi_min_kink_h", "levi_min_kink_h2",
+        "levi_min_band_h", "levi_min_band_h2",
+        "c2_ratio_raw", "c2_ratio_smoothed",
+        "mass_raw_rel_err", "mass_smoothed_drift",
+    ],
+    "S2": [
+        "upstairs_cocycle_dev_max", "agreement_outside_N_sup",
+        "levi_min_kink_slice_h", "levi_min_kink_slice_h2",
+        "levi_min_band_slice_h", "levi_min_band_slice_h2",
+        "levi_min_boxgap_slice_h", "levi_min_boxgap_slice_h2",
+        "levi_min_far_slice_h", "levi_min_far_slice_h2",
+        "c2_ratio_raw", "c2_ratio_smoothed",
+        "mass_raw_rel_err", "mass_smoothed_drift",
+    ],
+    "S3": [
+        "upstairs_cocycle_dev_max",
+        "overlap_dev_change_D1_D3", "overlap_dev_change_D3_D1",
+        "agreement_outside_N_sup_D1", "agreement_outside_N_sup_D3",
+        "levi_min_kink_slice_D1_h", "levi_min_kink_slice_D1_h2",
+        "levi_min_kink_slice_D3_h", "levi_min_kink_slice_D3_h2",
+        "levi_min_band_slice_D1_h", "levi_min_band_slice_D1_h2",
+        "levi_min_band_slice_D3_h", "levi_min_band_slice_D3_h2",
+        "c2_ratio_raw", "c2_ratio_smoothed",
+        "curve_mass_upstairs_rel_err", "curve_mass_raw_rel_err",
+        "curve_mass_smoothed_rel_err",
+    ],
+    "S4": [
+        "upstairs_cocycle_dev_max",
+        "overlap_dev_change_near_far", "overlap_dev_change_far_near",
+        "correction_lift_sup",
+        "agreement_outside_N_sup_near", "agreement_outside_N_sup_far",
+        "levi_min_near_disk_h", "levi_min_near_disk_h2",
+        "levi_min_far_ring_h", "levi_min_far_ring_h2",
+        "c2_ratio_raw", "c2_ratio_smoothed",
+        "mass_raw_rel_err", "mass_smoothed_drift",
+        "glue_matches_local_sup",
+    ],
+}
+
+
+@pytest.mark.parametrize("sid", SCENARIO_IDS)
+def test_spec_tuples_name_the_checks_in_report_order(sid):
+    # run_scenario emits the upstairs cocycle check, then the battery in order
+    s = build_scenario(sid)
+    names = ["upstairs_cocycle_dev_max"]
+    names += [name for spec in s.battery for name in spec.names]
+    assert names == CHECK_NAMES[sid]
+    assert len(names) == {"S1": 10, "S2": 14, "S3": 18, "S4": 15}[sid]
+
+
+def test_c2_spec_on_a_flat_field_gives_check_records():
+    dom = Disk(0.0, 1.0)
+    flat = field_from_function(lambda Z: np.full(Z.shape[0], 2.0), dom, name="flat")
+    cocycle = KahlerCocycle((CocycleChart("w", dom, flat),))
+    run = PushforwardRun(cocycle, GlueResult(cocycle, []))
+    spec = C2Zone("w", Lattice(Disk(0.0, 0.3)), 0.05)
+    checks = [check for _, check in spec.run(None, run, None)]
+    assert [c["name"] for c in checks] == ["c2_ratio_raw", "c2_ratio_smoothed"]
+    assert [c["value"] for c in checks] == [1.0, 1.0]
+    # a flat raw field has no kink to detect; the smoothed side passes
+    assert [c["pass"] for c in checks] == [False, True]
+
+
+DUMP_HEADERS = {
+    "S1_w_smoothed.csv": "re_1,im_1,value",
+    "S2_sp_smoothed_kink_slice.csv": "re_1,im_1,re_2,im_2,value",
+    "S3_D1_smoothed_kink_slice.csv": "re_1,im_1,re_2,im_2,value",
+    "S3_D3_smoothed_kink_slice.csv": "re_1,im_1,re_2,im_2,value",
+    "S4_near_smoothed.csv": "re_1,im_1,value",
+}
+
+
+def test_dump_specs_write_the_field_dumps(tmp_path):
+    for sid in SCENARIO_IDS:
+        s = build_scenario(sid)
+        run = smooth_pushforward(s.cover, s.upstairs, s.downstairs_overlaps,
+                                 s.steps, s.params)
+        for spec in s.battery:
+            if isinstance(spec, FieldDump):
+                assert list(spec.run(s, run, str(tmp_path))) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(DUMP_HEADERS)
+    for name, header in DUMP_HEADERS.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == header, name
+        assert len(lines) > 1, name
