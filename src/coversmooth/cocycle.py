@@ -9,12 +9,12 @@ patch with tensor Gauss-Legendre quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CoverageError, DomainError
+from .errors import CoverageError
 from .geometry import Domain, ScalarField, as_points, gauss_legendre, halton_sample
 from .psh import levi_form_many
 
@@ -73,21 +73,20 @@ class KahlerCocycle:
         return KahlerCocycle(charts, self.overlaps)
 
 
-def validate_cocycle(cocycle: KahlerCocycle, h: float = 1e-3,
-                     samples: int = 64, tol: float = 1e-4,
-                     start: int = 1) -> Dict[str, float]:
+def validate_cocycle(cocycle: KahlerCocycle) -> Dict[str, float]:
     """Check each declared overlap: the potential difference phi_src - phi_dst(T)
     must be pluriharmonic there.  Returns max |Levi| deviation per overlap.
 
-    Sample points are pulled back from the overlap region with enough slack
-    for the finite-difference stencil on both sides.
+    Levi step h = 1e-3 at 64 Halton points of the overlap region, shrunk by
+    4h for the stencil slack on both sides; a deviation above 1e-4 raises.
     """
+    h = 1e-3
     devs: Dict[str, float] = {}
     for ov in cocycle.overlaps:
         src = cocycle.chart(ov.src)
         dst = cocycle.chart(ov.dst)
         probe = ov.region.shrink(4.0 * h)
-        Z = halton_sample(probe, samples, start=start)
+        Z = halton_sample(probe, 64)
 
         def diff(P: np.ndarray, _ov=ov, _src=src, _dst=dst) -> np.ndarray:
             return (_src.potential.eval_many(P, check=False)
@@ -96,10 +95,10 @@ def validate_cocycle(cocycle: KahlerCocycle, h: float = 1e-3,
         L = levi_form_many(diff, Z, h)
         dev = float(np.max(np.abs(L)))
         devs[f"{ov.src}->{ov.dst}"] = dev
-        if dev > tol:
+        if dev > 1e-4:
             raise CoverageError(
                 f"overlap {ov.src}->{ov.dst}: potential difference is not "
-                f"pluriharmonic (|Levi| = {dev:.3e} > {tol:g})")
+                f"pluriharmonic (|Levi| = {dev:.3e} > 1e-4)")
     return devs
 
 
@@ -134,14 +133,14 @@ class CurvePatch:
         return a, b
 
 
-def curve_mass_patch(potential: ScalarField, patch: CurvePatch,
-                     quad_order: int = 24, h: float = 1e-3) -> float:
+def curve_mass_patch(potential: ScalarField, patch: CurvePatch) -> float:
     """Mass of dd^c(potential) restricted to one curve patch.
 
     The pulled-back density at parameter (s,t) with tangents a = dz/ds,
-    b = dz/dt is -4 Im( sum_jk L_jk a_j conj(b_k) ), integrated ds dt.
+    b = dz/dt is -4 Im( sum_jk L_jk a_j conj(b_k) ), integrated ds dt by
+    32 x 32 tensor Gauss-Legendre quadrature, with Levi step h = 1e-3.
     """
-    x, wx = gauss_legendre(quad_order)
+    x, wx = gauss_legendre(32)
     s0, s1 = patch.s_range
     t0, t1 = patch.t_range
     S = 0.5 * (s1 - s0) * x + 0.5 * (s1 + s0)
@@ -152,14 +151,13 @@ def curve_mass_patch(potential: ScalarField, patch: CurvePatch,
 
     Z = patch.points(Sf, Tf)
     a, b = patch.tangents(Sf, Tf)
-    L = levi_form_many(lambda P: potential.eval_many(P, check=False), Z, h)
+    L = levi_form_many(lambda P: potential.eval_many(P, check=False), Z, 1e-3)
     pair = np.einsum("mjk,mj,mk->m", L, a, np.conj(b))
     density = -4.0 * np.imag(pair)
     return float(np.sum(density * W.ravel()))
 
 
-def curve_mass(cocycle: KahlerCocycle, patches: Sequence[CurvePatch],
-               quad_order: int = 24, h: float = 1e-3) -> float:
+def curve_mass(cocycle: KahlerCocycle, patches: Sequence[CurvePatch]) -> float:
     """Total mass along a curve given as disjoint patches.
 
     Patches must not overlap (their contributions add); chart potentials
@@ -170,5 +168,5 @@ def curve_mass(cocycle: KahlerCocycle, patches: Sequence[CurvePatch],
     total = 0.0
     for patch in patches:
         pot = cocycle.chart(patch.chart_name).potential
-        total += curve_mass_patch(pot, patch, quad_order=quad_order, h=h)
+        total += curve_mass_patch(pot, patch)
     return total

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from .errors import DomainError, RootSolveError, UnsupportedDimensionError
 from .geometry import (
     ComplexPoint,
     Domain,
-    Intersection,
-    LevelRegion,
     ScalarField,
     as_points,
     halton_sample,
@@ -288,25 +286,13 @@ class IdentityCover(Cover):
         return np.full(B.shape[0], np.inf)
 
 
-def smooth_locus(cover: Cover, within: Optional[Domain] = None) -> Domain:
-    """Open set where the discriminant is nonzero, clipped to a chart."""
-    dom = within or cover.downstairs
-    lo, hi = dom.bbox()
-    region = LevelRegion(
-        level=lambda B: -cover.discriminant_many(B),
-        threshold=0.0, dim=cover.n, anchor=tuple(dom.center),
-        bounds=(lo, hi), label="disc!=0")
-    return Intersection((region, dom))
-
-
-def pushforward(cover: Cover, f: ScalarField,
-                probe_samples: int = 128) -> ScalarField:
+def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
     """Sum of f over the fiber, counted with multiplicities.
 
     Continuous whenever f is; smooth off the closure of the branch locus.
-    Construction probes that sampled fibers stay inside f's domain; every
-    later evaluation re-checks membership exactly (a fiber escaping the
-    upstairs chart raises rather than extrapolating).
+    Construction probes that the fibers over 128 Halton points stay inside
+    f's domain; every later evaluation re-checks membership exactly (a
+    fiber escaping the upstairs chart raises rather than extrapolating).
     """
     if f.n != cover.n:
         raise ValueError("field and cover dimensions differ")
@@ -317,18 +303,16 @@ def pushforward(cover: Cover, f: ScalarField,
         vals = f.eval_many(rows.reshape(-1, cover.n)).reshape(B.shape[0], deg)
         return vals.sum(axis=1)
 
-    if probe_samples > 0:
-        P = halton_sample(cover.downstairs, probe_samples)
-        rows = cover.fiber_rows(P).reshape(-1, cover.n)
-        ok = f.valid_on.contains_many(rows)
-        if not ok.all():
-            bad = rows[~ok][0]
-            raise DomainError(
-                f"fiber point {tuple(bad)} escapes the upstairs chart; "
-                "the cover does not satisfy fiber containment")
+    P = halton_sample(cover.downstairs, 128)
+    rows = cover.fiber_rows(P).reshape(-1, cover.n)
+    ok = f.valid_on.contains_many(rows)
+    if not ok.all():
+        bad = rows[~ok][0]
+        raise DomainError(
+            f"fiber point {tuple(bad)} escapes the upstairs chart; "
+            "the cover does not satisfy fiber containment")
 
     out = ScalarField(_eval, cover.downstairs,
-                      smooth_on=smooth_locus(cover),
                       name=f"pushforward[{cover.kind}]({f.name or 'f'})")
     out.meta.update({"cover": cover.kind, "degree": deg,
                      "cluster_tol": CLUSTER_TOL})

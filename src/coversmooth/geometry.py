@@ -25,10 +25,11 @@ import numpy as np
 from .errors import (
     DomainError,
     EmptyGridError,
+    ParameterError,
     UnsupportedDimensionError,
 )
 
-# Enumerating more lattice sites than this is a bug, not a work load.
+# Lattices with more sites than this are refused with a ParameterError.
 _MAX_LATTICE_SITES = 40_000_000
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -267,7 +268,6 @@ class LevelRegion(Domain):
 @dataclass(frozen=True)
 class Intersection(Domain):
     members: tuple
-    gauge_gap: float = 0.0
     anchor: Optional[tuple] = None
 
     def __post_init__(self):
@@ -284,7 +284,7 @@ class Intersection(Domain):
 
     def gauge_many(self, Z):
         Z = as_points(Z, self.n)
-        return _softmin([d.gauge_many(Z) for d in self.members], self.gauge_gap)
+        return np.min(np.stack([d.gauge_many(Z) for d in self.members]), axis=0)
 
     @property
     def center(self):
@@ -420,15 +420,14 @@ class ShrunkDomain(Domain):
         return ShrunkDomain(self.base, self.margin + margin)
 
 
-def nesting_margin(inner: Domain, outer: Domain, samples: int = 4096,
-                   start: int = 1) -> float:
+def nesting_margin(inner: Domain, outer: Domain) -> float:
     """Operational nesting margin of inner inside outer.
 
-    Minimum of outer's boundary distance over a deterministic dense sample
+    Minimum of outer's boundary distance over the first 4096 Halton points
     of the inner closure.  Positive iff (at sampling resolution) the inner
     closure sits strictly inside outer.
     """
-    pts = halton_sample(inner, samples, start=start)
+    pts = halton_sample(inner, 4096)
     return float(np.min(outer.boundary_distance_many(pts)))
 
 
@@ -529,7 +528,8 @@ def sample_grid(domain: Domain, h: float) -> Grid:
         axes.append(creal[k] + h * np.arange(kmin, kmax + 1))
         total *= len(axes[-1])
         if total > _MAX_LATTICE_SITES:
-            raise MemoryError("lattice enumeration too large; increase h")
+            raise ParameterError(f"lattice sites <= {_MAX_LATTICE_SITES}",
+                                 f"h = {h!r}; increase h")
     mesh = np.meshgrid(*axes, indexing="ij")
     X = np.stack([m.ravel() for m in mesh], axis=1)
     Z = X[:, 0::2] + 1j * X[:, 1::2]
@@ -556,7 +556,8 @@ def sample_slice_grid(domain: Domain, h: float, free_axis: int, basepoint) -> Gr
     im = c_im + h * np.arange(math.ceil((lo[kim] - c_im) / h - 1e-12),
                               math.floor((hi[kim] - c_im) / h + 1e-12) + 1)
     if re.size * im.size > _MAX_LATTICE_SITES:
-        raise MemoryError("slice lattice too large; increase h")
+        raise ParameterError(f"lattice sites <= {_MAX_LATTICE_SITES}",
+                             f"h = {h!r}; increase h")
     RR, II = np.meshgrid(re, im, indexing="ij")
     m = RR.size
     Z = np.tile(base, (m, 1))
@@ -576,13 +577,11 @@ class ScalarField:
 
     ``evaluator`` maps an (m, n) complex block to an (m,) float block and
     must be pure.  Evaluation outside ``valid_on`` raises; there is no
-    silent extrapolation.  ``smooth_on`` is the sub-domain where the field
-    is claimed infinitely differentiable (None = no claim).
+    silent extrapolation.  No regularity is claimed; the checks measure it.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     valid_on: Domain
-    smooth_on: Optional[Domain] = None
     name: str = ""
     meta: dict = field(default_factory=dict)
 
@@ -609,9 +608,8 @@ class ScalarField:
 
 
 def field_from_function(fn: Callable[[np.ndarray], np.ndarray], domain: Domain,
-                        smooth_on: Optional[Domain] = None, name: str = "",
-                        meta: Optional[dict] = None) -> ScalarField:
-    return ScalarField(fn, domain, smooth_on=smooth_on, name=name, meta=dict(meta or {}))
+                        name: str = "", meta: Optional[dict] = None) -> ScalarField:
+    return ScalarField(fn, domain, name=name, meta=dict(meta or {}))
 
 
 # ---------------------------------------------------------------------------

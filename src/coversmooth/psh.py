@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DomainError, EmptyGridError
 from .geometry import (
     ComplexPoint,
-    Domain,
     Grid,
     Intersection,
     ScalarField,
@@ -51,8 +50,6 @@ def bump_profile(t):
 class PshReport:
     min_eigenvalue: float
     argmin_location: ComplexPoint
-    grid: Grid
-    fd_h: float
 
 
 def _levi_offsets(n: int, h: float):
@@ -91,11 +88,17 @@ def levi_form_many(f, Z, h: float) -> np.ndarray:
     ev = f.eval_many if isinstance(f, ScalarField) else f
     offs = _levi_offsets(n, h)
     P = (Z[:, None, :] + offs[None, :, :]).reshape(m * offs.shape[0], n)
-    vals = np.empty(P.shape[0])
-    for lo in range(0, P.shape[0], _EVAL_CHUNK):
-        vals[lo:lo + _EVAL_CHUNK] = np.asarray(ev(P[lo:lo + _EVAL_CHUNK]),
+    # Neighbouring lattice nodes share stencil points.  Evaluate each point
+    # once, matching rows by bit pattern: only identical inputs merge, so
+    # every value is the one the point would get on its own.
+    rows = P.view(np.dtype((np.void, P.itemsize * n))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    Pu = P[first]
+    vals = np.empty(Pu.shape[0])
+    for lo in range(0, Pu.shape[0], _EVAL_CHUNK):
+        vals[lo:lo + _EVAL_CHUNK] = np.asarray(ev(Pu[lo:lo + _EVAL_CHUNK]),
                                                dtype=float)
-    V = vals.reshape(m, offs.shape[0])
+    V = vals[inverse].reshape(m, offs.shape[0])
 
     L = np.zeros((m, n, n), dtype=complex)
     c = V[:, 0]
@@ -152,7 +155,7 @@ def min_levi_eigenvalue(f: ScalarField, g: Grid, h: float) -> PshReport:
         if eigs[i] < best:
             best = float(eigs[i])
             best_row = block[i]
-    return PshReport(best, ComplexPoint.from_row(best_row), g, float(h))
+    return PshReport(best, ComplexPoint.from_row(best_row))
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +232,9 @@ def mollify(f: ScalarField, eps: float, quad_order: int = 8) -> ScalarField:
     """Convolution with the radial bump of radius eps, by fixed quadrature.
 
     The valid domain shrinks by eps (in the domain's own gauge units; for
-    metric domains this is the metric margin).  The result is smooth on its
-    whole domain.  meta records the kernel node count and second moment
-    m2 = eps^2 * m2_unit.
+    metric domains this is the metric margin).  quad_order is the tensor
+    Gauss-Legendre order per real axis.  meta records the kernel node count
+    and second moment m2 = eps^2 * m2_unit.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -258,8 +261,7 @@ def mollify(f: ScalarField, eps: float, quad_order: int = 8) -> ScalarField:
             out[lo:lo + block] = vals @ weights
         return out
 
-    g = ScalarField(_eval, new_domain, smooth_on=new_domain,
-                    name=f"mollify({f.name or 'f'},{eps:g})")
+    g = ScalarField(_eval, new_domain, name=f"mollify({f.name or 'f'},{eps:g})")
     g.meta.update({
         "eps": float(eps),
         "quad_order": int(quad_order),
@@ -326,9 +328,9 @@ def reg_max_fields(u: ScalarField, v: ScalarField, eta: float,
                    kernel: Optional[RegMaxKernel] = None) -> ScalarField:
     """Pointwise regularized maximum of two fields on the common domain.
 
-    The output is claimed smooth where both inputs are smooth; the regions
-    where one input dominates by >= 2*eta inherit the dominant side's
-    regularity through the shortcut branch.
+    Where one input dominates by >= 2*eta the value is that input's, bit for
+    bit (the shortcut branch of reg_max_many); elsewhere it is the kernel
+    average.  meta records eta and the kernel order.
     """
     if u.n != v.n:
         raise ValueError("field dimensions differ")
@@ -338,9 +340,5 @@ def reg_max_fields(u: ScalarField, v: ScalarField, eta: float,
     def _eval(Z: np.ndarray) -> np.ndarray:
         return reg_max_many(u.eval_many(Z), v.eval_many(Z), eta, k)
 
-    smooth = None
-    if u.smooth_on is not None and v.smooth_on is not None:
-        smooth = Intersection((u.smooth_on, v.smooth_on))
-    return ScalarField(_eval, dom, smooth_on=smooth,
-                       name=f"regmax({u.name or 'u'},{v.name or 'v'})",
+    return ScalarField(_eval, dom, name=f"regmax({u.name or 'u'},{v.name or 'v'})",
                        meta={"eta": float(eta), "order": k.order})

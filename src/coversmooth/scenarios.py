@@ -60,6 +60,8 @@ from .psh import (
     mollifier_kernel,
 )
 from .smoothing import (
+    HALTON_START,
+    REGMAX_ORDER,
     GlueStep,
     NestedOpens,
     SmoothingParams,
@@ -68,13 +70,6 @@ from .smoothing import (
 )
 
 SCENARIO_IDS = ("S1", "S2", "S3", "S4")
-
-_TITLES = {
-    "S1": "power map w = z^2 on a disk",
-    "S2": "Vieta map (sum, product) over a polydisk",
-    "S3": "symmetric square of the line, two Vieta charts",
-    "S4": "two-chart gluing through an identity cover",
-}
 
 # n_radius / nprime_radius are disk radii for S1 and S4 and discriminant
 # sublevel thresholds for S2 and S3.
@@ -89,14 +84,12 @@ _DEFAULTS = {
            "n_radius": 0.63, "nprime_radius": 0.5},
 }
 
-HALTON_START = 1
 AGREE_SAMPLES = 10_000
 
 
 @dataclass
 class Scenario:
     scenario_id: str
-    title: str
     config: Dict[str, float]
     cover: GluedCover
     upstairs: KahlerCocycle
@@ -173,8 +166,7 @@ def _build_s1(config: dict) -> Scenario:
             "past the chart boundary")
 
     chart_up = CocycleChart(
-        "z", up, ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, up,
-                             smooth_on=up, name="abs_sq"))
+        "z", up, ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, up, name="abs_sq"))
     upstairs = KahlerCocycle((chart_up,), ())
     cover = GluedCover((ChartPair("w", "z", PowerCover(2, up, down)),))
     opens = NestedOpens(Disk(0.0, u_r), Disk(0.0, v_r), Disk(0.0, w_r))
@@ -190,7 +182,7 @@ def _build_s1(config: dict) -> Scenario:
         DiskMass("w", Disk(0.0, max(1.0, w_r + 0.05)), 4.0 * np.pi),
         FieldDump("w", kink, h, "S1_w_smoothed.csv"),
     )
-    return Scenario("S1", _TITLES["S1"], config, cover, upstairs, (), steps,
+    return Scenario("S1", config, cover, upstairs, (), steps,
                     _smoothing_params(config),
                     X1=Complement(Disk(0.0, npr), within=down),
                     X2=Disk(0.0, n), battery=battery)
@@ -261,7 +253,7 @@ def _build_s2(config: dict) -> Scenario:
     chart_up = CocycleChart(
         "zz", up, ScalarField(
             lambda Z: np.abs(Z[:, 0]) ** 2 + np.abs(Z[:, 1]) ** 2,
-            up, smooth_on=up, name="sum_sq"))
+            up, name="sum_sq"))
     upstairs = KahlerCocycle((chart_up,), ())
     cover = GluedCover((ChartPair("sp", "zz", VietaCover(2, up, dom)),))
     steps = (GlueStep("sp", opens, label="discriminant tube", gate_region=gate),)
@@ -287,7 +279,7 @@ def _build_s2(config: dict) -> Scenario:
         DiskMass("sp", Disk(s_band ** 2 / 4.0, 0.30), 2.4 * np.pi, slice_s=s_band),
         FieldDump("sp", kink, 3e-3 * hs, "S2_sp_smoothed_kink_slice.csv"),
     )
-    return Scenario("S2", _TITLES["S2"], config, cover, upstairs, (), steps,
+    return Scenario("S2", config, cover, upstairs, (), steps,
                     _smoothing_params(config, moll_order=6),
                     X1=Complement(Intersection(
                         (_sublevel(npr, rads, 4.0),
@@ -342,8 +334,8 @@ def _build_s3(config: dict) -> Scenario:
     ov_up_tt = Intersection((_axis_shell(0, 0.28, 2.3), _axis_shell(1, 0.28, 2.3)),
                             anchor=(1.0, 1.0))
     upstairs = KahlerCocycle(
-        (CocycleChart("zz", up1, ScalarField(_fs_product, up1, smooth_on=up1)),
-         CocycleChart("tt", up3, ScalarField(_fs_product, up3, smooth_on=up3))),
+        (CocycleChart("zz", up1, ScalarField(_fs_product, up1)),
+         CocycleChart("tt", up3, ScalarField(_fs_product, up3))),
         (ChartOverlap("zz", "tt", ov_up_zz, _inv_both),
          ChartOverlap("tt", "zz", ov_up_tt, _inv_both)))
 
@@ -428,7 +420,7 @@ def _build_s3(config: dict) -> Scenario:
         FieldDump("D1", kink_d1, 3e-3 * hs, "S3_D1_smoothed_kink_slice.csv"),
         FieldDump("D3", kink_d3, 3e-3 * hs, "S3_D3_smoothed_kink_slice.csv"),
     )
-    return Scenario("S3", _TITLES["S3"], config, cover, upstairs,
+    return Scenario("S3", config, cover, upstairs,
                     downstairs_overlaps, steps, params, battery=battery)
 
 
@@ -497,7 +489,7 @@ def _build_s4(config: dict) -> Scenario:
         GlueVsLocal("near", Disk(0.0, 0.78)),
         FieldDump("near", c2_zone, 5e-3 * hs, "S4_near_smoothed.csv"),
     )
-    return Scenario("S4", _TITLES["S4"], config, cover, upstairs, overlaps,
+    return Scenario("S4", config, cover, upstairs, overlaps,
                     steps, _smoothing_params(config), battery=battery)
 
 
@@ -618,8 +610,8 @@ class OverlapDevChange:
         return tuple(f"overlap_dev_change_{ov.src}_{ov.dst}" for ov in self.overlaps)
 
     def run(self, s, res, dump_dir):
-        devs_raw = validate_cocycle(res.raw, h=1e-3, samples=64)
-        devs_glued = validate_cocycle(res.cocycle, h=1e-3, samples=64)
+        devs_raw = validate_cocycle(res.raw)
+        devs_glued = validate_cocycle(res.cocycle)
         for name, ov in zip(self.names, self.overlaps):
             key = f"{ov.src}->{ov.dst}"
             yield "overlap_dev_change", _check(
@@ -723,7 +715,7 @@ class CurveMass:
         for name, cocycle, patches in zip(
                 self.names, (s.upstairs, res.raw, res.cocycle),
                 (self.up, self.down, self.down)):
-            m = curve_mass(cocycle, patches, quad_order=32, h=1e-3)
+            m = curve_mass(cocycle, patches)
             yield "curve_mass_class", _check(
                 name, abs(m - self.oracle) / self.oracle, 0.02)
 
@@ -776,7 +768,7 @@ def _environment(s: Scenario) -> dict:
         "moll_order": s.params.moll_order,
         "moll_kernel_nodes": int(kern.offsets.shape[0]),
         "moll_kernel_m2": kern.m2_unit,
-        "regmax_order": s.params.regmax_order,
+        "regmax_order": REGMAX_ORDER,
         "bump_integral": BUMP_INTEGRAL,
         "gate_h": s.params.h,
     }
@@ -805,7 +797,7 @@ def run_scenario(s: Scenario, dump_dir: Optional[str] = None,
     t_total = time.time()
     try:
         t0 = time.time()
-        devs = validate_cocycle(s.upstairs, h=1e-3, samples=64)
+        devs = validate_cocycle(s.upstairs)
         checks.append(_check("upstairs_cocycle_dev_max",
                              max(devs.values(), default=0.0), 1e-4))
         note("upstairs_cocycle_dev_max", t0)

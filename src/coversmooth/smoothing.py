@@ -5,8 +5,8 @@ U cc V cc W by
 
     psi = M_eta( phi, phi_eps + 2*delta*sigma )
 
-where phi_eps is the mollification, sigma a smooth shift profile equal to
-+1 on U and -1 outside V, and M_eta the regularized max.  When the
+where phi_eps is the mollification of phi, sigma a smooth shift profile
+equal to +1 on U and -1 outside V, and M_eta the regularized max.  When the
 quantitative gates below hold, psi is psh, smooth on U, equal to phi
 outside the closure of V (bit for bit here: the evaluator returns phi's
 own values there), and psh-positive on the transition band.
@@ -14,13 +14,10 @@ own values there), and psh-positive on the transition band.
 Gates, checked against measured quantities and raised as ParameterError
 with the violated condition string:
 
-    margin > 0              nesting margins and mollification slack
-    tau_bound < delta       sup of (phi_eps - phi) over the band V minus U
-    eta <= delta/2          shortcut collar fits inside the exactness gap
-    2*delta*K_sigma < m/2   shift curvature loses to the psh lower bound m
-
-plus, when the max branch is not the mollified field's own source,
-
+    margin > 0                 nesting margins and mollification slack
+    tau_bound < delta          sup of (phi_eps - phi) over the band V minus U
+    eta <= delta/2             shortcut collar fits inside the exactness gap
+    2*delta*K_sigma < m/2      shift curvature loses to the psh lower bound m
     2*delta >= s_max + 2*eta   smooth branch still wins on all of U
 
 The gluing sweep applies the local step chart by chart, smoothing the
@@ -30,12 +27,12 @@ through the declared overlaps, so the cocycle relations are untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 from .cocycle import CocycleChart, KahlerCocycle
 from .geometry import (
     Complement,
@@ -54,6 +51,11 @@ from .psh import (
     regmax_kernel,
     reg_max_many,
 )
+
+REGMAX_ORDER = 16    # Gauss-Legendre nodes of the regularized-max kernel
+BAND_SAMPLES = 400   # Halton points of the band V minus U (tau_bound, m, K_sigma)
+U_SAMPLES = 256      # Halton points of U (s_max)
+HALTON_START = 1     # first index of the gate and check Halton streams
 
 
 def _bump(x: np.ndarray) -> np.ndarray:
@@ -91,10 +93,6 @@ class SmoothingParams:
     eta: float
     h: float
     moll_order: int = 8
-    regmax_order: int = 16
-    band_samples: int = 400
-    u_samples: int = 256
-    halton_start: int = 1
 
     def __post_init__(self):
         for name in ("eps", "delta", "eta", "h"):
@@ -152,20 +150,16 @@ def make_shift_profile(U: Domain, V: Domain) -> Callable[[np.ndarray], np.ndarra
 class LocalSmoothResult:
     psi: ScalarField
     correction: ScalarField
-    phi_eps: ScalarField
-    sigma: Callable[[np.ndarray], np.ndarray]
-    opens: NestedOpens
-    params: SmoothingParams
     measurements: Dict[str, float]
 
 
 def _measure_band(phi: ScalarField, phi_eps: ScalarField, sigma, opens: NestedOpens,
                   params: SmoothingParams,
-                  gate_region: Optional[Domain] = None) -> Tuple[Dict[str, float], np.ndarray]:
+                  gate_region: Optional[Domain] = None) -> Dict[str, float]:
     band: Domain = Complement(opens.U, within=opens.V)
     if gate_region is not None:
         band = Intersection((band, gate_region))
-    B = halton_sample(band, params.band_samples, start=params.halton_start)
+    B = halton_sample(band, BAND_SAMPLES, start=HALTON_START)
     tau_bound = float(np.max(phi_eps.eval_many(B) - phi.eval_many(B)))
     L = levi_form_many(phi_eps, B, params.h)
     m = float(np.min(hermitian_min_eigenvalues(L)))
@@ -173,15 +167,15 @@ def _measure_band(phi: ScalarField, phi_eps: ScalarField, sigma, opens: NestedOp
     eigs_lo = hermitian_min_eigenvalues(Ls)
     eigs_hi = -hermitian_min_eigenvalues(-Ls)
     K_sigma = float(np.max(np.maximum(np.abs(eigs_lo), np.abs(eigs_hi))))
-    return ({"tau_bound": tau_bound, "m": m, "K_sigma": K_sigma}, B)
+    return {"tau_bound": tau_bound, "m": m, "K_sigma": K_sigma}
 
 
 def validate_params(measurements: Dict[str, float],
                     params: SmoothingParams) -> None:
     """Raise ParameterError naming the first violated gate."""
-    if measurements.get("margin", 1.0) <= 0.0:
+    if measurements["margin"] <= 0.0:
         raise ParameterError("margin > 0",
-                             f"margin = {measurements.get('margin')!r}")
+                             f"margin = {measurements['margin']!r}")
     if not (measurements["tau_bound"] < params.delta):
         raise ParameterError(
             "tau_bound < delta",
@@ -195,27 +189,23 @@ def validate_params(measurements: Dict[str, float],
             "2*delta*K_sigma < m/2",
             f"delta = {params.delta:.6e}, K_sigma = {measurements['K_sigma']:.6e}, "
             f"m = {measurements['m']:.6e}")
-    if "s_max" in measurements:
-        if not (2.0 * params.delta >= measurements["s_max"] + 2.0 * params.eta):
-            raise ParameterError(
-                "2*delta >= s_max + 2*eta",
-                f"s_max = {measurements['s_max']:.6e}, delta = {params.delta:.6e}, "
-                f"eta = {params.eta:.6e}")
+    if not (2.0 * params.delta >= measurements["s_max"] + 2.0 * params.eta):
+        raise ParameterError(
+            "2*delta >= s_max + 2*eta",
+            f"s_max = {measurements['s_max']:.6e}, delta = {params.delta:.6e}, "
+            f"eta = {params.eta:.6e}")
 
 
 def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
-                 moll_source: Optional[ScalarField] = None,
-                 extra_measurements: Optional[Dict[str, float]] = None,
-                 gate_region: Optional[Domain] = None,
-                 ) -> LocalSmoothResult:
+                 gate_region: Optional[Domain] = None) -> LocalSmoothResult:
     """One smoothing step on the triple.
 
-    phi is the field entering the max (and passed through untouched outside
-    V).  moll_source, when given, is the field that gets mollified instead
-    of phi; the default is phi itself.  The returned psi evaluates phi's
-    own values outside V, so agreement there is exact by construction and
-    the interesting content is that the gates make the formula consistent
-    with that shortcut across the seam.
+    phi is the field that gets mollified and enters the max; it is passed
+    through untouched outside V.  The returned psi evaluates phi's own
+    values outside V, so agreement there is exact by construction and the
+    interesting content is that the gates make the formula consistent with
+    that shortcut across the seam.  The result carries psi, the correction
+    psi - phi (zero outside V) and the gate measurements.
 
     gate_region, when given, intersects the regions the finite-difference
     gate measurements sample.  The band margin m is a stencil quantity and
@@ -224,35 +214,30 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
     of the band where the stencil is trustworthy.  The construction itself
     is unchanged.
     """
-    src = moll_source if moll_source is not None else phi
     if phi.n != opens.U.n:
         raise ValueError("field and triple dimensions differ")
 
-    phi_eps = mollify(src, params.eps, quad_order=params.moll_order)
+    phi_eps = mollify(phi, params.eps, quad_order=params.moll_order)
     sigma = make_shift_profile(opens.U, opens.V)
-    kern = regmax_kernel(params.regmax_order)
+    kern = regmax_kernel(REGMAX_ORDER)
 
     # nesting and stencil slack; every measured point needs the mollified
     # field defined a stencil width around it
-    margins = [nesting_margin(opens.U, opens.V, start=params.halton_start),
-               nesting_margin(opens.V, phi_eps.valid_on.shrink(3.0 * params.h),
-                              start=params.halton_start)]
+    margins = [nesting_margin(opens.U, opens.V),
+               nesting_margin(opens.V, phi_eps.valid_on.shrink(3.0 * params.h))]
     if opens.W is not None:
-        margins.append(nesting_margin(opens.V, opens.W, start=params.halton_start))
+        margins.append(nesting_margin(opens.V, opens.W))
     measurements = {"margin": float(min(margins))}
 
-    band_meas, band_pts = _measure_band(phi, phi_eps, sigma, opens, params,
-                                        gate_region=gate_region)
-    measurements.update(band_meas)
+    measurements.update(_measure_band(phi, phi_eps, sigma, opens, params,
+                                      gate_region=gate_region))
 
-    # smooth-branch dominance over U; for a psh field mollified from itself
-    # this is automatic (s_max <= 0), for a foreign base it is a real gate.
-    # Pointwise sup, no stencil, so the gate window does not apply here.
-    Upts = halton_sample(opens.U, params.u_samples, start=params.halton_start)
+    # smooth-branch dominance over U; automatic (s_max <= 0) for a psh phi,
+    # kept as a safety check.  Pointwise sup, no stencil, so the gate
+    # window does not apply here.
+    Upts = halton_sample(opens.U, U_SAMPLES, start=HALTON_START)
     s_max = float(np.max(phi.eval_many(Upts) - phi_eps.eval_many(Upts)))
     measurements["s_max"] = s_max
-    if extra_measurements:
-        measurements.update(extra_measurements)
 
     validate_params(measurements, params)
 
@@ -280,19 +265,12 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
             out[inV] = reg_max_many(base, branch, params.eta, kern) - base
         return out
 
-    outside = Complement(V, within=opens.W) if opens.W is not None else None
-    if phi.smooth_on is not None and outside is not None:
-        smooth_on = UnionRegion((opens.U, Intersection((phi.smooth_on, outside))))
-    else:
-        smooth_on = opens.U
-
-    psi = ScalarField(_psi_eval, phi.valid_on, smooth_on=smooth_on,
-                      name=f"smooth({phi.name or 'phi'})")
+    psi = ScalarField(_psi_eval, phi.valid_on, name=f"smooth({phi.name or 'phi'})")
     psi.meta.update({"eps": params.eps, "delta": params.delta, "eta": params.eta,
                      **measurements})
     chi = ScalarField(_chi_eval, phi.valid_on, name="correction")
     chi.meta.update({"support": "closure(V)"})
-    return LocalSmoothResult(psi, chi, phi_eps, sigma, opens, params, measurements)
+    return LocalSmoothResult(psi, chi, measurements)
 
 
 @dataclass(frozen=True)
@@ -352,8 +330,7 @@ def _lift_through_overlaps(cocycle: KahlerCocycle, chart_name: str,
                     _ov.map_many(Z[inside]), check=False)
             return vals
 
-        lifted = ScalarField(_lift, old.valid_on, smooth_on=old.smooth_on,
-                             name=old.name)
+        lifted = ScalarField(_lift, old.valid_on, name=old.name)
         lifted.meta.update(old.meta)
         out = out.replace_potential(ov.src, lifted)
     return out

@@ -1,0 +1,75 @@
+"""The benchmark tracer (bench/layertrace.py) still fits the package.
+
+The tracer wraps package functions and methods at their module-level
+bindings and binds their arguments by name; a renamed binding or argument
+would otherwise only show up in the slow benchmark self-test.
+"""
+
+import ast
+import dataclasses
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import numpy as np
+
+from coversmooth import geometry, psh, smoothing
+
+LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
+
+
+def _layertrace():
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _hook_argument_names(hook) -> set:
+    """String keys the hook reads from its bound-arguments dict."""
+    tree = ast.parse(inspect.getsource(hook))
+    args_name = tree.body[0].args.args[1].arg
+    return {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name) and node.value.id == args_name
+            and isinstance(node.slice, ast.Constant)}
+
+
+def test_tracer_installs_and_restores_every_binding():
+    lt = _layertrace()
+    mods = {name: importlib.import_module("coversmooth." + name)
+            for name in lt.LAYERS}
+    before = {(m, a): mod.__dict__.get(a) for m, mod in mods.items()
+              for _, a, *_ in lt._FUNCTIONS}
+    with lt.Tracer().installed() as tracer:
+        assert tracer.wrapped
+    after = {(m, a): mod.__dict__.get(a) for m, mod in mods.items()
+             for _, a, *_ in lt._FUNCTIONS}
+    assert after == before
+
+
+def test_hooked_functions_keep_the_argument_names_their_hooks_bind():
+    lt = _layertrace()
+    targets = []
+    for home, attr, _, before, _ in lt._FUNCTIONS:
+        mod = importlib.import_module("coversmooth." + home)
+        targets.append((f"{home}.{attr}", getattr(mod, attr), before))
+    for home, cls, attr, _, before in lt._METHODS:
+        mod = importlib.import_module("coversmooth." + home)
+        targets.append((f"{home}.{cls}.{attr}", getattr(mod, cls).__dict__[attr],
+                        before))
+    hooked = [(site, fn, before) for site, fn, before in targets if before]
+    assert hooked
+    for site, fn, before in hooked:
+        names = _hook_argument_names(before)
+        assert names, site
+        assert names <= set(inspect.signature(fn).parameters), site
+
+
+def test_results_keep_what_the_after_hooks_read():
+    fields = {f.name for f in dataclasses.fields(smoothing.LocalSmoothResult)}
+    assert {"psi", "correction"} <= fields
+    dom = geometry.Disk(0.0, 1.0)
+    f = geometry.ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, dom)
+    assert psh.mollify(f, 0.1).meta["kernel_nodes"] > 0

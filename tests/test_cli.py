@@ -1,9 +1,14 @@
 """Exit codes and message discipline of the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coversmooth
 from coversmooth.cli import execute
 
 
@@ -71,6 +76,22 @@ def test_run_with_infeasible_gates_exits_config_and_writes_the_report(tmp_path, 
     report = json.loads(out.read_text())
     assert report["pass"] is False
     assert any(c.get("error_type") == "ParameterError" for c in report["checks"])
+
+
+def test_run_with_an_h_too_small_for_the_lattice_cap_exits_config(tmp_path):
+    src = str(Path(coversmooth.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coversmooth", "run", "--scenario", "S1",
+         "--h", "1e-5", "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: config:")
+    assert "lattice sites <= 40000000" in lines[0]
+    assert "Traceback" not in proc.stderr
 
 
 def test_run_rejects_a_non_numeric_override(capsys, tmp_path):

@@ -41,7 +41,7 @@ def _round_sphere():
 
 
 def test_round_sphere_cocycle_validates():
-    devs = validate_cocycle(_round_sphere(), h=1e-3, samples=64)
+    devs = validate_cocycle(_round_sphere())
     assert set(devs) == {"z->w", "w->z"}
     for dev in devs.values():
         assert dev < 1e-5
@@ -58,7 +58,7 @@ def test_incompatible_overlap_is_rejected():
     )
     bad = KahlerCocycle((cz, cw), (ChartOverlap("z", "w", ring, _inv),))
     with pytest.raises(CoverageError, match="pluriharmonic"):
-        validate_cocycle(bad, h=1e-3, samples=64)
+        validate_cocycle(bad)
 
 
 def test_unknown_chart_lookup_raises():
@@ -82,7 +82,7 @@ def _polar_disk_patch(chart: str) -> CurvePatch:
 def test_round_sphere_total_mass_is_four_pi():
     # unit disks of the two charts tile the sphere up to a measure-zero circle
     patches = (_polar_disk_patch("z"), _polar_disk_patch("w"))
-    mass = curve_mass(_round_sphere(), patches, quad_order=32, h=1e-3)
+    mass = curve_mass(_round_sphere(), patches)
     assert mass == pytest.approx(FOUR_PI, rel=1e-5)
 
 
@@ -110,7 +110,7 @@ def test_diagonal_curve_in_the_product_carries_eight_pi():
         CurvePatch("a", diag, (0.0, 1.0), (0.0, 2.0 * np.pi), ds=d_s, dt=d_t),
         CurvePatch("b", diag, (0.0, 1.0), (0.0, 2.0 * np.pi), ds=d_s, dt=d_t),
     )
-    mass = curve_mass(coc, patches, quad_order=32, h=1e-3)
+    mass = curve_mass(coc, patches)
     assert mass == pytest.approx(EIGHT_PI, rel=1e-5)
 
 

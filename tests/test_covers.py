@@ -1,5 +1,7 @@
 """Branched covering models and the fiber-sum pushforward."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,39 @@ def test_as_glued_wraps_a_single_pair():
     glued = as_glued(cover)
     assert len(glued.pairs) == 1
     assert glued.pairs[0].cover is cover
+
+
+def test_vieta3_fiber_over_distinct_roots_lists_all_orderings():
+    # t^3 - 6t^2 + 11t - 6 = (t-1)(t-2)(t-3)
+    wide = VietaCover(3, Polydisk((0, 0, 0), (3.5, 3.5, 3.5)),
+                      Polydisk((0, 0, 0), (6.5, 11.5, 6.5)))
+    f = wide.fiber((6.0, 11.0, 6.0))
+    assert f.total_multiplicity == 6
+    assert all(m == 1 for _, m in f.points)
+    got = {tuple(round(c.real, 9) for c in p.coords) for p, _ in f.points}
+    assert got == set(itertools.permutations((1.0, 2.0, 3.0)))
+    assert wide.discriminant_value((6.0, 11.0, 6.0)) == pytest.approx(4.0, abs=1e-9)
+
+
+def test_vieta3_fiber_over_a_double_root_has_multiplicity_two():
+    # t^3 - 4t^2 + 5t - 2 = (t-1)^2 (t-2)
+    wide = VietaCover(3, Polydisk((0, 0, 0), (3.5, 3.5, 3.5)),
+                      Polydisk((0, 0, 0), (6.5, 11.5, 6.5)))
+    f = wide.fiber((4.0, 5.0, 2.0))
+    assert len(f.points) == 3
+    assert all(m == 2 for _, m in f.points)
+    got = {tuple(round(c.real, 6) for c in p.coords) for p, _ in f.points}
+    assert got == {(1.0, 1.0, 2.0), (1.0, 2.0, 1.0), (2.0, 1.0, 1.0)}
+    assert wide.discriminant_value((4.0, 5.0, 2.0)) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_vieta3_pushforward_matches_power_sum_identity():
+    """Re sum z_j^2 summed over the 3! orderings is 6 Re(e1^2 - 2 e2)."""
+    cover = VietaCover(3, Polydisk((0, 0, 0), (2.5, 2.5, 2.5)),
+                       Polydisk((0, 0, 0), (1.0, 1.0, 1.0)))
+    f = field_from_function(lambda Z: np.real(np.sum(Z * Z, axis=1)),
+                            cover.upstairs, name="re_p2")
+    pf = pushforward(cover, f)
+    B = halton_sample(cover.downstairs, 500, start=1)
+    want = 6.0 * np.real(B[:, 0] ** 2 - 2.0 * B[:, 1])
+    assert np.max(np.abs(pf.eval_many(B) - want)) <= 1e-12

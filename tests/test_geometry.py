@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coversmooth.errors import DomainError, EmptyGridError, UnsupportedDimensionError
+from coversmooth.errors import (
+    DomainError,
+    EmptyGridError,
+    ParameterError,
+    UnsupportedDimensionError,
+)
 from coversmooth.geometry import (
     Annulus,
     Disk,
@@ -109,6 +114,14 @@ def test_slice_grid_pins_the_other_axis():
     assert np.all(g.nodes[:, 0] == 0.3 + 0j)
     assert len(g) > 100
     assert dom.contains_many(g.nodes).all()
+
+
+def test_slice_grid_over_the_site_cap_is_a_parameter_error():
+    dom = Polydisk((0, 0), (1.0, 1.0))
+    with pytest.raises(ParameterError) as err:
+        sample_slice_grid(dom, 1e-5, 1, (0.3, 0.0))
+    assert err.value.condition == "lattice sites <= 40000000"
+    assert "h = 1e-05" in err.value.detail
 
 
 def test_field_eval_outside_domain_raises():

@@ -139,6 +139,26 @@ def test_levi_annihilates_pluriharmonic_cubic():
     assert abs(L[0, 0]) < 1e-9
 
 
+def test_levi_evaluates_each_distinct_stencil_point_once():
+    # neighbouring nodes share stencil points; the Levi forms must equal
+    # those of the nodes taken one at a time, bit for bit
+    seen = []
+
+    def quartic(Z):
+        seen.append(Z.copy())
+        return np.abs(Z[:, 0]) ** 4 + np.real(Z[:, 0] ** 2 * np.conj(Z[:, 1]))
+
+    f = field_from_function(quartic, Polydisk((0, 0), (2, 2)), name="q4")
+    h = 0.25
+    Z = np.array([[0.0, 0.3j], [0.25, 0.3j], [0.25j, 0.3j], [-0.25, 0.3j]])
+    L = levi_form_many(f, Z, h)
+    P = np.concatenate(seen)
+    assert P.shape[0] == np.unique(P.view(np.int64), axis=0).shape[0]
+    assert P.shape[0] < 25 * Z.shape[0]
+    for k in range(Z.shape[0]):
+        assert np.array_equal(levi_form_many(f, Z[k:k + 1], h)[0], L[k])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hermitian_min_eigenvalues_match_eigvalsh(n):
     # n = 1 and 2 take the closed forms, n = 3 the stacked eigvalsh branch;

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coversmooth import smoothing
 from coversmooth.cocycle import CocycleChart, KahlerCocycle
 from coversmooth.errors import ParameterError
 from coversmooth.geometry import (
@@ -39,10 +40,10 @@ def _toy_field():
 def test_smoothing_params_defaults():
     p = SmoothingParams(eps=0.1, delta=1e-3, eta=5e-4, h=1e-2)
     assert p.moll_order == 8
-    assert p.regmax_order == 16
-    assert p.band_samples == 400
-    assert p.u_samples == 256
-    assert p.halton_start == 1
+    assert smoothing.REGMAX_ORDER == 16
+    assert smoothing.BAND_SAMPLES == 400
+    assert smoothing.U_SAMPLES == 256
+    assert smoothing.HALTON_START == 1
 
 
 GOOD_MEASUREMENTS = {
