@@ -6,9 +6,10 @@ Conventions fixed here and used everywhere else:
   point is the m=1 row;
 * a domain exposes a boundary-distance-like function that is positive
   exactly on the interior (not necessarily the metric distance);
-* lattices are anchored at the domain's center: node = center + h*(integer
-  offsets) in every real coordinate, so the center is a node whenever it
-  lies inside the domain;
+* lattices are anchored at the domain's center (a slice lattice at its
+  basepoint): node = origin + h*(integer offsets) in every real coordinate,
+  so the center is a node whenever it lies inside the domain, and the grid
+  records that origin;
 * the dd^c normalization is the one where, for n=1, the density of dd^c u
   is the ordinary Laplacian Delta u times dx dy.
 """
@@ -487,15 +488,28 @@ def halton_sample(domain: Domain, count: int, start: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # grids
 
+def reals(Z: np.ndarray) -> np.ndarray:
+    """(m, 2n) real array re_1, im_1, ..., re_n, im_n of an (m, n) complex
+    block; a view when the block is contiguous."""
+    return np.ascontiguousarray(Z, dtype=complex).view(float)
+
+
 @dataclass(frozen=True)
 class Grid:
+    """Lattice nodes in a domain: each node is origin + h*(integer offsets)
+    in real coordinates.  origin is (2n,) real and defaults to the first
+    node."""
+
     nodes: np.ndarray  # (m, n) complex
     h: float
     domain: Domain
+    origin: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.nodes.ndim != 2 or self.nodes.shape[0] == 0:
             raise EmptyGridError("grid has no nodes")
+        if self.origin is None:
+            object.__setattr__(self, "origin", reals(self.nodes[:1])[0])
 
     @property
     def n(self) -> int:
@@ -514,10 +528,7 @@ def sample_grid(domain: Domain, h: float) -> Grid:
     if h <= 0:
         raise ValueError("grid spacing must be positive")
     lo, hi = domain.bbox()
-    c = domain.center
-    creal = np.empty(lo.size)
-    creal[0::2] = c.real
-    creal[1::2] = c.imag
+    creal = reals(domain.center[None, :])[0]
     axes = []
     total = 1
     for k in range(lo.size):
@@ -536,7 +547,7 @@ def sample_grid(domain: Domain, h: float) -> Grid:
     keep = domain.contains_many(Z)
     if not keep.any():
         raise EmptyGridError("no lattice point of spacing %g lies inside the domain" % h)
-    return Grid(Z[keep], float(h), domain)
+    return Grid(Z[keep], float(h), domain, creal)
 
 
 def sample_slice_grid(domain: Domain, h: float, free_axis: int, basepoint) -> Grid:
@@ -565,7 +576,7 @@ def sample_slice_grid(domain: Domain, h: float, free_axis: int, basepoint) -> Gr
     keep = domain.contains_many(Z)
     if not keep.any():
         raise EmptyGridError("slice grid is empty")
-    return Grid(Z[keep], float(h), domain)
+    return Grid(Z[keep], float(h), domain, reals(base[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +626,45 @@ def field_from_function(fn: Callable[[np.ndarray], np.ndarray], domain: Domain,
 # ---------------------------------------------------------------------------
 # discrete operators
 
+def _lattice_sites(X: np.ndarray, origin: np.ndarray, h: float, spacing: float):
+    """Distinct lattice sites origin + h*index of the real rows X, and the
+    index of each row's site.  A function of its own so that its
+    temporaries are freed before the field is evaluated."""
+    q = X - origin
+    q /= h
+    K = np.rint(q)
+    q -= K
+    off = float(np.max(np.abs(q, out=q), initial=0.0))
+    if not off <= 1e-9:
+        raise ParameterError(
+            "stencil rows on the grid lattice",
+            f"step h = {h!r}, grid spacing {spacing!r}: a row lies {off:.3g} "
+            f"steps off; h must divide the spacing")
+    K = K.astype(np.int64)
+    lo = K.min(axis=0)
+    K -= lo
+    key = np.ravel_multi_index(tuple(K.T), K.max(axis=0) + 1)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return origin + h * (K[first] + lo), inverse
+
+
+def lattice_field(f: ScalarField, grid: Grid, h: float) -> ScalarField:
+    """f read through the lattice origin + h*(integers) of grid.
+
+    Each row is snapped to its integer index and each distinct index is
+    evaluated once per call, at origin + h*index, so the stencils of
+    neighbouring nodes share their values.  h must divide the grid spacing;
+    a node keeps its own bits when the spacing is h times a power of two.
+    A row more than 1e-9 steps off the lattice raises ParameterError; no
+    point is moved further than that.
+    """
+    def _eval(Z: np.ndarray) -> np.ndarray:
+        sites, inverse = _lattice_sites(reals(Z), grid.origin, h, grid.h)
+        return f.eval_many(sites.view(complex))[inverse]
+
+    return ScalarField(_eval, f.valid_on, name=f.name, meta=f.meta)
+
+
 def _laplacian_stencil(Z: np.ndarray, h: float) -> np.ndarray:
     """Stack of 4n+1 shifted copies: center, then +/-h along each real axis."""
     m, n = Z.shape
@@ -651,7 +701,7 @@ def mass_integral(f: ScalarField, disk: Domain, h: float) -> float:
     if disk.n != 1:
         raise UnsupportedDimensionError("mass_integral is restricted to one variable")
     grid = sample_grid(disk, h)
-    lap = discrete_laplacian_many(f, grid.nodes, h)
+    lap = discrete_laplacian_many(lattice_field(f, grid, h), grid.nodes, h)
     return float(np.sum(lap) * h * h)
 
 

@@ -23,6 +23,7 @@ from .geometry import (
     as_points,
     gauss_legendre,
     halton_sample,
+    lattice_field,
 )
 
 _EVAL_CHUNK = 250_000  # stencil rows per evaluator call, keeps memory flat
@@ -142,14 +143,19 @@ def hermitian_min_eigenvalues(L: np.ndarray) -> np.ndarray:
 
 
 def min_levi_eigenvalue(f: ScalarField, g: Grid, h: float) -> PshReport:
-    """Minimum over grid nodes of the smallest Levi eigenvalue."""
+    """Minimum over grid nodes of the smallest Levi eigenvalue.
+
+    f is read through the grid's lattice at step h (lattice_field), so h
+    must divide the grid spacing.
+    """
     if len(g) == 0:
         raise EmptyGridError("empty grid")
+    fl = lattice_field(f, g, h)
     best = np.inf
     best_row = None
     for lo in range(0, len(g), _EVAL_CHUNK // 32 + 1):
         block = g.nodes[lo:lo + _EVAL_CHUNK // 32 + 1]
-        L = levi_form_many(f, block, h)
+        L = levi_form_many(fl, block, h)
         eigs = hermitian_min_eigenvalues(L)
         i = int(np.argmin(eigs))
         if eigs[i] < best:
@@ -162,25 +168,25 @@ def min_levi_eigenvalue(f: ScalarField, g: Grid, h: float) -> PshReport:
 # C2 proxy
 
 def laplacian_sup(f: ScalarField, g: Grid, h: float) -> float:
-    """Sup over grid nodes of |discrete Laplacian|."""
+    """Sup over grid nodes of |discrete Laplacian|; f is read through the
+    grid's lattice at step h, as in min_levi_eigenvalue."""
     from .geometry import discrete_laplacian_many
 
+    fl = lattice_field(f, g, h)
     out = 0.0
     for lo in range(0, len(g), _EVAL_CHUNK // 8 + 1):
-        vals = discrete_laplacian_many(f, g.nodes[lo:lo + _EVAL_CHUNK // 8 + 1], h)
+        vals = discrete_laplacian_many(fl, g.nodes[lo:lo + _EVAL_CHUNK // 8 + 1], h)
         out = max(out, float(np.max(np.abs(vals))))
     return out
 
 
-def c2_refinement_ratio(f: ScalarField, grid_h: Grid, grid_h2: Grid,
-                        h: Optional[float] = None) -> float:
-    """sup|Lap_{h/2}| / sup|Lap_h| over the two grids.
+def c2_refinement_ratio(f: ScalarField, grid_h: Grid, grid_h2: Grid) -> float:
+    """sup|Lap_{h/2}| / sup|Lap_h| over the two grids, h = grid_h.h.
 
     Stays near 1 for C2 fields; a conical kink doubles the sup under each
     halving, so values >= 1.9 flag non-smoothness at grid resolution.
-    The finite-difference step defaults to each grid's own spacing.
     """
-    h = grid_h.h if h is None else h
+    h = grid_h.h
     return c2_ratio(laplacian_sup(f, grid_h, h), laplacian_sup(f, grid_h2, 0.5 * h))
 
 

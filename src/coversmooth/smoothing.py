@@ -170,12 +170,15 @@ def _measure_band(phi: ScalarField, phi_eps: ScalarField, sigma, opens: NestedOp
     return {"tau_bound": tau_bound, "m": m, "K_sigma": K_sigma}
 
 
+def _margin_gate(margin: float) -> None:
+    if margin <= 0.0:
+        raise ParameterError("margin > 0", f"margin = {margin!r}")
+
+
 def validate_params(measurements: Dict[str, float],
                     params: SmoothingParams) -> None:
     """Raise ParameterError naming the first violated gate."""
-    if measurements["margin"] <= 0.0:
-        raise ParameterError("margin > 0",
-                             f"margin = {measurements['margin']!r}")
+    _margin_gate(measurements["margin"])
     if not (measurements["tau_bound"] < params.delta):
         raise ParameterError(
             "tau_bound < delta",
@@ -228,6 +231,8 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
     if opens.W is not None:
         margins.append(nesting_margin(opens.V, opens.W))
     measurements = {"margin": float(min(margins))}
+    # the band stencils below need that slack, so this gate goes first
+    _margin_gate(measurements["margin"])
 
     measurements.update(_measure_band(phi, phi_eps, sigma, opens, params,
                                       gate_region=gate_region))

@@ -73,3 +73,27 @@ def test_results_keep_what_the_after_hooks_read():
     dom = geometry.Disk(0.0, 1.0)
     f = geometry.ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, dom)
     assert psh.mollify(f, 0.1).meta["kernel_nodes"] > 0
+
+
+def test_the_selftest_closed_form_still_spans_two_levi_blocks(monkeypatch):
+    # bench/selftest.py builds Grid(nodes, h, domain) positionally on a
+    # 100 x 100 lattice and needs min_levi_eigenvalue to split it into at
+    # least two levi_form_many calls
+    k, h = 100, 0.01
+    ii, jj = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
+    nodes = (0.1 + h * ii.ravel() + 1j * (0.2 + h * jj.ravel()))[:, None]
+    dom = geometry.Disk(0.0, 10.0)
+    grid = geometry.Grid(nodes, h, dom)
+    f = geometry.ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, dom)
+    rows = []
+    inner = psh.levi_form_many
+
+    def spy(f, Z, h):
+        rows.append(len(Z))
+        return inner(f, Z, h)
+
+    monkeypatch.setattr(psh, "levi_form_many", spy)
+    rep = psh.min_levi_eigenvalue(f, grid, h)
+    assert len(rows) >= 2
+    assert sum(rows) == k * k
+    assert abs(rep.min_eigenvalue - 1.0) < 1e-6

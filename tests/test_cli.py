@@ -94,6 +94,23 @@ def test_run_with_an_h_too_small_for_the_lattice_cap_exits_config(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_run_with_an_h_too_large_for_the_nesting_margin_exits_config(tmp_path):
+    # the margin gate comes before the band stencils, which would leave the
+    # mollified field's domain at this h
+    src = str(Path(coversmooth.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coversmooth", "run", "--scenario", "S1",
+         "--h", "10", "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: config: ParameterError: margin > 0")
+    assert "Traceback" not in proc.stderr
+
+
 def test_run_rejects_a_non_numeric_override(capsys, tmp_path):
     code = execute(
         ["run", "--scenario", "S1", "--eps", "wide", "--out", str(tmp_path / "r.json")]

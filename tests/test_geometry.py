@@ -16,6 +16,7 @@ from coversmooth.errors import (
 from coversmooth.geometry import (
     Annulus,
     Disk,
+    Grid,
     Intersection,
     Polydisk,
     csv_header,
@@ -23,6 +24,7 @@ from coversmooth.geometry import (
     field_from_function,
     halton_sample,
     mass_integral,
+    reals,
     sample_grid,
     sample_slice_grid,
 )
@@ -99,6 +101,18 @@ def test_grid_is_anchored_at_the_center():
     c = 0.25 + 0.5j
     g = sample_grid(Disk(c, 0.3), 0.07)
     assert np.any(g.nodes[:, 0] == c)
+
+
+def test_grids_record_their_lattice_origin():
+    c, h = 0.25 + 0.5j, 0.07
+    g = sample_grid(Disk(c, 0.3), h)
+    assert np.array_equal(g.origin, [c.real, c.imag])
+    g = sample_slice_grid(Polydisk((0, 0), (1.0, 1.0)), 0.05, 1, (0.3, 0.1 - 0.2j))
+    assert np.array_equal(g.origin, [0.3, 0.0, 0.1, -0.2])
+    for grid in (g, Grid(g.nodes[5:], g.h, g.domain)):
+        q = (reals(grid.nodes) - grid.origin) / grid.h
+        assert np.max(np.abs(q - np.rint(q))) < 1e-9
+    assert np.array_equal(Grid(g.nodes[5:], g.h, g.domain).origin, reals(g.nodes[5:6])[0])
 
 
 def test_grid_with_no_interior_nodes_raises():

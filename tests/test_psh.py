@@ -10,7 +10,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coversmooth.geometry import Disk, Polydisk, field_from_function, sample_grid
+from coversmooth.errors import ParameterError
+from coversmooth.geometry import (
+    Disk,
+    Grid,
+    LevelRegion,
+    Polydisk,
+    field_from_function,
+    lattice_field,
+    mass_integral,
+    sample_grid,
+    sample_slice_grid,
+)
 from coversmooth.psh import (
     BUMP_INTEGRAL,
     BUMP_NORMALIZATION,
@@ -157,6 +168,57 @@ def test_levi_evaluates_each_distinct_stencil_point_once():
     assert P.shape[0] < 25 * Z.shape[0]
     for k in range(Z.shape[0]):
         assert np.array_equal(levi_form_many(f, Z[k:k + 1], h)[0], L[k])
+
+
+def _square(half: float) -> LevelRegion:
+    return LevelRegion(lambda Z: np.maximum(np.abs(Z[:, 0].real), np.abs(Z[:, 0].imag)),
+                       half, 1, (0j,), ((-half, -half), (half, half)))
+
+
+@pytest.mark.parametrize("check", [
+    min_levi_eigenvalue, laplacian_sup, lambda f, g, h: mass_integral(f, g.domain, h),
+], ids=["min_levi_eigenvalue", "laplacian_sup", "mass_integral"])
+def test_lattice_checks_evaluate_each_distinct_site_once(check):
+    # a k x k lattice in one block: the 5-point stencils cover k^2 + 4k sites
+    seen = []
+
+    def sq(Z):
+        seen.append(Z.copy())
+        return np.abs(Z[:, 0]) ** 2
+
+    k, h = 21, 0.01
+    g = sample_grid(_square(0.105), h)
+    assert len(g) == k * k
+    check(field_from_function(sq, Disk(0.0, 1.0)), g, h)
+    P = np.concatenate(seen)
+    assert P.shape[0] == k * k + 4 * k
+    assert np.unique(P.view(np.int64), axis=0).shape[0] == P.shape[0]
+
+
+def test_a_node_levi_form_does_not_depend_on_its_block():
+    # two variables, slice lattice, stencil step half the spacing
+    f = field_from_function(
+        lambda Z: np.abs(Z[:, 0]) ** 3 + np.abs(Z[:, 1]) ** 2 * np.cos(Z[:, 0].real)
+        + np.real(Z[:, 0] ** 2 * np.conj(Z[:, 1])), Polydisk((0, 0), (2, 2)))
+    g = sample_slice_grid(Polydisk((0, 0), (1, 0.3)), 0.05, 1, (0.3 - 0.1j, 0.2j))
+    h = g.h / 2.0
+    L = levi_form_many(lattice_field(f, g, h), g.nodes, h)
+    eigs = []
+    for k in range(len(g)):
+        one = Grid(g.nodes[k:k + 1], g.h, g.domain, g.origin)
+        L1 = levi_form_many(lattice_field(f, one, h), one.nodes, h)[0]
+        assert np.array_equal(L1, L[k])
+        eigs.append(min_levi_eigenvalue(f, one, h).min_eigenvalue)
+    assert min_levi_eigenvalue(f, g, h).min_eigenvalue == min(eigs)
+
+
+def test_a_step_that_does_not_divide_the_spacing_raises():
+    f = field_from_function(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(0.0, 1.0))
+    g = sample_grid(Disk(0.0, 0.05), 8e-3)
+    for check in (min_levi_eigenvalue, laplacian_sup):
+        with pytest.raises(ParameterError) as err:
+            check(f, g, 3e-3)
+        assert err.value.condition == "stencil rows on the grid lattice"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
