@@ -651,12 +651,14 @@ def _lattice_sites(X: np.ndarray, origin: np.ndarray, h: float, spacing: float):
 def lattice_field(f: ScalarField, grid: Grid, h: float) -> ScalarField:
     """f read through the lattice origin + h*(integers) of grid.
 
-    Each row is snapped to its integer index and each distinct index is
-    evaluated once per call, at origin + h*index, so the stencils of
-    neighbouring nodes share their values.  h must divide the grid spacing;
-    a node keeps its own bits when the spacing is h times a power of two.
-    A row more than 1e-9 steps off the lattice raises ParameterError; no
-    point is moved further than that.
+    This is where stencil sites merge: each row is snapped to its integer
+    index and each distinct index is evaluated once per call, at
+    origin + h*index, so the stencils of neighbouring nodes share their
+    values (levi_form_many and discrete_laplacian_many evaluate their rows
+    as given).  h must divide the grid spacing; a node keeps its own bits
+    when the spacing is h times a power of two.  A row more than 1e-9 steps
+    off the lattice raises ParameterError; no point is moved further than
+    that.
     """
     def _eval(Z: np.ndarray) -> np.ndarray:
         sites, inverse = _lattice_sites(reals(Z), grid.origin, h, grid.h)
@@ -665,29 +667,41 @@ def lattice_field(f: ScalarField, grid: Grid, h: float) -> ScalarField:
     return ScalarField(_eval, f.valid_on, name=f.name, meta=f.meta)
 
 
-def _laplacian_stencil(Z: np.ndarray, h: float) -> np.ndarray:
-    """Stack of 4n+1 shifted copies: center, then +/-h along each real axis."""
-    m, n = Z.shape
-    shifts = [Z]
+def stencil_offsets(n: int, h: float) -> np.ndarray:
+    """Complex offsets of the finite-difference stencil, in a fixed order.
+
+    Layout: center; per coordinate j the four axis shifts (+x, -x, +y, -y);
+    per pair j<k four cross stencils (xx, yy, xy, yx) of four corners each.
+    The Levi form reads all rows, the Laplacian the first 4n+1.
+    """
+    offs = [np.zeros(n, dtype=complex)]
     for j in range(n):
-        for delta in (h, -h, 1j * h, -1j * h):
-            W = Z.copy()
-            W[:, j] = W[:, j] + delta
-            shifts.append(W)
-    return np.concatenate(shifts, axis=0)
+        for d in (h, -h, 1j * h, -1j * h):
+            o = np.zeros(n, dtype=complex)
+            o[j] = d
+            offs.append(o)
+    for j in range(n):
+        for k in range(j + 1, n):
+            for da, db in ((h, h), (1j * h, 1j * h), (h, 1j * h), (1j * h, h)):
+                for sa in (1.0, -1.0):
+                    for sb in (1.0, -1.0):
+                        o = np.zeros(n, dtype=complex)
+                        o[j] = sa * da
+                        o[k] = sb * db
+                        offs.append(o)
+    return np.stack(offs, axis=0)
 
 
 def discrete_laplacian_many(f: ScalarField, Z, h: float) -> np.ndarray:
     """Central second-difference Laplacian over all 2n real directions."""
     Z = as_points(Z, f.n)
     m, n = Z.shape
-    vals = f.eval_many(_laplacian_stencil(Z, h))
-    center = vals[:m]
+    offs = stencil_offsets(n, h)[:4 * n + 1]
+    V = f.eval_many((Z[:, None, :] + offs[None, :, :]).reshape(-1, n))
+    V = V.reshape(m, offs.shape[0])
     acc = np.zeros(m)
     for k in range(2 * n):
-        plus = vals[(1 + 2 * k) * m:(2 + 2 * k) * m]
-        minus = vals[(2 + 2 * k) * m:(3 + 2 * k) * m]
-        acc += plus + minus - 2.0 * center
+        acc += V[:, 1 + 2 * k] + V[:, 2 + 2 * k] - 2.0 * V[:, 0]
     return acc / (h * h)
 
 

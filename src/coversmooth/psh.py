@@ -4,6 +4,9 @@ Finite-difference Levi forms, mollification by a compactly supported radial
 bump, and the regularized maximum.  The Levi form is the Hermitian matrix
 of mixed second derivatives d^2 u / dz_j dz_bar_k; in the package's
 normalization the n=1 Levi value is a quarter of the ordinary Laplacian.
+levi_form_many evaluates its stencil rows as given; the lattice checks read
+the field through geometry.lattice_field, which is where the stencil sites
+of neighbouring nodes merge.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .geometry import (
     gauss_legendre,
     halton_sample,
     lattice_field,
+    stencil_offsets,
 )
 
 _EVAL_CHUNK = 250_000  # stencil rows per evaluator call, keeps memory flat
@@ -53,53 +57,22 @@ class PshReport:
     argmin_location: ComplexPoint
 
 
-def _levi_offsets(n: int, h: float):
-    """Complex offsets of the evaluation stencil, in a fixed order.
-
-    Layout: center; per coordinate j the four axis shifts (+x, -x, +y, -y);
-    per pair j<k four cross stencils (xx, yy, xy, yx) of four corners each.
-    """
-    offs = [np.zeros(n, dtype=complex)]
-    for j in range(n):
-        for d in (h, -h, 1j * h, -1j * h):
-            o = np.zeros(n, dtype=complex)
-            o[j] = d
-            offs.append(o)
-    for j in range(n):
-        for k in range(j + 1, n):
-            for da, db in ((h, h), (1j * h, 1j * h), (h, 1j * h), (1j * h, h)):
-                for sa in (1.0, -1.0):
-                    for sb in (1.0, -1.0):
-                        o = np.zeros(n, dtype=complex)
-                        o[j] = sa * da
-                        o[k] = sb * db
-                        offs.append(o)
-    return np.stack(offs, axis=0)
-
-
 def levi_form_many(f, Z, h: float) -> np.ndarray:
     """Levi matrices at a block of points, shape (m, n, n), Hermitian.
 
-    f may be a ScalarField or any callable taking (m, n) complex rows.
+    f may be a ScalarField or any callable taking (m, n) complex rows.  The
+    m * len(stencil_offsets(n, h)) stencil rows are evaluated as given, in
+    one call; read f through lattice_field to merge the sites that
+    neighbouring nodes share.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     Z = as_points(Z, getattr(f, "n", None))
     m, n = Z.shape
     ev = f.eval_many if isinstance(f, ScalarField) else f
-    offs = _levi_offsets(n, h)
+    offs = stencil_offsets(n, h)
     P = (Z[:, None, :] + offs[None, :, :]).reshape(m * offs.shape[0], n)
-    # Neighbouring lattice nodes share stencil points.  Evaluate each point
-    # once, matching rows by bit pattern: only identical inputs merge, so
-    # every value is the one the point would get on its own.
-    rows = P.view(np.dtype((np.void, P.itemsize * n))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    Pu = P[first]
-    vals = np.empty(Pu.shape[0])
-    for lo in range(0, Pu.shape[0], _EVAL_CHUNK):
-        vals[lo:lo + _EVAL_CHUNK] = np.asarray(ev(Pu[lo:lo + _EVAL_CHUNK]),
-                                               dtype=float)
-    V = vals[inverse].reshape(m, offs.shape[0])
+    V = np.asarray(ev(P), dtype=float).reshape(m, offs.shape[0])
 
     L = np.zeros((m, n, n), dtype=complex)
     c = V[:, 0]

@@ -249,14 +249,17 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
     two_delta = 2.0 * params.delta
     V = opens.V
 
+    def _smoothed(base: np.ndarray, Zi: np.ndarray) -> np.ndarray:
+        # in V: phi's values base at Zi, maxed with the bent mollified copy
+        branch = phi_eps.eval_many(Zi) + two_delta * sigma(Zi)
+        return reg_max_many(base, branch, params.eta, kern)
+
     def _psi_eval(Z: np.ndarray) -> np.ndarray:
         Z = as_points(Z, phi.n)
         out = phi.eval_many(Z, check=False)
         inV = V.contains_many(Z)
         if inV.any():
-            Zi = Z[inV]
-            branch = phi_eps.eval_many(Zi) + two_delta * sigma(Zi)
-            out[inV] = reg_max_many(out[inV], branch, params.eta, kern)
+            out[inV] = _smoothed(out[inV], Z[inV])
         return out
 
     def _chi_eval(Z: np.ndarray) -> np.ndarray:
@@ -266,8 +269,7 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
         if inV.any():
             Zi = Z[inV]
             base = phi.eval_many(Zi, check=False)
-            branch = phi_eps.eval_many(Zi) + two_delta * sigma(Zi)
-            out[inV] = reg_max_many(base, branch, params.eta, kern) - base
+            out[inV] = _smoothed(base, Zi) - base
         return out
 
     psi = ScalarField(_psi_eval, phi.valid_on, name=f"smooth({phi.name or 'phi'})")

@@ -111,6 +111,35 @@ def test_run_with_an_h_too_large_for_the_nesting_margin_exits_config(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("scenario,flag,value", [
+    ("S1", "--h", "nan"), ("S1", "--h", "inf"), ("S1", "--h", "0"), ("S1", "--h", "-1"),
+    ("S1", "--eps", "nan"), ("S1", "--eps", "inf"), ("S1", "--eps", "0.5"),
+    ("S1", "--eta", "nan"), ("S1", "--eta", "1"),
+    ("S1", "--delta", "nan"), ("S1", "--delta", "inf"), ("S1", "--delta", "1e-300"),
+    ("S1", "--n-radius", "nan"), ("S1", "--n-radius", "-1"),
+    ("S1", "--n-radius", "1e-9"), ("S1", "--n-radius", "100"),
+    ("S1", "--h", "1e300"), ("S4", "--h", "0.3"), ("S1", "--nprime-radius", "5"),
+])
+def test_a_hostile_override_is_one_config_error_line(scenario, flag, value, tmp_path,
+                                                       capsys):
+    code = execute(["run", "--scenario", scenario, flag, value,
+                    "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: config:")
+
+
+def test_a_vanishing_eps_fails_the_smoothed_c2_check(tmp_path, capsys):
+    code = execute(["run", "--scenario", "S1", "--eps", "1e-300",
+                    "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: check:")
+    assert "c2_ratio_smoothed" in lines[0]
+
+
 def test_run_rejects_a_non_numeric_override(capsys, tmp_path):
     code = execute(
         ["run", "--scenario", "S1", "--eps", "wide", "--out", str(tmp_path / "r.json")]

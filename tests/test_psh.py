@@ -16,7 +16,9 @@ from coversmooth.geometry import (
     Grid,
     LevelRegion,
     Polydisk,
+    discrete_laplacian_many,
     field_from_function,
+    halton_sample,
     lattice_field,
     mass_integral,
     sample_grid,
@@ -151,23 +153,50 @@ def test_levi_annihilates_pluriharmonic_cubic():
 
 
 def test_levi_evaluates_each_distinct_stencil_point_once():
-    # neighbouring nodes share stencil points; the Levi forms must equal
-    # those of the nodes taken one at a time, bit for bit
+    # neighbouring lattice nodes share stencil points; read through the
+    # lattice, each is evaluated once, and the Levi forms must equal those
+    # of the nodes taken one at a time, bit for bit
     seen = []
 
     def quartic(Z):
         seen.append(Z.copy())
         return np.abs(Z[:, 0]) ** 4 + np.real(Z[:, 0] ** 2 * np.conj(Z[:, 1]))
 
-    f = field_from_function(quartic, Polydisk((0, 0), (2, 2)), name="q4")
+    dom = Polydisk((0, 0), (2, 2))
+    f = field_from_function(quartic, dom, name="q4")
     h = 0.25
     Z = np.array([[0.0, 0.3j], [0.25, 0.3j], [0.25j, 0.3j], [-0.25, 0.3j]])
-    L = levi_form_many(f, Z, h)
+    g = Grid(Z, h, dom)
+    L = levi_form_many(lattice_field(f, g, h), Z, h)
     P = np.concatenate(seen)
     assert P.shape[0] == np.unique(P.view(np.int64), axis=0).shape[0]
     assert P.shape[0] < 25 * Z.shape[0]
     for k in range(Z.shape[0]):
+        one = lattice_field(f, Grid(Z[k:k + 1], h, dom, g.origin), h)
+        assert np.array_equal(levi_form_many(one, Z[k:k + 1], h)[0], L[k])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_levi_and_laplacian_read_one_stencil_table_as_given(n):
+    # off the lattice every stencil row is evaluated as given; the Levi
+    # diagonal and the Laplacian read the same rows, so 4 * sum_j Re L_jj
+    # equals the Laplacian up to rounding
+    seen = []
+
+    def quartic(Z):
+        seen.append(Z.shape[0])
+        return np.abs(Z[:, 0]) ** 4 + np.real(Z[:, 0] ** 2 * np.conj(Z[:, -1]))
+
+    dom = Disk(0.0, 2.0) if n == 1 else Polydisk((0, 0), (2, 2))
+    f = field_from_function(quartic, dom, name="q4")
+    h = 1e-2
+    Z = halton_sample(Disk(0.0, 1.0) if n == 1 else Polydisk((0, 0), (1, 1)), 37)
+    L = levi_form_many(f, Z, h)
+    assert sum(seen) == Z.shape[0] * (5 if n == 1 else 25)
+    for k in range(Z.shape[0]):
         assert np.array_equal(levi_form_many(f, Z[k:k + 1], h)[0], L[k])
+    trace = 4.0 * np.einsum("mjj->m", L).real
+    assert np.max(np.abs(trace - discrete_laplacian_many(f, Z, h))) < 1e-9
 
 
 def _square(half: float) -> LevelRegion:
