@@ -131,6 +131,10 @@ def _cmd_run(args) -> int:
     return code
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _cmd_verify(args) -> int:
     try:
         with open(args.report) as fh:
@@ -141,13 +145,16 @@ def _cmd_verify(args) -> int:
     except json.JSONDecodeError as exc:
         _fail("config", f"report is not valid JSON: {exc}")
         return 2
-    checks = report.get("checks")
+    checks = report.get("checks") if isinstance(report, dict) else None
     if not isinstance(checks, list) or "pass" not in report:
         _fail("config", "report lacks the checks/pass fields")
         return 2
     for c in checks:
-        if not {"name", "value", "tol", "pass"} <= set(c):
+        if not isinstance(c, dict) or not {"name", "value", "tol", "pass"} <= set(c):
             _fail("config", "check record lacks name/value/tol/pass")
+            return 2
+        if not all(_is_number(c[k]) for k in ("value", "tol")):
+            _fail("config", f"check {c['name']!r} has a non-numeric value or tol")
             return 2
         if bool(c["pass"]) != check_passes(c):
             _fail("check", f"stored verdict for {c['name']} contradicts "

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -45,20 +45,6 @@ class Fiber:
 
 # root clustering radius for multiplicity detection; relative to root size
 CLUSTER_TOL = 1e-7
-
-
-def _cluster(values: np.ndarray) -> List[Tuple[complex, int]]:
-    """Greedy clustering of near-coincident roots."""
-    tol = CLUSTER_TOL * (1.0 + float(np.max(np.abs(values), initial=0.0)))
-    groups: List[List[complex]] = []
-    for v in values:
-        for g in groups:
-            if abs(v - g[0]) <= tol:
-                g.append(v)
-                break
-        else:
-            groups.append([complex(v)])
-    return [(complex(np.mean(g)), len(g)) for g in groups]
 
 
 class Cover:
@@ -91,22 +77,18 @@ class Cover:
         if not self.downstairs.contains_many(B)[0]:
             raise DomainError("base point outside the downstairs chart")
         rows = self.fiber_rows(B)[0]  # (degree, n)
-        if self.n == 1:
-            clusters = _cluster(rows[:, 0])
-            pts = tuple((ComplexPoint((c,)), m) for c, m in clusters)
-        else:
-            # tuple clustering: group equal tuples up to the cluster radius
-            used = np.zeros(rows.shape[0], dtype=bool)
-            tol = CLUSTER_TOL * (1.0 + float(np.max(np.abs(rows))))
-            out = []
-            for i in range(rows.shape[0]):
-                if used[i]:
-                    continue
-                same = np.all(np.abs(rows - rows[i]) <= tol, axis=1)
-                used |= same
-                out.append((ComplexPoint.from_row(rows[i]), int(same.sum())))
-            pts = tuple(out)
-        f = Fiber(ComplexPoint.from_row(B[0]), pts)
+        # group equal tuples up to the cluster radius; each group is
+        # represented by its first member
+        used = np.zeros(rows.shape[0], dtype=bool)
+        tol = CLUSTER_TOL * (1.0 + float(np.max(np.abs(rows))))
+        pts = []
+        for i in range(rows.shape[0]):
+            if used[i]:
+                continue
+            same = np.all(np.abs(rows - rows[i]) <= tol, axis=1)
+            used |= same
+            pts.append((ComplexPoint.from_row(rows[i]), int(same.sum())))
+        f = Fiber(ComplexPoint.from_row(B[0]), tuple(pts))
         if f.total_multiplicity != self.degree:
             raise RootSolveError("fiber multiplicities do not sum to the degree")
         return f

@@ -269,7 +269,6 @@ class LevelRegion(Domain):
 @dataclass(frozen=True)
 class Intersection(Domain):
     members: tuple
-    anchor: Optional[tuple] = None
 
     def __post_init__(self):
         if not self.members:
@@ -289,8 +288,6 @@ class Intersection(Domain):
 
     @property
     def center(self):
-        if self.anchor is not None:
-            return np.array(self.anchor, dtype=complex)
         return self.members[0].center
 
     def bbox(self):
@@ -312,7 +309,6 @@ class Intersection(Domain):
 @dataclass(frozen=True)
 class UnionRegion(Domain):
     members: tuple
-    anchor: Optional[tuple] = None
 
     def __post_init__(self):
         if not self.members:
@@ -328,8 +324,6 @@ class UnionRegion(Domain):
 
     @property
     def center(self):
-        if self.anchor is not None:
-            return np.array(self.anchor, dtype=complex)
         return self.members[0].center
 
     def bbox(self):

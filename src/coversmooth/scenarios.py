@@ -149,27 +149,40 @@ def _smoothing_params(config: dict, **kw) -> SmoothingParams:
 # ---------------------------------------------------------------------------
 # builders
 
-def _build_s1(config: dict) -> Scenario:
+def _disk_triple(config: dict, ref_n: float, fracs: Tuple[float, float, float],
+                 chart: Disk) -> NestedOpens:
+    """Disk triple U cc V cc W about the chart's center.
+
+    fracs are the radii of U, V and W at n_radius = ref_n; all three scale
+    with n_radius, and U keeps a 0.02 collar outside N'.  The triple must
+    nest and, with the mollifier reach eps, stay inside the chart.
+    """
     n, npr = config["n_radius"], config["nprime_radius"]
-    scale = n / 0.6
-    down = Disk(0.0, 1.5)
-    up = Disk(0.0, 1.5)
-    u_r = max(npr + 0.02, 0.42 * scale)
-    v_r, w_r = 0.56 * scale, 0.59 * scale
+    u_r = max(npr + 0.02, fracs[0] * (n / ref_n))
+    v_r, w_r = fracs[1] * (n / ref_n), fracs[2] * (n / ref_n)
     if u_r + 0.01 > v_r:
         raise ScenarioError(
             f"infeasible overrides: nprime_radius {npr:g} leaves no room for "
             f"the nested triple inside n_radius {n:g}")
-    if w_r + config["eps"] + 0.05 > down.radius:
+    if w_r + config["eps"] + 0.05 > chart.radius:
         raise ScenarioError(
             f"infeasible overrides: n_radius {n:g} pushes the outer triple "
             "past the chart boundary")
+    c = chart.center_value
+    return NestedOpens(Disk(c, u_r), Disk(c, v_r), Disk(c, w_r))
+
+
+def _build_s1(config: dict) -> Scenario:
+    n, npr = config["n_radius"], config["nprime_radius"]
+    down = Disk(0.0, 1.5)
+    up = Disk(0.0, 1.5)
+    opens = _disk_triple(config, 0.6, (0.42, 0.56, 0.59), down)
+    u_r, w_r = opens.U.radius, opens.W.radius
 
     chart_up = CocycleChart(
         "z", up, ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, up, name="abs_sq"))
     upstairs = KahlerCocycle((chart_up,), ())
     cover = GluedCover((ChartPair("w", "z", PowerCover(2, up, down)),))
-    opens = NestedOpens(Disk(0.0, u_r), Disk(0.0, v_r), Disk(0.0, w_r))
     steps = (GlueStep("w", opens, label="branch point disk"),)
 
     h = config["h"]
@@ -188,24 +201,55 @@ def _build_s1(config: dict) -> Scenario:
                     X2=Disk(0.0, n), battery=battery)
 
 
-def _disc_abs(Z: np.ndarray) -> np.ndarray:
-    Z = as_points(Z, 2)
-    return np.abs(Z[:, 0] ** 2 - 4.0 * Z[:, 1])
+_DISC = VietaCover(2).discriminant_many  # |s^2 - 4p| on (s, p)
 
 
 def _sublevel(thr: float, rads: Tuple[float, float], grad_scale: float) -> LevelRegion:
     lo = np.array([-rads[0], -rads[0], -rads[1], -rads[1]], dtype=float)
-    return LevelRegion(_disc_abs, thr, 2, (0.0, 0.0), (lo, -lo),
+    return LevelRegion(_DISC, thr, 2, (0.0, 0.0), (lo, -lo),
                        grad_scale=grad_scale, label=f"disc<{thr:g}")
+
+
+def _disc_tube(config: dict, levels: Tuple[float, float],
+               rads: Tuple[float, float], grad_scale: float, boxes,
+               chart: Domain) -> Tuple[NestedOpens, Complement]:
+    """Tube triple around the discriminant, with its gate window.
+
+    U and V are the sublevels at levels (given at the default n_radius
+    1.15 and scaled with n_radius), W the sublevel at n_radius itself; each
+    member is clipped to the polydisk of matching index in boxes.  The gate
+    window is the chart minus a slightly fattened U.  N' must sit inside
+    the U level.
+    """
+    n, npr = config["n_radius"], config["nprime_radius"]
+    scale = n / 1.15
+    u_lvl, v_lvl = levels[0] * scale, levels[1] * scale
+    if npr + 0.01 > u_lvl:
+        raise ScenarioError(
+            f"infeasible overrides: nprime_radius {npr:g} reaches the inner "
+            f"triple level {u_lvl:g}")
+    opens = NestedOpens(*(
+        Intersection((_sublevel(thr, rads, grad_scale),
+                      Polydisk((0.0, 0.0), box, gauge_gap=0.02)))
+        for thr, box in zip((u_lvl, v_lvl, n), boxes)))
+    gate = Complement(_sublevel(u_lvl + 0.005, rads, grad_scale), within=chart)
+    return opens, gate
+
+
+def _outside_tube(n: float, rads: Tuple[float, float], grad_scale: float,
+                  box: Tuple[float, float]) -> Complement:
+    """Agreement region: the box minus the tube just outside N."""
+    return Complement(_sublevel(n + 0.01, rads, grad_scale),
+                      within=Polydisk((0.0, 0.0), box))
 
 
 def _annulus_window(center: complex, axis: int, r_in: float, r_out: float,
                     other_extent: float) -> LevelRegion:
     """Annular window in one complex coordinate, for slice grids.
 
-    r_in below zero degenerates to a disk of radius r_out.  The anchor only
-    seeds the gauge; slice grids pin the other coordinate from their
-    basepoint.
+    r_in below zero degenerates to a disk of radius r_out.  The gauge is
+    the boundary distance; the anchor is read only by full grids, and every
+    lattice on such a window is a slice anchored at its own basepoint.
     """
     c = complex(center)
 
@@ -229,26 +273,11 @@ def _annulus_window(center: complex, axis: int, r_in: float, r_out: float,
 
 def _build_s2(config: dict) -> Scenario:
     n, npr = config["n_radius"], config["nprime_radius"]
-    scale = n / 1.15
     dom = Polydisk((0.0, 0.0), (1.9, 1.9))
     up = Polydisk((0.0, 0.0), (4.2, 4.2))
     rads = (1.95, 1.95)
-
-    u_lvl, v_lvl = 0.55 * scale, 1.05 * scale
-    if npr + 0.01 > u_lvl:
-        raise ScenarioError(
-            f"infeasible overrides: nprime_radius {npr:g} reaches the inner "
-            f"triple level {u_lvl:g}")
-
-    def member(thr: float, box: float) -> Intersection:
-        return Intersection(
-            (_sublevel(thr, rads, 4.0),
-             Polydisk((0.0, 0.0), (box, box), gauge_gap=0.02)),
-            anchor=(0.0, 0.0))
-
-    opens = NestedOpens(member(u_lvl, 1.60), member(v_lvl, 1.82),
-                        member(n, 1.92))
-    gate = Complement(_sublevel(u_lvl + 0.005, rads, 4.0), within=dom)
+    opens, gate = _disc_tube(config, (0.55, 1.05), rads, 4.0,
+                             ((1.60, 1.60), (1.82, 1.82), (1.92, 1.92)), dom)
 
     chart_up = CocycleChart(
         "zz", up, ScalarField(
@@ -262,9 +291,7 @@ def _build_s2(config: dict) -> Scenario:
     s_band, s_gap = 0.9, 1.65
     kink = Lattice(_annulus_window(0.0, 1, -1.0, 0.05, 2.0), 1, (0.0, 0.0))
     battery = (
-        Agreement("sp", Complement(_sublevel(n + 0.01, rads, 4.0),
-                                   within=Polydisk((0.0, 0.0), (1.85, 1.85))),
-                  opens.V),
+        Agreement("sp", _outside_tube(n, rads, 4.0, (1.85, 1.85)), opens.V),
         LeviZone("kink_slice", "sp", kink, 3e-3 * hs),
         LeviZone("band_slice", "sp", Lattice(
             _annulus_window(s_band ** 2 / 4.0, 1, 0.14, 0.25, 2.0),
@@ -283,10 +310,8 @@ def _build_s2(config: dict) -> Scenario:
                     _smoothing_params(config, moll_order=6),
                     X1=Complement(Intersection(
                         (_sublevel(npr, rads, 4.0),
-                         Polydisk((0.0, 0.0), (1.5, 1.5))), anchor=(0.0, 0.0)),
-                        within=dom),
-                    X2=Intersection((_sublevel(n, rads, 4.0), dom),
-                                    anchor=(0.0, 0.0)),
+                         Polydisk((0.0, 0.0), (1.5, 1.5)))), within=dom),
+                    X2=Intersection((_sublevel(n, rads, 4.0), dom)),
                     battery=battery)
 
 
@@ -316,23 +341,18 @@ def _axis_shell(axis: int, r_in: float, r_out: float,
 
 
 def _build_s3(config: dict) -> Scenario:
-    n, npr = config["n_radius"], config["nprime_radius"]
-    scale = n / 1.15
+    n = config["n_radius"]
     up1 = Polydisk((0.0, 0.0), (3.8, 3.8))
     dom1 = Polydisk((0.0, 0.0), (2.5, 3.5))
     up3 = Polydisk((0.0, 0.0), (2.4, 2.4))
     dom3 = Polydisk((0.0, 0.0), (1.75, 1.05))
+    tri1, gate1 = _disc_tube(config, (0.45, 0.95), (2.5, 3.5), 7.0,
+                             ((0.85, 0.55), (1.00, 0.70), (1.10, 0.80)), dom1)
+    tri3, gate3 = _disc_tube(config, (0.45, 0.95), (1.75, 1.05), 6.0,
+                             ((0.50, 0.30), (0.62, 0.42), (0.72, 0.52)), dom3)
 
-    u_lvl, v_lvl = 0.45 * scale, 0.95 * scale
-    if npr + 0.01 > u_lvl:
-        raise ScenarioError(
-            f"infeasible overrides: nprime_radius {npr:g} reaches the inner "
-            f"triple level {u_lvl:g}")
-
-    ov_up_zz = Intersection((_axis_shell(0, 0.43, 3.7), _axis_shell(1, 0.43, 3.7)),
-                            anchor=(1.0, 1.0))
-    ov_up_tt = Intersection((_axis_shell(0, 0.28, 2.3), _axis_shell(1, 0.28, 2.3)),
-                            anchor=(1.0, 1.0))
+    ov_up_zz = Intersection((_axis_shell(0, 0.43, 3.7), _axis_shell(1, 0.43, 3.7)))
+    ov_up_tt = Intersection((_axis_shell(0, 0.28, 2.3), _axis_shell(1, 0.28, 2.3)))
     upstairs = KahlerCocycle(
         (CocycleChart("zz", up1, ScalarField(_fs_product, up1)),
          CocycleChart("tt", up3, ScalarField(_fs_product, up3))),
@@ -340,33 +360,14 @@ def _build_s3(config: dict) -> Scenario:
          ChartOverlap("tt", "zz", ov_up_tt, _inv_both)))
 
     ov13 = Intersection((dom1.shrink(0.06),
-                         MappedRegion(dom3.shrink(0.06), _swap_chart, 2)),
-                        anchor=(0.0, 2.0))
+                         MappedRegion(dom3.shrink(0.06), _swap_chart, 2)))
     ov31 = Intersection((dom3.shrink(0.06),
-                         MappedRegion(dom1.shrink(0.06), _swap_chart, 2)),
-                        anchor=(0.0, 0.5))
+                         MappedRegion(dom1.shrink(0.06), _swap_chart, 2)))
     downstairs_overlaps = (ChartOverlap("D1", "D3", ov13, _swap_chart),
                            ChartOverlap("D3", "D1", ov31, _swap_chart))
 
-    def triple(rads: Tuple[float, float], gs: float, boxes) -> NestedOpens:
-        def member(thr: float, box) -> Intersection:
-            return Intersection(
-                (_sublevel(thr, rads, gs),
-                 Polydisk((0.0, 0.0), box, gauge_gap=0.02)),
-                anchor=(0.0, 0.0))
-        return NestedOpens(member(u_lvl, boxes[0]), member(v_lvl, boxes[1]),
-                           member(n, boxes[2]))
-
-    tri1 = triple((2.5, 3.5), 7.0, ((0.85, 0.55), (1.00, 0.70), (1.10, 0.80)))
-    tri3 = triple((1.75, 1.05), 6.0, ((0.50, 0.30), (0.62, 0.42), (0.72, 0.52)))
-    gate1 = Complement(_sublevel(u_lvl + 0.005, (2.5, 3.5), 7.0), within=dom1)
-    gate3 = Complement(_sublevel(u_lvl + 0.005, (1.75, 1.05), 6.0), within=dom3)
-
-    params = _smoothing_params(config, moll_order=6)
-    steps = (GlueStep("D1", tri1, label="conic, finite chart",
-                      params=params, gate_region=gate1),
-             GlueStep("D3", tri3, label="conic, far chart",
-                      params=params, gate_region=gate3))
+    steps = (GlueStep("D1", tri1, label="conic, finite chart", gate_region=gate1),
+             GlueStep("D3", tri3, label="conic, far chart", gate_region=gate3))
     cover = GluedCover((ChartPair("D1", "zz", VietaCover(2, up1, dom1)),
                         ChartPair("D3", "tt", VietaCover(2, up3, dom3))))
 
@@ -401,11 +402,9 @@ def _build_s3(config: dict) -> Scenario:
     band = Lattice(_annulus_window(0.0, 1, 0.14, 0.24, 0.01), 1, (0.0, 0.0))
     battery = (
         OverlapDevChange(downstairs_overlaps),
-        Agreement("D1", Complement(_sublevel(n + 0.01, (2.5, 3.5), 7.0),
-                                   within=Polydisk((0.0, 0.0), (2.3, 2.2))),
+        Agreement("D1", _outside_tube(n, (2.5, 3.5), 7.0, (2.3, 2.2)),
                   tri1.V, name="agreement_outside_N_sup_D1"),
-        Agreement("D3", Complement(_sublevel(n + 0.01, (1.75, 1.05), 6.0),
-                                   within=Polydisk((0.0, 0.0), (1.69, 0.99))),
+        Agreement("D3", _outside_tube(n, (1.75, 1.05), 6.0, (1.69, 0.99)),
                   tri3.V, name="agreement_outside_N_sup_D3"),
         LeviZone("kink_slice_D1", "D1", kink_d1, 3e-3 * hs),
         LeviZone("kink_slice_D3", "D3", kink_d3, 3e-3 * hs),
@@ -420,8 +419,8 @@ def _build_s3(config: dict) -> Scenario:
         FieldDump("D1", kink_d1, 3e-3 * hs, "S3_D1_smoothed_kink_slice.csv"),
         FieldDump("D3", kink_d3, 3e-3 * hs, "S3_D3_smoothed_kink_slice.csv"),
     )
-    return Scenario("S3", config, cover, upstairs,
-                    downstairs_overlaps, steps, params, battery=battery)
+    return Scenario("S3", config, cover, upstairs, downstairs_overlaps, steps,
+                    _smoothing_params(config, moll_order=6), battery=battery)
 
 
 def _build_s4(config: dict) -> Scenario:
@@ -459,17 +458,7 @@ def _build_s4(config: dict) -> Scenario:
     cover = GluedCover((ChartPair("near", "near", IdentityCover(dom_near)),
                         ChartPair("far", "far", IdentityCover(dom_far))))
 
-    u_r = max(npr + 0.02, 0.52 * (n / 0.63))
-    v_r, w_r = 0.62 * (n / 0.63), 0.69 * (n / 0.63)
-    if u_r + 0.01 > v_r:
-        raise ScenarioError(
-            f"infeasible overrides: nprime_radius {npr:g} leaves no room for "
-            f"the nested triple inside n_radius {n:g}")
-    if w_r + config["eps"] + 0.05 > dom_near.radius:
-        raise ScenarioError(
-            f"infeasible overrides: n_radius {n:g} pushes the outer triple "
-            "past the chart boundary")
-    opens = NestedOpens(Disk(0.0, u_r), Disk(0.0, v_r), Disk(0.0, w_r))
+    opens = _disk_triple(config, 0.63, (0.52, 0.62, 0.69), dom_near)
     steps = (GlueStep("near", opens, label="kink ring"),)
 
     hs = config["h"] / _DEFAULTS["S4"]["h"]
@@ -732,7 +721,7 @@ class GlueVsLocal:
     def run(self, s, res, dump_dir):
         raw, psi = _fields(res, self.chart)
         step = next(st for st in s.steps if st.chart_name == self.chart)
-        direct = local_smooth(raw, step.opens, step.params or s.params)
+        direct = local_smooth(raw, step.opens, s.params)
         pts = halton_sample(self.zone, 4000, start=HALTON_START)
         (name,) = self.names
         yield name, _check(name, _sup_gap(direct.psi, psi, pts), 0.0)

@@ -123,25 +123,20 @@ def make_shift_profile(U: Domain, V: Domain) -> Callable[[np.ndarray], np.ndarra
     single ramp of the combined (softmin) gauges carries a curvature
     spike along the corner where the active member switches; the product
     form has no corner term, only the sum of the members' own
-    curvatures, which is what the absorption budget is priced for.
+    curvatures, which is what the absorption budget is priced for.  Any
+    other pair is the one-factor case.
     """
+    pairs = [(U, V)]
     if (isinstance(U, Intersection) and isinstance(V, Intersection)
             and len(U.members) == len(V.members)):
         pairs = list(zip(U.members, V.members))
 
-        def sigma_product(Z: np.ndarray) -> np.ndarray:
-            Z = as_points(Z, U.n)
-            prod = np.ones(Z.shape[0])
-            for A, B in pairs:
-                prod *= _ramp(A.gauge_many(Z), B.gauge_many(Z))
-            return 2.0 * prod - 1.0
-
-        return sigma_product
-
     def sigma_many(Z: np.ndarray) -> np.ndarray:
         Z = as_points(Z, U.n)
-        out = _ramp(U.gauge_many(Z), V.gauge_many(Z))
-        return 2.0 * out - 1.0
+        prod = np.ones(Z.shape[0])
+        for A, B in pairs:
+            prod *= _ramp(A.gauge_many(Z), B.gauge_many(Z))
+        return 2.0 * prod - 1.0
 
     return sigma_many
 
@@ -286,22 +281,19 @@ class GlueStep:
 
     The triple lives in that chart's coordinates.  Names follow the
     sweep's role for them: corrections vanish outside closure(opens.V).
-    params, when given, replaces the sweep defaults for this step (each
-    chart has its own curvature floor and shift profile, so the budgets
-    are per-step quantities).
+    Every step runs with the sweep's params; gate_region is passed to
+    local_smooth.
     """
 
     chart_name: str
     opens: NestedOpens
     label: str = ""
-    params: Optional[SmoothingParams] = None
     gate_region: Optional[Domain] = None
 
 
 @dataclass
 class StepRecord:
     step: GlueStep
-    delta_k: float
     result: LocalSmoothResult
     omega: Optional[Domain]
 
@@ -351,18 +343,16 @@ def global_glue(cocycle: KahlerCocycle, steps: Sequence[GlueStep],
     Step k smooths the accumulated field of its chart, mollifying that
     field itself; since corrections of earlier steps keep it psh, the
     mollification dominates it and the s_max gate holds automatically.
-    Each step runs with its own params when it carries them, else with the
-    sweep's.  A single step reproduces local_smooth exactly.
+    Every step runs with params.  A single step reproduces local_smooth
+    exactly.
     """
     current = cocycle
     records: List[StepRecord] = []
     covered: Optional[Domain] = X1
     for k, step in enumerate(steps, start=1):
-        params_k = step.params or params
-        delta_k = params_k.delta
         chart = current.chart(step.chart_name)
         try:
-            res = local_smooth(chart.potential, step.opens, params_k,
+            res = local_smooth(chart.potential, step.opens, params,
                                gate_region=step.gate_region)
         except ParameterError as exc:
             raise ParameterError(exc.condition,
@@ -376,7 +366,7 @@ def global_glue(cocycle: KahlerCocycle, steps: Sequence[GlueStep],
 
         current = current.replace_potential(step.chart_name, res.psi)
         current = _lift_through_overlaps(current, step.chart_name, res.correction)
-        records.append(StepRecord(step, delta_k, res, omega))
+        records.append(StepRecord(step, res, omega))
     return GlueResult(current, records)
 
 

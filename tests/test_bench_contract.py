@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from coversmooth import geometry, psh, smoothing
+from coversmooth import geometry, psh, scenarios, smoothing
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
 
@@ -97,3 +97,19 @@ def test_the_selftest_closed_form_still_spans_two_levi_blocks(monkeypatch):
     assert len(rows) >= 2
     assert sum(rows) == k * k
     assert abs(rep.min_eigenvalue - 1.0) < 1e-6
+
+
+def test_a_built_s3_keeps_what_the_eval_workload_reads():
+    # bench/worker.py builds S3, runs smooth_pushforward on its fields and
+    # draws points from each step's W, testing them against V
+    s = scenarios.build_scenario("S3")
+    for attr in ("cover", "upstairs", "downstairs_overlaps", "steps", "params",
+                 "X1", "X2"):
+        assert hasattr(s, attr), attr
+    assert s.steps
+    for step in s.steps:
+        assert isinstance(step.chart_name, str)
+        assert isinstance(step.opens.V, geometry.Domain)
+        assert step.opens.W is not None
+    params = inspect.signature(smoothing.smooth_pushforward).parameters
+    assert {"X1", "X2"} <= set(params)

@@ -193,6 +193,28 @@ def test_verify_rejects_a_report_missing_fields(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+def _with_first_check(**fields):
+    rep = _good_report()
+    rep["checks"][0].update(fields)
+    return rep
+
+
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    {"checks": [1], "pass": True},
+    _with_first_check(value="a"),
+    _with_first_check(value=None),
+], ids=["report_not_an_object", "check_not_an_object", "string_value",
+        "null_value"])
+def test_verify_malformed_report_is_one_config_error_line(payload, tmp_path, capsys):
+    p = tmp_path / "rep.json"
+    _write(p, payload)
+    assert execute(["verify", "--report", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert err.count("\n") == 1
+
+
 def test_sweep_rejects_an_unknown_parameter(tmp_path, capsys):
     code = execute(
         ["sweep", "--scenario", "S1", "--param", "bogus", "--values", "1,2",

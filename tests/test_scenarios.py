@@ -86,6 +86,19 @@ def test_shrinking_n_drags_nprime_along():
     assert level.label == "disc<0.5"
 
 
+@pytest.mark.parametrize("sid, overrides, message", [
+    ("S1", {"nprime_radius": 0.55}, "leaves no room"),
+    ("S4", {"nprime_radius": 0.61}, "leaves no room"),
+    ("S1", {"n_radius": 2.4}, "pushes the outer triple"),
+    ("S4", {"n_radius": 0.7}, "pushes the outer triple"),
+    ("S2", {"nprime_radius": 0.6}, "reaches the inner triple level"),
+    ("S3", {"nprime_radius": 0.5}, "reaches the inner triple level"),
+])
+def test_infeasible_triples_are_rejected_at_build(sid, overrides, message):
+    with pytest.raises(ScenarioError, match=message):
+        build_scenario(sid, overrides)
+
+
 def test_explicit_nprime_override_is_taken_literally():
     s = build_scenario("S1", {"n_radius": 0.5, "nprime_radius": 0.3})
     assert s.config["nprime_radius"] == 0.3

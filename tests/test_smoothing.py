@@ -165,5 +165,4 @@ def test_single_step_glue_coincides_with_local_smooth_bitwise():
         direct.psi.eval_many(pts),
     )
     assert len(glued.steps) == 1
-    assert glued.steps[0].delta_k == TOY_PARAMS.delta
     assert glued.measurements[0] == direct.measurements
