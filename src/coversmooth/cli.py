@@ -3,7 +3,8 @@
 Exit codes: 0 all executed checks pass, 1 a check failed, 2 usage or
 configuration error.  Reports are written atomically (temp file in the
 target directory, then rename) so a crash never leaves a half-written
-file, and identical invocations produce byte-identical files.  Errors are
+file, and identical invocations produce byte-identical files.  Every
+output path is checked for writing before a scenario runs.  Errors are
 printed to stderr as single lines of the form "error: <category>: <msg>".
 """
 
@@ -60,6 +61,22 @@ def _write_json_atomic(payload, path: str) -> None:
         raise
 
 
+def _require_writable(flag: str, path: str, is_dir: bool = False) -> None:
+    """Raise a usage error, before any work, unless a file can be written
+    at path (or in the directory path); directories are created as the
+    writers create them."""
+    directory = path if is_dir else os.path.dirname(os.path.abspath(path))
+    try:
+        if not is_dir and os.path.isdir(path):
+            raise IsADirectoryError(f"{path!r} is a directory")
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        os.close(fd)
+        os.unlink(tmp)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {flag} {path}: {exc}") from None
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="coversmooth",
                   description="run and verify branched-cover smoothing scenarios")
@@ -78,6 +95,8 @@ def _build_parser() -> _Parser:
     runp.add_argument("--out", required=True, help="report JSON path")
     runp.add_argument("--dump-fields", default=None, metavar="DIR",
                       help="also write smoothed-field CSV dumps here")
+    runp.add_argument("--timings", default=None, metavar="FILE",
+                      help="also write per-stage wall times (s) as JSON here")
 
     verifyp = sub.add_parser("verify",
                              help="re-check a stored report's consistency")
@@ -122,8 +141,16 @@ def _cmd_list(args) -> int:
 
 def _cmd_run(args) -> int:
     scenario = build_scenario(args.scenario, _collect_overrides(args))
-    report = run_scenario(scenario, dump_dir=args.dump_fields)
+    _require_writable("--out", args.out)
+    if args.timings:
+        _require_writable("--timings", args.timings)
+    if args.dump_fields:
+        _require_writable("--dump-fields", args.dump_fields, is_dir=True)
+    timings = {} if args.timings else None
+    report = run_scenario(scenario, dump_dir=args.dump_fields, timings=timings)
     _write_json_atomic(report, args.out)
+    if args.timings:
+        _write_json_atomic(timings, args.timings)
     code = _report_exit_code(report)
     n_pass = sum(1 for c in report["checks"] if c["pass"])
     print(f"{report['scenario']}: {n_pass}/{len(report['checks'])} checks pass "
@@ -185,6 +212,7 @@ def _cmd_sweep(args) -> int:
     if not values:
         _fail("usage", "--values is empty")
         return 2
+    _require_writable("--out", args.out)
 
     reports = []
     worst = 0
@@ -220,6 +248,9 @@ def execute(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        _fail("usage", str(exc))
+        return 2
     except ScenarioError as exc:
         _fail("config", str(exc))
         return 2

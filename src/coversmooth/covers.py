@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .errors import DomainError, RootSolveError, UnsupportedDimensionError
 from .geometry import (
     ComplexPoint,
     Domain,
+    Polydisk,
     ScalarField,
     as_points,
     halton_sample,
@@ -268,22 +269,74 @@ class IdentityCover(Cover):
         return np.full(B.shape[0], np.inf)
 
 
+class SymmetricSum(ScalarField):
+    """sum_j phi(z_j) on an S_n-invariant polydisk.
+
+    phi maps a complex column to a real one.  The value of a row is the
+    same bits under every permutation of its coordinates: two terms are
+    added in coordinate order (IEEE addition commutes), three or more in
+    ascending order (it does not associate).  The domain must be a
+    polydisk with one center and one radius on every axis, so membership
+    is permutation invariant too.  pushforward reads the type, and
+    nothing else, to evaluate one fiber point where it may.
+    """
+
+    def __init__(self, phi: Callable[[np.ndarray], np.ndarray],
+                 domain: Domain, name: str = ""):
+        if not (isinstance(domain, Polydisk)
+                and len(set(domain.center_values)) == 1
+                and len(set(domain.radii)) == 1):
+            raise ValueError("a symmetric sum needs an S_n-invariant domain: "
+                             "a polydisk with equal centers and radii")
+        self.phi = phi
+        super().__init__(self._sum, domain, name=name)
+
+    def _sum(self, Z: np.ndarray) -> np.ndarray:
+        terms = [self.phi(Z[:, j]) for j in range(Z.shape[1])]
+        if len(terms) > 2:
+            terms = list(np.sort(np.stack(terms, axis=1), axis=1).T)
+        out = terms[0]
+        for t in terms[1:]:
+            out = out + t
+        return out
+
+
+def symmetric_sum(phi: Callable[[np.ndarray], np.ndarray], radius: float,
+                  n: int, name: str = "") -> SymmetricSum:
+    """sum_j phi(z_j) on the polydisk of the given radius about 0 in C^n."""
+    return SymmetricSum(phi, Polydisk((0j,) * n, (float(radius),) * n),
+                        name=name)
+
+
 def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
     """Sum of f over the fiber, counted with multiplicities.
 
     Continuous whenever f is; smooth off the closure of the branch locus.
     Construction probes that the fibers over 128 Halton points stay inside
-    f's domain; every later evaluation re-checks membership exactly (a
-    fiber escaping the upstairs chart raises rather than extrapolating).
+    f's domain.  Every later evaluation checks the base rows against the
+    downstairs chart and the fiber rows it evaluates against f's domain,
+    so a fiber escaping the upstairs chart raises rather than
+    extrapolating.
+
+    A SymmetricSum over the n = 2 Vieta cover is evaluated on one ordering
+    of each fiber and multiplied by the degree.  Its domain is S_n
+    invariant, so the ordering that is checked is inside exactly when the
+    other is, and f(r1, r2) + f(r2, r1) = 2 f(r1, r2) bit for bit.  Every
+    other pair sums the whole fiber: six terms do not add up to 6 f
+    exactly, and power-cover roots are not exact rotations of each other.
     """
     if f.n != cover.n:
         raise ValueError("field and cover dimensions differ")
     deg = cover.degree
 
-    def _eval(B: np.ndarray) -> np.ndarray:
-        rows = cover.fiber_rows(B)
-        vals = f.eval_many(rows.reshape(-1, cover.n)).reshape(B.shape[0], deg)
-        return vals.sum(axis=1)
+    if isinstance(f, SymmetricSum) and isinstance(cover, VietaCover) and cover.n == 2:
+        def _eval(B: np.ndarray) -> np.ndarray:
+            return deg * f.eval_many(_roots_batched(as_points(B, 2)))
+    else:
+        def _eval(B: np.ndarray) -> np.ndarray:
+            rows = cover.fiber_rows(B)
+            vals = f.eval_many(rows.reshape(-1, cover.n)).reshape(B.shape[0], deg)
+            return vals.sum(axis=1)
 
     P = halton_sample(cover.downstairs, 128)
     rows = cover.fiber_rows(P).reshape(-1, cover.n)
@@ -294,11 +347,8 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
             f"fiber point {tuple(bad)} escapes the upstairs chart; "
             "the cover does not satisfy fiber containment")
 
-    out = ScalarField(_eval, cover.downstairs,
-                      name=f"pushforward[{cover.kind}]({f.name or 'f'})")
-    out.meta.update({"cover": cover.kind, "degree": deg,
-                     "cluster_tol": CLUSTER_TOL})
-    return out
+    return ScalarField(_eval, cover.downstairs,
+                       name=f"pushforward[{cover.kind}]({f.name or 'f'})")
 
 
 @dataclass(frozen=True)

@@ -658,7 +658,7 @@ def lattice_field(f: ScalarField, grid: Grid, h: float) -> ScalarField:
         sites, inverse = _lattice_sites(reals(Z), grid.origin, h, grid.h)
         return f.eval_many(sites.view(complex))[inverse]
 
-    return ScalarField(_eval, f.valid_on, name=f.name, meta=f.meta)
+    return ScalarField(_eval, f.valid_on, name=f.name)
 
 
 def stencil_offsets(n: int, h: float) -> np.ndarray:

@@ -43,7 +43,14 @@ from .geometry import (
     sample_grid,
     sample_slice_grid,
 )
-from .covers import ChartPair, GluedCover, IdentityCover, PowerCover, VietaCover
+from .covers import (
+    ChartPair,
+    GluedCover,
+    IdentityCover,
+    PowerCover,
+    VietaCover,
+    symmetric_sum,
+)
 from .cocycle import (
     ChartOverlap,
     CocycleChart,
@@ -271,19 +278,24 @@ def _annulus_window(center: complex, axis: int, r_in: float, r_out: float,
                        (np.array(lo), np.array(hi)))
 
 
+def _abs_sq(z: np.ndarray) -> np.ndarray:
+    return np.abs(z) ** 2
+
+
+def _log1p_abs_sq(z: np.ndarray) -> np.ndarray:
+    return np.log1p(np.abs(z) ** 2)
+
+
 def _build_s2(config: dict) -> Scenario:
     n, npr = config["n_radius"], config["nprime_radius"]
     dom = Polydisk((0.0, 0.0), (1.9, 1.9))
-    up = Polydisk((0.0, 0.0), (4.2, 4.2))
+    potential = symmetric_sum(_abs_sq, 4.2, 2, name="sum_sq")
+    up = potential.valid_on
     rads = (1.95, 1.95)
     opens, gate = _disc_tube(config, (0.55, 1.05), rads, 4.0,
                              ((1.60, 1.60), (1.82, 1.82), (1.92, 1.92)), dom)
 
-    chart_up = CocycleChart(
-        "zz", up, ScalarField(
-            lambda Z: np.abs(Z[:, 0]) ** 2 + np.abs(Z[:, 1]) ** 2,
-            up, name="sum_sq"))
-    upstairs = KahlerCocycle((chart_up,), ())
+    upstairs = KahlerCocycle((CocycleChart("zz", up, potential),), ())
     cover = GluedCover((ChartPair("sp", "zz", VietaCover(2, up, dom)),))
     steps = (GlueStep("sp", opens, label="discriminant tube", gate_region=gate),)
 
@@ -315,10 +327,6 @@ def _build_s2(config: dict) -> Scenario:
                     battery=battery)
 
 
-def _fs_product(Z: np.ndarray) -> np.ndarray:
-    return np.log1p(np.abs(Z[:, 0]) ** 2) + np.log1p(np.abs(Z[:, 1]) ** 2)
-
-
 def _swap_chart(Z: np.ndarray) -> np.ndarray:
     Z = as_points(Z, 2)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -342,9 +350,10 @@ def _axis_shell(axis: int, r_in: float, r_out: float,
 
 def _build_s3(config: dict) -> Scenario:
     n = config["n_radius"]
-    up1 = Polydisk((0.0, 0.0), (3.8, 3.8))
+    fs1 = symmetric_sum(_log1p_abs_sq, 3.8, 2)
+    fs3 = symmetric_sum(_log1p_abs_sq, 2.4, 2)
+    up1, up3 = fs1.valid_on, fs3.valid_on
     dom1 = Polydisk((0.0, 0.0), (2.5, 3.5))
-    up3 = Polydisk((0.0, 0.0), (2.4, 2.4))
     dom3 = Polydisk((0.0, 0.0), (1.75, 1.05))
     tri1, gate1 = _disc_tube(config, (0.45, 0.95), (2.5, 3.5), 7.0,
                              ((0.85, 0.55), (1.00, 0.70), (1.10, 0.80)), dom1)
@@ -354,8 +363,7 @@ def _build_s3(config: dict) -> Scenario:
     ov_up_zz = Intersection((_axis_shell(0, 0.43, 3.7), _axis_shell(1, 0.43, 3.7)))
     ov_up_tt = Intersection((_axis_shell(0, 0.28, 2.3), _axis_shell(1, 0.28, 2.3)))
     upstairs = KahlerCocycle(
-        (CocycleChart("zz", up1, ScalarField(_fs_product, up1)),
-         CocycleChart("tt", up3, ScalarField(_fs_product, up3))),
+        (CocycleChart("zz", up1, fs1), CocycleChart("tt", up3, fs3)),
         (ChartOverlap("zz", "tt", ov_up_zz, _inv_both),
          ChartOverlap("tt", "zz", ov_up_tt, _inv_both)))
 

@@ -268,8 +268,6 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
         return out
 
     psi = ScalarField(_psi_eval, phi.valid_on, name=f"smooth({phi.name or 'phi'})")
-    psi.meta.update({"eps": params.eps, "delta": params.delta, "eta": params.eta,
-                     **measurements})
     chi = ScalarField(_chi_eval, phi.valid_on, name="correction")
     chi.meta.update({"support": "closure(V)"})
     return LocalSmoothResult(psi, chi, measurements)
@@ -329,9 +327,8 @@ def _lift_through_overlaps(cocycle: KahlerCocycle, chart_name: str,
                     _ov.map_many(Z[inside]), check=False)
             return vals
 
-        lifted = ScalarField(_lift, old.valid_on, name=old.name)
-        lifted.meta.update(old.meta)
-        out = out.replace_potential(ov.src, lifted)
+        out = out.replace_potential(
+            ov.src, ScalarField(_lift, old.valid_on, name=old.name))
     return out
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import coversmooth
+from coversmooth import cli
 from coversmooth.cli import execute
 
 
@@ -231,3 +232,40 @@ def test_sweep_rejects_malformed_values(tmp_path, capsys):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("error: usage:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "S1", "--out", "{file}/r.json"],
+    ["run", "--scenario", "S1", "--out", "{dir}"],
+    ["run", "--scenario", "S1", "--out", "{dir}/r.json", "--timings", "{file}/t.json"],
+    ["run", "--scenario", "S1", "--out", "{dir}/r.json", "--dump-fields", "{file}"],
+    ["sweep", "--scenario", "S1", "--param", "eta", "--values", "1e-4",
+     "--out", "{file}/s.json"],
+], ids=["out_under_a_file", "out_is_a_directory", "timings_under_a_file",
+        "dump_fields_is_a_file", "sweep_out_under_a_file"])
+def test_an_unwritable_output_is_one_usage_line_before_any_run(argv, tmp_path, capsys,
+                                                               monkeypatch):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the scenario ran before its outputs were checked")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    code = execute([a.format(file=blocker, dir=tmp_path) for a in argv])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: usage: cannot write --")
+
+
+def test_the_timings_sidecar_leaves_the_report_byte_identical(tmp_path):
+    plain, timed = tmp_path / "a.json", tmp_path / "b.json"
+    sidecar = tmp_path / "new" / "t.json"
+    assert execute(["run", "--scenario", "S1", "--out", str(plain)]) == 0
+    assert execute(["run", "--scenario", "S1", "--out", str(timed),
+                    "--timings", str(sidecar)]) == 0
+    assert plain.read_bytes() == timed.read_bytes()
+    stages = json.loads(sidecar.read_text())
+    assert {"upstairs_cocycle_dev_max", "pipeline", "total"} <= set(stages)
+    assert all(isinstance(v, float) and v >= 0.0 for v in stages.values())

@@ -4,10 +4,26 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coversmooth.covers import IdentityCover, PowerCover, VietaCover, as_glued, pushforward
+from coversmooth.covers import (
+    IdentityCover,
+    PowerCover,
+    SymmetricSum,
+    VietaCover,
+    as_glued,
+    pushforward,
+    symmetric_sum,
+)
 from coversmooth.errors import DomainError
-from coversmooth.geometry import Disk, Polydisk, field_from_function, halton_sample
+from coversmooth.geometry import (
+    Disk,
+    Intersection,
+    Polydisk,
+    ScalarField,
+    field_from_function,
+    halton_sample,
+)
 
 
 def _power():
@@ -180,3 +196,58 @@ def test_vieta3_pushforward_matches_power_sum_identity():
     B = halton_sample(cover.downstairs, 500, start=1)
     want = 6.0 * np.real(B[:, 0] ** 2 - 2.0 * B[:, 1])
     assert np.max(np.abs(pf.eval_many(B) - want)) <= 1e-12
+
+
+def _log1p_abs_sq(z):
+    return np.log1p(np.abs(z) ** 2)
+
+
+def _plain(f):
+    """The same evaluator and domain as f, as a field of no special type."""
+    return ScalarField(f.evaluator, f.valid_on, name=f.name)
+
+
+_coord = st.floats(-1.5, 1.5, allow_nan=False)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_symmetric_sum_gives_the_same_bits_under_every_permutation(n, data):
+    rows = data.draw(st.lists(st.lists(st.tuples(_coord, _coord), min_size=n,
+                                       max_size=n), min_size=1, max_size=16))
+    Z = np.array([[complex(a, b) for a, b in row] for row in rows])
+    f = symmetric_sum(_log1p_abs_sq, 2.2, n)
+    want = f.eval_many(Z)
+    for perm in itertools.permutations(range(n)):
+        assert np.array_equal(f.eval_many(Z[:, list(perm)]), want)
+
+
+def test_n3_symmetric_sum_pushforward_equals_the_plain_field_sum():
+    f = symmetric_sum(_log1p_abs_sq, 2.5, 3)
+    cover = VietaCover(3, f.valid_on, Polydisk((0, 0, 0), (1.0, 1.0, 1.0)))
+    B = halton_sample(cover.downstairs, 2000, start=1)
+    assert np.array_equal(pushforward(cover, f).eval_many(B),
+                          pushforward(cover, _plain(f)).eval_many(B))
+
+
+def test_symmetric_sum_pushforward_raises_when_a_fiber_escapes_at_evaluation():
+    # the 128 construction probes stay below |r| = 2.992, so the cover is
+    # accepted; over (2.4, -1.9) the root (2.4 + sqrt(13.36))/2 = 3.03 is not
+    f = symmetric_sum(lambda z: np.abs(z) ** 2, 3.0, 2)
+    cover = VietaCover(2, f.valid_on, Polydisk((0, 0), (2.5, 2.0)))
+    B = np.array([[2.4 + 0j, -1.9 + 0j]])
+    for g in (f, _plain(f)):
+        pf = pushforward(cover, g)
+        with pytest.raises(DomainError):
+            pf.eval_many(B)
+
+
+@pytest.mark.parametrize("domain", [
+    Polydisk((0, 0), (1.0, 2.0)),
+    Polydisk((0, 1j), (1.0, 1.0)),
+    Intersection((Polydisk((0, 0), (1.0, 1.0)), Polydisk((0.5, 0), (1.0, 1.0)))),
+])
+def test_symmetric_sum_rejects_a_domain_that_is_not_permutation_invariant(domain):
+    with pytest.raises(ValueError, match="S_n-invariant"):
+        SymmetricSum(_log1p_abs_sq, domain)

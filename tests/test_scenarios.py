@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from coversmooth.cocycle import CocycleChart, KahlerCocycle
+from coversmooth.covers import SymmetricSum, pushforward
 from coversmooth.errors import ScenarioError
-from coversmooth.geometry import Annulus, Disk, field_from_function
+from coversmooth.geometry import (
+    Annulus,
+    Disk,
+    ScalarField,
+    field_from_function,
+    halton_sample,
+)
 from coversmooth.scenarios import (
     SCENARIO_IDS,
     C2Zone,
@@ -106,6 +113,32 @@ def test_explicit_nprime_override_is_taken_literally():
 
 def _field(fn, dom, name):
     return field_from_function(fn, dom, name=name)
+
+
+def _upstairs_pairs():
+    for sid in ("S2", "S3"):
+        s = build_scenario(sid)
+        for pair in s.cover.pairs:
+            yield sid, pair, s.upstairs.chart(pair.upstairs_name).potential
+
+
+def test_s2_and_s3_upstairs_potentials_are_symmetric_sums():
+    # the one-ordering pushforward is taken for this type only; a builder
+    # that falls back to a plain field keeps every report and loses it
+    got = {(sid, pair.upstairs_name): type(f).__name__
+           for sid, pair, f in _upstairs_pairs()}
+    assert got == {("S2", "zz"): "SymmetricSum", ("S3", "zz"): "SymmetricSum",
+                   ("S3", "tt"): "SymmetricSum"}
+
+
+def test_symmetric_pushforward_equals_the_plain_fiber_sum_bitwise():
+    for sid, pair, f in _upstairs_pairs():
+        assert isinstance(f, SymmetricSum)
+        plain = ScalarField(f.evaluator, f.valid_on, name=f.name)
+        B = halton_sample(pair.cover.downstairs, 2000, start=1)
+        got = pushforward(pair.cover, f).eval_many(B)
+        assert np.array_equal(got, pushforward(pair.cover, plain).eval_many(B)), \
+            (sid, pair.downstairs_name)
 
 
 def test_verify_agreement_passes_on_identical_fields():
