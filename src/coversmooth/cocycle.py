@@ -89,8 +89,8 @@ def validate_cocycle(cocycle: KahlerCocycle) -> Dict[str, float]:
         Z = halton_sample(probe, 64)
 
         def diff(P: np.ndarray, _ov=ov, _src=src, _dst=dst) -> np.ndarray:
-            return (_src.potential.eval_many(P, check=False)
-                    - _dst.potential.eval_many(_ov.map_many(P), check=False))
+            return (_src.potential.eval_many(P)
+                    - _dst.potential.eval_many(_ov.map_many(P)))
 
         L = levi_form_many(diff, Z, h)
         dev = float(np.max(np.abs(L)))
@@ -151,7 +151,7 @@ def curve_mass_patch(potential: ScalarField, patch: CurvePatch) -> float:
 
     Z = patch.points(Sf, Tf)
     a, b = patch.tangents(Sf, Tf)
-    L = levi_form_many(lambda P: potential.eval_many(P, check=False), Z, 1e-3)
+    L = levi_form_many(potential, Z, 1e-3)
     pair = np.einsum("mjk,mj,mk->m", L, a, np.conj(b))
     density = -4.0 * np.imag(pair)
     return float(np.sum(density * W.ravel()))

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DomainError, RootSolveError, UnsupportedDimensionError
 from .geometry import (
     ComplexPoint,
+    Disk,
     Domain,
     Polydisk,
     ScalarField,
@@ -46,6 +47,10 @@ class Fiber:
 
 # root clustering radius for multiplicity detection; relative to root size
 CLUSTER_TOL = 1e-7
+
+# relative slack a fiber bound keeps below the upstairs radius, for the
+# rounding of the computed roots and of the membership test
+CONTAINMENT_SLACK = 1e-9
 
 
 class Cover:
@@ -308,19 +313,64 @@ def symmetric_sum(phi: Callable[[np.ndarray], np.ndarray], radius: float,
                         name=name)
 
 
+def _ball_radius(dom: Domain):
+    """Largest r with {|z_j| < r for every j} inside dom, for a disk or
+    a polydisk about 0 (its smallest radius); None for any other domain."""
+    if isinstance(dom, Disk) and dom.center_value == 0:
+        return dom.radius
+    if isinstance(dom, Polydisk) and not any(dom.center_values):
+        return min(dom.radii)
+    return None
+
+
+def fibers_inside(cover: Cover, dom: Domain) -> bool:
+    """True when every fiber over cover.downstairs provably lies in dom.
+
+    * identity cover: the fiber is the base point, so dom must be the
+      downstairs chart itself;
+    * power cover over a disk of radius R about 0: |z| <= R^(1/d);
+    * n = 2 Vieta cover over the polydisk (a, b) about 0: a root of
+      t^2 - s t + p has |r|^2 <= a |r| + b, so |r| <= a/2 + sqrt(a^2/4 + b).
+
+    The bound must stay below the radius of dom (a disk or polydisk about
+    0) by the relative slack CONTAINMENT_SLACK.  Anything else, n = 3
+    included, is not proved.
+    """
+    down = cover.downstairs
+    if isinstance(cover, IdentityCover):
+        return dom is down
+    radius = _ball_radius(dom)
+    if radius is None:
+        return False
+    if isinstance(cover, PowerCover) and isinstance(down, Disk) \
+            and down.center_value == 0:
+        bound = down.radius ** (1.0 / cover.d)
+    elif isinstance(cover, VietaCover) and cover.n == 2 \
+            and isinstance(down, Polydisk) and not any(down.center_values):
+        a, b = down.radii
+        bound = 0.5 * a + math.sqrt(0.25 * a * a + b)
+    else:
+        return False
+    return bound * (1.0 + CONTAINMENT_SLACK) < radius
+
+
 def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
     """Sum of f over the fiber, counted with multiplicities.
 
     Continuous whenever f is; smooth off the closure of the branch locus.
-    Construction probes that the fibers over 128 Halton points stay inside
-    f's domain.  Every later evaluation checks the base rows against the
-    downstairs chart and the fiber rows it evaluates against f's domain,
-    so a fiber escaping the upstairs chart raises rather than
-    extrapolating.
+    Every evaluation checks its base rows against the downstairs chart
+    (unless its caller promises them, see ScalarField.eval_many).  Fiber
+    containment is proved once here where fibers_inside can (the power,
+    identity and n = 2 Vieta covers over charts about 0, as shipped); the
+    fiber rows are then evaluated without a membership test.  Otherwise
+    every evaluation checks the fiber rows against f's domain, so a fiber
+    escaping the upstairs chart raises rather than extrapolating.  Either
+    way, construction probes that the fibers over 128 Halton points stay
+    inside f's domain.
 
     A SymmetricSum over the n = 2 Vieta cover is evaluated on one ordering
     of each fiber and multiplied by the degree.  Its domain is S_n
-    invariant, so the ordering that is checked is inside exactly when the
+    invariant, so the ordering that is evaluated is inside exactly when the
     other is, and f(r1, r2) + f(r2, r1) = 2 f(r1, r2) bit for bit.  Every
     other pair sums the whole fiber: six terms do not add up to 6 f
     exactly, and power-cover roots are not exact rotations of each other.
@@ -328,15 +378,16 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
     if f.n != cover.n:
         raise ValueError("field and cover dimensions differ")
     deg = cover.degree
+    check = not fibers_inside(cover, f.valid_on)
 
     if isinstance(f, SymmetricSum) and isinstance(cover, VietaCover) and cover.n == 2:
         def _eval(B: np.ndarray) -> np.ndarray:
-            return deg * f.eval_many(_roots_batched(as_points(B, 2)))
+            return deg * f.eval_many(_roots_batched(as_points(B, 2)), check=check)
     else:
         def _eval(B: np.ndarray) -> np.ndarray:
             rows = cover.fiber_rows(B)
-            vals = f.eval_many(rows.reshape(-1, cover.n)).reshape(B.shape[0], deg)
-            return vals.sum(axis=1)
+            vals = f.eval_many(rows.reshape(-1, cover.n), check=check)
+            return vals.reshape(B.shape[0], deg).sum(axis=1)
 
     P = halton_sample(cover.downstairs, 128)
     rows = cover.fiber_rows(P).reshape(-1, cover.n)

@@ -92,9 +92,16 @@ class Domain:
     gauge, not necessarily the metric distance.  ``gauge_many`` is a smooth
     variant used to build shift profiles; it never exceeds the boundary
     distance, and defaults to it.
+
+    ``unit_lipschitz`` is True when the boundary distance is declared
+    1-Lipschitz for the Euclidean norm of R^{2n}: a point at boundary
+    distance > t stays inside under any move of norm <= t, so shrinking
+    by t makes room for every such move.  It is derived from the types of
+    the domain and of its parts, never set per instance.
     """
 
     n: int
+    unit_lipschitz = False
 
     def contains_many(self, Z: np.ndarray) -> np.ndarray:
         return self.boundary_distance_many(as_points(Z, self.n)) > 0.0
@@ -133,6 +140,7 @@ def _softmin(columns: Sequence[np.ndarray], gap: float) -> np.ndarray:
 class Disk(Domain):
     center_value: complex = 0j
     radius: float = 1.0
+    unit_lipschitz = True
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -166,6 +174,7 @@ class Annulus(Domain):
     center_value: complex = 0j
     r_inner: float = 0.5
     r_outer: float = 1.0
+    unit_lipschitz = True
 
     def __post_init__(self):
         if not (0 < self.r_inner < self.r_outer):
@@ -192,6 +201,7 @@ class Polydisk(Domain):
     center_values: tuple = (0j,)
     radii: tuple = (1.0,)
     gauge_gap: float = 0.0  # softmin gap for the smooth gauge; 0 keeps hard min
+    unit_lipschitz = True   # a min of per-axis margins R_j - |z_j - c_j|
 
     def __post_init__(self):
         cs = tuple(complex(c) for c in self.center_values)
@@ -239,7 +249,8 @@ class LevelRegion(Domain):
     ``grad_scale`` converts level units into the common gauge scale so that
     nesting margins of level regions remain comparable with metric ones.
     The bounding box and the anchor point must be supplied because the level
-    function is opaque.
+    function is opaque.  Nothing bounds the level's gradient by grad_scale,
+    so the gauge is not declared 1-Lipschitz.
     """
 
     level: Callable[[np.ndarray], np.ndarray]
@@ -277,6 +288,10 @@ class Intersection(Domain):
         if len(ns) != 1:
             raise ValueError("intersection members must share a dimension")
         object.__setattr__(self, "n", ns.pop())
+
+    @property
+    def unit_lipschitz(self) -> bool:
+        return all(d.unit_lipschitz for d in self.members)
 
     def boundary_distance_many(self, Z):
         Z = as_points(Z, self.n)
@@ -343,6 +358,11 @@ class Complement(Domain):
             raise ValueError("dimension mismatch")
         object.__setattr__(self, "n", self.inner.n)
 
+    @property
+    def unit_lipschitz(self) -> bool:
+        return self.inner.unit_lipschitz and (self.within is None
+                                              or self.within.unit_lipschitz)
+
     def boundary_distance_many(self, Z):
         Z = as_points(Z, self.n)
         d = -self.inner.boundary_distance_many(Z)
@@ -368,7 +388,8 @@ class MappedRegion(Domain):
 
     Membership and gauge are read off in target coordinates; points where the
     transform blows up are outside.  Used for bookkeeping regions expressed
-    in another chart's coordinates, never for grids.
+    in another chart's coordinates, never for grids.  The transform may
+    stretch distances, so the gauge is not declared 1-Lipschitz.
     """
 
     target: Domain
@@ -382,7 +403,9 @@ class MappedRegion(Domain):
     def boundary_distance_many(self, Z):
         Z = as_points(Z, self.n)
         W = np.asarray(self.transform(Z), dtype=complex)
-        good = np.all(np.isfinite(W.view(float).reshape(W.shape[0], -1)), axis=1)
+        good = np.isfinite(W).all(axis=1)
+        if good.all():
+            return self.target.boundary_distance_many(W)
         out = np.full(Z.shape[0], -np.inf)
         if good.any():
             out[good] = self.target.boundary_distance_many(W[good])
@@ -396,6 +419,10 @@ class ShrunkDomain(Domain):
 
     def __post_init__(self):
         object.__setattr__(self, "n", self.base.n)
+
+    @property
+    def unit_lipschitz(self) -> bool:
+        return self.base.unit_lipschitz
 
     def boundary_distance_many(self, Z):
         return self.base.boundary_distance_many(Z) - self.margin
@@ -595,6 +622,16 @@ class ScalarField:
         return self.valid_on.n
 
     def eval_many(self, Z, check: bool = True) -> np.ndarray:
+        """Values at the rows of Z.
+
+        The caller contract: an evaluator only ever sees rows inside
+        ``valid_on``.  With check=True this call tests them and raises
+        DomainError otherwise; a caller passing check=False promises it
+        instead, and must be able to say why (a test it made itself on the
+        same rows, or a proof made once at construction, such as fiber
+        containment in covers.pushforward or the shrink soundness in
+        psh.mollify).
+        """
         Z = as_points(Z, self.n)
         if check:
             ok = self.valid_on.contains_many(Z)
@@ -652,13 +689,28 @@ def lattice_field(f: ScalarField, grid: Grid, h: float) -> ScalarField:
     as given).  h must divide the grid spacing; a node keeps its own bits
     when the spacing is h times a power of two.  A row more than 1e-9 steps
     off the lattice raises ParameterError; no point is moved further than
-    that.
+    that.  Domain membership is checked on the snapped sites, not on the
+    rows as given.
     """
-    def _eval(Z: np.ndarray) -> np.ndarray:
-        sites, inverse = _lattice_sites(reals(Z), grid.origin, h, grid.h)
-        return f.eval_many(sites.view(complex))[inverse]
+    return _LatticeField(f, grid.origin, h, grid.h)
 
-    return ScalarField(_eval, f.valid_on, name=f.name)
+
+class _LatticeField(ScalarField):
+    """f read through a lattice (see lattice_field).  Membership is checked
+    once, on the distinct snapped sites: they are the points evaluated."""
+
+    def __init__(self, f: ScalarField, origin: np.ndarray, h: float,
+                 spacing: float):
+        super().__init__(self._read, f.valid_on, name=f.name)
+        self._f, self._origin, self._h, self._spacing = f, origin, h, spacing
+
+    def _read(self, Z: np.ndarray, check: bool = False) -> np.ndarray:
+        sites, inverse = _lattice_sites(reals(Z), self._origin, self._h,
+                                        self._spacing)
+        return self._f.eval_many(sites.view(complex), check=check)[inverse]
+
+    def eval_many(self, Z, check: bool = True) -> np.ndarray:
+        return self._read(as_points(Z, self.n), check)
 
 
 def stencil_offsets(n: int, h: float) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DomainError, EmptyGridError
 from .geometry import (
     ComplexPoint,
+    Domain,
     Grid,
     Intersection,
     ScalarField,
@@ -31,6 +32,11 @@ from .geometry import (
 )
 
 _EVAL_CHUNK = 250_000  # stencil rows per evaluator call, keeps memory flat
+
+# the mollifier's shrink slack (1 - max|offset|) * eps must exceed this,
+# relative to the domain's coordinate scale, before its translates go
+# unchecked: room for the rounding of a translate and of its gauge
+SHRINK_SLACK = 1e-9
 
 # Bump profile exp(-1/(1-t^2)) on (-1,1); its integral over (-1,1), computed
 # once by high-order quadrature and frozen (12 digits, regression-tested).
@@ -207,13 +213,37 @@ def mollifier_kernel(two_n: int, order: int) -> MollifierKernel:
     return MollifierKernel(cplx, full, m2, order, two_n)
 
 
+def translates_stay_inside(dom: Domain, eps: float, reach: float) -> bool:
+    """True when every translate z - eps*o, |o| <= reach < 1, of a point z
+    of dom.shrink(eps) provably lies in dom.
+
+    Holds when dom's boundary distance is declared 1-Lipschitz: it drops by
+    at most eps*reach along the move, and (1 - reach)*eps is left over.
+    That slack must exceed SHRINK_SLACK times the coordinate scale of dom's
+    bounding box; a domain without a box is not proved.
+    """
+    if not dom.unit_lipschitz:
+        return False
+    try:
+        lo, hi = dom.bbox()
+    except (NotImplementedError, ValueError):
+        return False
+    scale = 1.0 + float(np.max(np.abs(np.concatenate([lo, hi]))))
+    return (1.0 - reach) * eps > SHRINK_SLACK * scale
+
+
 def mollify(f: ScalarField, eps: float, quad_order: int = 8) -> ScalarField:
     """Convolution with the radial bump of radius eps, by fixed quadrature.
 
-    The valid domain shrinks by eps (in the domain's own gauge units; for
-    metric domains this is the metric margin).  quad_order is the tensor
-    Gauss-Legendre order per real axis.  meta records the kernel node count
-    and second moment m2 = eps^2 * m2_unit.
+    The valid domain shrinks by eps in the domain's own gauge units.  Where
+    the gauge is declared 1-Lipschitz (translates_stay_inside), that shrink
+    is sound: every kernel translate of a point of the shrunken domain lies
+    in f's domain, which is proved once here, and the translates are
+    evaluated without a membership test.  Elsewhere (level regions, mapped
+    regions, an eps too small for the rounding slack) every translate is
+    checked and one that escapes raises DomainError.  quad_order is the
+    tensor Gauss-Legendre order per real axis.  meta records the kernel
+    node count and second moment m2 = eps^2 * m2_unit.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -228,6 +258,8 @@ def mollify(f: ScalarField, eps: float, quad_order: int = 8) -> ScalarField:
     offsets = kern.offsets
     weights = kern.weights
     K = offsets.shape[0]
+    reach = float(np.max(np.linalg.norm(offsets, axis=1)))
+    check = not translates_stay_inside(f.valid_on, eps, reach)
 
     def _eval(Z: np.ndarray) -> np.ndarray:
         m = Z.shape[0]
@@ -236,7 +268,7 @@ def mollify(f: ScalarField, eps: float, quad_order: int = 8) -> ScalarField:
         for lo in range(0, m, block):
             Zb = Z[lo:lo + block]
             W = (Zb[:, None, :] - eps * offsets[None, :, :]).reshape(-1, Z.shape[1])
-            vals = f.eval_many(W).reshape(Zb.shape[0], K)
+            vals = f.eval_many(W, check=check).reshape(Zb.shape[0], K)
             out[lo:lo + block] = vals @ weights
         return out
 

@@ -249,6 +249,9 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
         branch = phi_eps.eval_many(Zi) + two_delta * sigma(Zi)
         return reg_max_many(base, branch, params.eta, kern)
 
+    # psi and chi live on phi.valid_on, so the rows their evaluators see
+    # are inside it (the caller contract of ScalarField.eval_many); phi's
+    # own check=False evaluations below are of those rows or a subset
     def _psi_eval(Z: np.ndarray) -> np.ndarray:
         Z = as_points(Z, phi.n)
         out = phi.eval_many(Z, check=False)
@@ -318,6 +321,9 @@ def _lift_through_overlaps(cocycle: KahlerCocycle, chart_name: str,
         src_chart = out.chart(ov.src)
         old = src_chart.potential
 
+        # the lifted field lives on old.valid_on, so Z is inside it; an
+        # overlap's region maps into its dst chart, where chi lives (by
+        # declaration; validate_cocycle checks it on its stencil rows)
         def _lift(Z: np.ndarray, _old=old, _ov=ov, _chi=chi) -> np.ndarray:
             Z = as_points(Z, _old.n)
             vals = _old.eval_many(Z, check=False)

@@ -13,8 +13,9 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from coversmooth import geometry, psh, scenarios, smoothing
+from coversmooth import covers, geometry, psh, scenarios, smoothing
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
 
@@ -113,3 +114,32 @@ def test_a_built_s3_keeps_what_the_eval_workload_reads():
         assert step.opens.W is not None
     params = inspect.signature(smoothing.smooth_pushforward).parameters
     assert {"X1", "X2"} <= set(params)
+
+
+@pytest.mark.parametrize("sid", ["S1", "S3", "S4"])
+def test_pushforward_construction_still_probes_through_fiber_rows(sid, monkeypatch):
+    # bench/selftest.py expects covers.halton_sample and each cover's
+    # fiber_rows to be reached; the containment proof must not replace the
+    # 128-point probe that reaches them
+    s = scenarios.build_scenario(sid)
+    for pair in s.cover.pairs:
+        cover = pair.cover
+        drawn, probed = [], []
+        inner_sample = covers.halton_sample
+        inner_rows = type(cover).fiber_rows
+
+        def sample(domain, count, start=1):
+            out = inner_sample(domain, count, start)
+            drawn.append((domain, count, out))
+            return out
+
+        def rows(self, B):
+            probed.append(B)
+            return inner_rows(self, B)
+
+        monkeypatch.setattr(covers, "halton_sample", sample)
+        monkeypatch.setattr(type(cover), "fiber_rows", rows)
+        covers.pushforward(cover, s.upstairs.chart(pair.upstairs_name).potential)
+        monkeypatch.undo()
+        assert [(d, c) for d, c, _ in drawn] == [(cover.downstairs, 128)]
+        assert len(probed) == 1 and probed[0] is drawn[0][2]

@@ -14,9 +14,10 @@ from coversmooth.cocycle import (
     CurvePatch,
     KahlerCocycle,
     curve_mass,
+    curve_mass_patch,
     validate_cocycle,
 )
-from coversmooth.errors import CoverageError
+from coversmooth.errors import CoverageError, DomainError
 from coversmooth.geometry import Annulus, Disk, Polydisk, field_from_function
 
 FOUR_PI = 4.0 * np.pi
@@ -123,3 +124,24 @@ def test_curve_patch_finite_difference_tangents_agree_with_analytic():
     a2, b2 = fd.tangents(S, T)
     assert np.max(np.abs(a1 - a2)) < 1e-8
     assert np.max(np.abs(b1 - b2)) < 1e-8
+
+
+def test_an_overlap_that_maps_out_of_its_target_chart_raises():
+    # the round sphere with the far chart cut down to |w| < 1.5: the ring
+    # 0.5 < |z| < 2 maps onto 0.5 < |w| < 2, partly outside it
+    coc = _round_sphere()
+    small = Disk(0.0, 1.5)
+    fs = coc.chart("w").potential
+    cut = KahlerCocycle(
+        (coc.chart("z"),
+         CocycleChart("w", small, field_from_function(fs.evaluator, small))),
+        coc.overlaps[:1])
+    with pytest.raises(DomainError):
+        validate_cocycle(cut)
+
+
+def test_a_curve_patch_leaving_its_chart_raises():
+    fs = lambda Z: np.log1p(np.abs(Z[:, 0]) ** 2)
+    pot = field_from_function(fs, Disk(0.0, 0.9), name="fs")
+    with pytest.raises(DomainError):
+        curve_mass_patch(pot, _polar_disk_patch("z"))

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coversmooth.covers import (
+    CONTAINMENT_SLACK,
     IdentityCover,
     PowerCover,
     SymmetricSum,
     VietaCover,
+    _roots_batched,
     as_glued,
+    fibers_inside,
     pushforward,
     symmetric_sum,
 )
@@ -251,3 +254,95 @@ def test_symmetric_sum_pushforward_raises_when_a_fiber_escapes_at_evaluation():
 def test_symmetric_sum_rejects_a_domain_that_is_not_permutation_invariant(domain):
     with pytest.raises(ValueError, match="S_n-invariant"):
         SymmetricSum(_log1p_abs_sq, domain)
+
+
+def _in_disks(rng, radii, m):
+    """m rows uniform in the polydisk of the given radii about 0."""
+    rad = np.sqrt(rng.random((m, len(radii)))) * np.asarray(radii)
+    return rad * np.exp(2j * np.pi * rng.random((m, len(radii))))
+
+
+_radius = st.floats(1e-3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(a=_radius, b=_radius, seed=st.integers(0, 2 ** 32 - 1))
+def test_vieta_roots_never_exceed_the_quadratic_formula_bound(a, b, seed):
+    E = _in_disks(np.random.default_rng(seed), (a, b), 2000)
+    # the extreme corner: s = a, p = -b has the root a/2 + sqrt(a^2/4 + b)
+    E = np.vstack([E, [[a, -b], [-a, -b], [1j * a, b]]])
+    bound = 0.5 * a + np.sqrt(0.25 * a * a + b)
+    assert np.max(np.abs(_roots_batched(E))) <= bound * (1.0 + CONTAINMENT_SLACK)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(1, 5), R=_radius, seed=st.integers(0, 2 ** 32 - 1))
+def test_power_roots_never_exceed_the_root_of_the_radius(d, R, seed):
+    down = Disk(0.0, R)
+    B = np.vstack([_in_disks(np.random.default_rng(seed), (R,), 2000),
+                   [[R], [-R], [1j * R]]])
+    roots = PowerCover(d, Disk(0.0, 2.0 * R ** (1.0 / d)), down).fiber_rows(B)
+    assert np.max(np.abs(roots)) <= R ** (1.0 / d) * (1.0 + CONTAINMENT_SLACK)
+
+
+@pytest.mark.parametrize("cover, up, proved", [
+    # S1: sqrt(1.5) = 1.22 < 1.5
+    (PowerCover(2, Disk(0.0, 1.5), Disk(0.0, 1.5)), Disk(0.0, 1.5), True),
+    # S2 2.62 < 4.2, S3 D1 3.5 < 3.8, S3 D3 2.22 < 2.4
+    (VietaCover(2, None, Polydisk((0, 0), (1.9, 1.9))),
+     Polydisk((0, 0), (4.2, 4.2)), True),
+    (VietaCover(2, None, Polydisk((0, 0), (2.5, 3.5))),
+     Polydisk((0, 0), (3.8, 3.8)), True),
+    (VietaCover(2, None, Polydisk((0, 0), (1.75, 1.05))),
+     Polydisk((0, 0), (2.4, 2.4)), True),
+    # the bound 3.137 of (2.5, 2.0) is above 3.0
+    (VietaCover(2, None, Polydisk((0, 0), (2.5, 2.0))),
+     Polydisk((0, 0), (3.0, 3.0)), False),
+    # a bound exactly at the radius leaves no slack
+    (VietaCover(2, None, Polydisk((0, 0), (2.5, 3.5))),
+     Polydisk((0, 0), (3.5, 3.5)), False),
+    (PowerCover(2, None, Disk(0.0, 1.0)), Disk(0.0, 0.9), False),
+    (PowerCover(2, None, Disk(0.1, 0.5)), Disk(0.0, 1.5), False),
+    (PowerCover(2, None, Disk(0.0, 1.0)), Disk(0.1, 1.5), False),
+    (VietaCover(2, None, Polydisk((0.1, 0), (1.0, 1.0))),
+     Polydisk((0, 0), (4.0, 4.0)), False),
+    # n = 3 is never proved
+    (VietaCover(3, None, Polydisk((0, 0, 0), (1.0, 1.0, 1.0))),
+     Polydisk((0, 0, 0), (9.0, 9.0, 9.0)), False),
+])
+def test_fiber_containment_is_proved_only_under_its_bound(cover, up, proved):
+    assert fibers_inside(cover, up) is proved
+
+
+def test_an_identity_cover_is_proved_only_on_its_own_chart():
+    dom = Disk(0.0, 0.8)
+    assert fibers_inside(IdentityCover(dom), dom)
+    assert not fibers_inside(IdentityCover(dom), Disk(0.0, 0.9))
+
+
+class _CheckSpy(ScalarField):
+    """A field that records the check flag of every evaluation."""
+
+    def __init__(self, f):
+        super().__init__(f.evaluator, f.valid_on, name=f.name)
+        self.checks = []
+
+    def eval_many(self, Z, check=True):
+        self.checks.append(check)
+        return super().eval_many(Z, check=check)
+
+
+@pytest.mark.parametrize("cover, radius, proved", [
+    (PowerCover(2, None, Disk(0.0, 1.5)), 1.5, True),
+    (VietaCover(2, None, Polydisk((0, 0), (2.5, 3.5))), 3.8, True),
+    (VietaCover(2, None, Polydisk((0, 0), (2.5, 2.0))), 3.1, False),
+])
+def test_pushforward_checks_the_fiber_rows_only_where_unproved(cover, radius, proved):
+    up = Polydisk((0j,) * cover.n, (radius,) * cover.n)
+    f = _CheckSpy(field_from_function(lambda Z: np.sum(np.abs(Z) ** 2, axis=1), up))
+    pf = pushforward(cover, f)
+    B = halton_sample(cover.downstairs, 64, start=1)
+    vals = pf.eval_many(B)
+    assert f.checks == [not proved]
+    plain = pushforward(cover, _plain(f)).eval_many(B)
+    assert np.array_equal(vals, plain)

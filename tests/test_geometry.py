@@ -13,12 +13,17 @@ from coversmooth.errors import (
     ParameterError,
     UnsupportedDimensionError,
 )
+from coversmooth.covers import VietaCover
 from coversmooth.geometry import (
     Annulus,
+    Complement,
     Disk,
     Grid,
     Intersection,
+    LevelRegion,
+    MappedRegion,
     Polydisk,
+    UnionRegion,
     csv_header,
     dump_field_csv,
     field_from_function,
@@ -181,3 +186,78 @@ def test_mass_integral_rejects_two_variables():
     )
     with pytest.raises(UnsupportedDimensionError):
         mass_integral(f, Polydisk((0, 0), (0.5, 0.5)), 0.01)
+
+
+# domains whose boundary distance is declared 1-Lipschitz, one per type
+_DECLARED = {
+    "disk": Disk(0.2 + 0.1j, 0.9),
+    "annulus": Annulus(-0.1j, 0.3, 1.1),
+    "polydisk": Polydisk((0.1, -0.2j), (1.0, 0.6), gauge_gap=0.02),
+    "intersection": Intersection((Disk(0.0, 1.0), Annulus(0.4, 0.2, 0.9))),
+    "complement": Complement(Polydisk((0, 0), (0.3, 0.5)),
+                             within=Polydisk((0, 0), (1.0, 0.8))),
+    "shrunk": Disk(0.1j, 1.0).shrink(0.1).shrink(0.05),
+    "shrunk_intersection": Intersection((Polydisk((0, 0), (1.0, 1.0)),
+                                         Polydisk((0.2, 0), (1.0, 1.2)))).shrink(0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DECLARED))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_a_declared_gauge_keeps_every_move_shorter_than_the_distance_inside(name, seed):
+    dom = _DECLARED[name]
+    assert dom.unit_lipschitz
+    rng = np.random.default_rng(seed)
+    lo, hi = dom.bbox()
+    X = lo + rng.random((4000, lo.size)) * (hi - lo)
+    Z = X[:, 0::2] + 1j * X[:, 1::2]
+    d = dom.boundary_distance_many(Z)
+    Z, d = Z[d > 0], d[d > 0]
+    # t = frac * d < d (frac = 1 - 1e-6 on a quarter of the points), then a
+    # move of length up to t, biased towards t, in a uniform direction
+    t = d * rng.uniform(0.0, 1.0 - 1e-6, d.size)
+    t[: d.size // 4] = d[: d.size // 4] * (1.0 - 1e-6)
+    u = rng.normal(size=(d.size, lo.size))
+    u *= (t * rng.uniform(0.0, 1.0, d.size) ** 0.1 / np.linalg.norm(u, axis=1))[:, None]
+    assert dom.contains_many(Z + (u[:, 0::2] + 1j * u[:, 1::2])).all()
+
+
+def _s2_tube(threshold: float) -> LevelRegion:
+    """The S2 sublevel {|s^2 - 4p| < threshold} with grad_scale 4."""
+    lo = np.full(4, -1.95)
+    return LevelRegion(VietaCover(2).discriminant_many, threshold, 2,
+                       (0j, 0j), (lo, -lo), grad_scale=4.0)
+
+
+def test_the_s2_level_gauge_is_a_counterexample_and_is_not_declared():
+    tube = _s2_tube(1.05)
+    z = np.array([[1.8 + 0j, 0.56 + 0j]])  # |s^2 - 4p| = 1.0
+    d = float(tube.boundary_distance_many(z)[0])
+    assert d == pytest.approx(0.0125)
+    # along the gradient (3.6, -4) of s^2 - 4p the gauge drops 1.35x faster
+    step = np.array([[3.6 + 0j, -4.0 + 0j]])
+    moved = z + 0.96 * d * step / np.linalg.norm(step)
+    assert not tube.contains_many(moved)[0]
+    assert not tube.unit_lipschitz
+
+
+def test_only_metric_gauges_are_declared_1_lipschitz():
+    tube = _s2_tube(1.05)
+    mapped = MappedRegion(Disk(0.0, 1.0), lambda Z: 3.0 * Z, 1)
+    for dom in (tube, mapped, tube.shrink(0.1),
+                Intersection((Polydisk((0, 0), (1.0, 1.0)), tube)),
+                Complement(tube, within=Polydisk((0, 0), (1.0, 1.0))),
+                Complement(Disk(0.0, 0.2), within=mapped),
+                UnionRegion((Disk(0.0, 1.0), Disk(1.0, 1.0)))):
+        assert not dom.unit_lipschitz
+    assert Complement(Disk(0.0, 0.2)).unit_lipschitz
+
+
+def test_a_mapped_region_reads_finite_rows_in_target_coordinates():
+    inv = MappedRegion(Disk(0.0, 2.0), lambda Z: 1.0 / Z, 1)
+    Z = np.array([[0.25 + 0j], [1.0 + 0j], [-2.0j]])
+    assert np.array_equal(inv.boundary_distance_many(Z), [-2.0, 1.0, 1.5])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = inv.boundary_distance_many(np.vstack([Z, [[0j]]]))
+    assert np.array_equal(got, [-2.0, 1.0, 1.5, -np.inf])

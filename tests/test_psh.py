@@ -10,12 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coversmooth.errors import ParameterError
+from coversmooth.errors import DomainError, ParameterError
 from coversmooth.geometry import (
+    Annulus,
     Disk,
+    Domain,
     Grid,
+    Intersection,
     LevelRegion,
+    MappedRegion,
     Polydisk,
+    ScalarField,
     discrete_laplacian_many,
     field_from_function,
     halton_sample,
@@ -36,6 +41,7 @@ from coversmooth.psh import (
     min_levi_eigenvalue,
     mollifier_kernel,
     mollify,
+    translates_stay_inside,
     reg_max_fields,
     reg_max_many,
     reg_max_scalar,
@@ -208,7 +214,8 @@ def _square(half: float) -> LevelRegion:
     min_levi_eigenvalue, laplacian_sup, lambda f, g, h: mass_integral(f, g.domain, h),
 ], ids=["min_levi_eigenvalue", "laplacian_sup", "mass_integral"])
 def test_lattice_checks_evaluate_each_distinct_site_once(check):
-    # a k x k lattice in one block: the 5-point stencils cover k^2 + 4k sites
+    # a k x k lattice in one block: the 5-point stencils cover k^2 + 4k
+    # sites, and membership is tested on those sites alone
     seen = []
 
     def sq(Z):
@@ -218,10 +225,31 @@ def test_lattice_checks_evaluate_each_distinct_site_once(check):
     k, h = 21, 0.01
     g = sample_grid(_square(0.105), h)
     assert len(g) == k * k
-    check(field_from_function(sq, Disk(0.0, 1.0)), g, h)
+    dom = _Counted(Disk(0.0, 1.0))
+    check(field_from_function(sq, dom), g, h)
     P = np.concatenate(seen)
     assert P.shape[0] == k * k + 4 * k
     assert np.unique(P.view(np.int64), axis=0).shape[0] == P.shape[0]
+    assert sum(dom.rows) == P.shape[0]
+
+
+class _Counted(Domain):
+    """A domain that records how many rows each membership test reads."""
+
+    def __init__(self, inner):
+        self.inner, self.n, self.rows = inner, inner.n, []
+
+    def boundary_distance_many(self, Z):
+        self.rows.append(len(Z))
+        return self.inner.boundary_distance_many(Z)
+
+
+def test_a_lattice_site_outside_the_domain_raises():
+    g = sample_grid(Disk(0.0, 0.05), 0.01)
+    # the nodes reach |z| = 0.04 and their stencils 0.05
+    f = field_from_function(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(0.0, 0.045))
+    with pytest.raises(DomainError):
+        min_levi_eigenvalue(f, g, 0.01)
 
 
 def test_a_node_levi_form_does_not_depend_on_its_block():
@@ -376,3 +404,55 @@ def test_reg_max_fields_preserves_psh_across_the_switch():
     g = sample_grid(Disk(0.0, 0.5), 8e-3)
     rep = min_levi_eigenvalue(w, g, 4e-3)
     assert rep.min_eigenvalue >= -1e-6
+
+
+class _CheckSpy(ScalarField):
+    """A field that records the check flag of every evaluation."""
+
+    def __init__(self, f):
+        super().__init__(f.evaluator, f.valid_on, name=f.name)
+        self.checks = []
+
+    def eval_many(self, Z, check=True):
+        self.checks.append(check)
+        return super().eval_many(Z, check=check)
+
+
+def _unit_level_disk(grad_scale: float) -> LevelRegion:
+    """{|z|^2 < 1} with the gauge (1 - |z|^2) / grad_scale."""
+    return LevelRegion(lambda Z: np.abs(Z[:, 0]) ** 2, 1.0, 1, (0j,),
+                       ((-1.0, -1.0), (1.0, 1.0)), grad_scale=grad_scale)
+
+
+@pytest.mark.parametrize("dom, eps, proved", [
+    (Disk(0.0, 1.0), 0.07, True),
+    (Annulus(0.0, 0.2, 1.0), 0.07, True),
+    (Intersection((Disk(0.0, 1.0), Disk(0.3, 1.0))).shrink(0.02), 0.07, True),
+    (Disk(0.0, 1.0), 1e-300, False),    # no room for rounding
+    (_unit_level_disk(2.0), 0.07, False),
+    (Intersection((Disk(0.0, 1.0), MappedRegion(Disk(0.0, 2.0), lambda Z: Z, 1))),
+     0.07, False),
+])
+def test_mollify_checks_its_translates_only_where_the_shrink_is_unproved(dom, eps, proved):
+    reach = float(np.max(np.abs(mollifier_kernel(2, 8).offsets)))
+    assert translates_stay_inside(dom, eps, reach) is proved
+    plain = field_from_function(lambda Z: np.abs(Z[:, 0]) ** 2, dom)
+    f = _CheckSpy(plain)
+    fe = mollify(f, eps)
+    f.checks.clear()
+    Z = halton_sample(fe.valid_on, 50)
+    vals = fe.eval_many(Z)
+    assert f.checks == [not proved]
+    assert np.array_equal(vals, mollify(plain, eps).eval_many(Z))
+
+
+def test_mollify_on_an_undeclared_domain_raises_when_a_translate_escapes():
+    # the gauge 10 (1 - |z|^2) overstates the distance to the unit circle:
+    # the shrink by 0.5 keeps |z| < 0.9747, whose translates reach 1.46
+    dom = _unit_level_disk(0.1)
+    assert not dom.unit_lipschitz
+    fe = mollify(field_from_function(lambda Z: np.abs(Z[:, 0]) ** 2, dom), 0.5)
+    z = np.array([[0.95 + 0j]])
+    assert fe.valid_on.contains_many(z)[0]
+    with pytest.raises(DomainError):
+        fe.eval_many(z)
