@@ -117,7 +117,6 @@ class CurvePatch:
     t_range: Tuple[float, float]
     ds: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     dt: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    label: str = ""
 
     def points(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
         Z = self.map(S, T)

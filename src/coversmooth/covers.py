@@ -416,7 +416,6 @@ class GluedCover:
     """A finite family of chart-pair local covering models."""
 
     pairs: Tuple[ChartPair, ...]
-    kind: str = "glued"
 
     def __post_init__(self):
         degs = {p.cover.degree for p in self.pairs}

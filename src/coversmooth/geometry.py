@@ -395,7 +395,6 @@ class MappedRegion(Domain):
     target: Domain
     transform: Callable[[np.ndarray], np.ndarray]
     dim: int
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "n", int(self.dim))
@@ -540,35 +539,44 @@ class Grid:
         return self.nodes.shape[0]
 
 
+def _lattice_grid(domain: Domain, h: float, origin: np.ndarray,
+                  free: Sequence[int]) -> Grid:
+    """The nodes origin + h*(integer offsets) inside domain, the offsets
+    ranging over the free real axes and zero on the others.
+
+    A free axis narrower than h keeps the single site of the origin.  The
+    site count is capped from the integer axis bounds, before any axis is
+    allocated.
+    """
+    if not h > 0:
+        raise ValueError("grid spacing must be positive")
+    lo, hi = domain.bbox()
+    o = reals(origin[None, :])[0]
+    kmin = np.ceil((lo[free] - o[free]) / h - 1e-12)
+    kmax = np.floor((hi[free] - o[free]) / h + 1e-12)
+    narrow = kmax < kmin
+    kmin[narrow] = kmax[narrow] = 0.0
+    if not np.prod(kmax - kmin + 1.0) <= _MAX_LATTICE_SITES:
+        raise ParameterError(f"lattice sites <= {_MAX_LATTICE_SITES}",
+                             f"h = {h!r}; increase h")
+    axes = [o[k:k + 1] for k in range(o.size)]
+    for k, a, b in zip(free, kmin, kmax):
+        axes[k] = o[k] + h * np.arange(int(a), int(b) + 1)
+    X = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
+    Z = X.reshape(-1, o.size).view(complex)
+    keep = domain.contains_many(Z)
+    if not keep.any():
+        raise EmptyGridError("no lattice point of spacing %g lies inside the domain" % h)
+    return Grid(Z[keep], float(h), domain, o)
+
+
 def sample_grid(domain: Domain, h: float) -> Grid:
     """Uniform lattice of spacing h inside the domain, anchored at its center.
 
     The anchor is always part of the candidate lattice, so a grid over a
     centered domain contains the center point whenever the center is inside.
     """
-    if h <= 0:
-        raise ValueError("grid spacing must be positive")
-    lo, hi = domain.bbox()
-    creal = reals(domain.center[None, :])[0]
-    axes = []
-    total = 1
-    for k in range(lo.size):
-        kmin = math.ceil((lo[k] - creal[k]) / h - 1e-12)
-        kmax = math.floor((hi[k] - creal[k]) / h + 1e-12)
-        if kmax < kmin:
-            kmin = kmax = 0
-        axes.append(creal[k] + h * np.arange(kmin, kmax + 1))
-        total *= len(axes[-1])
-        if total > _MAX_LATTICE_SITES:
-            raise ParameterError(f"lattice sites <= {_MAX_LATTICE_SITES}",
-                                 f"h = {h!r}; increase h")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=1)
-    Z = X[:, 0::2] + 1j * X[:, 1::2]
-    keep = domain.contains_many(Z)
-    if not keep.any():
-        raise EmptyGridError("no lattice point of spacing %g lies inside the domain" % h)
-    return Grid(Z[keep], float(h), domain, creal)
+    return _lattice_grid(domain, h, domain.center, list(range(2 * domain.n)))
 
 
 def sample_slice_grid(domain: Domain, h: float, free_axis: int, basepoint) -> Grid:
@@ -580,24 +588,7 @@ def sample_slice_grid(domain: Domain, h: float, free_axis: int, basepoint) -> Gr
     base = as_points(basepoint, domain.n)[0]
     if not (0 <= free_axis < domain.n):
         raise ValueError("free_axis out of range")
-    lo, hi = domain.bbox()
-    kre, kim = 2 * free_axis, 2 * free_axis + 1
-    c_re, c_im = base[free_axis].real, base[free_axis].imag
-    re = c_re + h * np.arange(math.ceil((lo[kre] - c_re) / h - 1e-12),
-                              math.floor((hi[kre] - c_re) / h + 1e-12) + 1)
-    im = c_im + h * np.arange(math.ceil((lo[kim] - c_im) / h - 1e-12),
-                              math.floor((hi[kim] - c_im) / h + 1e-12) + 1)
-    if re.size * im.size > _MAX_LATTICE_SITES:
-        raise ParameterError(f"lattice sites <= {_MAX_LATTICE_SITES}",
-                             f"h = {h!r}; increase h")
-    RR, II = np.meshgrid(re, im, indexing="ij")
-    m = RR.size
-    Z = np.tile(base, (m, 1))
-    Z[:, free_axis] = RR.ravel() + 1j * II.ravel()
-    keep = domain.contains_many(Z)
-    if not keep.any():
-        raise EmptyGridError("slice grid is empty")
-    return Grid(Z[keep], float(h), domain, reals(base[None, :])[0])
+    return _lattice_grid(domain, h, base, [2 * free_axis, 2 * free_axis + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, EmptyGridError
+from .errors import DomainError, ParameterError
 from .geometry import (
     ComplexPoint,
     Domain,
@@ -73,6 +73,9 @@ def levi_form_many(f, Z, h: float) -> np.ndarray:
     """
     if h <= 0:
         raise ValueError("h must be positive")
+    h2 = h * h
+    if not (h2 > 0 and 1.0 / h2 < np.inf):
+        raise ParameterError("1 / (h * h) finite", f"stencil step h = {h!r}")
     Z = as_points(Z, getattr(f, "n", None))
     m, n = Z.shape
     ev = f.eval_many if isinstance(f, ScalarField) else f
@@ -83,7 +86,7 @@ def levi_form_many(f, Z, h: float) -> np.ndarray:
     L = np.zeros((m, n, n), dtype=complex)
     c = V[:, 0]
     pos = 1
-    inv_h2 = 1.0 / (h * h)
+    inv_h2 = 1.0 / h2
     for j in range(n):
         px, mx, py, my = (V[:, pos], V[:, pos + 1], V[:, pos + 2], V[:, pos + 3])
         pos += 4
@@ -99,8 +102,7 @@ def levi_form_many(f, Z, h: float) -> np.ndarray:
             val = 0.25 * ((fxx + fyy) + 1j * (fxy - fyx))
             L[:, j, k] = val
             L[:, k, j] = np.conj(val)
-    # symmetrization is structural above; enforce it against roundoff anyway
-    return 0.5 * (L + np.conj(np.transpose(L, (0, 2, 1))))
+    return L
 
 
 def hermitian_min_eigenvalues(L: np.ndarray) -> np.ndarray:
@@ -125,38 +127,35 @@ def min_levi_eigenvalue(f: ScalarField, g: Grid, h: float) -> PshReport:
     """Minimum over grid nodes of the smallest Levi eigenvalue.
 
     f is read through the grid's lattice at step h (lattice_field), so h
-    must divide the grid spacing.
+    must divide the grid spacing.  A NaN eigenvalue is the minimum, located
+    at the first node that has one.
     """
-    if len(g) == 0:
-        raise EmptyGridError("empty grid")
     fl = lattice_field(f, g, h)
-    best = np.inf
-    best_row = None
-    for lo in range(0, len(g), _EVAL_CHUNK // 32 + 1):
-        block = g.nodes[lo:lo + _EVAL_CHUNK // 32 + 1]
-        L = levi_form_many(fl, block, h)
-        eigs = hermitian_min_eigenvalues(L)
+    step = _EVAL_CHUNK // 32 + 1
+    mins, where = [], []
+    for lo in range(0, len(g), step):
+        eigs = hermitian_min_eigenvalues(levi_form_many(fl, g.nodes[lo:lo + step], h))
         i = int(np.argmin(eigs))
-        if eigs[i] < best:
-            best = float(eigs[i])
-            best_row = block[i]
-    return PshReport(best, ComplexPoint.from_row(best_row))
+        mins.append(eigs[i])
+        where.append(lo + i)
+    k = int(np.argmin(mins))
+    return PshReport(float(mins[k]), ComplexPoint.from_row(g.nodes[where[k]]))
 
 
 # ---------------------------------------------------------------------------
 # C2 proxy
 
 def laplacian_sup(f: ScalarField, g: Grid, h: float) -> float:
-    """Sup over grid nodes of |discrete Laplacian|; f is read through the
-    grid's lattice at step h, as in min_levi_eigenvalue."""
+    """Sup over grid nodes of |discrete Laplacian|, NaN when any node's is;
+    f is read through the grid's lattice at step h, as in
+    min_levi_eigenvalue."""
     from .geometry import discrete_laplacian_many
 
     fl = lattice_field(f, g, h)
-    out = 0.0
-    for lo in range(0, len(g), _EVAL_CHUNK // 8 + 1):
-        vals = discrete_laplacian_many(fl, g.nodes[lo:lo + _EVAL_CHUNK // 8 + 1], h)
-        out = max(out, float(np.max(np.abs(vals))))
-    return out
+    step = _EVAL_CHUNK // 8 + 1
+    sups = [np.max(np.abs(discrete_laplacian_many(fl, g.nodes[lo:lo + step], h)))
+            for lo in range(0, len(g), step)]
+    return float(np.max(sups))
 
 
 def c2_refinement_ratio(f: ScalarField, grid_h: Grid, grid_h2: Grid) -> float:

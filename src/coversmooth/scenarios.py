@@ -190,7 +190,7 @@ def _build_s1(config: dict) -> Scenario:
         "z", up, ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, up, name="abs_sq"))
     upstairs = KahlerCocycle((chart_up,), ())
     cover = GluedCover((ChartPair("w", "z", PowerCover(2, up, down)),))
-    steps = (GlueStep("w", opens, label="branch point disk"),)
+    steps = (GlueStep("w", opens),)
 
     h = config["h"]
     kink = Lattice(Disk(0.0, 0.75 * npr))
@@ -297,7 +297,7 @@ def _build_s2(config: dict) -> Scenario:
 
     upstairs = KahlerCocycle((CocycleChart("zz", up, potential),), ())
     cover = GluedCover((ChartPair("sp", "zz", VietaCover(2, up, dom)),))
-    steps = (GlueStep("sp", opens, label="discriminant tube", gate_region=gate),)
+    steps = (GlueStep("sp", opens, gate_region=gate),)
 
     hs = config["h"] / _DEFAULTS["S2"]["h"]  # battery spacing scales with h
     s_band, s_gap = 0.9, 1.65
@@ -374,8 +374,8 @@ def _build_s3(config: dict) -> Scenario:
     downstairs_overlaps = (ChartOverlap("D1", "D3", ov13, _swap_chart),
                            ChartOverlap("D3", "D1", ov31, _swap_chart))
 
-    steps = (GlueStep("D1", tri1, label="conic, finite chart", gate_region=gate1),
-             GlueStep("D3", tri3, label="conic, far chart", gate_region=gate3))
+    steps = (GlueStep("D1", tri1, gate_region=gate1),
+             GlueStep("D3", tri3, gate_region=gate3))
     cover = GluedCover((ChartPair("D1", "zz", VietaCover(2, up1, dom1)),
                         ChartPair("D3", "tt", VietaCover(2, up3, dom3))))
 
@@ -467,7 +467,7 @@ def _build_s4(config: dict) -> Scenario:
                         ChartPair("far", "far", IdentityCover(dom_far))))
 
     opens = _disk_triple(config, 0.63, (0.52, 0.62, 0.69), dom_near)
-    steps = (GlueStep("near", opens, label="kink ring"),)
+    steps = (GlueStep("near", opens),)
 
     hs = config["h"] / _DEFAULTS["S4"]["h"]
     c2_zone = Lattice(Disk(0.0, npr))
@@ -505,11 +505,9 @@ _BUILDERS: Dict[str, Callable[[dict], Scenario]] = {
 # midway keeps the checks already made.
 
 def _check(name: str, value: float, tol: float, kind: str = "le") -> dict:
-    value = float(value)
-    tol = float(tol)
-    ok = value <= tol if kind == "le" else value >= tol
-    return {"name": name, "value": value, "tol": tol, "kind": kind,
-            "pass": bool(ok)}
+    c = {"name": name, "value": float(value), "tol": float(tol), "kind": kind}
+    c["pass"] = check_passes(c)
+    return c
 
 
 def check_passes(c: dict) -> bool:

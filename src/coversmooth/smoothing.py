@@ -158,7 +158,7 @@ def _measure_band(phi: ScalarField, phi_eps: ScalarField, sigma, opens: NestedOp
     tau_bound = float(np.max(phi_eps.eval_many(B) - phi.eval_many(B)))
     L = levi_form_many(phi_eps, B, params.h)
     m = float(np.min(hermitian_min_eigenvalues(L)))
-    Ls = levi_form_many(lambda P: sigma(P), B, params.h)
+    Ls = levi_form_many(sigma, B, params.h)
     eigs_lo = hermitian_min_eigenvalues(Ls)
     eigs_hi = -hermitian_min_eigenvalues(-Ls)
     K_sigma = float(np.max(np.maximum(np.abs(eigs_lo), np.abs(eigs_hi))))
@@ -288,7 +288,6 @@ class GlueStep:
 
     chart_name: str
     opens: NestedOpens
-    label: str = ""
     gate_region: Optional[Domain] = None
 
 

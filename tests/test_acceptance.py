@@ -217,7 +217,8 @@ def test_criterion_7_corrections_vanish_off_their_support_devs_are_kept_and_one_
     assert _check(report4, "correction_lift_sup")["value"] > 0.0
 
 
-def test_criterion_8_repeated_cli_invocations_produce_byte_identical_reports(tmp_path):
+def test_criterion_8_repeated_cli_invocations_produce_byte_identical_reports(tmp_path,
+                                                                           subprocess_env):
     blobs = []
     for k in (1, 2):
         out = tmp_path / f"r{k}.json"
@@ -226,6 +227,7 @@ def test_criterion_8_repeated_cli_invocations_produce_byte_identical_reports(tmp
              "--out", str(out)],
             capture_output=True,
             text=True,
+            env=subprocess_env,
         )
         assert proc.returncode == 0, proc.stderr
         blobs.append(out.read_bytes())

@@ -1,14 +1,11 @@
 """Exit codes and message discipline of the command line front end."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import coversmooth
 from coversmooth import cli
 from coversmooth.cli import execute
 
@@ -79,14 +76,11 @@ def test_run_with_infeasible_gates_exits_config_and_writes_the_report(tmp_path, 
     assert any(c.get("error_type") == "ParameterError" for c in report["checks"])
 
 
-def test_run_with_an_h_too_small_for_the_lattice_cap_exits_config(tmp_path):
-    src = str(Path(coversmooth.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+def test_run_with_an_h_too_small_for_the_lattice_cap_exits_config(tmp_path, subprocess_env):
     proc = subprocess.run(
         [sys.executable, "-m", "coversmooth", "run", "--scenario", "S1",
          "--h", "1e-5", "--out", str(tmp_path / "r.json")],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=subprocess_env, timeout=120)
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
@@ -95,16 +89,14 @@ def test_run_with_an_h_too_small_for_the_lattice_cap_exits_config(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_run_with_an_h_too_large_for_the_nesting_margin_exits_config(tmp_path):
+def test_run_with_an_h_too_large_for_the_nesting_margin_exits_config(tmp_path,
+                                                                     subprocess_env):
     # the margin gate comes before the band stencils, which would leave the
     # mollified field's domain at this h
-    src = str(Path(coversmooth.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "coversmooth", "run", "--scenario", "S1",
          "--h", "10", "--out", str(tmp_path / "r.json")],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=subprocess_env, timeout=120)
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
@@ -120,6 +112,7 @@ def test_run_with_an_h_too_large_for_the_nesting_margin_exits_config(tmp_path):
     ("S1", "--n-radius", "nan"), ("S1", "--n-radius", "-1"),
     ("S1", "--n-radius", "1e-9"), ("S1", "--n-radius", "100"),
     ("S1", "--h", "1e300"), ("S4", "--h", "0.3"), ("S1", "--nprime-radius", "5"),
+    ("S1", "--h", "1e-200"),
 ])
 def test_a_hostile_override_is_one_config_error_line(scenario, flag, value, tmp_path,
                                                        capsys):

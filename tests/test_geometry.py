@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,28 @@ def test_slice_grid_over_the_site_cap_is_a_parameter_error():
         sample_slice_grid(dom, 1e-5, 1, (0.3, 0.0))
     assert err.value.condition == "lattice sites <= 40000000"
     assert "h = 1e-05" in err.value.detail
+
+
+@pytest.mark.parametrize("h", [0.0, -0.05, math.nan])
+@pytest.mark.parametrize("build", [
+    lambda h: sample_grid(Disk(0.0, 1.0), h),
+    lambda h: sample_slice_grid(Polydisk((0, 0), (1.0, 1.0)), h, 1, (0.3, 0.0)),
+], ids=["sample_grid", "sample_slice_grid"])
+def test_a_spacing_that_is_not_positive_is_a_value_error(build, h):
+    with pytest.raises(ValueError, match="grid spacing must be positive"):
+        build(h)
+
+
+def test_the_site_cap_is_counted_before_any_axis_is_allocated():
+    # 10^7 sites per axis, 10^14 in all: refused with no axis built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError):
+            sample_grid(Disk(0.0, 1.5), 3e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_field_eval_outside_domain_raises():

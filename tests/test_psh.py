@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from coversmooth.errors import DomainError, ParameterError
 from coversmooth.geometry import (
     Annulus,
+    ComplexPoint,
     Disk,
     Domain,
     Grid,
@@ -30,6 +31,7 @@ from coversmooth.geometry import (
     sample_slice_grid,
 )
 from coversmooth.psh import (
+    _EVAL_CHUNK,
     BUMP_INTEGRAL,
     BUMP_NORMALIZATION,
     bump_profile,
@@ -267,6 +269,37 @@ def test_a_node_levi_form_does_not_depend_on_its_block():
         assert np.array_equal(L1, L[k])
         eigs.append(min_levi_eigenvalue(f, one, h).min_eigenvalue)
     assert min_levi_eigenvalue(f, g, h).min_eigenvalue == min(eigs)
+
+
+@pytest.mark.parametrize("cut", [0.5, -np.inf], ids=["part", "all"])
+def test_a_nan_on_the_lattice_is_what_both_checks_report(cut):
+    # |z|^2, NaN where Re z > cut; the oracle is one unblocked Levi pass
+    def ev(Z):
+        v = np.abs(Z[:, 0]) ** 2
+        v[Z[:, 0].real > cut] = np.nan
+        return v
+
+    f = field_from_function(ev, Disk(0.0, 1.0))
+    g = sample_grid(Disk(0.0, 0.9), 5e-3)
+    h = g.h
+    eigs = hermitian_min_eigenvalues(levi_form_many(lattice_field(f, g, h), g.nodes, h))
+    first = int(np.flatnonzero(np.isnan(eigs))[0])
+    if cut > 0:
+        assert first > _EVAL_CHUNK // 32 + 1  # past the first Levi block
+    rep = min_levi_eigenvalue(f, g, h)
+    assert np.isnan(rep.min_eigenvalue)
+    assert rep.argmin_location == ComplexPoint.from_row(g.nodes[first])
+    assert np.isnan(laplacian_sup(f, g, h))
+
+
+@pytest.mark.parametrize("h", [1e-200, 1e-160])
+def test_a_step_whose_inverse_square_overflows_is_a_parameter_error(h):
+    # h*h underflows to 0 at 1e-200 and to a subnormal whose inverse is inf
+    # at 1e-160
+    f = field_from_function(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(0.0, 1.0))
+    with pytest.raises(ParameterError) as err:
+        levi_form_many(f, np.array([[0.1 + 0j]]), h)
+    assert err.value.condition == "1 / (h * h) finite"
 
 
 def test_a_step_that_does_not_divide_the_spacing_raises():
