@@ -119,16 +119,16 @@ def _collect_overrides(args) -> dict:
             if getattr(args, key) is not None}
 
 
-def _report_exit_code(report: dict) -> int:
+def _exit_code(report: dict):
+    """(exit code, error line) of a report: 0 when it passes, 2 with the
+    first configuration error, else 1 with the failing check names."""
     if report["pass"]:
-        return 0
+        return 0, ""
     for c in report["checks"]:
         if c.get("error_type") in _CONFIG_ERROR_TYPES:
-            _fail("config", c["error"])
-            return 2
+            return 2, c["error"]
     failing = [c["name"] for c in report["checks"] if not c["pass"]]
-    _fail("check", f"failing checks: {', '.join(failing)}")
-    return 1
+    return 1, f"failing checks: {', '.join(failing)}"
 
 
 def _cmd_list(args) -> int:
@@ -151,7 +151,9 @@ def _cmd_run(args) -> int:
     _write_json_atomic(report, args.out)
     if args.timings:
         _write_json_atomic(timings, args.timings)
-    code = _report_exit_code(report)
+    code, why = _exit_code(report)
+    if code:
+        _fail("config" if code == 2 else "check", why)
     n_pass = sum(1 for c in report["checks"] if c["pass"])
     print(f"{report['scenario']}: {n_pass}/{len(report['checks'])} checks pass "
           f"-> {args.out}")
@@ -220,10 +222,7 @@ def _cmd_sweep(args) -> int:
         scenario = build_scenario(args.scenario, {key: val})
         report = run_scenario(scenario)
         reports.append({"value": val, "report": report})
-        if not report["pass"]:
-            config_err = any(c.get("error_type") in _CONFIG_ERROR_TYPES
-                             for c in report["checks"])
-            worst = max(worst, 2 if config_err else 1)
+        worst = max(worst, _exit_code(report)[0])
     _write_json_atomic(reports, args.out)
     n_pass = sum(1 for r in reports if r["report"]["pass"])
     print(f"{args.scenario} sweep {key}: {n_pass}/{len(reports)} passing "

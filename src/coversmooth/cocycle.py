@@ -21,13 +21,10 @@ from .psh import levi_form_many
 
 @dataclass(frozen=True)
 class CocycleChart:
-    name: str
-    domain: Domain
-    potential: ScalarField
+    """A named chart; its domain is the potential's valid_on."""
 
-    def __post_init__(self):
-        if self.domain.n != self.potential.n:
-            raise ValueError("chart domain and potential dimensions differ")
+    name: str
+    potential: ScalarField
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,7 @@ class KahlerCocycle:
 
     def replace_potential(self, name: str, new: ScalarField) -> "KahlerCocycle":
         charts = tuple(
-            CocycleChart(c.name, c.domain, new) if c.name == name else c
+            CocycleChart(c.name, new) if c.name == name else c
             for c in self.charts)
         return KahlerCocycle(charts, self.overlaps)
 

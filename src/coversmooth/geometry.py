@@ -6,6 +6,9 @@ Conventions fixed here and used everywhere else:
   point is the m=1 row;
 * a domain exposes a boundary-distance-like function that is positive
   exactly on the interior (not necessarily the metric distance);
+* samplers and lattices read a domain's bounding box; opaque level sets
+  and preimages have none and go through an Intersection with a box, and
+  a complement is bounded by the domain it is taken within;
 * lattices are anchored at the domain's center (a slice lattice at its
   basepoint): node = origin + h*(integer offsets) in every real coordinate,
   so the center is a node whenever it lies inside the domain, and the grid
@@ -117,7 +120,9 @@ class Domain:
         raise NotImplementedError
 
     def bbox(self):
-        """((2n,) lows, (2n,) highs) real bounding box; may raise if unbounded."""
+        """((2n,) lows, (2n,) highs) real bounding box.  Raises
+        NotImplementedError for a domain without one (opaque level sets and
+        preimages); every type that declares unit_lipschitz has one."""
         raise NotImplementedError
 
     def shrink(self, margin: float) -> "Domain":
@@ -248,18 +253,16 @@ class LevelRegion(Domain):
 
     ``grad_scale`` converts level units into the common gauge scale so that
     nesting margins of level regions remain comparable with metric ones.
-    The bounding box and the anchor point must be supplied because the level
-    function is opaque.  Nothing bounds the level's gradient by grad_scale,
-    so the gauge is not declared 1-Lipschitz.
+    The level function is opaque, so the set has no bounding box and no
+    center: sample or grid it through an Intersection with a box.  Nothing
+    bounds the level's gradient by grad_scale, so the gauge is not declared
+    1-Lipschitz.
     """
 
     level: Callable[[np.ndarray], np.ndarray]
     threshold: float
     dim: int
-    anchor: tuple
-    bounds: tuple  # ((2n,) lows, (2n,) highs)
     grad_scale: float = 1.0
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "n", int(self.dim))
@@ -268,17 +271,11 @@ class LevelRegion(Domain):
         Z = as_points(Z, self.n)
         return (self.threshold - np.asarray(self.level(Z), dtype=float)) / self.grad_scale
 
-    @property
-    def center(self):
-        return np.array(self.anchor, dtype=complex)
-
-    def bbox(self):
-        lo, hi = self.bounds
-        return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-
 
 @dataclass(frozen=True)
 class Intersection(Domain):
+    """Common part of the members; its center is the first member's."""
+
     members: tuple
 
     def __post_init__(self):
@@ -306,18 +303,18 @@ class Intersection(Domain):
         return self.members[0].center
 
     def bbox(self):
-        # members without a box (opaque preimages) still constrain membership,
-        # they just don't narrow the sampling box
+        # members without a box (level sets, preimages) still constrain
+        # membership, they just don't narrow the sampling box
         los, his = [], []
         for d in self.members:
             try:
                 lo, hi = d.bbox()
-            except (NotImplementedError, ValueError):
+            except NotImplementedError:
                 continue
             los.append(lo)
             his.append(hi)
         if not los:
-            raise ValueError("no intersection member provides a bounding box")
+            raise NotImplementedError("no intersection member provides a bounding box")
         return np.max(np.stack(los), axis=0), np.min(np.stack(his), axis=0)
 
 
@@ -348,38 +345,32 @@ class UnionRegion(Domain):
 
 @dataclass(frozen=True)
 class Complement(Domain):
-    """Points outside the closure of ``inner``, optionally clipped to ``within``."""
+    """Points of ``within`` outside the closure of ``inner``; ``within``
+    bounds the complement and gives it its box and center."""
 
     inner: Domain
-    within: Optional[Domain] = None
+    within: Domain
 
     def __post_init__(self):
-        if self.within is not None and self.within.n != self.inner.n:
+        if self.within.n != self.inner.n:
             raise ValueError("dimension mismatch")
         object.__setattr__(self, "n", self.inner.n)
 
     @property
     def unit_lipschitz(self) -> bool:
-        return self.inner.unit_lipschitz and (self.within is None
-                                              or self.within.unit_lipschitz)
+        return self.inner.unit_lipschitz and self.within.unit_lipschitz
 
     def boundary_distance_many(self, Z):
         Z = as_points(Z, self.n)
-        d = -self.inner.boundary_distance_many(Z)
-        if self.within is not None:
-            d = np.minimum(d, self.within.boundary_distance_many(Z))
-        return d
+        return np.minimum(-self.inner.boundary_distance_many(Z),
+                          self.within.boundary_distance_many(Z))
 
     @property
     def center(self):
-        if self.within is not None:
-            return self.within.center
-        raise ValueError("unbounded complement has no canonical center")
+        return self.within.center
 
     def bbox(self):
-        if self.within is not None:
-            return self.within.bbox()
-        raise ValueError("unbounded complement has no bbox")
+        return self.within.bbox()
 
 
 @dataclass(frozen=True)
@@ -709,8 +700,14 @@ def stencil_offsets(n: int, h: float) -> np.ndarray:
 
     Layout: center; per coordinate j the four axis shifts (+x, -x, +y, -y);
     per pair j<k four cross stencils (xx, yy, xy, yx) of four corners each.
-    The Levi form reads all rows, the Laplacian the first 4n+1.
+    The Levi form reads all rows, the Laplacian the first 4n+1.  Both divide
+    by h*h, so h must be positive and 1/(h*h) finite (ParameterError).
     """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    h2 = h * h
+    if not (h2 > 0 and 1.0 / h2 < np.inf):
+        raise ParameterError("1 / (h * h) finite", f"stencil step h = {h!r}")
     offs = [np.zeros(n, dtype=complex)]
     for j in range(n):
         for d in (h, -h, 1j * h, -1j * h):

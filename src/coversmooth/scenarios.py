@@ -187,7 +187,7 @@ def _build_s1(config: dict) -> Scenario:
     u_r, w_r = opens.U.radius, opens.W.radius
 
     chart_up = CocycleChart(
-        "z", up, ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, up, name="abs_sq"))
+        "z", ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, up, name="abs_sq"))
     upstairs = KahlerCocycle((chart_up,), ())
     cover = GluedCover((ChartPair("w", "z", PowerCover(2, up, down)),))
     steps = (GlueStep("w", opens),)
@@ -211,22 +211,19 @@ def _build_s1(config: dict) -> Scenario:
 _DISC = VietaCover(2).discriminant_many  # |s^2 - 4p| on (s, p)
 
 
-def _sublevel(thr: float, rads: Tuple[float, float], grad_scale: float) -> LevelRegion:
-    lo = np.array([-rads[0], -rads[0], -rads[1], -rads[1]], dtype=float)
-    return LevelRegion(_DISC, thr, 2, (0.0, 0.0), (lo, -lo),
-                       grad_scale=grad_scale, label=f"disc<{thr:g}")
+def _sublevel(thr: float, grad_scale: float) -> LevelRegion:
+    return LevelRegion(_DISC, thr, 2, grad_scale=grad_scale)
 
 
-def _disc_tube(config: dict, levels: Tuple[float, float],
-               rads: Tuple[float, float], grad_scale: float, boxes,
-               chart: Domain) -> Tuple[NestedOpens, Complement]:
+def _disc_tube(config: dict, levels: Tuple[float, float], grad_scale: float,
+               boxes, chart: Domain) -> Tuple[NestedOpens, Complement]:
     """Tube triple around the discriminant, with its gate window.
 
     U and V are the sublevels at levels (given at the default n_radius
     1.15 and scaled with n_radius), W the sublevel at n_radius itself; each
-    member is clipped to the polydisk of matching index in boxes.  The gate
-    window is the chart minus a slightly fattened U.  N' must sit inside
-    the U level.
+    member is clipped to the polydisk of matching index in boxes, which
+    gives it its box and center.  The gate window is the chart minus a
+    slightly fattened U.  N' must sit inside the U level.
     """
     n, npr = config["n_radius"], config["nprime_radius"]
     scale = n / 1.15
@@ -236,27 +233,27 @@ def _disc_tube(config: dict, levels: Tuple[float, float],
             f"infeasible overrides: nprime_radius {npr:g} reaches the inner "
             f"triple level {u_lvl:g}")
     opens = NestedOpens(*(
-        Intersection((_sublevel(thr, rads, grad_scale),
-                      Polydisk((0.0, 0.0), box, gauge_gap=0.02)))
+        Intersection((Polydisk((0.0, 0.0), box, gauge_gap=0.02),
+                      _sublevel(thr, grad_scale)))
         for thr, box in zip((u_lvl, v_lvl, n), boxes)))
-    gate = Complement(_sublevel(u_lvl + 0.005, rads, grad_scale), within=chart)
+    gate = Complement(_sublevel(u_lvl + 0.005, grad_scale), within=chart)
     return opens, gate
 
 
-def _outside_tube(n: float, rads: Tuple[float, float], grad_scale: float,
-                  box: Tuple[float, float]) -> Complement:
+def _outside_tube(n: float, grad_scale: float, box: Tuple[float, float]) -> Complement:
     """Agreement region: the box minus the tube just outside N."""
-    return Complement(_sublevel(n + 0.01, rads, grad_scale),
+    return Complement(_sublevel(n + 0.01, grad_scale),
                       within=Polydisk((0.0, 0.0), box))
 
 
 def _annulus_window(center: complex, axis: int, r_in: float, r_out: float,
-                    other_extent: float) -> LevelRegion:
+                    other_extent: float) -> Intersection:
     """Annular window in one complex coordinate, for slice grids.
 
-    r_in below zero degenerates to a disk of radius r_out.  The gauge is
-    the boundary distance; the anchor is read only by full grids, and every
-    lattice on such a window is a slice anchored at its own basepoint.
+    The box is the polydisk of radius r_out about center on axis and of
+    radius other_extent about 0 on the other coordinate.  The level cuts
+    out the disk r < r_in and keeps its edge r = r_in on the window; r_in
+    below zero degenerates to a disk of radius r_out.
     """
     c = complex(center)
 
@@ -265,17 +262,10 @@ def _annulus_window(center: complex, axis: int, r_in: float, r_out: float,
         r = np.abs(Z[:, axis] - c)
         return np.where(r < r_in, 2.0 * r_out, r)
 
-    lo = [0.0, 0.0, 0.0, 0.0]
-    hi = [0.0, 0.0, 0.0, 0.0]
-    lo[2 * axis], hi[2 * axis] = c.real - r_out, c.real + r_out
-    lo[2 * axis + 1], hi[2 * axis + 1] = c.imag - r_out, c.imag + r_out
-    other = 1 - axis
-    lo[2 * other], hi[2 * other] = -other_extent, other_extent
-    lo[2 * other + 1], hi[2 * other + 1] = -other_extent, other_extent
-    anchor = [0j, 0j]
-    anchor[axis] = c + (r_in + r_out) / 2.0
-    return LevelRegion(level, r_out, 2, tuple(anchor),
-                       (np.array(lo), np.array(hi)))
+    centers, radii = [0j, 0j], [other_extent, other_extent]
+    centers[axis], radii[axis] = c, r_out
+    return Intersection((Polydisk(tuple(centers), tuple(radii)),
+                         LevelRegion(level, r_out, 2)))
 
 
 def _abs_sq(z: np.ndarray) -> np.ndarray:
@@ -291,11 +281,10 @@ def _build_s2(config: dict) -> Scenario:
     dom = Polydisk((0.0, 0.0), (1.9, 1.9))
     potential = symmetric_sum(_abs_sq, 4.2, 2, name="sum_sq")
     up = potential.valid_on
-    rads = (1.95, 1.95)
-    opens, gate = _disc_tube(config, (0.55, 1.05), rads, 4.0,
+    opens, gate = _disc_tube(config, (0.55, 1.05), 4.0,
                              ((1.60, 1.60), (1.82, 1.82), (1.92, 1.92)), dom)
 
-    upstairs = KahlerCocycle((CocycleChart("zz", up, potential),), ())
+    upstairs = KahlerCocycle((CocycleChart("zz", potential),), ())
     cover = GluedCover((ChartPair("sp", "zz", VietaCover(2, up, dom)),))
     steps = (GlueStep("sp", opens, gate_region=gate),)
 
@@ -303,7 +292,7 @@ def _build_s2(config: dict) -> Scenario:
     s_band, s_gap = 0.9, 1.65
     kink = Lattice(_annulus_window(0.0, 1, -1.0, 0.05, 2.0), 1, (0.0, 0.0))
     battery = (
-        Agreement("sp", _outside_tube(n, rads, 4.0, (1.85, 1.85)), opens.V),
+        Agreement("sp", _outside_tube(n, 4.0, (1.85, 1.85)), opens.V),
         LeviZone("kink_slice", "sp", kink, 3e-3 * hs),
         LeviZone("band_slice", "sp", Lattice(
             _annulus_window(s_band ** 2 / 4.0, 1, 0.14, 0.25, 2.0),
@@ -321,9 +310,9 @@ def _build_s2(config: dict) -> Scenario:
     return Scenario("S2", config, cover, upstairs, (), steps,
                     _smoothing_params(config, moll_order=6),
                     X1=Complement(Intersection(
-                        (_sublevel(npr, rads, 4.0),
-                         Polydisk((0.0, 0.0), (1.5, 1.5)))), within=dom),
-                    X2=Intersection((_sublevel(n, rads, 4.0), dom)),
+                        (Polydisk((0.0, 0.0), (1.5, 1.5)),
+                         _sublevel(npr, 4.0))), within=dom),
+                    X2=Intersection((dom, _sublevel(n, 4.0))),
                     battery=battery)
 
 
@@ -355,15 +344,15 @@ def _build_s3(config: dict) -> Scenario:
     up1, up3 = fs1.valid_on, fs3.valid_on
     dom1 = Polydisk((0.0, 0.0), (2.5, 3.5))
     dom3 = Polydisk((0.0, 0.0), (1.75, 1.05))
-    tri1, gate1 = _disc_tube(config, (0.45, 0.95), (2.5, 3.5), 7.0,
+    tri1, gate1 = _disc_tube(config, (0.45, 0.95), 7.0,
                              ((0.85, 0.55), (1.00, 0.70), (1.10, 0.80)), dom1)
-    tri3, gate3 = _disc_tube(config, (0.45, 0.95), (1.75, 1.05), 6.0,
+    tri3, gate3 = _disc_tube(config, (0.45, 0.95), 6.0,
                              ((0.50, 0.30), (0.62, 0.42), (0.72, 0.52)), dom3)
 
     ov_up_zz = Intersection((_axis_shell(0, 0.43, 3.7), _axis_shell(1, 0.43, 3.7)))
     ov_up_tt = Intersection((_axis_shell(0, 0.28, 2.3), _axis_shell(1, 0.28, 2.3)))
     upstairs = KahlerCocycle(
-        (CocycleChart("zz", up1, fs1), CocycleChart("tt", up3, fs3)),
+        (CocycleChart("zz", fs1), CocycleChart("tt", fs3)),
         (ChartOverlap("zz", "tt", ov_up_zz, _inv_both),
          ChartOverlap("tt", "zz", ov_up_tt, _inv_both)))
 
@@ -410,9 +399,9 @@ def _build_s3(config: dict) -> Scenario:
     band = Lattice(_annulus_window(0.0, 1, 0.14, 0.24, 0.01), 1, (0.0, 0.0))
     battery = (
         OverlapDevChange(downstairs_overlaps),
-        Agreement("D1", _outside_tube(n, (2.5, 3.5), 7.0, (2.3, 2.2)),
+        Agreement("D1", _outside_tube(n, 7.0, (2.3, 2.2)),
                   tri1.V, name="agreement_outside_N_sup_D1"),
-        Agreement("D3", _outside_tube(n, (1.75, 1.05), 6.0, (1.69, 0.99)),
+        Agreement("D3", _outside_tube(n, 6.0, (1.69, 0.99)),
                   tri3.V, name="agreement_outside_N_sup_D3"),
         LeviZone("kink_slice_D1", "D1", kink_d1, 3e-3 * hs),
         LeviZone("kink_slice_D3", "D3", kink_d3, 3e-3 * hs),
@@ -458,10 +447,8 @@ def _build_s4(config: dict) -> Scenario:
                 ChartOverlap("far", "near",
                              Annulus(0.0, 1.0 / 0.79, 1.0 / 0.47), inv))
     upstairs = KahlerCocycle(
-        (CocycleChart("near", dom_near,
-                      ScalarField(phi_near, dom_near, name="near")),
-         CocycleChart("far", dom_far,
-                      ScalarField(phi_far, dom_far, name="far"))),
+        (CocycleChart("near", ScalarField(phi_near, dom_near, name="near")),
+         CocycleChart("far", ScalarField(phi_far, dom_far, name="far"))),
         overlaps)
     cover = GluedCover((ChartPair("near", "near", IdentityCover(dom_near)),
                         ChartPair("far", "far", IdentityCover(dom_far))))
@@ -753,7 +740,7 @@ class FieldDump:
 
 
 def _environment(s: Scenario) -> dict:
-    n = s.upstairs.charts[0].domain.n
+    n = s.upstairs.charts[0].potential.n
     kern = mollifier_kernel(2 * n, s.params.moll_order)
     env = {
         "python": f"{sys.version_info[0]}.{sys.version_info[1]}",

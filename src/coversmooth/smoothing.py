@@ -79,10 +79,10 @@ class NestedOpens:
 
     U: Domain
     V: Domain
-    W: Optional[Domain] = None
+    W: Domain
 
     def __post_init__(self):
-        if self.U.n != self.V.n or (self.W is not None and self.W.n != self.V.n):
+        if not self.U.n == self.V.n == self.W.n:
             raise ValueError("triple members must share the dimension")
 
 
@@ -222,9 +222,8 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
     # nesting and stencil slack; every measured point needs the mollified
     # field defined a stencil width around it
     margins = [nesting_margin(opens.U, opens.V),
-               nesting_margin(opens.V, phi_eps.valid_on.shrink(3.0 * params.h))]
-    if opens.W is not None:
-        margins.append(nesting_margin(opens.V, opens.W))
+               nesting_margin(opens.V, phi_eps.valid_on.shrink(3.0 * params.h)),
+               nesting_margin(opens.V, opens.W)]
     measurements = {"margin": float(min(margins))}
     # the band stencils below need that slack, so this gate goes first
     _margin_gate(measurements["margin"])
@@ -272,7 +271,6 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
 
     psi = ScalarField(_psi_eval, phi.valid_on, name=f"smooth({phi.name or 'phi'})")
     chi = ScalarField(_chi_eval, phi.valid_on, name="correction")
-    chi.meta.update({"support": "closure(V)"})
     return LocalSmoothResult(psi, chi, measurements)
 
 
@@ -400,7 +398,7 @@ def smooth_pushforward(cover, upstairs: KahlerCocycle,
     for pair in glued_cover.pairs:
         up = upstairs.chart(pair.upstairs_name)
         phi = push(pair.cover, up.potential)
-        charts.append(CocycleChart(pair.downstairs_name, pair.cover.downstairs, phi))
+        charts.append(CocycleChart(pair.downstairs_name, phi))
     raw = KahlerCocycle(tuple(charts), tuple(downstairs_overlaps))
     glue = global_glue(raw, steps, params, X1=X1, X2=X2)
     return PushforwardRun(raw, glue)

@@ -193,7 +193,7 @@ def test_criterion_7_corrections_vanish_off_their_support_devs_are_kept_and_one_
     assert np.max(res.correction.eval_many(inside)) > 0.0
 
     glued = global_glue(
-        KahlerCocycle((CocycleChart("c", dom, phi),), ()),
+        KahlerCocycle((CocycleChart("c", phi),), ()),
         [GlueStep("c", opens)],
         params,
         X1=Complement(Disk(0.0, 0.30), within=dom),

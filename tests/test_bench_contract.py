@@ -10,6 +10,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from coversmooth import covers, geometry, psh, scenarios, smoothing
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
+VERIFY_CHECKS = LAYERTRACE.parent / "data" / "verify_checks.json"
 
 
 def _layertrace():
@@ -143,3 +145,23 @@ def test_pushforward_construction_still_probes_through_fiber_rows(sid, monkeypat
         monkeypatch.undo()
         assert [(d, c) for d, c, _ in drawn] == [(cover.downstairs, 128)]
         assert len(probed) == 1 and probed[0] is drawn[0][2]
+
+
+def _frozen_reports():
+    """(report key, frozen record) of each verify report, keyed as
+    "S3 h=0.006": a scenario id, then its overrides."""
+    return sorted(json.loads(VERIFY_CHECKS.read_text()).items())
+
+
+@pytest.mark.parametrize("key, frozen", _frozen_reports(),
+                         ids=[k for k, _ in _frozen_reports()])
+def test_the_frozen_levi_node_counts_match_the_built_lattices(key, frozen):
+    # bench/worker.py divides these frozen counts by the pass time to get
+    # points_per_s, so a lattice that drifts would misstate the metric
+    sid, *pairs = key.split()
+    overrides = {k: float(v) for k, v in (p.split("=") for p in pairs)}
+    s = scenarios.build_scenario(sid, overrides)
+    nodes = sum(len(spec.lattice.grid(hh)) for spec in s.battery
+                if isinstance(spec, scenarios.LeviZone)
+                for hh in (spec.h, spec.h / 2.0))
+    assert nodes == frozen["levi_nodes"]

@@ -33,8 +33,8 @@ def _round_sphere():
     fs = lambda Z: np.log1p(np.abs(Z[:, 0]) ** 2)
     dom = Disk(0.0, 3.0)
     ring = Annulus(0.0, 0.5, 2.0)
-    cz = CocycleChart("z", dom, field_from_function(fs, dom, name="fs"))
-    cw = CocycleChart("w", dom, field_from_function(fs, dom, name="fs"))
+    cz = CocycleChart("z", field_from_function(fs, dom, name="fs"))
+    cw = CocycleChart("w", field_from_function(fs, dom, name="fs"))
     return KahlerCocycle(
         (cz, cw),
         (ChartOverlap("z", "w", ring, _inv), ChartOverlap("w", "z", ring, _inv)),
@@ -52,10 +52,10 @@ def test_incompatible_overlap_is_rejected():
     fs = lambda Z: np.log1p(np.abs(Z[:, 0]) ** 2)
     dom = Disk(0.0, 3.0)
     ring = Annulus(0.0, 0.5, 2.0)
-    cz = CocycleChart("z", dom, field_from_function(fs, dom, name="fs"))
+    cz = CocycleChart("z", field_from_function(fs, dom, name="fs"))
     # doubled potential on the far chart: the difference picks up curvature
     cw = CocycleChart(
-        "w", dom, field_from_function(lambda Z: 2.0 * fs(Z), dom, name="fs2")
+        "w", field_from_function(lambda Z: 2.0 * fs(Z), dom, name="fs2")
     )
     bad = KahlerCocycle((cz, cw), (ChartOverlap("z", "w", ring, _inv),))
     with pytest.raises(CoverageError, match="pluriharmonic"):
@@ -91,8 +91,8 @@ def test_diagonal_curve_in_the_product_carries_eight_pi():
     """A (1,1) curve meets both rulings once, so its mass doubles."""
     fs2 = lambda Z: np.log1p(np.abs(Z[:, 0]) ** 2) + np.log1p(np.abs(Z[:, 1]) ** 2)
     big = Polydisk((0, 0), (3.0, 3.0))
-    ca = CocycleChart("a", big, field_from_function(fs2, big, name="fsp"))
-    cb = CocycleChart("b", big, field_from_function(fs2, big, name="fsp"))
+    ca = CocycleChart("a", field_from_function(fs2, big, name="fsp"))
+    cb = CocycleChart("b", field_from_function(fs2, big, name="fsp"))
     coc = KahlerCocycle((ca, cb), ())
 
     def diag(S, T):
@@ -134,7 +134,7 @@ def test_an_overlap_that_maps_out_of_its_target_chart_raises():
     fs = coc.chart("w").potential
     cut = KahlerCocycle(
         (coc.chart("z"),
-         CocycleChart("w", small, field_from_function(fs.evaluator, small))),
+         CocycleChart("w", field_from_function(fs.evaluator, small))),
         coc.overlaps[:1])
     with pytest.raises(DomainError):
         validate_cocycle(cut)

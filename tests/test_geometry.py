@@ -19,6 +19,7 @@ from coversmooth.geometry import (
     Annulus,
     Complement,
     Disk,
+    Domain,
     Grid,
     Intersection,
     LevelRegion,
@@ -233,6 +234,8 @@ def test_a_declared_gauge_keeps_every_move_shorter_than_the_distance_inside(name
     assert dom.unit_lipschitz
     rng = np.random.default_rng(seed)
     lo, hi = dom.bbox()
+    # the mollifier's shrink proof reads the box of every declared domain
+    assert np.isfinite(lo).all() and np.isfinite(hi).all()
     X = lo + rng.random((4000, lo.size)) * (hi - lo)
     Z = X[:, 0::2] + 1j * X[:, 1::2]
     d = dom.boundary_distance_many(Z)
@@ -246,11 +249,37 @@ def test_a_declared_gauge_keeps_every_move_shorter_than_the_distance_inside(name
     assert dom.contains_many(Z + (u[:, 0::2] + 1j * u[:, 1::2])).all()
 
 
+def test_every_declaring_domain_type_is_in_the_declared_table():
+    # so the finite-box assertion above reaches every declaring type
+    declaring = {cls for cls in Domain.__subclasses__()
+                 if cls.__module__ == Domain.__module__
+                 and cls.__dict__.get("unit_lipschitz", False) is not False}
+    assert declaring <= {type(d) for d in _DECLARED.values()}
+
+
 def _s2_tube(threshold: float) -> LevelRegion:
     """The S2 sublevel {|s^2 - 4p| < threshold} with grad_scale 4."""
-    lo = np.full(4, -1.95)
-    return LevelRegion(VietaCover(2).discriminant_many, threshold, 2,
-                       (0j, 0j), (lo, -lo), grad_scale=4.0)
+    return LevelRegion(VietaCover(2).discriminant_many, threshold, 2, grad_scale=4.0)
+
+
+@pytest.mark.parametrize("dom", [
+    _s2_tube(1.05),
+    MappedRegion(Disk(0.0, 1.0), lambda Z: 3.0 * Z, 1),
+    Intersection((_s2_tube(1.05), _s2_tube(0.5))),
+], ids=["level", "mapped", "intersection_of_levels"])
+def test_an_opaque_domain_has_no_box(dom):
+    with pytest.raises(NotImplementedError):
+        dom.bbox()
+
+
+def test_a_boxed_tube_has_the_box_of_its_polydisk():
+    box = Polydisk((0.1, -0.2j), (1.6, 1.82), gauge_gap=0.02)
+    want = box.bbox()
+    for dom in (Intersection((box, _s2_tube(1.05))),
+                Intersection((_s2_tube(1.05), box))):
+        got = dom.bbox()
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert np.array_equal(Intersection((box, _s2_tube(1.05))).center, box.center)
 
 
 def test_the_s2_level_gauge_is_a_counterexample_and_is_not_declared():
@@ -274,7 +303,6 @@ def test_only_metric_gauges_are_declared_1_lipschitz():
                 Complement(Disk(0.0, 0.2), within=mapped),
                 UnionRegion((Disk(0.0, 1.0), Disk(1.0, 1.0)))):
         assert not dom.unit_lipschitz
-    assert Complement(Disk(0.0, 0.2)).unit_lipschitz
 
 
 def test_a_mapped_region_reads_finite_rows_in_target_coordinates():

@@ -207,9 +207,10 @@ def test_levi_and_laplacian_read_one_stencil_table_as_given(n):
     assert np.max(np.abs(trace - discrete_laplacian_many(f, Z, h))) < 1e-9
 
 
-def _square(half: float) -> LevelRegion:
-    return LevelRegion(lambda Z: np.maximum(np.abs(Z[:, 0].real), np.abs(Z[:, 0].imag)),
-                       half, 1, (0j,), ((-half, -half), (half, half)))
+def _square(half: float) -> Intersection:
+    """The square max(|Re z|, |Im z|) < half, boxed by a disk holding it."""
+    return Intersection((Disk(0.0, 2.0 * half), LevelRegion(
+        lambda Z: np.maximum(np.abs(Z[:, 0].real), np.abs(Z[:, 0].imag)), half, 1)))
 
 
 @pytest.mark.parametrize("check", [
@@ -292,13 +293,26 @@ def test_a_nan_on_the_lattice_is_what_both_checks_report(cut):
     assert np.isnan(laplacian_sup(f, g, h))
 
 
-@pytest.mark.parametrize("h", [1e-200, 1e-160])
-def test_a_step_whose_inverse_square_overflows_is_a_parameter_error(h):
+_ONE_NODE = np.array([[0.1 + 0j]])
+_STENCIL_OPS = {
+    "levi_form_many": lambda f, h: levi_form_many(f, _ONE_NODE, h),
+    "discrete_laplacian_many": lambda f, h: discrete_laplacian_many(f, _ONE_NODE, h),
+    "laplacian_sup": lambda f, h: laplacian_sup(f, Grid(_ONE_NODE, h, f.valid_on), h),
+    # a disk five steps wide, so that the lattice site cap does not refuse it
+    "mass_integral": lambda f, h: mass_integral(f, Disk(0.0, 5.0 * h), h),
+}
+
+
+# levi_form_many, the first operator checked, keeps the bare step ids
+@pytest.mark.parametrize("op, h", [
+    pytest.param(op, h, id=h_id if op == "levi_form_many" else f"{op}-{h_id}")
+    for op in _STENCIL_OPS for h, h_id in ((1e-200, "1e-200"), (1e-160, "1e-160"))])
+def test_a_step_whose_inverse_square_overflows_is_a_parameter_error(op, h):
     # h*h underflows to 0 at 1e-200 and to a subnormal whose inverse is inf
-    # at 1e-160
+    # at 1e-160; both stencil operators check the step in stencil_offsets
     f = field_from_function(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(0.0, 1.0))
     with pytest.raises(ParameterError) as err:
-        levi_form_many(f, np.array([[0.1 + 0j]]), h)
+        _STENCIL_OPS[op](f, h)
     assert err.value.condition == "1 / (h * h) finite"
 
 
@@ -451,10 +465,11 @@ class _CheckSpy(ScalarField):
         return super().eval_many(Z, check=check)
 
 
-def _unit_level_disk(grad_scale: float) -> LevelRegion:
-    """{|z|^2 < 1} with the gauge (1 - |z|^2) / grad_scale."""
-    return LevelRegion(lambda Z: np.abs(Z[:, 0]) ** 2, 1.0, 1, (0j,),
-                       ((-1.0, -1.0), (1.0, 1.0)), grad_scale=grad_scale)
+def _unit_level_disk(grad_scale: float) -> Intersection:
+    """{|z|^2 < 1} with the gauge (1 - |z|^2) / grad_scale, boxed by the
+    disk of radius 2, which does not bind at the points tested below."""
+    return Intersection((Disk(0.0, 2.0), LevelRegion(
+        lambda Z: np.abs(Z[:, 0]) ** 2, 1.0, 1, grad_scale=grad_scale)))
 
 
 @pytest.mark.parametrize("dom, eps, proved", [

@@ -88,9 +88,8 @@ def test_shrinking_n_drags_nprime_along():
     s = build_scenario("S2", {"n_radius": 0.5})
     assert s.config["nprime_radius"] == pytest.approx(0.5 * 0.5 / 1.15)
     # the glued region threshold follows the override
-    level = s.X2.members[0]
+    level = s.X2.members[1]
     assert level.threshold == pytest.approx(0.5)
-    assert level.label == "disc<0.5"
 
 
 @pytest.mark.parametrize("sid, overrides, message", [
@@ -270,7 +269,7 @@ def test_spec_tuples_name_the_checks_in_report_order(sid):
 def test_c2_spec_on_a_flat_field_gives_check_records():
     dom = Disk(0.0, 1.0)
     flat = field_from_function(lambda Z: np.full(Z.shape[0], 2.0), dom, name="flat")
-    cocycle = KahlerCocycle((CocycleChart("w", dom, flat),))
+    cocycle = KahlerCocycle((CocycleChart("w", flat),))
     run = PushforwardRun(cocycle, GlueResult(cocycle, []))
     spec = C2Zone("w", Lattice(Disk(0.0, 0.3)), 0.05)
     checks = [check for _, check in spec.run(None, run, None)]

@@ -113,11 +113,6 @@ def test_local_smooth_is_verbatim_outside_V():
     assert np.array_equal(res.correction.eval_many(pts), np.zeros(len(pts)))
 
 
-def test_correction_support_is_declared():
-    res = local_smooth(_toy_field(), TOY_OPENS, TOY_PARAMS)
-    assert res.correction.meta["support"] == "closure(V)"
-
-
 def test_local_smooth_lifts_strictly_over_the_kink():
     phi = _toy_field()
     res = local_smooth(phi, TOY_OPENS, TOY_PARAMS)
@@ -152,7 +147,7 @@ def test_eta_above_half_delta_fails_before_any_gluing():
 def test_single_step_glue_coincides_with_local_smooth_bitwise():
     phi = _toy_field()
     direct = local_smooth(phi, TOY_OPENS, TOY_PARAMS)
-    cocycle = KahlerCocycle((CocycleChart("c", TOY_DOMAIN, phi),), ())
+    cocycle = KahlerCocycle((CocycleChart("c", phi),), ())
     glued = global_glue(
         cocycle,
         [GlueStep("c", TOY_OPENS)],
