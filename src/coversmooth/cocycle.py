@@ -10,13 +10,15 @@ patch with tensor Gauss-Legendre quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
 from .errors import CoverageError
 from .geometry import Domain, ScalarField, as_points, gauss_legendre, halton_sample
 from .psh import levi_form_many
+
+TANGENT_STEP = 1e-5  # parameter step of the centered-difference curve tangents
 
 
 @dataclass(frozen=True)
@@ -104,28 +106,23 @@ class CurvePatch:
     """One parametrized piece of a curve, inside a single chart.
 
     map_many takes flattened parameter rows (k, 2) of (s, t) to chart
-    coordinates (k, n).  Tangents ds/dt are analytic when supplied,
-    otherwise centered finite differences in parameter space.
+    coordinates (k, n).  The tangents dz/ds and dz/dt are centered finite
+    differences of step TANGENT_STEP in parameter space.
     """
 
     chart_name: str
     map: Callable[[np.ndarray, np.ndarray], np.ndarray]
     s_range: Tuple[float, float]
     t_range: Tuple[float, float]
-    ds: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    dt: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def points(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
         Z = self.map(S, T)
         return as_points(Z, None)
 
-    def tangents(self, S: np.ndarray, T: np.ndarray,
-                 fd_h: float = 1e-5) -> Tuple[np.ndarray, np.ndarray]:
-        if self.ds is not None and self.dt is not None:
-            return (as_points(self.ds(S, T), None),
-                    as_points(self.dt(S, T), None))
-        a = (self.points(S + fd_h, T) - self.points(S - fd_h, T)) / (2 * fd_h)
-        b = (self.points(S, T + fd_h) - self.points(S, T - fd_h)) / (2 * fd_h)
+    def tangents(self, S: np.ndarray, T: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        h = TANGENT_STEP
+        a = (self.points(S + h, T) - self.points(S - h, T)) / (2 * h)
+        b = (self.points(S, T + h) - self.points(S, T - h)) / (2 * h)
         return a, b
 
 

@@ -24,7 +24,6 @@ import numpy as np
 from .errors import DomainError, RootSolveError, UnsupportedDimensionError
 from .geometry import (
     ComplexPoint,
-    Disk,
     Domain,
     Polydisk,
     ScalarField,
@@ -314,10 +313,8 @@ def symmetric_sum(phi: Callable[[np.ndarray], np.ndarray], radius: float,
 
 
 def _ball_radius(dom: Domain):
-    """Largest r with {|z_j| < r for every j} inside dom, for a disk or
-    a polydisk about 0 (its smallest radius); None for any other domain."""
-    if isinstance(dom, Disk) and dom.center_value == 0:
-        return dom.radius
+    """Largest r with {|z_j| < r for every j} inside dom, for a polydisk
+    about 0 (its smallest radius); None for any other domain."""
     if isinstance(dom, Polydisk) and not any(dom.center_values):
         return min(dom.radii)
     return None
@@ -342,9 +339,9 @@ def fibers_inside(cover: Cover, dom: Domain) -> bool:
     radius = _ball_radius(dom)
     if radius is None:
         return False
-    if isinstance(cover, PowerCover) and isinstance(down, Disk) \
-            and down.center_value == 0:
-        bound = down.radius ** (1.0 / cover.d)
+    if isinstance(cover, PowerCover) and isinstance(down, Polydisk) \
+            and down.n == 1 and not any(down.center_values):
+        bound = down.radii[0] ** (1.0 / cover.d)
     elif isinstance(cover, VietaCover) and cover.n == 2 \
             and isinstance(down, Polydisk) and not any(down.center_values):
         a, b = down.radii

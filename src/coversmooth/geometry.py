@@ -6,6 +6,9 @@ Conventions fixed here and used everywhere else:
   point is the m=1 row;
 * a domain exposes a boundary-distance-like function that is positive
   exactly on the interior (not necessarily the metric distance);
+* the domain types are Polydisk, LevelRegion, Intersection, UnionRegion,
+  Complement, MappedRegion and ShrunkDomain; Disk (a one-axis Polydisk)
+  and Annulus (a Complement of two concentric disks) are constructors;
 * samplers and lattices read a domain's bounding box; opaque level sets
   and preimages have none and go through an Intersection with a box, and
   a complement is bounded by the domain it is taken within;
@@ -142,67 +145,9 @@ def _softmin(columns: Sequence[np.ndarray], gap: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Disk(Domain):
-    center_value: complex = 0j
-    radius: float = 1.0
-    unit_lipschitz = True
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("disk radius must be positive")
-        object.__setattr__(self, "n", 1)
-
-    def boundary_distance_many(self, Z):
-        Z = as_points(Z, 1)
-        return self.radius - np.abs(Z[:, 0] - self.center_value)
-
-    def gauge_many(self, Z):
-        # smooth defining function with the sign of the boundary distance
-        # and bounded above by it: (R^2 - |z-c|^2)/(2R), kink-free at the
-        # center where R - |z-c| is not differentiable
-        Z = as_points(Z, 1)
-        r2 = np.abs(Z[:, 0] - self.center_value) ** 2
-        return (self.radius ** 2 - r2) / (2.0 * self.radius)
-
-    @property
-    def center(self):
-        return np.array([self.center_value], dtype=complex)
-
-    def bbox(self):
-        c, r = self.center_value, self.radius
-        return (np.array([c.real - r, c.imag - r]),
-                np.array([c.real + r, c.imag + r]))
-
-
-@dataclass(frozen=True)
-class Annulus(Domain):
-    center_value: complex = 0j
-    r_inner: float = 0.5
-    r_outer: float = 1.0
-    unit_lipschitz = True
-
-    def __post_init__(self):
-        if not (0 < self.r_inner < self.r_outer):
-            raise ValueError("annulus needs 0 < r_inner < r_outer")
-        object.__setattr__(self, "n", 1)
-
-    def boundary_distance_many(self, Z):
-        Z = as_points(Z, 1)
-        r = np.abs(Z[:, 0] - self.center_value)
-        return np.minimum(r - self.r_inner, self.r_outer - r)
-
-    @property
-    def center(self):
-        return np.array([self.center_value], dtype=complex)
-
-    def bbox(self):
-        c, r = self.center_value, self.r_outer
-        return (np.array([c.real - r, c.imag - r]),
-                np.array([c.real + r, c.imag + r]))
-
-
-@dataclass(frozen=True)
 class Polydisk(Domain):
+    """Product of the disks |z_j - c_j| < R_j; a disk is the one-axis case."""
+
     center_values: tuple = (0j,)
     radii: tuple = (1.0,)
     gauge_gap: float = 0.0  # softmin gap for the smooth gauge; 0 keeps hard min
@@ -229,7 +174,8 @@ class Polydisk(Domain):
 
     def gauge_many(self, Z):
         # smooth per-axis defining functions, combined by softmin; each is
-        # (R^2 - |z_j - c_j|^2)/(2R) <= R - |z_j - c_j| with matching sign
+        # (R^2 - |z_j - c_j|^2)/(2R) <= R - |z_j - c_j| with matching sign,
+        # kink-free at the center where R - |z_j - c_j| is not differentiable
         Z = as_points(Z, self.n)
         smooth = [(self.radii[j] ** 2 - np.abs(Z[:, j] - self.center_values[j]) ** 2)
                   / (2.0 * self.radii[j]) for j in range(self.n)]
@@ -371,6 +317,19 @@ class Complement(Domain):
 
     def bbox(self):
         return self.within.bbox()
+
+
+def Disk(c, r) -> Polydisk:
+    """The disk |z - c| < r: the polydisk with the one axis (c, r)."""
+    return Polydisk((c,), (r,))
+
+
+def Annulus(c, r_inner, r_outer) -> Complement:
+    """The annulus r_inner < |z - c| < r_outer: the outer disk less the
+    closed inner one."""
+    if not (0 < r_inner < r_outer):
+        raise ValueError("annulus needs 0 < r_inner < r_outer")
+    return Complement(Disk(c, r_inner), within=Disk(c, r_outer))
 
 
 @dataclass(frozen=True)

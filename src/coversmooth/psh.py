@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -153,16 +152,6 @@ def laplacian_sup(f: ScalarField, g: Grid, h: float) -> float:
     return float(np.max(sups))
 
 
-def c2_refinement_ratio(f: ScalarField, grid_h: Grid, grid_h2: Grid) -> float:
-    """sup|Lap_{h/2}| / sup|Lap_h| over the two grids, h = grid_h.h.
-
-    Stays near 1 for C2 fields; a conical kink doubles the sup under each
-    halving, so values >= 1.9 flag non-smoothness at grid resolution.
-    """
-    h = grid_h.h
-    return c2_ratio(laplacian_sup(f, grid_h, h), laplacian_sup(f, grid_h2, 0.5 * h))
-
-
 def c2_ratio(sup_h: float, sup_h2: float) -> float:
     """sup_h2 / sup_h, guarded: 1.0 when both sups vanish (a flat field is
     C2), inf when only the coarse one does."""
@@ -291,24 +280,26 @@ class RegMaxKernel:
     order: int
 
 
+REGMAX_ORDER = 16    # Gauss-Legendre nodes of the regularized-max kernel
+
+
 @lru_cache(maxsize=None)
-def regmax_kernel(order: int = 16) -> RegMaxKernel:
+def regmax_kernel(order: int) -> RegMaxKernel:
     x, w = gauss_legendre(order)
     raw = w * bump_profile(x)
     return RegMaxKernel(x, raw / raw.sum(), order)
 
 
-def reg_max_many(T1: np.ndarray, T2: np.ndarray, eta: float,
-                 kernel: Optional[RegMaxKernel] = None) -> np.ndarray:
+def reg_max_many(T1: np.ndarray, T2: np.ndarray, eta: float) -> np.ndarray:
     """Vectorized regularized maximum with the exact-max shortcut.
 
     Whenever |t1 - t2| >= 2*eta the kernel support forces the plain max and
     that is what is returned, bit for bit.  The quadrature branch is the
-    double sum over the discrete kernel.
+    double sum over the discrete kernel of order REGMAX_ORDER.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    k = kernel or regmax_kernel()
+    k = regmax_kernel(REGMAX_ORDER)
     T1 = np.asarray(T1, dtype=float)
     T2 = np.asarray(T2, dtype=float)
     out = np.maximum(T1, T2)
@@ -321,13 +312,11 @@ def reg_max_many(T1: np.ndarray, T2: np.ndarray, eta: float,
     return out
 
 
-def reg_max_scalar(t1: float, t2: float, eta: float,
-                   kernel: Optional[RegMaxKernel] = None) -> float:
-    return float(reg_max_many(np.array([t1]), np.array([t2]), eta, kernel)[0])
+def reg_max_scalar(t1: float, t2: float, eta: float) -> float:
+    return float(reg_max_many(np.array([t1]), np.array([t2]), eta)[0])
 
 
-def reg_max_fields(u: ScalarField, v: ScalarField, eta: float,
-                   kernel: Optional[RegMaxKernel] = None) -> ScalarField:
+def reg_max_fields(u: ScalarField, v: ScalarField, eta: float) -> ScalarField:
     """Pointwise regularized maximum of two fields on the common domain.
 
     Where one input dominates by >= 2*eta the value is that input's, bit for
@@ -337,10 +326,9 @@ def reg_max_fields(u: ScalarField, v: ScalarField, eta: float,
     if u.n != v.n:
         raise ValueError("field dimensions differ")
     dom = Intersection((u.valid_on, v.valid_on))
-    k = kernel or regmax_kernel()
 
     def _eval(Z: np.ndarray) -> np.ndarray:
-        return reg_max_many(u.eval_many(Z), v.eval_many(Z), eta, k)
+        return reg_max_many(u.eval_many(Z), v.eval_many(Z), eta)
 
     return ScalarField(_eval, dom, name=f"regmax({u.name or 'u'},{v.name or 'v'})",
-                       meta={"eta": float(eta), "order": k.order})
+                       meta={"eta": float(eta), "order": REGMAX_ORDER})

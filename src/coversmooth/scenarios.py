@@ -61,6 +61,7 @@ from .cocycle import (
 )
 from .psh import (
     BUMP_INTEGRAL,
+    REGMAX_ORDER,
     c2_ratio,
     laplacian_sup,
     min_levi_eigenvalue,
@@ -68,7 +69,6 @@ from .psh import (
 )
 from .smoothing import (
     HALTON_START,
-    REGMAX_ORDER,
     GlueStep,
     NestedOpens,
     SmoothingParams,
@@ -157,7 +157,7 @@ def _smoothing_params(config: dict, **kw) -> SmoothingParams:
 # builders
 
 def _disk_triple(config: dict, ref_n: float, fracs: Tuple[float, float, float],
-                 chart: Disk) -> NestedOpens:
+                 chart: Polydisk) -> NestedOpens:
     """Disk triple U cc V cc W about the chart's center.
 
     fracs are the radii of U, V and W at n_radius = ref_n; all three scale
@@ -171,11 +171,11 @@ def _disk_triple(config: dict, ref_n: float, fracs: Tuple[float, float, float],
         raise ScenarioError(
             f"infeasible overrides: nprime_radius {npr:g} leaves no room for "
             f"the nested triple inside n_radius {n:g}")
-    if w_r + config["eps"] + 0.05 > chart.radius:
+    if w_r + config["eps"] + 0.05 > chart.radii[0]:
         raise ScenarioError(
             f"infeasible overrides: n_radius {n:g} pushes the outer triple "
             "past the chart boundary")
-    c = chart.center_value
+    c = chart.center_values[0]
     return NestedOpens(Disk(c, u_r), Disk(c, v_r), Disk(c, w_r))
 
 
@@ -184,7 +184,8 @@ def _build_s1(config: dict) -> Scenario:
     down = Disk(0.0, 1.5)
     up = Disk(0.0, 1.5)
     opens = _disk_triple(config, 0.6, (0.42, 0.56, 0.59), down)
-    u_r, w_r = opens.U.radius, opens.W.radius
+    u_r, w_r = opens.U.radii[0], opens.W.radii[0]
+    mass_r = max(1.0, w_r + 0.05)  # dd^c(2|w|) has mass 4 pi r on |w| < r
 
     chart_up = CocycleChart(
         "z", ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, up, name="abs_sq"))
@@ -199,7 +200,7 @@ def _build_s1(config: dict) -> Scenario:
         LeviZone("kink", "w", kink, h),
         LeviZone("band", "w", Lattice(Annulus(0.0, u_r - 0.07, w_r + 0.11)), h),
         C2Zone("w", Lattice(Disk(0.0, npr)), h),
-        DiskMass("w", Disk(0.0, max(1.0, w_r + 0.05)), 4.0 * np.pi),
+        DiskMass("w", Disk(0.0, mass_r), 4.0 * np.pi * mass_r),
         FieldDump("w", kink, h, "S1_w_smoothed.csv"),
     )
     return Scenario("S1", config, cover, upstairs, (), steps,
@@ -663,7 +664,7 @@ class DiskMass:
     coordinate of the slice {first coordinate = slice_s}."""
 
     chart: str
-    disk: Disk
+    disk: Polydisk
     oracle: float
     slice_s: Optional[float] = None
     names = ("mass_raw_rel_err", "mass_smoothed_drift")
@@ -671,7 +672,7 @@ class DiskMass:
     def run(self, s, res, dump_dir):
         raw, psi = _fields(res, self.chart)
         if self.slice_s is not None:
-            valid = Disk(self.disk.center_value, self.disk.radius + 0.10)
+            valid = Disk(self.disk.center_values[0], self.disk.radii[0] + 0.10)
             raw = _slice_field_at(raw, self.slice_s, valid)
             psi = _slice_field_at(psi, self.slice_s, valid)
         m_raw = mass_integral(raw, self.disk, 4e-3)

@@ -48,11 +48,9 @@ from .psh import (
     hermitian_min_eigenvalues,
     levi_form_many,
     mollify,
-    regmax_kernel,
     reg_max_many,
 )
 
-REGMAX_ORDER = 16    # Gauss-Legendre nodes of the regularized-max kernel
 BAND_SAMPLES = 400   # Halton points of the band V minus U (tau_bound, m, K_sigma)
 U_SAMPLES = 256      # Halton points of U (s_max)
 HALTON_START = 1     # first index of the gate and check Halton streams
@@ -217,7 +215,6 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
 
     phi_eps = mollify(phi, params.eps, quad_order=params.moll_order)
     sigma = make_shift_profile(opens.U, opens.V)
-    kern = regmax_kernel(REGMAX_ORDER)
 
     # nesting and stencil slack; every measured point needs the mollified
     # field defined a stencil width around it
@@ -246,7 +243,7 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
     def _smoothed(base: np.ndarray, Zi: np.ndarray) -> np.ndarray:
         # in V: phi's values base at Zi, maxed with the bent mollified copy
         branch = phi_eps.eval_many(Zi) + two_delta * sigma(Zi)
-        return reg_max_many(base, branch, params.eta, kern)
+        return reg_max_many(base, branch, params.eta)
 
     # psi and chi live on phi.valid_on, so the rows their evaluators see
     # are inside it (the caller contract of ScalarField.eval_many); phi's

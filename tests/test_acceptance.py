@@ -22,7 +22,7 @@ from coversmooth.geometry import (
     halton_sample,
     sample_grid,
 )
-from coversmooth.psh import min_levi_eigenvalue, reg_max_fields, reg_max_many, regmax_kernel
+from coversmooth.psh import min_levi_eigenvalue, reg_max_fields, reg_max_many
 from coversmooth.smoothing import GlueStep, NestedOpens, SmoothingParams, global_glue, local_smooth
 
 
@@ -129,27 +129,26 @@ def test_criterion_5_pushforward_matches_closed_forms_to_1e_minus_9_and_unit_pus
 
 def test_criterion_6_regularized_max_axioms_hold_on_1e5_samples_each_and_psh_survives_on_grids():
     rng = np.random.default_rng(20260819)
-    kern = regmax_kernel(16)
     N = 100000
     T1 = rng.uniform(-40.0, 40.0, N)
     T2 = rng.uniform(-40.0, 40.0, N)
     etas = 10.0 ** rng.uniform(-4.0, 0.3, 10)
     for eta, idx in zip(etas, np.array_split(np.arange(N), len(etas))):
         a, b = T1[idx], T2[idx]
-        M = reg_max_many(a, b, eta, kern)
+        M = reg_max_many(a, b, eta)
         top = np.maximum(a, b)
         assert np.all(M >= top - 1e-12) and np.all(M <= top + eta + 1e-12)
-        assert np.max(np.abs(reg_max_many(b, a, eta, kern) - M)) <= 1e-10
+        assert np.max(np.abs(reg_max_many(b, a, eta) - M)) <= 1e-10
         shift = rng.uniform(-5.0, 5.0, idx.size)
-        assert np.max(np.abs(reg_max_many(a + shift, b + shift, eta, kern) - (M + shift))) <= 1e-9
+        assert np.max(np.abs(reg_max_many(a + shift, b + shift, eta) - (M + shift))) <= 1e-9
         assert np.all(reg_max_many(a + rng.uniform(0, 3, idx.size),
-                                   b + rng.uniform(0, 3, idx.size), eta, kern) >= M - 1e-12)
+                                   b + rng.uniform(0, 3, idx.size), eta) >= M - 1e-12)
         gap = 2.0 * eta * (1.0 + rng.uniform(0.0, 1.0, idx.size))
         far = a + np.where(rng.uniform(size=idx.size) < 0.5, 1.0, -1.0) * gap
-        assert np.array_equal(reg_max_many(a, far, eta, kern), np.maximum(a, far))
+        assert np.array_equal(reg_max_many(a, far, eta), np.maximum(a, far))
         a2, b2 = rng.uniform(-40, 40, idx.size), rng.uniform(-40, 40, idx.size)
-        mid = reg_max_many(0.5 * (a + a2), 0.5 * (b + b2), eta, kern)
-        avg = 0.5 * (M + reg_max_many(a2, b2, eta, kern))
+        mid = reg_max_many(0.5 * (a + a2), 0.5 * (b + b2), eta)
+        avg = 0.5 * (M + reg_max_many(a2, b2, eta))
         assert np.all(mid <= avg + 1e-9)
 
     dom = Disk(0.0, 0.8)

@@ -1,6 +1,9 @@
 """Scenario construction, the check specs, the agreement check, and report
 shape."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from coversmooth.errors import ScenarioError
 from coversmooth.geometry import (
     Annulus,
     Disk,
+    Polydisk,
     ScalarField,
     field_from_function,
     halton_sample,
@@ -17,6 +21,7 @@ from coversmooth.geometry import (
 from coversmooth.scenarios import (
     SCENARIO_IDS,
     C2Zone,
+    DiskMass,
     FieldDump,
     Lattice,
     build_scenario,
@@ -55,8 +60,8 @@ def test_build_s1_at_defaults():
     assert s.scenario_id == "S1"
     assert s.cover.degree == 2
     assert s.config["nprime_radius"] == 0.4
-    assert isinstance(s.X2, Disk)
-    assert s.X2.radius == 0.6
+    assert isinstance(s.X2, Polydisk)
+    assert s.X2.radii == (0.6,)
     assert len(s.steps) == 1
     assert s.steps[0].chart_name == "w"
 
@@ -209,6 +214,40 @@ def test_every_shipped_scenario_passes_at_defaults(scenario_runs):
     for sid, (report, _) in scenario_runs.items():
         failing = [c["name"] for c in report["checks"] if not c["pass"]]
         assert report["pass"] is True, (sid, failing)
+
+
+# The check values of the S1-S4 reports at defaults.  A change that moves one
+# re-freezes this file from `python -m coversmooth run --scenario S<k>` and
+# names the move.
+DEFAULT_CHECK_VALUES = Path(__file__).parent / "default_check_values.json"
+
+
+def test_default_check_values_match_the_frozen_file(scenario_runs):
+    frozen = json.loads(DEFAULT_CHECK_VALUES.read_text())
+    assert sorted(frozen) == sorted(scenario_runs)
+    for sid, want in frozen.items():
+        got = {c["name"]: c["value"] for c in scenario_runs[sid][0]["checks"]}
+        assert list(got) == list(want), sid
+        for name, v in want.items():
+            if v == 0.0:
+                assert got[name] == 0.0, (sid, name, got[name])
+            else:
+                # room for a one-ulp libm difference in noise-level values
+                assert abs(got[name] - v) <= 1e-9 * max(abs(v), 1.0), \
+                    (sid, name, got[name], v)
+
+
+def test_s1_disk_mass_oracle_follows_the_disk_radius():
+    # n_radius 1.2 widens the mass disk to |w| < 1.23, where dd^c(2|w|) has
+    # mass 4 pi * 1.23 rather than the unit disk's 4 pi
+    s = build_scenario("S1", {"n_radius": 1.2})
+    spec = next(spec for spec in s.battery if isinstance(spec, DiskMass))
+    run = smooth_pushforward(s.cover, s.upstairs, s.downstairs_overlaps,
+                             s.steps, s.params)
+    checks = {c["name"]: c for _, c in spec.run(s, run, None)}
+    assert checks["mass_raw_rel_err"]["value"] < 1e-3
+    assert checks["mass_raw_rel_err"]["pass"]
+    assert checks["mass_smoothed_drift"]["pass"]
 
 
 # Report check order per scenario.  The benchmark gate compares reports to a

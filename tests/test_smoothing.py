@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coversmooth import smoothing
+from coversmooth import psh, smoothing
 from coversmooth.cocycle import CocycleChart, KahlerCocycle
 from coversmooth.errors import ParameterError
 from coversmooth.geometry import (
@@ -40,7 +40,7 @@ def _toy_field():
 def test_smoothing_params_defaults():
     p = SmoothingParams(eps=0.1, delta=1e-3, eta=5e-4, h=1e-2)
     assert p.moll_order == 8
-    assert smoothing.REGMAX_ORDER == 16
+    assert psh.REGMAX_ORDER == 16
     assert smoothing.BAND_SAMPLES == 400
     assert smoothing.U_SAMPLES == 256
     assert smoothing.HALTON_START == 1
