@@ -15,7 +15,15 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from .errors import CoverageError
-from .geometry import Domain, ScalarField, as_points, gauss_legendre, halton_sample
+from .geometry import (
+    Domain,
+    Intersection,
+    MappedRegion,
+    ScalarField,
+    as_points,
+    gauss_legendre,
+    halton_sample,
+)
 from .psh import levi_form_many
 
 TANGENT_STEP = 1e-5  # parameter step of the centered-difference curve tangents
@@ -45,6 +53,43 @@ class ChartOverlap:
     def map_many(self, Z: np.ndarray) -> np.ndarray:
         W = self.transform(as_points(Z, self.region.n))
         return as_points(W, None)
+
+    def map_inside(self, Z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(mask of the rows of Z inside region, map_many of those rows).
+
+        A region member that is a MappedRegion under this overlap's own
+        transform is tested on the mapped rows, so no row is transformed
+        twice: the other members are tested on Z, the rows inside them are
+        mapped once, and the mapped members' targets are tested on the
+        finite images.  The mask equals region.contains_many(Z) bit for bit.
+        """
+        Z = as_points(Z, self.region.n)
+        members = (self.region.members if isinstance(self.region, Intersection)
+                   else (self.region,))
+        own = [isinstance(d, MappedRegion) and d.transform is self.transform
+               for d in members]
+        inside = np.ones(Z.shape[0], dtype=bool)
+        for d, mapped in zip(members, own):
+            if not mapped:
+                inside &= d.contains_many(Z)
+        if not inside.any():
+            return inside, np.empty((0, Z.shape[1]), dtype=complex)
+        W = self.map_many(Z if inside.all() else Z[inside])
+        if any(own):
+            finite = np.isfinite(W).all(axis=1)
+            whole = finite.all()
+            Wf = W if whole else W[finite]
+            keep = np.ones(Wf.shape[0], dtype=bool)
+            for d, mapped in zip(members, own):
+                if mapped:
+                    keep &= d.target.contains_many(Wf)
+            if not whole:
+                finite[finite] = keep
+                keep = finite
+            if not keep.all():
+                inside[inside] = keep
+                W = W[keep]
+        return inside, W
 
 
 @dataclass

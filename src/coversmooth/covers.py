@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +50,10 @@ CLUSTER_TOL = 1e-7
 # relative slack a fiber bound keeps below the upstairs radius, for the
 # rounding of the computed roots and of the membership test
 CONTAINMENT_SLACK = 1e-9
+
+# largest difference, relative to max(|v|, 1), that pushforward accepts
+# between a closed-form fiber sum and the root-solved one
+CLOSED_FORM_RTOL = 1e-12
 
 
 class Cover:
@@ -281,18 +285,29 @@ class SymmetricSum(ScalarField):
     added in coordinate order (IEEE addition commutes), three or more in
     ascending order (it does not associate).  The domain must be a
     polydisk with one center and one radius on every axis, so membership
-    is permutation invariant too.  pushforward reads the type, and
-    nothing else, to evaluate one fiber point where it may.
+    is permutation invariant too: the field is a function on Sym^n.
+
+    sp_form, for n = 2 only, is the fiber sum of this field over the
+    Vieta cover as a function of (s, p) = (e1, e2): it takes the two
+    complex columns s and p and returns sum over both orderings of the
+    roots r1, r2 of t^2 - s t + p, that is 2 (phi(r1) + phi(r2)).
+    pushforward evaluates it in place of the roots where fiber
+    containment is proved, after checking it against the root-solved sum.
     """
 
     def __init__(self, phi: Callable[[np.ndarray], np.ndarray],
-                 domain: Domain, name: str = ""):
+                 domain: Domain, name: str = "",
+                 sp_form: Optional[Callable[[np.ndarray, np.ndarray],
+                                            np.ndarray]] = None):
         if not (isinstance(domain, Polydisk)
                 and len(set(domain.center_values)) == 1
                 and len(set(domain.radii)) == 1):
             raise ValueError("a symmetric sum needs an S_n-invariant domain: "
                              "a polydisk with equal centers and radii")
+        if sp_form is not None and domain.n != 2:
+            raise ValueError("an (s, p) form is a fiber sum over n = 2")
         self.phi = phi
+        self.sp_form = sp_form
         super().__init__(self._sum, domain, name=name)
 
     def _sum(self, Z: np.ndarray) -> np.ndarray:
@@ -306,10 +321,14 @@ class SymmetricSum(ScalarField):
 
 
 def symmetric_sum(phi: Callable[[np.ndarray], np.ndarray], radius: float,
-                  n: int, name: str = "") -> SymmetricSum:
-    """sum_j phi(z_j) on the polydisk of the given radius about 0 in C^n."""
+                  n: int, name: str = "",
+                  sp_form: Optional[Callable[[np.ndarray, np.ndarray],
+                                             np.ndarray]] = None
+                  ) -> SymmetricSum:
+    """sum_j phi(z_j) on the polydisk of the given radius about 0 in C^n,
+    with the n = 2 Vieta fiber sum sp_form(s, p) when one is known."""
     return SymmetricSum(phi, Polydisk((0j,) * n, (float(radius),) * n),
-                        name=name)
+                        name=name, sp_form=sp_form)
 
 
 def _ball_radius(dom: Domain):
@@ -365,26 +384,21 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
     way, construction probes that the fibers over 128 Halton points stay
     inside f's domain.
 
-    A SymmetricSum over the n = 2 Vieta cover is evaluated on one ordering
-    of each fiber and multiplied by the degree.  Its domain is S_n
-    invariant, so the ordering that is evaluated is inside exactly when the
-    other is, and f(r1, r2) + f(r2, r1) = 2 f(r1, r2) bit for bit.  Every
-    other pair sums the whole fiber: six terms do not add up to 6 f
-    exactly, and power-cover roots are not exact rotations of each other.
+    A SymmetricSum with an sp_form over the n = 2 Vieta cover, where
+    containment is proved, is evaluated from that closed form in
+    (s, p) = (e1, e2), with no roots.  For the shipped potentials the
+    parallelogram law gives |r1|^2 + |r2|^2 = (|s|^2 + |s^2 - 4p|)/2, so
+    the kink of the pushforward along the diagonal is |s^2 - 4p|, the
+    modulus of the discriminant.  Construction compares the closed form
+    with the root-solved fiber sum over the 128 probe points and raises
+    ValueError where they differ by more than CLOSED_FORM_RTOL relative
+    (to max(|v|, 1)).  Every other case (n = 3, an unproved chart, any
+    other field) sums f over the whole root-solved fiber.
     """
     if f.n != cover.n:
         raise ValueError("field and cover dimensions differ")
     deg = cover.degree
     check = not fibers_inside(cover, f.valid_on)
-
-    if isinstance(f, SymmetricSum) and isinstance(cover, VietaCover) and cover.n == 2:
-        def _eval(B: np.ndarray) -> np.ndarray:
-            return deg * f.eval_many(_roots_batched(as_points(B, 2)), check=check)
-    else:
-        def _eval(B: np.ndarray) -> np.ndarray:
-            rows = cover.fiber_rows(B)
-            vals = f.eval_many(rows.reshape(-1, cover.n), check=check)
-            return vals.reshape(B.shape[0], deg).sum(axis=1)
 
     P = halton_sample(cover.downstairs, 128)
     rows = cover.fiber_rows(P).reshape(-1, cover.n)
@@ -394,6 +408,24 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
         raise DomainError(
             f"fiber point {tuple(bad)} escapes the upstairs chart; "
             "the cover does not satisfy fiber containment")
+
+    sp_form = f.sp_form if isinstance(f, SymmetricSum) else None
+    if sp_form is not None and isinstance(cover, VietaCover) and not check:
+        # the probe rows were tested against f's domain just above
+        want = f.eval_many(rows, check=False).reshape(P.shape[0], deg).sum(axis=1)
+        err = np.abs(sp_form(P[:, 0], P[:, 1]) - want) / np.maximum(np.abs(want), 1.0)
+        if not np.all(err <= CLOSED_FORM_RTOL):
+            raise ValueError(
+                f"the (s, p) form of {f.name or 'f'} differs from its fiber "
+                f"sum by {np.max(err):.3e} relative (tolerance {CLOSED_FORM_RTOL:g})")
+
+        def _eval(B: np.ndarray) -> np.ndarray:
+            return sp_form(B[:, 0], B[:, 1])
+    else:
+        def _eval(B: np.ndarray) -> np.ndarray:
+            rows = cover.fiber_rows(B)
+            vals = f.eval_many(rows.reshape(-1, cover.n), check=check)
+            return vals.reshape(B.shape[0], deg).sum(axis=1)
 
     return ScalarField(_eval, cover.downstairs,
                        name=f"pushforward[{cover.kind}]({f.name or 'f'})")

@@ -284,10 +284,11 @@ REGMAX_ORDER = 16    # Gauss-Legendre nodes of the regularized-max kernel
 
 
 @lru_cache(maxsize=None)
-def regmax_kernel(order: int) -> RegMaxKernel:
-    x, w = gauss_legendre(order)
+def regmax_kernel() -> RegMaxKernel:
+    """The kernel of order REGMAX_ORDER, built once."""
+    x, w = gauss_legendre(REGMAX_ORDER)
     raw = w * bump_profile(x)
-    return RegMaxKernel(x, raw / raw.sum(), order)
+    return RegMaxKernel(x, raw / raw.sum(), REGMAX_ORDER)
 
 
 def reg_max_many(T1: np.ndarray, T2: np.ndarray, eta: float) -> np.ndarray:
@@ -299,7 +300,7 @@ def reg_max_many(T1: np.ndarray, T2: np.ndarray, eta: float) -> np.ndarray:
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    k = regmax_kernel(REGMAX_ORDER)
+    k = regmax_kernel()
     T1 = np.asarray(T1, dtype=float)
     T2 = np.asarray(T2, dtype=float)
     out = np.maximum(T1, T2)
@@ -310,10 +311,6 @@ def reg_max_many(T1: np.ndarray, T2: np.ndarray, eta: float) -> np.ndarray:
         W = k.weights[:, None] * k.weights[None, :]
         out[near] = np.einsum("mij,ij->m", np.maximum(a, b), W)
     return out
-
-
-def reg_max_scalar(t1: float, t2: float, eta: float) -> float:
-    return float(reg_max_many(np.array([t1]), np.array([t2]), eta)[0])
 
 
 def reg_max_fields(u: ScalarField, v: ScalarField, eta: float) -> ScalarField:

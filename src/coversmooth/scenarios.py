@@ -277,10 +277,24 @@ def _log1p_abs_sq(z: np.ndarray) -> np.ndarray:
     return np.log1p(np.abs(z) ** 2)
 
 
+# The n = 2 Vieta fiber sums of the two potentials above, in (s, p) =
+# (e1, e2).  For the roots r1, r2 of t^2 - s t + p the parallelogram law
+# gives 2 (|r1|^2 + |r2|^2) = |s|^2 + |s^2 - 4p|, and
+# (1 + |r1|^2)(1 + |r2|^2) = 1 + |r1|^2 + |r2|^2 + |p|^2.
+
+def _abs_sq_sp(s: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return np.abs(s) ** 2 + np.abs(s * s - 4.0 * p)
+
+
+def _log1p_abs_sq_sp(s: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return 2.0 * np.log1p(0.5 * _abs_sq_sp(s, p) + np.abs(p) ** 2)
+
+
 def _build_s2(config: dict) -> Scenario:
     n, npr = config["n_radius"], config["nprime_radius"]
     dom = Polydisk((0.0, 0.0), (1.9, 1.9))
-    potential = symmetric_sum(_abs_sq, 4.2, 2, name="sum_sq")
+    potential = symmetric_sum(_abs_sq, 4.2, 2, name="sum_sq",
+                              sp_form=_abs_sq_sp)
     up = potential.valid_on
     opens, gate = _disc_tube(config, (0.55, 1.05), 4.0,
                              ((1.60, 1.60), (1.82, 1.82), (1.92, 1.92)), dom)
@@ -340,8 +354,8 @@ def _axis_shell(axis: int, r_in: float, r_out: float,
 
 def _build_s3(config: dict) -> Scenario:
     n = config["n_radius"]
-    fs1 = symmetric_sum(_log1p_abs_sq, 3.8, 2)
-    fs3 = symmetric_sum(_log1p_abs_sq, 2.4, 2)
+    fs1 = symmetric_sum(_log1p_abs_sq, 3.8, 2, sp_form=_log1p_abs_sq_sp)
+    fs3 = symmetric_sum(_log1p_abs_sq, 2.4, 2, sp_form=_log1p_abs_sq_sp)
     up1, up3 = fs1.valid_on, fs3.valid_on
     dom1 = Polydisk((0.0, 0.0), (2.5, 3.5))
     dom3 = Polydisk((0.0, 0.0), (1.75, 1.05))

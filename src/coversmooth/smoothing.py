@@ -321,10 +321,9 @@ def _lift_through_overlaps(cocycle: KahlerCocycle, chart_name: str,
         def _lift(Z: np.ndarray, _old=old, _ov=ov, _chi=chi) -> np.ndarray:
             Z = as_points(Z, _old.n)
             vals = _old.eval_many(Z, check=False)
-            inside = _ov.region.contains_many(Z)
-            if inside.any():
-                vals[inside] = vals[inside] + _chi.eval_many(
-                    _ov.map_many(Z[inside]), check=False)
+            inside, W = _ov.map_inside(Z)
+            if W.shape[0]:
+                vals[inside] = vals[inside] + _chi.eval_many(W, check=False)
             return vals
 
         out = out.replace_potential(

@@ -19,6 +19,11 @@ from coversmooth.covers import (
     symmetric_sum,
 )
 from coversmooth.errors import DomainError
+from coversmooth.scenarios import (
+    _abs_sq,
+    _abs_sq_sp,
+    _log1p_abs_sq_sp,
+)
 from coversmooth.geometry import (
     Disk,
     Intersection,
@@ -260,6 +265,52 @@ def _in_disks(rng, radii, m):
     """m rows uniform in the polydisk of the given radii about 0."""
     rad = np.sqrt(rng.random((m, len(radii)))) * np.asarray(radii)
     return rad * np.exp(2j * np.pi * rng.random((m, len(radii))))
+
+
+_SHIPPED_FORMS = [(_abs_sq, _abs_sq_sp), (_log1p_abs_sq, _log1p_abs_sq_sp)]
+
+
+@pytest.mark.parametrize("phi, sp_form", _SHIPPED_FORMS, ids=["sum_sq", "log1p"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(a=st.floats(1e-3, 1e3, allow_nan=False), b=st.floats(1e-3, 1e3, allow_nan=False),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_closed_form_fiber_sums_match_the_root_path_on_random_polydisks(
+        phi, sp_form, a, b, seed):
+    rng = np.random.default_rng(seed)
+    bound = 0.5 * a + np.sqrt(0.25 * a * a + b)
+    f = symmetric_sum(phi, 2.0 * bound, 2, sp_form=sp_form)
+    cover = VietaCover(2, f.valid_on, Polydisk((0, 0), (a, b)))
+    assert fibers_inside(cover, f.valid_on)
+    # near the discriminant s^2 = 4p: r2 = r1 (1 + t) with t = 0 or tiny,
+    # and |r1| small enough that |s| < a and |p| < b
+    r1 = _in_disks(rng, (0.45 * min(0.5 * a, np.sqrt(b)),), 400)[:, 0]
+    t = np.where(rng.random(400) < 0.5, 0.0, 1e-9 * np.exp(2j * np.pi * rng.random(400)))
+    r2 = r1 * (1.0 + t)
+    near = np.stack([r1 + r2, r1 * r2], axis=1)
+    corners = (1.0 - 1e-12) * np.array([[a, -b], [-a, -b], [1j * a, b]])
+    B = np.vstack([_in_disks(rng, (a, b), 2000), near, corners])
+    got = pushforward(cover, f).eval_many(B)
+    want = pushforward(cover, _plain(f)).eval_many(B)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0))
+
+
+def test_a_wrong_closed_form_fails_pushforward_construction():
+    # the log form without its |p|^2 term
+    def bad(s, p):
+        return 2.0 * np.log1p(0.5 * _abs_sq_sp(s, p))
+
+    f = symmetric_sum(_log1p_abs_sq, 3.8, 2, sp_form=bad)
+    cover = VietaCover(2, f.valid_on, Polydisk((0, 0), (2.5, 3.5)))
+    with pytest.raises(ValueError, match="differs from its fiber sum"):
+        pushforward(cover, f)
+    ok = symmetric_sum(_log1p_abs_sq, 3.8, 2, sp_form=_log1p_abs_sq_sp)
+    pushforward(cover, ok)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_an_sp_form_is_refused_outside_n_2(n):
+    with pytest.raises(ValueError, match="n = 2"):
+        symmetric_sum(_abs_sq, 1.0, n, sp_form=_abs_sq_sp)
 
 
 _radius = st.floats(1e-3, 1e3, allow_nan=False)

@@ -45,7 +45,6 @@ from coversmooth.psh import (
     translates_stay_inside,
     reg_max_fields,
     reg_max_many,
-    reg_max_scalar,
     regmax_kernel,
 )
 
@@ -371,16 +370,21 @@ def test_c2_ratio_guards_a_vanishing_coarse_sup():
     assert c2_ratio(laplacian_sup(flat, gh, 0.01), laplacian_sup(flat, gh2, 0.005)) == 1.0
 
 
+def _reg_max_one(t1, t2, eta):
+    """reg_max_many on one-element arrays, as a float."""
+    return float(reg_max_many(np.array([t1]), np.array([t2]), eta)[0])
+
+
 def test_regmax_kernel_fields_and_frozen_c0():
-    kern = regmax_kernel(16)
+    kern = regmax_kernel()
     assert kern.order == 16
     assert kern.nodes.shape == (16,)
     assert kern.weights.shape == (16,)
     # M_eta(t, t) = t + c0 eta; frozen regression for the order-16 rule
-    c0 = reg_max_scalar(0.0, 0.0, 1.0)
+    c0 = _reg_max_one(0.0, 0.0, 1.0)
     assert c0 == pytest.approx(REGMAX_C0_ORDER16, abs=1e-12)
     for t, eta in ((1.3, 0.25), (-4.0, 1e-3)):
-        assert reg_max_scalar(t, t, eta) == pytest.approx(t + c0 * eta, rel=1e-12)
+        assert _reg_max_one(t, t, eta) == pytest.approx(t + c0 * eta, rel=1e-12)
 
 
 finite = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
@@ -390,30 +394,30 @@ etas = st.floats(1e-4, 2.0, allow_nan=False, allow_infinity=False)
 @given(finite, finite, etas)
 @settings(max_examples=200, deadline=None)
 def test_regmax_sits_between_max_and_max_plus_eta(a, b, eta):
-    m = reg_max_scalar(a, b, eta)
+    m = _reg_max_one(a, b, eta)
     assert max(a, b) - 1e-12 <= m <= max(a, b) + eta + 1e-12
 
 
 @given(finite, finite, etas)
 @settings(max_examples=200, deadline=None)
 def test_regmax_is_symmetric(a, b, eta):
-    assert reg_max_scalar(a, b, eta) == pytest.approx(
-        reg_max_scalar(b, a, eta), abs=1e-12
+    assert _reg_max_one(a, b, eta) == pytest.approx(
+        _reg_max_one(b, a, eta), abs=1e-12
     )
 
 
 @given(finite, finite, finite, etas)
 @settings(max_examples=200, deadline=None)
 def test_regmax_translation_equivariance(a, b, c, eta):
-    assert reg_max_scalar(a + c, b + c, eta) == pytest.approx(
-        reg_max_scalar(a, b, eta) + c, abs=1e-9
+    assert _reg_max_one(a + c, b + c, eta) == pytest.approx(
+        _reg_max_one(a, b, eta) + c, abs=1e-9
     )
 
 
 @given(finite, finite, st.floats(0, 10, allow_nan=False), st.floats(0, 10, allow_nan=False), etas)
 @settings(max_examples=200, deadline=None)
 def test_regmax_monotone_in_both_arguments(a, b, da, db, eta):
-    assert reg_max_scalar(a + da, b + db, eta) >= reg_max_scalar(a, b, eta) - 1e-12
+    assert _reg_max_one(a + da, b + db, eta) >= _reg_max_one(a, b, eta) - 1e-12
 
 
 @given(finite, st.floats(1e-3, 5, allow_nan=False), etas, st.booleans())
@@ -422,14 +426,14 @@ def test_regmax_exact_max_outside_the_switching_tube(a, gap, eta, sign):
     # a strict separation |t1 - t2| > 2 eta collapses to the plain maximum,
     # bit for bit (the gap keeps rounding from re-entering the tube)
     b = a + (1.0 if sign else -1.0) * (2.0 * eta + gap)
-    assert reg_max_scalar(a, b, eta) == max(a, b)
+    assert _reg_max_one(a, b, eta) == max(a, b)
 
 
 @given(finite, finite, finite, finite, etas)
 @settings(max_examples=200, deadline=None)
 def test_regmax_midpoint_convexity(a1, b1, a2, b2, eta):
-    mid = reg_max_scalar(0.5 * (a1 + a2), 0.5 * (b1 + b2), eta)
-    avg = 0.5 * (reg_max_scalar(a1, b1, eta) + reg_max_scalar(a2, b2, eta))
+    mid = _reg_max_one(0.5 * (a1 + a2), 0.5 * (b1 + b2), eta)
+    avg = 0.5 * (_reg_max_one(a1, b1, eta) + _reg_max_one(a2, b2, eta))
     assert mid <= avg + 1e-9
 
 
@@ -439,7 +443,7 @@ def test_reg_max_many_matches_scalar():
     T2 = rng.uniform(-5, 5, 64)
     M = reg_max_many(T1, T2, 0.3)
     for i in (0, 13, 40, 63):
-        assert M[i] == pytest.approx(reg_max_scalar(T1[i], T2[i], 0.3), abs=1e-14)
+        assert M[i] == pytest.approx(_reg_max_one(T1[i], T2[i], 0.3), abs=1e-14)
 
 
 def test_reg_max_fields_preserves_psh_across_the_switch():

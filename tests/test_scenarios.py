@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from coversmooth.cocycle import CocycleChart, KahlerCocycle
+from coversmooth import covers
 from coversmooth.covers import SymmetricSum, pushforward
 from coversmooth.errors import ScenarioError
 from coversmooth.geometry import (
@@ -127,22 +128,58 @@ def _upstairs_pairs():
 
 
 def test_s2_and_s3_upstairs_potentials_are_symmetric_sums():
-    # the one-ordering pushforward is taken for this type only; a builder
-    # that falls back to a plain field keeps every report and loses it
+    # the closed-form pushforward is taken for this type only; a builder
+    # that falls back to a plain field moves last bits and loses it
     got = {(sid, pair.upstairs_name): type(f).__name__
            for sid, pair, f in _upstairs_pairs()}
     assert got == {("S2", "zz"): "SymmetricSum", ("S3", "zz"): "SymmetricSum",
                    ("S3", "tt"): "SymmetricSum"}
 
 
-def test_symmetric_pushforward_equals_the_plain_fiber_sum_bitwise():
+def test_symmetric_pushforward_matches_the_plain_fiber_sum_to_1e_minus_14():
+    # the closed form in (s, p) moves the last bits of the root-solved sum
     for sid, pair, f in _upstairs_pairs():
-        assert isinstance(f, SymmetricSum)
+        assert isinstance(f, SymmetricSum) and f.sp_form is not None
         plain = ScalarField(f.evaluator, f.valid_on, name=f.name)
         B = halton_sample(pair.cover.downstairs, 2000, start=1)
         got = pushforward(pair.cover, f).eval_many(B)
-        assert np.array_equal(got, pushforward(pair.cover, plain).eval_many(B)), \
+        want = pushforward(pair.cover, plain).eval_many(B)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0)), \
             (sid, pair.downstairs_name)
+
+
+def test_s2_and_s3_raw_pushforwards_solve_no_roots(monkeypatch):
+    # the closed forms replace the root solve wherever containment is
+    # proved; an n = 3 cover and an unproved n = 2 chart still solve
+    solved = []
+    inner = covers._roots_batched
+
+    def spy(E):
+        solved.append(E.shape[0])
+        return inner(E)
+
+    for sid, pair, f in _upstairs_pairs():
+        pf = pushforward(pair.cover, f)
+        B = halton_sample(pair.cover.downstairs, 500, start=1)
+        monkeypatch.setattr(covers, "_roots_batched", spy)
+        pf.eval_many(B)
+        monkeypatch.undo()
+        assert solved == [], (sid, pair.downstairs_name)
+
+    sq = lambda z: np.abs(z) ** 2
+    f3 = covers.symmetric_sum(sq, 2.5, 3)
+    f2 = covers.symmetric_sum(sq, 3.1, 2, sp_form=lambda s, p: (
+        np.abs(s) ** 2 + np.abs(s * s - 4.0 * p)))
+    for cover, f in ((covers.VietaCover(3, f3.valid_on, Polydisk((0, 0, 0), (1.0,) * 3)), f3),
+                     (covers.VietaCover(2, f2.valid_on, Polydisk((0, 0), (2.5, 2.0))), f2)):
+        assert not covers.fibers_inside(cover, f.valid_on)
+        pf = pushforward(cover, f)
+        B = halton_sample(cover.downstairs, 64, start=1)
+        monkeypatch.setattr(covers, "_roots_batched", spy)
+        pf.eval_many(B)
+        monkeypatch.undo()
+        assert solved == [64], cover.kind
+        solved.clear()
 
 
 def test_verify_agreement_passes_on_identical_fields():
