@@ -17,7 +17,6 @@ from .geometry import (
     Polydisk,
     ScalarField,
     dump_field_csv,
-    field_from_function,
     halton_sample,
     mass_integral,
     sample_grid,
@@ -63,7 +62,7 @@ __all__ = [
     "CoverSmoothError", "CoverageError", "DomainError", "ParameterError",
     "ScenarioError",
     "Annulus", "Complement", "Disk", "Grid", "Intersection", "LevelRegion",
-    "Polydisk", "ScalarField", "dump_field_csv", "field_from_function",
+    "Polydisk", "ScalarField", "dump_field_csv",
     "halton_sample", "mass_integral", "sample_grid", "sample_slice_grid",
     "laplacian_sup", "min_levi_eigenvalue", "mollifier_kernel", "mollify",
     "reg_max_fields", "regmax_kernel",

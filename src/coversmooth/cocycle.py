@@ -21,7 +21,6 @@ from .geometry import (
     MappedRegion,
     ScalarField,
     as_points,
-    gauss_legendre,
     halton_sample,
 )
 from .psh import levi_form_many
@@ -178,7 +177,7 @@ def curve_mass_patch(potential: ScalarField, patch: CurvePatch) -> float:
     b = dz/dt is -4 Im( sum_jk L_jk a_j conj(b_k) ), integrated ds dt by
     32 x 32 tensor Gauss-Legendre quadrature, with Levi step h = 1e-3.
     """
-    x, wx = gauss_legendre(32)
+    x, wx = np.polynomial.legendre.leggauss(32)
     s0, s1 = patch.s_range
     t0, t1 = patch.t_range
     S = 0.5 * (s1 - s0) * x + 0.5 * (s1 + s0)

@@ -1,11 +1,11 @@
-"""Branched covering models: fibers, multiplicities, pushforward, discriminants.
+"""Branched covering models and the fiber-sum pushforward.
 
-Two local models cover everything shipped here:
-
-* the power map w = z^d on a disk;
-* the Vieta map C^n -> C^n sending an ordered tuple of roots to the
-  elementary symmetric values, implemented on ordered tuples so its degree
-  is n! and the fiber over a generic point lists all orderings.
+A cover is its downstairs chart plus fiber_rows, the raw ordered fiber
+points over each base row; the upstairs chart is the domain of the field
+pushed down.  The local models are the power map w = z^d on a disk, the
+identity cover of a chart, and the Vieta map C^n -> C^n sending an ordered
+tuple of roots to its elementary symmetric values: on ordered tuples its
+degree is n! and the fiber over a generic point lists all orderings.
 
 A glued cover is a finite family of (downstairs chart, upstairs chart,
 local model) assignments; projective scenarios are built from Vieta models
@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DomainError, RootSolveError, UnsupportedDimensionError
 from .geometry import (
-    ComplexPoint,
     Domain,
     Polydisk,
     ScalarField,
@@ -31,21 +30,6 @@ from .geometry import (
     halton_sample,
 )
 
-
-@dataclass(frozen=True)
-class Fiber:
-    """Fiber points with multiplicities; multiplicities sum to the degree."""
-
-    base: ComplexPoint
-    points: Tuple[Tuple[ComplexPoint, int], ...]
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.points)
-
-
-# root clustering radius for multiplicity detection; relative to root size
-CLUSTER_TOL = 1e-7
 
 # relative slack a fiber bound keeps below the upstairs radius, for the
 # rounding of the computed roots and of the membership test
@@ -61,7 +45,6 @@ class Cover:
 
     degree: int
     n: int
-    upstairs: Domain
     downstairs: Domain
     kind: str = ""
 
@@ -74,44 +57,12 @@ class Cover:
         """
         raise NotImplementedError
 
-    def map_many(self, Z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def discriminant_many(self, B: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    # scalar conveniences -------------------------------------------------
-    def fiber(self, b) -> Fiber:
-        B = as_points(b, self.n)
-        if not self.downstairs.contains_many(B)[0]:
-            raise DomainError("base point outside the downstairs chart")
-        rows = self.fiber_rows(B)[0]  # (degree, n)
-        # group equal tuples up to the cluster radius; each group is
-        # represented by its first member
-        used = np.zeros(rows.shape[0], dtype=bool)
-        tol = CLUSTER_TOL * (1.0 + float(np.max(np.abs(rows))))
-        pts = []
-        for i in range(rows.shape[0]):
-            if used[i]:
-                continue
-            same = np.all(np.abs(rows - rows[i]) <= tol, axis=1)
-            used |= same
-            pts.append((ComplexPoint.from_row(rows[i]), int(same.sum())))
-        f = Fiber(ComplexPoint.from_row(B[0]), tuple(pts))
-        if f.total_multiplicity != self.degree:
-            raise RootSolveError("fiber multiplicities do not sum to the degree")
-        return f
-
-    def discriminant_value(self, b) -> float:
-        return float(self.discriminant_many(as_points(b, self.n))[0])
-
 
 @dataclass(frozen=True)
 class PowerCover(Cover):
-    """w = z^d from a disk upstairs onto a disk downstairs."""
+    """w = z^d onto a disk downstairs."""
 
     d: int
-    upstairs: Domain = None
     downstairs: Domain = None
 
     def __post_init__(self):
@@ -129,32 +80,6 @@ class PowerCover(Cover):
         ks = 2.0 * np.pi * np.arange(self.d) / self.d
         roots = r[:, None] * np.exp(1j * (theta[:, None] + ks[None, :]))
         return roots[:, :, None]
-
-    def map_many(self, Z: np.ndarray) -> np.ndarray:
-        Z = as_points(Z, 1)
-        return Z ** self.d
-
-    def discriminant_many(self, B: np.ndarray) -> np.ndarray:
-        B = as_points(B, 1)
-        return np.abs(B[:, 0])
-
-
-def _elementary_symmetric(Z: np.ndarray) -> np.ndarray:
-    m, n = Z.shape
-    out = np.empty((m, n), dtype=complex)
-    if n == 1:
-        out[:, 0] = Z[:, 0]
-    elif n == 2:
-        out[:, 0] = Z[:, 0] + Z[:, 1]
-        out[:, 1] = Z[:, 0] * Z[:, 1]
-    elif n == 3:
-        z1, z2, z3 = Z[:, 0], Z[:, 1], Z[:, 2]
-        out[:, 0] = z1 + z2 + z3
-        out[:, 1] = z1 * z2 + z1 * z3 + z2 * z3
-        out[:, 2] = z1 * z2 * z3
-    else:
-        raise UnsupportedDimensionError("elementary symmetric: n <= 3")
-    return out
 
 
 def _poly_coeffs(E: np.ndarray) -> np.ndarray:
@@ -220,7 +145,6 @@ class VietaCover(Cover):
     """Ordered tuples (z_1..z_n) over their elementary symmetric values."""
 
     dim: int
-    upstairs: Domain = None
     downstairs: Domain = None
 
     def __post_init__(self):
@@ -235,9 +159,6 @@ class VietaCover(Cover):
         roots = _roots_batched(B)  # (m, n)
         perms = list(itertools.permutations(range(self.n)))
         return np.stack([roots[:, list(p)] for p in perms], axis=1)
-
-    def map_many(self, Z: np.ndarray) -> np.ndarray:
-        return _elementary_symmetric(as_points(Z, self.n))
 
     def discriminant_many(self, B: np.ndarray) -> np.ndarray:
         B = as_points(B, self.n)
@@ -261,7 +182,6 @@ class IdentityCover(Cover):
     def __post_init__(self):
         object.__setattr__(self, "degree", 1)
         object.__setattr__(self, "n", self.domain.n)
-        object.__setattr__(self, "upstairs", self.domain)
         object.__setattr__(self, "downstairs", self.domain)
         object.__setattr__(self, "kind", "identity")
 
@@ -269,23 +189,13 @@ class IdentityCover(Cover):
         B = as_points(B, self.n)
         return B[:, None, :]
 
-    def map_many(self, Z: np.ndarray) -> np.ndarray:
-        return as_points(Z, self.n)
-
-    def discriminant_many(self, B: np.ndarray) -> np.ndarray:
-        B = as_points(B, self.n)
-        return np.full(B.shape[0], np.inf)
-
 
 class SymmetricSum(ScalarField):
-    """sum_j phi(z_j) on an S_n-invariant polydisk.
+    """sum_j phi(z_j) on the given domain.
 
-    phi maps a complex column to a real one.  The value of a row is the
-    same bits under every permutation of its coordinates: two terms are
-    added in coordinate order (IEEE addition commutes), three or more in
-    ascending order (it does not associate).  The domain must be a
-    polydisk with one center and one radius on every axis, so membership
-    is permutation invariant too: the field is a function on Sym^n.
+    phi maps a complex column to a real one.  The terms are added left to
+    right, so for n = 2 the value is phi(z1) + phi(z2), the same bits for
+    both orderings of a row (IEEE addition commutes).
 
     sp_form, for n = 2 only, is the fiber sum of this field over the
     Vieta cover as a function of (s, p) = (e1, e2): it takes the two
@@ -299,11 +209,6 @@ class SymmetricSum(ScalarField):
                  domain: Domain, name: str = "",
                  sp_form: Optional[Callable[[np.ndarray, np.ndarray],
                                             np.ndarray]] = None):
-        if not (isinstance(domain, Polydisk)
-                and len(set(domain.center_values)) == 1
-                and len(set(domain.radii)) == 1):
-            raise ValueError("a symmetric sum needs an S_n-invariant domain: "
-                             "a polydisk with equal centers and radii")
         if sp_form is not None and domain.n != 2:
             raise ValueError("an (s, p) form is a fiber sum over n = 2")
         self.phi = phi
@@ -311,12 +216,9 @@ class SymmetricSum(ScalarField):
         super().__init__(self._sum, domain, name=name)
 
     def _sum(self, Z: np.ndarray) -> np.ndarray:
-        terms = [self.phi(Z[:, j]) for j in range(Z.shape[1])]
-        if len(terms) > 2:
-            terms = list(np.sort(np.stack(terms, axis=1), axis=1).T)
-        out = terms[0]
-        for t in terms[1:]:
-            out = out + t
+        out = self.phi(Z[:, 0])
+        for j in range(1, Z.shape[1]):
+            out = out + self.phi(Z[:, j])
         return out
 
 
@@ -371,7 +273,7 @@ def fibers_inside(cover: Cover, dom: Domain) -> bool:
 
 
 def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
-    """Sum of f over the fiber, counted with multiplicities.
+    """Sum of f over the raw ordered fiber rows.
 
     Continuous whenever f is; smooth off the closure of the branch locus.
     Every evaluation checks its base rows against the downstairs chart
@@ -379,8 +281,8 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
     containment is proved once here where fibers_inside can (the power,
     identity and n = 2 Vieta covers over charts about 0, as shipped); the
     fiber rows are then evaluated without a membership test.  Otherwise
-    every evaluation checks the fiber rows against f's domain, so a fiber
-    escaping the upstairs chart raises rather than extrapolating.  Either
+    every evaluation checks the fiber rows against f's domain (the upstairs
+    chart), so a fiber escaping it raises rather than extrapolating.  Either
     way, construction probes that the fibers over 128 Halton points stay
     inside f's domain.
 
@@ -455,9 +357,3 @@ class GluedCover:
     def degree(self) -> int:
         return self.pairs[0].cover.degree
 
-
-def as_glued(cover, downstairs_name: str = "base",
-             upstairs_name: str = "total") -> GluedCover:
-    if isinstance(cover, GluedCover):
-        return cover
-    return GluedCover((ChartPair(downstairs_name, upstairs_name, cover),))

@@ -590,11 +590,6 @@ class ScalarField:
         return float(self.eval_many(as_points(p, self.n))[0])
 
 
-def field_from_function(fn: Callable[[np.ndarray], np.ndarray], domain: Domain,
-                        name: str = "", meta: Optional[dict] = None) -> ScalarField:
-    return ScalarField(fn, domain, name=name, meta=dict(meta or {}))
-
-
 # ---------------------------------------------------------------------------
 # discrete operators
 
@@ -710,16 +705,6 @@ def mass_integral(f: ScalarField, disk: Domain, h: float) -> float:
     grid = sample_grid(disk, h)
     lap = discrete_laplacian_many(lattice_field(f, grid, h), grid.nodes, h)
     return float(np.sum(lap) * h * h)
-
-
-# ---------------------------------------------------------------------------
-# quadrature helpers
-
-def gauss_legendre(order: int):
-    """Nodes and weights on [-1, 1]."""
-    if order < 1:
-        raise ValueError("quadrature order must be >= 1")
-    return np.polynomial.legendre.leggauss(int(order))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .geometry import (
     Intersection,
     ScalarField,
     as_points,
-    gauss_legendre,
     halton_sample,
     lattice_field,
     stencil_offsets,
@@ -40,7 +39,6 @@ SHRINK_SLACK = 1e-9
 # Bump profile exp(-1/(1-t^2)) on (-1,1); its integral over (-1,1), computed
 # once by high-order quadrature and frozen (12 digits, regression-tested).
 BUMP_INTEGRAL = 0.443993816169
-BUMP_NORMALIZATION = 1.0 / BUMP_INTEGRAL
 
 
 def bump_profile(t):
@@ -180,7 +178,7 @@ def mollifier_kernel(two_n: int, order: int) -> MollifierKernel:
     weights are normalized to total mass one, which makes constants exact and
     keeps plurisubharmonicity (positive mixture of translates).
     """
-    x, w = gauss_legendre(order)
+    x, w = np.polynomial.legendre.leggauss(order)
     grids = np.meshgrid(*([x] * two_n), indexing="ij")
     ws = np.meshgrid(*([w] * two_n), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
@@ -286,7 +284,7 @@ REGMAX_ORDER = 16    # Gauss-Legendre nodes of the regularized-max kernel
 @lru_cache(maxsize=None)
 def regmax_kernel() -> RegMaxKernel:
     """The kernel of order REGMAX_ORDER, built once."""
-    x, w = gauss_legendre(REGMAX_ORDER)
+    x, w = np.polynomial.legendre.leggauss(REGMAX_ORDER)
     raw = w * bump_profile(x)
     return RegMaxKernel(x, raw / raw.sum(), REGMAX_ORDER)
 

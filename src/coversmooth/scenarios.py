@@ -182,15 +182,15 @@ def _disk_triple(config: dict, ref_n: float, fracs: Tuple[float, float, float],
 def _build_s1(config: dict) -> Scenario:
     n, npr = config["n_radius"], config["nprime_radius"]
     down = Disk(0.0, 1.5)
-    up = Disk(0.0, 1.5)
     opens = _disk_triple(config, 0.6, (0.42, 0.56, 0.59), down)
     u_r, w_r = opens.U.radii[0], opens.W.radii[0]
     mass_r = max(1.0, w_r + 0.05)  # dd^c(2|w|) has mass 4 pi r on |w| < r
 
     chart_up = CocycleChart(
-        "z", ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, up, name="abs_sq"))
+        "z", ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(0.0, 1.5),
+                         name="abs_sq"))
     upstairs = KahlerCocycle((chart_up,), ())
-    cover = GluedCover((ChartPair("w", "z", PowerCover(2, up, down)),))
+    cover = GluedCover((ChartPair("w", "z", PowerCover(2, down)),))
     steps = (GlueStep("w", opens),)
 
     h = config["h"]
@@ -295,12 +295,11 @@ def _build_s2(config: dict) -> Scenario:
     dom = Polydisk((0.0, 0.0), (1.9, 1.9))
     potential = symmetric_sum(_abs_sq, 4.2, 2, name="sum_sq",
                               sp_form=_abs_sq_sp)
-    up = potential.valid_on
     opens, gate = _disc_tube(config, (0.55, 1.05), 4.0,
                              ((1.60, 1.60), (1.82, 1.82), (1.92, 1.92)), dom)
 
     upstairs = KahlerCocycle((CocycleChart("zz", potential),), ())
-    cover = GluedCover((ChartPair("sp", "zz", VietaCover(2, up, dom)),))
+    cover = GluedCover((ChartPair("sp", "zz", VietaCover(2, dom)),))
     steps = (GlueStep("sp", opens, gate_region=gate),)
 
     hs = config["h"] / _DEFAULTS["S2"]["h"]  # battery spacing scales with h
@@ -356,7 +355,6 @@ def _build_s3(config: dict) -> Scenario:
     n = config["n_radius"]
     fs1 = symmetric_sum(_log1p_abs_sq, 3.8, 2, sp_form=_log1p_abs_sq_sp)
     fs3 = symmetric_sum(_log1p_abs_sq, 2.4, 2, sp_form=_log1p_abs_sq_sp)
-    up1, up3 = fs1.valid_on, fs3.valid_on
     dom1 = Polydisk((0.0, 0.0), (2.5, 3.5))
     dom3 = Polydisk((0.0, 0.0), (1.75, 1.05))
     tri1, gate1 = _disc_tube(config, (0.45, 0.95), 7.0,
@@ -380,8 +378,8 @@ def _build_s3(config: dict) -> Scenario:
 
     steps = (GlueStep("D1", tri1, gate_region=gate1),
              GlueStep("D3", tri3, gate_region=gate3))
-    cover = GluedCover((ChartPair("D1", "zz", VietaCover(2, up1, dom1)),
-                        ChartPair("D3", "tt", VietaCover(2, up3, dom3))))
+    cover = GluedCover((ChartPair("D1", "zz", VietaCover(2, dom1)),
+                        ChartPair("D3", "tt", VietaCover(2, dom3))))
 
     # curve mass patches for the line {e1 = 0.3}; w0 recenters the second
     # coordinate and R(t) keeps the image inside |e2| <= 1

@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .cocycle import CocycleChart, KahlerCocycle
+from .covers import GluedCover
 from .geometry import (
     Complement,
     Domain,
@@ -376,22 +377,20 @@ class PushforwardRun:
         return self.glued.cocycle
 
 
-def smooth_pushforward(cover, upstairs: KahlerCocycle,
+def smooth_pushforward(cover: GluedCover, upstairs: KahlerCocycle,
                        downstairs_overlaps: Sequence,
                        steps: Sequence[GlueStep], params: SmoothingParams,
                        X1: Optional[Domain] = None,
                        X2: Optional[Domain] = None) -> PushforwardRun:
     """Push the upstairs potentials down, then run the gluing sweep.
 
-    cover is a Cover or GluedCover; each chart pair contributes one
-    downstairs chart whose potential is the fiber sum of the assigned
-    upstairs potential.
+    Each chart pair of cover contributes one downstairs chart whose
+    potential is the pushforward of the assigned upstairs potential.
     """
-    from .covers import as_glued, pushforward as push
+    from .covers import pushforward as push
 
-    glued_cover = as_glued(cover)
     charts = []
-    for pair in glued_cover.pairs:
+    for pair in cover.pairs:
         up = upstairs.chart(pair.upstairs_name)
         phi = push(pair.cover, up.potential)
         charts.append(CocycleChart(pair.downstairs_name, phi))

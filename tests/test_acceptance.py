@@ -18,7 +18,7 @@ from coversmooth.geometry import (
     Complement,
     Disk,
     Polydisk,
-    field_from_function,
+    ScalarField,
     halton_sample,
     sample_grid,
 )
@@ -104,24 +104,26 @@ def test_criterion_4_disk_mass_kept_to_1pct_and_curve_class_8pi_kept_to_2pct_acr
 
 
 def test_criterion_5_pushforward_matches_closed_forms_to_1e_minus_9_and_unit_pushforward_is_the_degree():
-    cover = PowerCover(2, Disk(0.0, 1.1), Disk(0.0, 1.21))
-    f = field_from_function(lambda Z: np.abs(Z[:, 0]) ** 2, cover.upstairs, name="sq")
+    up = Disk(0.0, 1.1)
+    cover = PowerCover(2, Disk(0.0, 1.21))
+    f = ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, up, name="sq")
     W = halton_sample(cover.downstairs, 1000, start=1)
     got = pushforward(cover, f).eval_many(W)
     assert np.max(np.abs(got - 2.0 * np.abs(W[:, 0]))) <= 1e-9
 
-    vieta = VietaCover(2, Polydisk((0, 0), (3.3, 3.3)), Polydisk((0, 0), (2.5, 2.0)))
-    g = field_from_function(
-        lambda Z: np.abs(Z[:, 0]) ** 2 + np.abs(Z[:, 1]) ** 2, vieta.upstairs, name="ss"
+    vup = Polydisk((0, 0), (3.3, 3.3))
+    vieta = VietaCover(2, Polydisk((0, 0), (2.5, 2.0)))
+    g = ScalarField(
+        lambda Z: np.abs(Z[:, 0]) ** 2 + np.abs(Z[:, 1]) ** 2, vup, name="ss"
     )
     B = halton_sample(vieta.downstairs, 1000, start=1)
     s, p = B[:, 0], B[:, 1]
     want = np.abs(s) ** 2 + np.abs(s * s - 4.0 * p)
     assert np.max(np.abs(pushforward(vieta, g).eval_many(B) - want)) <= 1e-9
 
-    for cover2, pts in ((cover, W), (vieta, B)):
-        one = field_from_function(
-            lambda Z: np.ones(Z.shape[0]), cover2.upstairs, name="one"
+    for cover2, dom, pts in ((cover, up, W), (vieta, vup, B)):
+        one = ScalarField(
+            lambda Z: np.ones(Z.shape[0]), dom, name="one"
         )
         vals = pushforward(cover2, one).eval_many(pts)
         assert np.array_equal(vals, np.full(len(pts), float(cover2.degree)))
@@ -152,15 +154,15 @@ def test_criterion_6_regularized_max_axioms_hold_on_1e5_samples_each_and_psh_sur
         assert np.all(mid <= avg + 1e-9)
 
     dom = Disk(0.0, 0.8)
-    u = field_from_function(lambda Z: np.abs(Z[:, 0] - 0.2) ** 2, dom, name="u")
-    v = field_from_function(lambda Z: np.abs(Z[:, 0] + 0.2) ** 2 + 0.05, dom, name="v")
+    u = ScalarField(lambda Z: np.abs(Z[:, 0] - 0.2) ** 2, dom, name="u")
+    v = ScalarField(lambda Z: np.abs(Z[:, 0] + 0.2) ** 2 + 0.05, dom, name="v")
     rep1 = min_levi_eigenvalue(reg_max_fields(u, v, 0.05), sample_grid(Disk(0.0, 0.5), 5e-3), 2.5e-3)
     assert rep1.min_eigenvalue >= -1e-6
     dom2 = Polydisk((0, 0), (0.8, 0.8))
-    u2 = field_from_function(
+    u2 = ScalarField(
         lambda Z: np.abs(Z[:, 0]) ** 2 + np.abs(Z[:, 1]) ** 2, dom2, name="u2"
     )
-    v2 = field_from_function(
+    v2 = ScalarField(
         lambda Z: 1.4 * np.abs(Z[:, 0]) ** 2 + 0.6 * np.abs(Z[:, 1]) ** 2 - 0.1,
         dom2,
         name="v2",
@@ -181,7 +183,7 @@ def test_criterion_7_corrections_vanish_off_their_support_devs_are_kept_and_one_
         r2 = np.abs(Z[:, 0]) ** 2
         return np.maximum(r2, 1.2 * r2 - 0.02)
 
-    phi = field_from_function(kinked, dom, name="kinked")
+    phi = ScalarField(kinked, dom, name="kinked")
     opens = NestedOpens(Disk(0.0, 0.36), Disk(0.0, 0.50), Disk(0.0, 0.60))
     params = SmoothingParams(eps=0.04, delta=8e-4, eta=4e-4, h=2e-3)
     res = local_smooth(phi, opens, params)

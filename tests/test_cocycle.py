@@ -22,7 +22,7 @@ from coversmooth.geometry import (
     Annulus,
     Disk,
     Polydisk,
-    field_from_function,
+    ScalarField,
     halton_sample,
 )
 from coversmooth.scenarios import build_scenario
@@ -40,8 +40,8 @@ def _round_sphere():
     fs = lambda Z: np.log1p(np.abs(Z[:, 0]) ** 2)
     dom = Disk(0.0, 3.0)
     ring = Annulus(0.0, 0.5, 2.0)
-    cz = CocycleChart("z", field_from_function(fs, dom, name="fs"))
-    cw = CocycleChart("w", field_from_function(fs, dom, name="fs"))
+    cz = CocycleChart("z", ScalarField(fs, dom, name="fs"))
+    cw = CocycleChart("w", ScalarField(fs, dom, name="fs"))
     return KahlerCocycle(
         (cz, cw),
         (ChartOverlap("z", "w", ring, _inv), ChartOverlap("w", "z", ring, _inv)),
@@ -59,10 +59,10 @@ def test_incompatible_overlap_is_rejected():
     fs = lambda Z: np.log1p(np.abs(Z[:, 0]) ** 2)
     dom = Disk(0.0, 3.0)
     ring = Annulus(0.0, 0.5, 2.0)
-    cz = CocycleChart("z", field_from_function(fs, dom, name="fs"))
+    cz = CocycleChart("z", ScalarField(fs, dom, name="fs"))
     # doubled potential on the far chart: the difference picks up curvature
     cw = CocycleChart(
-        "w", field_from_function(lambda Z: 2.0 * fs(Z), dom, name="fs2")
+        "w", ScalarField(lambda Z: 2.0 * fs(Z), dom, name="fs2")
     )
     bad = KahlerCocycle((cz, cw), (ChartOverlap("z", "w", ring, _inv),))
     with pytest.raises(CoverageError, match="pluriharmonic"):
@@ -92,8 +92,8 @@ def test_diagonal_curve_in_the_product_carries_eight_pi():
     """A (1,1) curve meets both rulings once, so its mass doubles."""
     fs2 = lambda Z: np.log1p(np.abs(Z[:, 0]) ** 2) + np.log1p(np.abs(Z[:, 1]) ** 2)
     big = Polydisk((0, 0), (3.0, 3.0))
-    ca = CocycleChart("a", field_from_function(fs2, big, name="fsp"))
-    cb = CocycleChart("b", field_from_function(fs2, big, name="fsp"))
+    ca = CocycleChart("a", ScalarField(fs2, big, name="fsp"))
+    cb = CocycleChart("b", ScalarField(fs2, big, name="fsp"))
     coc = KahlerCocycle((ca, cb), ())
 
     def diag(S, T):
@@ -127,7 +127,7 @@ def test_an_overlap_that_maps_out_of_its_target_chart_raises():
     fs = coc.chart("w").potential
     cut = KahlerCocycle(
         (coc.chart("z"),
-         CocycleChart("w", field_from_function(fs.evaluator, small))),
+         CocycleChart("w", ScalarField(fs.evaluator, small))),
         coc.overlaps[:1])
     with pytest.raises(DomainError):
         validate_cocycle(cut)
@@ -135,7 +135,7 @@ def test_an_overlap_that_maps_out_of_its_target_chart_raises():
 
 def test_a_curve_patch_leaving_its_chart_raises():
     fs = lambda Z: np.log1p(np.abs(Z[:, 0]) ** 2)
-    pot = field_from_function(fs, Disk(0.0, 0.9), name="fs")
+    pot = ScalarField(fs, Disk(0.0, 0.9), name="fs")
     with pytest.raises(DomainError):
         curve_mass_patch(pot, _polar_disk_patch("z"))
 

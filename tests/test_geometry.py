@@ -25,10 +25,10 @@ from coversmooth.geometry import (
     LevelRegion,
     MappedRegion,
     Polydisk,
+    ScalarField,
     UnionRegion,
     csv_header,
     dump_field_csv,
-    field_from_function,
     halton_sample,
     mass_integral,
     reals,
@@ -168,7 +168,7 @@ def test_the_site_cap_is_counted_before_any_axis_is_allocated():
 
 
 def test_field_eval_outside_domain_raises():
-    f = field_from_function(lambda Z: np.abs(Z[:, 0]), Disk(0.0, 0.5), name="r")
+    f = ScalarField(lambda Z: np.abs(Z[:, 0]), Disk(0.0, 0.5), name="r")
     with pytest.raises(DomainError):
         f.eval_many(np.array([[2.0 + 0j]]))
 
@@ -180,7 +180,7 @@ def test_csv_header_layout():
 
 def test_csv_dump_roundtrips_exactly(tmp_path):
     """repr-based serialization restores every float bit for bit."""
-    f = field_from_function(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(0.0, 1.0), name="sq")
+    f = ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(0.0, 1.0), name="sq")
     g = sample_grid(Disk(0.0, 0.2), 0.05)
     path = tmp_path / "dump.csv"
     dump_field_csv(f, g, str(path))
@@ -199,13 +199,13 @@ def test_disk_mass_matches_radial_flux_oracle():
     """Mass over the disk of radius R equals the boundary flux 2 pi R u'(R)."""
     R = 0.7
     oracle = 2.0 * math.pi * R * (2.0 * R)  # u(r) = r^2 has u'(R) = 2R
-    f = field_from_function(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(0.0, 1.0), name="sq")
+    f = ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(0.0, 1.0), name="sq")
     got = mass_integral(f, Disk(0.0, R), 4e-3)
     assert got == pytest.approx(oracle, rel=1e-3)
 
 
 def test_mass_integral_rejects_two_variables():
-    f = field_from_function(
+    f = ScalarField(
         lambda Z: np.abs(Z[:, 0]) ** 2, Polydisk((0, 0), (1, 1)), name="s"
     )
     with pytest.raises(UnsupportedDimensionError):

@@ -16,7 +16,6 @@ from coversmooth.geometry import (
     Disk,
     Polydisk,
     ScalarField,
-    field_from_function,
     halton_sample,
 )
 from coversmooth.scenarios import (
@@ -117,7 +116,7 @@ def test_explicit_nprime_override_is_taken_literally():
 
 
 def _field(fn, dom, name):
-    return field_from_function(fn, dom, name=name)
+    return ScalarField(fn, dom, name=name)
 
 
 def _upstairs_pairs():
@@ -170,8 +169,8 @@ def test_s2_and_s3_raw_pushforwards_solve_no_roots(monkeypatch):
     f3 = covers.symmetric_sum(sq, 2.5, 3)
     f2 = covers.symmetric_sum(sq, 3.1, 2, sp_form=lambda s, p: (
         np.abs(s) ** 2 + np.abs(s * s - 4.0 * p)))
-    for cover, f in ((covers.VietaCover(3, f3.valid_on, Polydisk((0, 0, 0), (1.0,) * 3)), f3),
-                     (covers.VietaCover(2, f2.valid_on, Polydisk((0, 0), (2.5, 2.0))), f2)):
+    for cover, f in ((covers.VietaCover(3, Polydisk((0, 0, 0), (1.0,) * 3)), f3),
+                     (covers.VietaCover(2, Polydisk((0, 0), (2.5, 2.0))), f2)):
         assert not covers.fibers_inside(cover, f.valid_on)
         pf = pushforward(cover, f)
         B = halton_sample(cover.downstairs, 64, start=1)
@@ -344,7 +343,7 @@ def test_spec_tuples_name_the_checks_in_report_order(sid):
 
 def test_c2_spec_on_a_flat_field_gives_check_records():
     dom = Disk(0.0, 1.0)
-    flat = field_from_function(lambda Z: np.full(Z.shape[0], 2.0), dom, name="flat")
+    flat = ScalarField(lambda Z: np.full(Z.shape[0], 2.0), dom, name="flat")
     cocycle = KahlerCocycle((CocycleChart("w", flat),))
     run = PushforwardRun(cocycle, GlueResult(cocycle, []))
     spec = C2Zone("w", Lattice(Disk(0.0, 0.3)), 0.05)

@@ -10,7 +10,7 @@ from coversmooth.geometry import (
     Annulus,
     Complement,
     Disk,
-    field_from_function,
+    ScalarField,
     halton_sample,
     sample_grid,
 )
@@ -34,7 +34,7 @@ def _toy_field():
         r2 = np.abs(Z[:, 0]) ** 2
         return np.maximum(r2, 1.2 * r2 - 0.02)
 
-    return field_from_function(kinked, TOY_DOMAIN, name="kinked")
+    return ScalarField(kinked, TOY_DOMAIN, name="kinked")
 
 
 def test_smoothing_params_defaults():
