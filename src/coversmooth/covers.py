@@ -3,9 +3,9 @@
 A cover is its downstairs chart plus fiber_rows, the raw ordered fiber
 points over each base row; the upstairs chart is the domain of the field
 pushed down.  The local models are the power map w = z^d on a disk, the
-identity cover of a chart, and the Vieta map C^n -> C^n sending an ordered
-tuple of roots to its elementary symmetric values: on ordered tuples its
-degree is n! and the fiber over a generic point lists all orderings.
+identity cover of a chart, and the Vieta map C^2 -> C^2 sending an ordered
+pair of roots (z1, z2) to (z1 + z2, z1 z2): its degree is 2 and the fiber
+over a point lists both orderings of the roots.
 
 A glued cover is a finite family of (downstairs chart, upstairs chart,
 local model) assignments; projective scenarios are built from Vieta models
@@ -14,14 +14,13 @@ in inverted coordinates, so no separate machinery is needed for them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, RootSolveError, UnsupportedDimensionError
+from .errors import DomainError, UnsupportedDimensionError
 from .geometry import (
     Domain,
     Polydisk,
@@ -82,95 +81,37 @@ class PowerCover(Cover):
         return roots[:, :, None]
 
 
-def _poly_coeffs(E: np.ndarray) -> np.ndarray:
-    """Monic coefficients [1, -e1, e2, -e3, ...] per row."""
-    m, n = E.shape
-    C = np.empty((m, n + 1), dtype=complex)
-    C[:, 0] = 1.0
-    for j in range(1, n + 1):
-        C[:, j] = ((-1.0) ** j) * E[:, j - 1]
-    return C
-
-
-def _newton_polish(roots: np.ndarray, C: np.ndarray, steps: int = 2) -> np.ndarray:
-    """A couple of Newton steps on the monic polynomial, per root.
-
-    Steps are skipped where the derivative is small, which is exactly the
-    near-multiple-root case where Newton would do more harm than good.
-    """
-    m, n = roots.shape
-    deg = C.shape[1] - 1
-    for _ in range(steps):
-        p = np.zeros_like(roots)
-        dp = np.zeros_like(roots)
-        for j in range(deg + 1):
-            dp = dp * roots + p
-            p = p * roots + C[:, j][:, None]
-        scale = 1.0 + np.abs(roots)
-        ok = np.abs(dp) > 1e-8 * scale ** (deg - 1)
-        step = np.where(ok, p / np.where(ok, dp, 1.0), 0.0)
-        roots = roots - step
-    return roots
-
-
 def _roots_batched(E: np.ndarray) -> np.ndarray:
-    """Roots of t^n - e1 t^{n-1} + ... per row, shape (m, n)."""
-    m, n = E.shape
-    if n == 1:
-        return E.copy()
-    if n == 2:
-        s, p = E[:, 0], E[:, 1]
-        sq = np.sqrt(s * s - 4.0 * p + 0j)
-        r1 = 0.5 * (s + sq)
-        r2 = 0.5 * (s - sq)
-        return np.stack([r1, r2], axis=1)
-    C = _poly_coeffs(E)
-    comp = np.zeros((m, n, n), dtype=complex)
-    comp[:, 1:, :-1] = np.eye(n - 1)
-    comp[:, 0, :] = -C[:, 1:]
-    roots = np.linalg.eigvals(comp)
-    roots = _newton_polish(roots, C)
-    # residual check on the worst root
-    p = np.zeros_like(roots)
-    for j in range(n + 1):
-        p = p * roots + C[:, j][:, None]
-    scale = (1.0 + np.abs(roots)) ** n
-    if np.max(np.abs(p) / scale) > 1e-6:
-        raise RootSolveError("polynomial residual too large after polishing")
-    return roots
+    """Roots (r1, r2) of t^2 - s t + p per row (s, p), shape (m, 2)."""
+    s, p = E[:, 0], E[:, 1]
+    sq = np.sqrt(s * s - 4.0 * p + 0j)
+    r1 = 0.5 * (s + sq)
+    r2 = 0.5 * (s - sq)
+    return np.stack([r1, r2], axis=1)
 
 
 @dataclass(frozen=True)
 class VietaCover(Cover):
-    """Ordered tuples (z_1..z_n) over their elementary symmetric values."""
+    """Ordered pairs (z1, z2) over (s, p) = (z1 + z2, z1 z2); dim must be 2."""
 
     dim: int
     downstairs: Domain = None
 
     def __post_init__(self):
-        if not (1 <= self.dim <= 3):
-            raise UnsupportedDimensionError("Vieta cover shipped for n <= 3")
-        object.__setattr__(self, "degree", math.factorial(self.dim))
-        object.__setattr__(self, "n", self.dim)
-        object.__setattr__(self, "kind", f"vieta_{self.dim}")
+        if self.dim != 2:
+            raise UnsupportedDimensionError("Vieta cover shipped for n = 2 only")
+        object.__setattr__(self, "degree", 2)
+        object.__setattr__(self, "n", 2)
+        object.__setattr__(self, "kind", "vieta_2")
 
     def fiber_rows(self, B: np.ndarray) -> np.ndarray:
-        B = as_points(B, self.n)
-        roots = _roots_batched(B)  # (m, n)
-        perms = list(itertools.permutations(range(self.n)))
-        return np.stack([roots[:, list(p)] for p in perms], axis=1)
+        roots = _roots_batched(as_points(B, 2))
+        return np.stack([roots, roots[:, ::-1]], axis=1)
 
     def discriminant_many(self, B: np.ndarray) -> np.ndarray:
-        B = as_points(B, self.n)
-        if self.n == 1:
-            return np.ones(B.shape[0])
-        if self.n == 2:
-            s, p = B[:, 0], B[:, 1]
-            return np.abs(s * s - 4.0 * p)
-        e1, e2, e3 = B[:, 0], B[:, 1], B[:, 2]
-        disc = (18.0 * e1 * e2 * e3 - 4.0 * e1 ** 3 * e3 + (e1 * e2) ** 2
-                - 4.0 * e2 ** 3 - 27.0 * e3 ** 2)
-        return np.abs(disc)
+        B = as_points(B, 2)
+        s, p = B[:, 0], B[:, 1]
+        return np.abs(s * s - 4.0 * p)
 
 
 @dataclass(frozen=True)
@@ -251,8 +192,8 @@ def fibers_inside(cover: Cover, dom: Domain) -> bool:
       t^2 - s t + p has |r|^2 <= a |r| + b, so |r| <= a/2 + sqrt(a^2/4 + b).
 
     The bound must stay below the radius of dom (a disk or polydisk about
-    0) by the relative slack CONTAINMENT_SLACK.  Anything else, n = 3
-    included, is not proved.
+    0) by the relative slack CONTAINMENT_SLACK.  Anything else is not
+    proved.
     """
     down = cover.downstairs
     if isinstance(cover, IdentityCover):
@@ -263,8 +204,8 @@ def fibers_inside(cover: Cover, dom: Domain) -> bool:
     if isinstance(cover, PowerCover) and isinstance(down, Polydisk) \
             and down.n == 1 and not any(down.center_values):
         bound = down.radii[0] ** (1.0 / cover.d)
-    elif isinstance(cover, VietaCover) and cover.n == 2 \
-            and isinstance(down, Polydisk) and not any(down.center_values):
+    elif isinstance(cover, VietaCover) and isinstance(down, Polydisk) \
+            and not any(down.center_values):
         a, b = down.radii
         bound = 0.5 * a + math.sqrt(0.25 * a * a + b)
     else:
@@ -294,8 +235,8 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
     modulus of the discriminant.  Construction compares the closed form
     with the root-solved fiber sum over the 128 probe points and raises
     ValueError where they differ by more than CLOSED_FORM_RTOL relative
-    (to max(|v|, 1)).  Every other case (n = 3, an unproved chart, any
-    other field) sums f over the whole root-solved fiber.
+    (to max(|v|, 1)).  Every other case (an unproved chart, any other
+    field) sums f over the whole root-solved fiber.
     """
     if f.n != cover.n:
         raise ValueError("field and cover dimensions differ")

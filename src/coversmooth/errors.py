@@ -35,9 +35,5 @@ class CoverageError(CoverSmoothError):
     """Refinement triples fail to cover the region they must cover."""
 
 
-class RootSolveError(CoverSmoothError):
-    """Polynomial root finding did not converge to tolerance."""
-
-
 class ScenarioError(CoverSmoothError):
     """Unknown scenario id or invalid configuration override."""

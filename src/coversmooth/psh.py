@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, UnsupportedDimensionError
 from .geometry import (
     ComplexPoint,
     Domain,
@@ -101,7 +101,7 @@ def hermitian_min_eigenvalues(L: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each Hermitian matrix in an (m, n, n) stack.
 
     Closed forms for n <= 2, which keep whole Levi grids free of per-matrix
-    LAPACK calls; stacked eigvalsh for larger n.
+    LAPACK calls; UnsupportedDimensionError for larger n.
     """
     n = L.shape[1]
     if n == 1:
@@ -112,7 +112,7 @@ def hermitian_min_eigenvalues(L: np.ndarray) -> np.ndarray:
         b = L[:, 0, 1]
         disc = np.sqrt((a - d) ** 2 + 4.0 * (b.real ** 2 + b.imag ** 2))
         return 0.5 * (a + d - disc)
-    return np.linalg.eigvalsh(L)[:, 0]
+    raise UnsupportedDimensionError("Levi eigenvalues shipped for n <= 2")
 
 
 def min_levi_eigenvalue(f: ScalarField, g: Grid, h: float) -> PshReport:
@@ -316,7 +316,7 @@ def reg_max_fields(u: ScalarField, v: ScalarField, eta: float) -> ScalarField:
 
     Where one input dominates by >= 2*eta the value is that input's, bit for
     bit (the shortcut branch of reg_max_many); elsewhere it is the kernel
-    average.  meta records eta and the kernel order.
+    average.
     """
     if u.n != v.n:
         raise ValueError("field dimensions differ")
@@ -325,5 +325,4 @@ def reg_max_fields(u: ScalarField, v: ScalarField, eta: float) -> ScalarField:
     def _eval(Z: np.ndarray) -> np.ndarray:
         return reg_max_many(u.eval_many(Z), v.eval_many(Z), eta)
 
-    return ScalarField(_eval, dom, name=f"regmax({u.name or 'u'},{v.name or 'v'})",
-                       meta={"eta": float(eta), "order": REGMAX_ORDER})
+    return ScalarField(_eval, dom, name=f"regmax({u.name or 'u'},{v.name or 'v'})")

@@ -17,7 +17,7 @@ from coversmooth.covers import (
     pushforward,
     symmetric_sum,
 )
-from coversmooth.errors import DomainError
+from coversmooth.errors import DomainError, UnsupportedDimensionError
 from coversmooth.scenarios import (
     _abs_sq,
     _abs_sq_sp,
@@ -42,10 +42,6 @@ def _power():
 
 def _vieta():
     return VietaCover(2, Polydisk((0, 0), (2.5, 2.0)))
-
-
-def _vieta3():
-    return VietaCover(3, Polydisk((0, 0, 0), (6.5, 11.5, 6.5)))
 
 
 def _row_counts(rows, digits):
@@ -81,9 +77,12 @@ def test_vieta_fiber_at_the_diagonal_point():
 def test_discriminant_values():
     disc2 = _vieta().discriminant_many(np.array([[2.0, 1.0], [0.0, -1.0]]))
     assert disc2 == pytest.approx([0.0, 4.0], abs=1e-12)
-    # (t-1)(t-2)(t-3) and (t-1)^2 (t-2)
-    disc3 = _vieta3().discriminant_many(np.array([[6.0, 11.0, 6.0], [4.0, 5.0, 2.0]]))
-    assert disc3 == pytest.approx([4.0, 0.0], abs=1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_a_vieta_cover_is_refused_outside_n_2(dim):
+    with pytest.raises(UnsupportedDimensionError):
+        VietaCover(dim, Polydisk((0,) * dim, (1.0,) * dim))
 
 
 def test_power_pushforward_matches_closed_form():
@@ -153,16 +152,14 @@ def _elementary(Z):
 def _round_trips():
     """(name, cover, base rows, the cover map) for each local model."""
     power = _power()
+    vieta = _vieta()
     s = halton_sample(Disk(0.0, 2.5), 64, start=1)[:, 0]
-    vieta3 = _vieta3()
     return (
         ("power", power, halton_sample(power.downstairs, 128, start=1),
          lambda Z: Z ** 2),
-        # the diagonal s^2 = 4p, where the two roots coincide
-        ("vieta_2", _vieta(), np.stack([s, s * s / 4.0], axis=1), _elementary),
-        # (t-1)^2 (t-2) and generic rows
-        ("vieta_3", vieta3, np.vstack([[[4.0, 5.0, 2.0]],
-                                       halton_sample(vieta3.downstairs, 64, start=1)]),
+        # the diagonal s^2 = 4p, where the two roots coincide, and generic rows
+        ("vieta_2", vieta, np.vstack([np.stack([s, s * s / 4.0], axis=1),
+                                      halton_sample(vieta.downstairs, 64, start=1)]),
          _elementary),
         ("identity", IdentityCover(Disk(0.0, 1.0)),
          halton_sample(Disk(0.0, 1.0), 64, start=1), lambda Z: Z),
@@ -185,31 +182,6 @@ def test_pushforward_rejects_escaping_fibers():
     f = ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(0.0, 0.9), name="sq")
     with pytest.raises(DomainError):
         pushforward(bad, f)
-
-
-def test_vieta3_fiber_over_distinct_roots_lists_all_orderings():
-    # t^3 - 6t^2 + 11t - 6 = (t-1)(t-2)(t-3)
-    rows = _vieta3().fiber_rows(np.array([[6.0, 11.0, 6.0]]))[0]
-    assert rows.shape == (6, 3)
-    assert _row_counts(rows, 9) == {p: 1 for p in itertools.permutations((1.0, 2.0, 3.0))}
-
-
-def test_vieta3_fiber_over_a_double_root_has_multiplicity_two():
-    # t^3 - 4t^2 + 5t - 2 = (t-1)^2 (t-2): each ordering appears twice
-    rows = _vieta3().fiber_rows(np.array([[4.0, 5.0, 2.0]]))[0]
-    assert _row_counts(rows, 6) == {(1.0, 1.0, 2.0): 2, (1.0, 2.0, 1.0): 2,
-                                    (2.0, 1.0, 1.0): 2}
-
-
-def test_vieta3_pushforward_matches_power_sum_identity():
-    """Re sum z_j^2 summed over the 3! orderings is 6 Re(e1^2 - 2 e2)."""
-    cover = VietaCover(3, Polydisk((0, 0, 0), (1.0, 1.0, 1.0)))
-    f = ScalarField(lambda Z: np.real(np.sum(Z * Z, axis=1)),
-                    Polydisk((0, 0, 0), (2.5, 2.5, 2.5)), name="re_p2")
-    pf = pushforward(cover, f)
-    B = halton_sample(cover.downstairs, 500, start=1)
-    want = 6.0 * np.real(B[:, 0] ** 2 - 2.0 * B[:, 1])
-    assert np.max(np.abs(pf.eval_many(B) - want)) <= 1e-12
 
 
 def _log1p_abs_sq(z):
@@ -237,14 +209,6 @@ def test_symmetric_sum_gives_the_same_bits_under_every_permutation(n, data):
     want = f.eval_many(Z)
     for perm in itertools.permutations(range(n)):
         assert np.array_equal(f.eval_many(Z[:, list(perm)]), want)
-
-
-def test_n3_symmetric_sum_pushforward_equals_the_plain_field_sum():
-    f = symmetric_sum(_log1p_abs_sq, 2.5, 3)
-    cover = VietaCover(3, Polydisk((0, 0, 0), (1.0, 1.0, 1.0)))
-    B = halton_sample(cover.downstairs, 2000, start=1)
-    assert np.array_equal(pushforward(cover, f).eval_many(B),
-                          pushforward(cover, _plain(f)).eval_many(B))
 
 
 def test_symmetric_sum_pushforward_raises_when_a_fiber_escapes_at_evaluation():
@@ -355,9 +319,6 @@ def test_power_roots_never_exceed_the_root_of_the_radius(d, R, seed):
     (PowerCover(2, Disk(0.0, 1.0)), Disk(0.1, 1.5), False),
     (VietaCover(2, Polydisk((0.1, 0), (1.0, 1.0))),
      Polydisk((0, 0), (4.0, 4.0)), False),
-    # n = 3 is never proved
-    (VietaCover(3, Polydisk((0, 0, 0), (1.0, 1.0, 1.0))),
-     Polydisk((0, 0, 0), (9.0, 9.0, 9.0)), False),
 ])
 def test_fiber_containment_is_proved_only_under_its_bound(cover, up, proved):
     assert fibers_inside(cover, up) is proved

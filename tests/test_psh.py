@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coversmooth.errors import DomainError, ParameterError
+from coversmooth.errors import DomainError, ParameterError, UnsupportedDimensionError
 from coversmooth.geometry import (
     Annulus,
     ComplexPoint,
@@ -320,10 +320,10 @@ def test_a_step_that_does_not_divide_the_spacing_raises():
         assert err.value.condition == "stencil rows on the grid lattice"
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
 def test_hermitian_min_eigenvalues_match_eigvalsh(n):
-    # n = 1 and 2 take the closed forms, n = 3 the stacked eigvalsh branch;
-    # the error is relative to each matrix's largest |eigenvalue|
+    # the closed forms; the error is relative to each matrix's largest
+    # |eigenvalue|
     rng = np.random.default_rng(20050117 + n)
     A = rng.normal(size=(500, n, n)) + 1j * rng.normal(size=(500, n, n))
     H = 0.5 * (A + np.conj(np.transpose(A, (0, 2, 1))))
@@ -332,6 +332,11 @@ def test_hermitian_min_eigenvalues_match_eigvalsh(n):
     got = hermitian_min_eigenvalues(H)
     assert got.shape == (500,)
     assert np.all(np.abs(got - want[:, 0]) <= 1e-12 * scale)
+
+
+def test_hermitian_min_eigenvalues_refuse_n_above_2():
+    with pytest.raises(UnsupportedDimensionError):
+        hermitian_min_eigenvalues(np.broadcast_to(np.eye(3), (4, 3, 3)))
 
 
 def test_min_levi_eigenvalue_report():

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from coversmooth.cocycle import CocycleChart, KahlerCocycle
-from coversmooth import covers
+from coversmooth import covers, smoothing
 from coversmooth.covers import SymmetricSum, pushforward
-from coversmooth.errors import ScenarioError
+from coversmooth.errors import CoverageError, ScenarioError
 from coversmooth.geometry import (
     Annulus,
     Disk,
@@ -24,8 +24,10 @@ from coversmooth.scenarios import (
     DiskMass,
     FieldDump,
     Lattice,
+    OverlapDevChange,
     build_scenario,
     check_passes,
+    run_scenario,
     scenario_defaults,
     verify_agreement,
 )
@@ -149,7 +151,7 @@ def test_symmetric_pushforward_matches_the_plain_fiber_sum_to_1e_minus_14():
 
 def test_s2_and_s3_raw_pushforwards_solve_no_roots(monkeypatch):
     # the closed forms replace the root solve wherever containment is
-    # proved; an n = 3 cover and an unproved n = 2 chart still solve
+    # proved; an unproved chart still solves
     solved = []
     inner = covers._roots_batched
 
@@ -165,20 +167,15 @@ def test_s2_and_s3_raw_pushforwards_solve_no_roots(monkeypatch):
         monkeypatch.undo()
         assert solved == [], (sid, pair.downstairs_name)
 
-    sq = lambda z: np.abs(z) ** 2
-    f3 = covers.symmetric_sum(sq, 2.5, 3)
-    f2 = covers.symmetric_sum(sq, 3.1, 2, sp_form=lambda s, p: (
-        np.abs(s) ** 2 + np.abs(s * s - 4.0 * p)))
-    for cover, f in ((covers.VietaCover(3, Polydisk((0, 0, 0), (1.0,) * 3)), f3),
-                     (covers.VietaCover(2, Polydisk((0, 0), (2.5, 2.0))), f2)):
-        assert not covers.fibers_inside(cover, f.valid_on)
-        pf = pushforward(cover, f)
-        B = halton_sample(cover.downstairs, 64, start=1)
-        monkeypatch.setattr(covers, "_roots_batched", spy)
-        pf.eval_many(B)
-        monkeypatch.undo()
-        assert solved == [64], cover.kind
-        solved.clear()
+    f = covers.symmetric_sum(lambda z: np.abs(z) ** 2, 3.1, 2,
+                             sp_form=lambda s, p: np.abs(s) ** 2 + np.abs(s * s - 4.0 * p))
+    cover = covers.VietaCover(2, Polydisk((0, 0), (2.5, 2.0)))
+    assert not covers.fibers_inside(cover, f.valid_on)
+    pf = pushforward(cover, f)
+    B = halton_sample(cover.downstairs, 64, start=1)
+    monkeypatch.setattr(covers, "_roots_batched", spy)
+    pf.eval_many(B)
+    assert solved == [64]
 
 
 def test_verify_agreement_passes_on_identical_fields():
@@ -284,6 +281,36 @@ def test_s1_disk_mass_oracle_follows_the_disk_radius():
     assert checks["mass_raw_rel_err"]["value"] < 1e-3
     assert checks["mass_raw_rel_err"]["pass"]
     assert checks["mass_smoothed_drift"]["pass"]
+
+
+_LIFT = smoothing._lift_through_overlaps
+
+
+def _lift_negated(cocycle, chart_name, chi):
+    neg = ScalarField(lambda Z: -chi.eval_many(Z, check=False), chi.valid_on)
+    return _LIFT(cocycle, chart_name, neg)
+
+
+@pytest.mark.parametrize("mutant", [lambda cocycle, chart_name, chi: cocycle,
+                                    _lift_negated], ids=["dropped", "negated"])
+def test_a_broken_gluing_lift_fails_the_s4_overlap_check(monkeypatch, mutant):
+    # S4 lifts its near-chart correction into the far chart; without that
+    # lift (or with its sign flipped) the glued near->far difference is no
+    # longer pluriharmonic, and the report carries a failing pipeline check
+    s = build_scenario("S4")
+    spec = next(spec for spec in s.battery if isinstance(spec, OverlapDevChange))
+
+    def glue():
+        return smooth_pushforward(s.cover, s.upstairs, s.downstairs_overlaps,
+                                  s.steps, s.params)
+
+    assert [c["value"] for _, c in spec.run(s, glue(), None)] == [0.0, 0.0]
+    monkeypatch.setattr(smoothing, "_lift_through_overlaps", mutant)
+    with pytest.raises(CoverageError, match="near->far"):
+        list(spec.run(s, glue(), None))
+    last = run_scenario(s)["checks"][-1]
+    assert (last["name"], last["pass"], last["error_type"]) == \
+        ("pipeline", False, "CoverageError")
 
 
 # Report check order per scenario.  The benchmark gate compares reports to a
