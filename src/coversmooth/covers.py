@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedDimensionError
+from .errors import DomainError
 from .geometry import (
     Domain,
     Polydisk,
@@ -92,26 +92,24 @@ def _roots_batched(E: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VietaCover(Cover):
-    """Ordered pairs (z1, z2) over (s, p) = (z1 + z2, z1 z2); dim must be 2."""
+    """Ordered pairs (z1, z2) over (s, p) = (z1 + z2, z1 z2)."""
 
-    dim: int
     downstairs: Domain = None
-
-    def __post_init__(self):
-        if self.dim != 2:
-            raise UnsupportedDimensionError("Vieta cover shipped for n = 2 only")
-        object.__setattr__(self, "degree", 2)
-        object.__setattr__(self, "n", 2)
-        object.__setattr__(self, "kind", "vieta_2")
+    degree = 2
+    n = 2
+    kind = "vieta_2"
 
     def fiber_rows(self, B: np.ndarray) -> np.ndarray:
         roots = _roots_batched(as_points(B, 2))
         return np.stack([roots, roots[:, ::-1]], axis=1)
 
-    def discriminant_many(self, B: np.ndarray) -> np.ndarray:
-        B = as_points(B, 2)
-        s, p = B[:, 0], B[:, 1]
-        return np.abs(s * s - 4.0 * p)
+
+def discriminant_many(B: np.ndarray) -> np.ndarray:
+    """|s^2 - 4p| on the rows (s, p): zero exactly on the branch locus of
+    the Vieta cover, where its two roots coincide."""
+    B = as_points(B, 2)
+    s, p = B[:, 0], B[:, 1]
+    return np.abs(s * s - 4.0 * p)
 
 
 @dataclass(frozen=True)
@@ -132,46 +130,29 @@ class IdentityCover(Cover):
 
 
 class SymmetricSum(ScalarField):
-    """sum_j phi(z_j) on the given domain.
+    """phi(z1) + phi(z2) on the bidisk of the given radius about 0.
 
-    phi maps a complex column to a real one.  The terms are added left to
-    right, so for n = 2 the value is phi(z1) + phi(z2), the same bits for
-    both orderings of a row (IEEE addition commutes).
+    phi maps a complex column to a real one.  The value is the same bits
+    for both orderings of a row (IEEE addition commutes).
 
-    sp_form, for n = 2 only, is the fiber sum of this field over the
-    Vieta cover as a function of (s, p) = (e1, e2): it takes the two
-    complex columns s and p and returns sum over both orderings of the
-    roots r1, r2 of t^2 - s t + p, that is 2 (phi(r1) + phi(r2)).
-    pushforward evaluates it in place of the roots where fiber
-    containment is proved, after checking it against the root-solved sum.
+    sp_form is the fiber sum of this field over the Vieta cover as a
+    function of (s, p) = (e1, e2): it takes the two complex columns s and
+    p and returns the sum over both orderings of the roots r1, r2 of
+    t^2 - s t + p, that is 2 (phi(r1) + phi(r2)).  pushforward evaluates
+    it in place of the roots where fiber containment is proved, after
+    checking it against the root-solved sum.
     """
 
-    def __init__(self, phi: Callable[[np.ndarray], np.ndarray],
-                 domain: Domain, name: str = "",
-                 sp_form: Optional[Callable[[np.ndarray, np.ndarray],
-                                            np.ndarray]] = None):
-        if sp_form is not None and domain.n != 2:
-            raise ValueError("an (s, p) form is a fiber sum over n = 2")
+    def __init__(self, phi: Callable[[np.ndarray], np.ndarray], radius: float,
+                 sp_form: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 name: str = ""):
         self.phi = phi
         self.sp_form = sp_form
-        super().__init__(self._sum, domain, name=name)
+        super().__init__(self._sum, Polydisk((0j, 0j), (float(radius),) * 2),
+                         name=name)
 
     def _sum(self, Z: np.ndarray) -> np.ndarray:
-        out = self.phi(Z[:, 0])
-        for j in range(1, Z.shape[1]):
-            out = out + self.phi(Z[:, j])
-        return out
-
-
-def symmetric_sum(phi: Callable[[np.ndarray], np.ndarray], radius: float,
-                  n: int, name: str = "",
-                  sp_form: Optional[Callable[[np.ndarray, np.ndarray],
-                                             np.ndarray]] = None
-                  ) -> SymmetricSum:
-    """sum_j phi(z_j) on the polydisk of the given radius about 0 in C^n,
-    with the n = 2 Vieta fiber sum sp_form(s, p) when one is known."""
-    return SymmetricSum(phi, Polydisk((0j,) * n, (float(radius),) * n),
-                        name=name, sp_form=sp_form)
+        return self.phi(Z[:, 0]) + self.phi(Z[:, 1])
 
 
 def _ball_radius(dom: Domain):
@@ -188,7 +169,7 @@ def fibers_inside(cover: Cover, dom: Domain) -> bool:
     * identity cover: the fiber is the base point, so dom must be the
       downstairs chart itself;
     * power cover over a disk of radius R about 0: |z| <= R^(1/d);
-    * n = 2 Vieta cover over the polydisk (a, b) about 0: a root of
+    * Vieta cover over the polydisk (a, b) about 0: a root of
       t^2 - s t + p has |r|^2 <= a |r| + b, so |r| <= a/2 + sqrt(a^2/4 + b).
 
     The bound must stay below the radius of dom (a disk or polydisk about
@@ -220,19 +201,19 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
     Every evaluation checks its base rows against the downstairs chart
     (unless its caller promises them, see ScalarField.eval_many).  Fiber
     containment is proved once here where fibers_inside can (the power,
-    identity and n = 2 Vieta covers over charts about 0, as shipped); the
+    identity and Vieta covers over charts about 0, as shipped); the
     fiber rows are then evaluated without a membership test.  Otherwise
     every evaluation checks the fiber rows against f's domain (the upstairs
     chart), so a fiber escaping it raises rather than extrapolating.  Either
     way, construction probes that the fibers over 128 Halton points stay
     inside f's domain.
 
-    A SymmetricSum with an sp_form over the n = 2 Vieta cover, where
-    containment is proved, is evaluated from that closed form in
-    (s, p) = (e1, e2), with no roots.  For the shipped potentials the
-    parallelogram law gives |r1|^2 + |r2|^2 = (|s|^2 + |s^2 - 4p|)/2, so
-    the kink of the pushforward along the diagonal is |s^2 - 4p|, the
-    modulus of the discriminant.  Construction compares the closed form
+    A SymmetricSum over the Vieta cover, where containment is proved, is
+    evaluated from its closed form sp_form in (s, p) = (e1, e2), with no
+    roots.  For the shipped potentials the parallelogram law gives
+    |r1|^2 + |r2|^2 = (|s|^2 + |s^2 - 4p|)/2, so the kink of the
+    pushforward along the diagonal is |s^2 - 4p|, the modulus of the
+    discriminant.  Construction compares the closed form
     with the root-solved fiber sum over the 128 probe points and raises
     ValueError where they differ by more than CLOSED_FORM_RTOL relative
     (to max(|v|, 1)).  Every other case (an unproved chart, any other
@@ -252,18 +233,17 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
             f"fiber point {tuple(bad)} escapes the upstairs chart; "
             "the cover does not satisfy fiber containment")
 
-    sp_form = f.sp_form if isinstance(f, SymmetricSum) else None
-    if sp_form is not None and isinstance(cover, VietaCover) and not check:
+    if isinstance(f, SymmetricSum) and isinstance(cover, VietaCover) and not check:
         # the probe rows were tested against f's domain just above
         want = f.eval_many(rows, check=False).reshape(P.shape[0], deg).sum(axis=1)
-        err = np.abs(sp_form(P[:, 0], P[:, 1]) - want) / np.maximum(np.abs(want), 1.0)
+        err = np.abs(f.sp_form(P[:, 0], P[:, 1]) - want) / np.maximum(np.abs(want), 1.0)
         if not np.all(err <= CLOSED_FORM_RTOL):
             raise ValueError(
                 f"the (s, p) form of {f.name or 'f'} differs from its fiber "
                 f"sum by {np.max(err):.3e} relative (tolerance {CLOSED_FORM_RTOL:g})")
 
         def _eval(B: np.ndarray) -> np.ndarray:
-            return sp_form(B[:, 0], B[:, 1])
+            return f.sp_form(B[:, 0], B[:, 1])
     else:
         def _eval(B: np.ndarray) -> np.ndarray:
             rows = cover.fiber_rows(B)
@@ -293,8 +273,3 @@ class GluedCover:
         degs = {p.cover.degree for p in self.pairs}
         if len(degs) != 1:
             raise ValueError("all chart pairs must share the covering degree")
-
-    @property
-    def degree(self) -> int:
-        return self.pairs[0].cover.degree
-

@@ -5,7 +5,9 @@ Conventions fixed here and used everywhere else:
 * points of C^n are numpy arrays of shape (m, n), complex dtype; a single
   point is the m=1 row;
 * a domain exposes a boundary-distance-like function that is positive
-  exactly on the interior (not necessarily the metric distance);
+  exactly on the interior (not necessarily the metric distance); a
+  polydisk's is 1-Lipschitz in R^{2n}, which is what the mollifier's
+  shrink proof reads (psh.translates_stay_inside);
 * the domain types are Polydisk, LevelRegion, Intersection, UnionRegion,
   Complement, MappedRegion and ShrunkDomain; Disk (a one-axis Polydisk)
   and Annulus (a Complement of two concentric disks) are constructors;
@@ -45,36 +47,8 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # ---------------------------------------------------------------------------
 # points
 
-@dataclass(frozen=True)
-class ComplexPoint:
-    """A point of C^n, n >= 1, all coordinates finite."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        cs = tuple(complex(c) for c in self.coords)
-        if len(cs) < 1:
-            raise ValueError("ComplexPoint needs at least one coordinate")
-        if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in cs):
-            raise ValueError("ComplexPoint coordinates must be finite")
-        object.__setattr__(self, "coords", cs)
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=complex).reshape(1, -1)
-
-    @staticmethod
-    def from_row(row: np.ndarray) -> "ComplexPoint":
-        return ComplexPoint(tuple(complex(c) for c in np.asarray(row).ravel()))
-
-
 def as_points(z, n: Optional[int] = None) -> np.ndarray:
-    """Coerce scalars / ComplexPoint / sequences / arrays to an (m, n) block."""
-    if isinstance(z, ComplexPoint):
-        return z.as_array()
+    """Coerce scalars / sequences / arrays to an (m, n) block."""
     a = np.asarray(z, dtype=complex)
     if a.ndim == 0:
         a = a.reshape(1, 1)
@@ -98,16 +72,9 @@ class Domain:
     gauge, not necessarily the metric distance.  ``gauge_many`` is a smooth
     variant used to build shift profiles; it never exceeds the boundary
     distance, and defaults to it.
-
-    ``unit_lipschitz`` is True when the boundary distance is declared
-    1-Lipschitz for the Euclidean norm of R^{2n}: a point at boundary
-    distance > t stays inside under any move of norm <= t, so shrinking
-    by t makes room for every such move.  It is derived from the types of
-    the domain and of its parts, never set per instance.
     """
 
     n: int
-    unit_lipschitz = False
 
     def contains_many(self, Z: np.ndarray) -> np.ndarray:
         return self.boundary_distance_many(as_points(Z, self.n)) > 0.0
@@ -125,7 +92,7 @@ class Domain:
     def bbox(self):
         """((2n,) lows, (2n,) highs) real bounding box.  Raises
         NotImplementedError for a domain without one (opaque level sets and
-        preimages); every type that declares unit_lipschitz has one."""
+        preimages)."""
         raise NotImplementedError
 
     def shrink(self, margin: float) -> "Domain":
@@ -146,12 +113,16 @@ def _softmin(columns: Sequence[np.ndarray], gap: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Polydisk(Domain):
-    """Product of the disks |z_j - c_j| < R_j; a disk is the one-axis case."""
+    """Product of the disks |z_j - c_j| < R_j; a disk is the one-axis case.
+
+    The boundary distance min_j (R_j - |z_j - c_j|) is 1-Lipschitz for the
+    Euclidean norm of R^{2n}: a point at distance > t stays inside under
+    any move of norm <= t.
+    """
 
     center_values: tuple = (0j,)
     radii: tuple = (1.0,)
     gauge_gap: float = 0.0  # softmin gap for the smooth gauge; 0 keeps hard min
-    unit_lipschitz = True   # a min of per-axis margins R_j - |z_j - c_j|
 
     def __post_init__(self):
         cs = tuple(complex(c) for c in self.center_values)
@@ -201,8 +172,8 @@ class LevelRegion(Domain):
     nesting margins of level regions remain comparable with metric ones.
     The level function is opaque, so the set has no bounding box and no
     center: sample or grid it through an Intersection with a box.  Nothing
-    bounds the level's gradient by grad_scale, so the gauge is not declared
-    1-Lipschitz.
+    bounds the level's gradient by grad_scale, so the gauge may overstate
+    the distance to the boundary.
     """
 
     level: Callable[[np.ndarray], np.ndarray]
@@ -231,10 +202,6 @@ class Intersection(Domain):
         if len(ns) != 1:
             raise ValueError("intersection members must share a dimension")
         object.__setattr__(self, "n", ns.pop())
-
-    @property
-    def unit_lipschitz(self) -> bool:
-        return all(d.unit_lipschitz for d in self.members)
 
     def boundary_distance_many(self, Z):
         Z = as_points(Z, self.n)
@@ -302,10 +269,6 @@ class Complement(Domain):
             raise ValueError("dimension mismatch")
         object.__setattr__(self, "n", self.inner.n)
 
-    @property
-    def unit_lipschitz(self) -> bool:
-        return self.inner.unit_lipschitz and self.within.unit_lipschitz
-
     def boundary_distance_many(self, Z):
         Z = as_points(Z, self.n)
         return np.minimum(-self.inner.boundary_distance_many(Z),
@@ -339,7 +302,8 @@ class MappedRegion(Domain):
     Membership and gauge are read off in target coordinates; points where the
     transform blows up are outside.  Used for bookkeeping regions expressed
     in another chart's coordinates, never for grids.  The transform may
-    stretch distances, so the gauge is not declared 1-Lipschitz.
+    stretch distances, so the gauge may overstate the distance to the
+    boundary.
     """
 
     target: Domain
@@ -368,10 +332,6 @@ class ShrunkDomain(Domain):
 
     def __post_init__(self):
         object.__setattr__(self, "n", self.base.n)
-
-    @property
-    def unit_lipschitz(self) -> bool:
-        return self.base.unit_lipschitz
 
     def boundary_distance_many(self, Z):
         return self.base.boundary_distance_many(Z) - self.margin
@@ -585,9 +545,6 @@ class ScalarField:
         if out.shape != (Z.shape[0],):
             raise ValueError("field evaluator returned a wrong shape")
         return out
-
-    def __call__(self, p) -> float:
-        return float(self.eval_many(as_points(p, self.n))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedDimensionError
 from .geometry import (
-    ComplexPoint,
     Domain,
     Grid,
     Intersection,
+    Polydisk,
     ScalarField,
     as_points,
     halton_sample,
@@ -57,7 +57,7 @@ def bump_profile(t):
 @dataclass(frozen=True)
 class PshReport:
     min_eigenvalue: float
-    argmin_location: ComplexPoint
+    argmin_location: tuple  # the node's coordinates, as complex numbers
 
 
 def levi_form_many(f, Z, h: float) -> np.ndarray:
@@ -131,7 +131,7 @@ def min_levi_eigenvalue(f: ScalarField, g: Grid, h: float) -> PshReport:
         mins.append(eigs[i])
         where.append(lo + i)
     k = int(np.argmin(mins))
-    return PshReport(float(mins[k]), ComplexPoint.from_row(g.nodes[where[k]]))
+    return PshReport(float(mins[k]), tuple(complex(c) for c in g.nodes[where[k]]))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +166,6 @@ class MollifierKernel:
     offsets: np.ndarray   # (K, n) complex, inside the unit ball of R^{2n}
     weights: np.ndarray   # (K,) positive, sums to 1
     m2_unit: float        # second moment of the unit-radius discrete kernel
-    order: int
-    two_n: int
 
 
 @lru_cache(maxsize=None)
@@ -191,19 +189,20 @@ def mollifier_kernel(two_n: int, order: int) -> MollifierKernel:
     full = full / full.sum()
     m2 = float(np.sum(full * r * r))
     cplx = pts[:, 0::2] + 1j * pts[:, 1::2]
-    return MollifierKernel(cplx, full, m2, order, two_n)
+    return MollifierKernel(cplx, full, m2)
 
 
 def translates_stay_inside(dom: Domain, eps: float, reach: float) -> bool:
     """True when every translate z - eps*o, |o| <= reach < 1, of a point z
     of dom.shrink(eps) provably lies in dom.
 
-    Holds when dom's boundary distance is declared 1-Lipschitz: it drops by
-    at most eps*reach along the move, and (1 - reach)*eps is left over.
-    That slack must exceed SHRINK_SLACK times the coordinate scale of dom's
-    bounding box, which every declared domain has.
+    Proved for a polydisk, the shape of every chart a shipped field lives
+    on: its boundary distance is 1-Lipschitz, so it drops by at most
+    eps*reach along the move, and (1 - reach)*eps is left over.  That slack
+    must exceed SHRINK_SLACK times the coordinate scale of dom's bounding
+    box.  Any other domain is not proved.
     """
-    if not dom.unit_lipschitz:
+    if not isinstance(dom, Polydisk):
         return False
     lo, hi = dom.bbox()
     scale = 1.0 + float(np.max(np.abs(np.concatenate([lo, hi]))))
@@ -213,15 +212,14 @@ def translates_stay_inside(dom: Domain, eps: float, reach: float) -> bool:
 def mollify(f: ScalarField, eps: float, quad_order: int = 8) -> ScalarField:
     """Convolution with the radial bump of radius eps, by fixed quadrature.
 
-    The valid domain shrinks by eps in the domain's own gauge units.  Where
-    the gauge is declared 1-Lipschitz (translates_stay_inside), that shrink
-    is sound: every kernel translate of a point of the shrunken domain lies
-    in f's domain, which is proved once here, and the translates are
-    evaluated without a membership test.  Elsewhere (level regions, mapped
-    regions, an eps too small for the rounding slack) every translate is
-    checked and one that escapes raises DomainError.  quad_order is the
-    tensor Gauss-Legendre order per real axis.  meta records the kernel
-    node count and second moment m2 = eps^2 * m2_unit.
+    The valid domain shrinks by eps in the domain's own gauge units.  On a
+    polydisk (translates_stay_inside) that shrink is sound: every kernel
+    translate of a point of the shrunken domain lies in f's domain, which
+    is proved once here, and the translates are evaluated without a
+    membership test.  On any other domain, or with an eps too small for
+    the rounding slack, every translate is checked and one that escapes
+    raises DomainError.  quad_order is the tensor Gauss-Legendre order per
+    real axis.  meta records the kernel node count, kernel_nodes.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -251,12 +249,7 @@ def mollify(f: ScalarField, eps: float, quad_order: int = 8) -> ScalarField:
         return out
 
     g = ScalarField(_eval, new_domain, name=f"mollify({f.name or 'f'},{eps:g})")
-    g.meta.update({
-        "eps": float(eps),
-        "quad_order": int(quad_order),
-        "kernel_nodes": int(K),
-        "m2": float(eps * eps * kern.m2_unit),
-    })
+    g.meta["kernel_nodes"] = int(K)
     return g
 
 
@@ -275,7 +268,6 @@ class RegMaxKernel:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
 
 REGMAX_ORDER = 16    # Gauss-Legendre nodes of the regularized-max kernel
@@ -286,7 +278,7 @@ def regmax_kernel() -> RegMaxKernel:
     """The kernel of order REGMAX_ORDER, built once."""
     x, w = np.polynomial.legendre.leggauss(REGMAX_ORDER)
     raw = w * bump_profile(x)
-    return RegMaxKernel(x, raw / raw.sum(), REGMAX_ORDER)
+    return RegMaxKernel(x, raw / raw.sum())
 
 
 def reg_max_many(T1: np.ndarray, T2: np.ndarray, eta: float) -> np.ndarray:

@@ -48,8 +48,9 @@ from .covers import (
     GluedCover,
     IdentityCover,
     PowerCover,
+    SymmetricSum,
     VietaCover,
-    symmetric_sum,
+    discriminant_many,
 )
 from .cocycle import (
     ChartOverlap,
@@ -184,6 +185,10 @@ def _build_s1(config: dict) -> Scenario:
     down = Disk(0.0, 1.5)
     opens = _disk_triple(config, 0.6, (0.42, 0.56, 0.59), down)
     u_r, w_r = opens.U.radii[0], opens.W.radii[0]
+    if u_r <= 0.07:
+        raise ScenarioError(
+            f"infeasible overrides: the inner triple radius {u_r:g} leaves "
+            "the band lattice no inner radius (it needs more than 0.07)")
     mass_r = max(1.0, w_r + 0.05)  # dd^c(2|w|) has mass 4 pi r on |w| < r
 
     chart_up = CocycleChart(
@@ -209,11 +214,8 @@ def _build_s1(config: dict) -> Scenario:
                     X2=Disk(0.0, n), battery=battery)
 
 
-_DISC = VietaCover(2).discriminant_many  # |s^2 - 4p| on (s, p)
-
-
 def _sublevel(thr: float, grad_scale: float) -> LevelRegion:
-    return LevelRegion(_DISC, thr, 2, grad_scale=grad_scale)
+    return LevelRegion(discriminant_many, thr, 2, grad_scale=grad_scale)
 
 
 def _disc_tube(config: dict, levels: Tuple[float, float], grad_scale: float,
@@ -277,7 +279,7 @@ def _log1p_abs_sq(z: np.ndarray) -> np.ndarray:
     return np.log1p(np.abs(z) ** 2)
 
 
-# The n = 2 Vieta fiber sums of the two potentials above, in (s, p) =
+# The Vieta fiber sums of the two potentials above, in (s, p) =
 # (e1, e2).  For the roots r1, r2 of t^2 - s t + p the parallelogram law
 # gives 2 (|r1|^2 + |r2|^2) = |s|^2 + |s^2 - 4p|, and
 # (1 + |r1|^2)(1 + |r2|^2) = 1 + |r1|^2 + |r2|^2 + |p|^2.
@@ -293,13 +295,12 @@ def _log1p_abs_sq_sp(s: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _build_s2(config: dict) -> Scenario:
     n, npr = config["n_radius"], config["nprime_radius"]
     dom = Polydisk((0.0, 0.0), (1.9, 1.9))
-    potential = symmetric_sum(_abs_sq, 4.2, 2, name="sum_sq",
-                              sp_form=_abs_sq_sp)
+    potential = SymmetricSum(_abs_sq, 4.2, _abs_sq_sp, name="sum_sq")
     opens, gate = _disc_tube(config, (0.55, 1.05), 4.0,
                              ((1.60, 1.60), (1.82, 1.82), (1.92, 1.92)), dom)
 
     upstairs = KahlerCocycle((CocycleChart("zz", potential),), ())
-    cover = GluedCover((ChartPair("sp", "zz", VietaCover(2, dom)),))
+    cover = GluedCover((ChartPair("sp", "zz", VietaCover(dom)),))
     steps = (GlueStep("sp", opens, gate_region=gate),)
 
     hs = config["h"] / _DEFAULTS["S2"]["h"]  # battery spacing scales with h
@@ -353,8 +354,8 @@ def _axis_shell(axis: int, r_in: float, r_out: float,
 
 def _build_s3(config: dict) -> Scenario:
     n = config["n_radius"]
-    fs1 = symmetric_sum(_log1p_abs_sq, 3.8, 2, sp_form=_log1p_abs_sq_sp)
-    fs3 = symmetric_sum(_log1p_abs_sq, 2.4, 2, sp_form=_log1p_abs_sq_sp)
+    fs1 = SymmetricSum(_log1p_abs_sq, 3.8, _log1p_abs_sq_sp)
+    fs3 = SymmetricSum(_log1p_abs_sq, 2.4, _log1p_abs_sq_sp)
     dom1 = Polydisk((0.0, 0.0), (2.5, 3.5))
     dom3 = Polydisk((0.0, 0.0), (1.75, 1.05))
     tri1, gate1 = _disc_tube(config, (0.45, 0.95), 7.0,
@@ -378,8 +379,8 @@ def _build_s3(config: dict) -> Scenario:
 
     steps = (GlueStep("D1", tri1, gate_region=gate1),
              GlueStep("D3", tri3, gate_region=gate3))
-    cover = GluedCover((ChartPair("D1", "zz", VietaCover(2, dom1)),
-                        ChartPair("D3", "tt", VietaCover(2, dom3))))
+    cover = GluedCover((ChartPair("D1", "zz", VietaCover(dom1)),
+                        ChartPair("D3", "tt", VietaCover(dom3))))
 
     # curve mass patches for the line {e1 = 0.3}; w0 recenters the second
     # coordinate and R(t) keeps the image inside |e2| <= 1

@@ -95,8 +95,9 @@ class SmoothingParams:
 
     def __post_init__(self):
         for name in ("eps", "delta", "eta", "h"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} > 0", f"{name} = {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ParameterError(f"0 < {name} < inf", f"{name} = {value!r}")
 
 
 def _ramp(sU: np.ndarray, sV: np.ndarray) -> np.ndarray:

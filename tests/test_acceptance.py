@@ -112,7 +112,7 @@ def test_criterion_5_pushforward_matches_closed_forms_to_1e_minus_9_and_unit_pus
     assert np.max(np.abs(got - 2.0 * np.abs(W[:, 0]))) <= 1e-9
 
     vup = Polydisk((0, 0), (3.3, 3.3))
-    vieta = VietaCover(2, Polydisk((0, 0), (2.5, 2.0)))
+    vieta = VietaCover(Polydisk((0, 0), (2.5, 2.0)))
     g = ScalarField(
         lambda Z: np.abs(Z[:, 0]) ** 2 + np.abs(Z[:, 1]) ** 2, vup, name="ss"
     )

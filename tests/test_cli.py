@@ -1,8 +1,10 @@
 """Exit codes and message discipline of the command line front end."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,17 @@ def test_list_prints_one_line_per_scenario(capsys):
     for ln, sid in zip(lines, ("S1", "S2", "S3", "S4")):
         assert ln.startswith(sid)
         assert "h=" in ln
+
+
+def test_every_readme_command_line_parses():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    prefix = "python3 -m coversmooth "
+    lines = [ln.strip()[len(prefix):] for ln in readme.read_text().splitlines()
+             if ln.strip().startswith(prefix)]
+    assert len(lines) >= 7
+    parser = cli._build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line))
 
 
 def test_no_arguments_is_a_usage_error(capsys):
@@ -104,7 +117,7 @@ def test_run_with_an_h_too_large_for_the_nesting_margin_exits_config(tmp_path,
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("scenario,flag,value", [
+_HOSTILE = [
     ("S1", "--h", "nan"), ("S1", "--h", "inf"), ("S1", "--h", "0"), ("S1", "--h", "-1"),
     ("S1", "--eps", "nan"), ("S1", "--eps", "inf"), ("S1", "--eps", "0.5"),
     ("S1", "--eta", "nan"), ("S1", "--eta", "1"),
@@ -113,10 +126,16 @@ def test_run_with_an_h_too_large_for_the_nesting_margin_exits_config(tmp_path,
     ("S1", "--n-radius", "1e-9"), ("S1", "--n-radius", "100"),
     ("S1", "--h", "1e300"), ("S4", "--h", "0.3"), ("S1", "--nprime-radius", "5"),
     ("S1", "--h", "1e-200"),
-])
-def test_a_hostile_override_is_one_config_error_line(scenario, flag, value, tmp_path,
+    # S1's band lattice would get an annulus with inner radius 0
+    ("S1", "--n-radius", "0.1", "--nprime-radius", "0.01"),
+]
+
+
+@pytest.mark.parametrize("scenario,tail", [(c[0], c[1:]) for c in _HOSTILE],
+                         ids=["-".join(c) for c in _HOSTILE])
+def test_a_hostile_override_is_one_config_error_line(scenario, tail, tmp_path,
                                                        capsys):
-    code = execute(["run", "--scenario", scenario, flag, value,
+    code = execute(["run", "--scenario", scenario, *tail,
                     "--out", str(tmp_path / "r.json")])
     assert code == 2
     lines = capsys.readouterr().err.splitlines()

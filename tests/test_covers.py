@@ -11,13 +11,14 @@ from coversmooth.covers import (
     CONTAINMENT_SLACK,
     IdentityCover,
     PowerCover,
+    SymmetricSum,
     VietaCover,
     _roots_batched,
+    discriminant_many,
     fibers_inside,
     pushforward,
-    symmetric_sum,
 )
-from coversmooth.errors import DomainError, UnsupportedDimensionError
+from coversmooth.errors import DomainError
 from coversmooth.scenarios import (
     _abs_sq,
     _abs_sq_sp,
@@ -41,7 +42,7 @@ def _power():
 
 
 def _vieta():
-    return VietaCover(2, Polydisk((0, 0), (2.5, 2.0)))
+    return VietaCover(Polydisk((0, 0), (2.5, 2.0)))
 
 
 def _row_counts(rows, digits):
@@ -75,14 +76,8 @@ def test_vieta_fiber_at_the_diagonal_point():
 
 
 def test_discriminant_values():
-    disc2 = _vieta().discriminant_many(np.array([[2.0, 1.0], [0.0, -1.0]]))
+    disc2 = discriminant_many(np.array([[2.0, 1.0], [0.0, -1.0]]))
     assert disc2 == pytest.approx([0.0, 4.0], abs=1e-12)
-
-
-@pytest.mark.parametrize("dim", [1, 3])
-def test_a_vieta_cover_is_refused_outside_n_2(dim):
-    with pytest.raises(UnsupportedDimensionError):
-        VietaCover(dim, Polydisk((0,) * dim, (1.0,) * dim))
 
 
 def test_power_pushforward_matches_closed_form():
@@ -119,8 +114,8 @@ def test_vieta_pushforward_frozen_spot_values():
         name="ss",
     )
     pf = pushforward(cover, f)
-    assert pf(np.array([2.0 + 0j, 1.0 + 0j])) == pytest.approx(4.0, abs=1e-9)
-    assert pf(np.array([0.0 + 0j, -1.0 + 0j])) == pytest.approx(4.0, abs=1e-9)
+    got = pf.eval_many(np.array([[2.0 + 0j, 1.0 + 0j], [0.0 + 0j, -1.0 + 0j]]))
+    assert got == pytest.approx([4.0, 4.0], abs=1e-9)
 
 
 def test_unit_pushforward_equals_the_degree_everywhere():
@@ -200,12 +195,11 @@ _coord = st.floats(-1.5, 1.5, allow_nan=False)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_symmetric_sum_gives_the_same_bits_under_every_permutation(n, data):
-    # two terms commute in IEEE addition; three or more are added left to
-    # right, which does not associate
+    # the two terms commute in IEEE addition
     rows = data.draw(st.lists(st.lists(st.tuples(_coord, _coord), min_size=n,
                                        max_size=n), min_size=1, max_size=16))
     Z = np.array([[complex(a, b) for a, b in row] for row in rows])
-    f = symmetric_sum(_log1p_abs_sq, 2.2, n)
+    f = SymmetricSum(_log1p_abs_sq, 2.2, _log1p_abs_sq_sp)
     want = f.eval_many(Z)
     for perm in itertools.permutations(range(n)):
         assert np.array_equal(f.eval_many(Z[:, list(perm)]), want)
@@ -214,8 +208,8 @@ def test_symmetric_sum_gives_the_same_bits_under_every_permutation(n, data):
 def test_symmetric_sum_pushforward_raises_when_a_fiber_escapes_at_evaluation():
     # the 128 construction probes stay below |r| = 2.992, so the cover is
     # accepted; over (2.4, -1.9) the root (2.4 + sqrt(13.36))/2 = 3.03 is not
-    f = symmetric_sum(lambda z: np.abs(z) ** 2, 3.0, 2)
-    cover = VietaCover(2, Polydisk((0, 0), (2.5, 2.0)))
+    f = SymmetricSum(_abs_sq, 3.0, _abs_sq_sp)
+    cover = VietaCover(Polydisk((0, 0), (2.5, 2.0)))
     B = np.array([[2.4 + 0j, -1.9 + 0j]])
     for g in (f, _plain(f)):
         pf = pushforward(cover, g)
@@ -240,8 +234,8 @@ def test_closed_form_fiber_sums_match_the_root_path_on_random_polydisks(
         phi, sp_form, a, b, seed):
     rng = np.random.default_rng(seed)
     bound = 0.5 * a + np.sqrt(0.25 * a * a + b)
-    f = symmetric_sum(phi, 2.0 * bound, 2, sp_form=sp_form)
-    cover = VietaCover(2, Polydisk((0, 0), (a, b)))
+    f = SymmetricSum(phi, 2.0 * bound, sp_form)
+    cover = VietaCover(Polydisk((0, 0), (a, b)))
     assert fibers_inside(cover, f.valid_on)
     # near the discriminant s^2 = 4p: r2 = r1 (1 + t) with t = 0 or tiny,
     # and |r1| small enough that |s| < a and |p| < b
@@ -261,18 +255,12 @@ def test_a_wrong_closed_form_fails_pushforward_construction():
     def bad(s, p):
         return 2.0 * np.log1p(0.5 * _abs_sq_sp(s, p))
 
-    f = symmetric_sum(_log1p_abs_sq, 3.8, 2, sp_form=bad)
-    cover = VietaCover(2, Polydisk((0, 0), (2.5, 3.5)))
+    f = SymmetricSum(_log1p_abs_sq, 3.8, bad)
+    cover = VietaCover(Polydisk((0, 0), (2.5, 3.5)))
     with pytest.raises(ValueError, match="differs from its fiber sum"):
         pushforward(cover, f)
-    ok = symmetric_sum(_log1p_abs_sq, 3.8, 2, sp_form=_log1p_abs_sq_sp)
+    ok = SymmetricSum(_log1p_abs_sq, 3.8, _log1p_abs_sq_sp)
     pushforward(cover, ok)
-
-
-@pytest.mark.parametrize("n", [1, 3])
-def test_an_sp_form_is_refused_outside_n_2(n):
-    with pytest.raises(ValueError, match="n = 2"):
-        symmetric_sum(_abs_sq, 1.0, n, sp_form=_abs_sq_sp)
 
 
 _radius = st.floats(1e-3, 1e3, allow_nan=False)
@@ -302,22 +290,22 @@ def test_power_roots_never_exceed_the_root_of_the_radius(d, R, seed):
     # S1: sqrt(1.5) = 1.22 < 1.5
     (PowerCover(2, Disk(0.0, 1.5)), Disk(0.0, 1.5), True),
     # S2 2.62 < 4.2, S3 D1 3.5 < 3.8, S3 D3 2.22 < 2.4
-    (VietaCover(2, Polydisk((0, 0), (1.9, 1.9))),
+    (VietaCover(Polydisk((0, 0), (1.9, 1.9))),
      Polydisk((0, 0), (4.2, 4.2)), True),
-    (VietaCover(2, Polydisk((0, 0), (2.5, 3.5))),
+    (VietaCover(Polydisk((0, 0), (2.5, 3.5))),
      Polydisk((0, 0), (3.8, 3.8)), True),
-    (VietaCover(2, Polydisk((0, 0), (1.75, 1.05))),
+    (VietaCover(Polydisk((0, 0), (1.75, 1.05))),
      Polydisk((0, 0), (2.4, 2.4)), True),
     # the bound 3.137 of (2.5, 2.0) is above 3.0
-    (VietaCover(2, Polydisk((0, 0), (2.5, 2.0))),
+    (VietaCover(Polydisk((0, 0), (2.5, 2.0))),
      Polydisk((0, 0), (3.0, 3.0)), False),
     # a bound exactly at the radius leaves no slack
-    (VietaCover(2, Polydisk((0, 0), (2.5, 3.5))),
+    (VietaCover(Polydisk((0, 0), (2.5, 3.5))),
      Polydisk((0, 0), (3.5, 3.5)), False),
     (PowerCover(2, Disk(0.0, 1.0)), Disk(0.0, 0.9), False),
     (PowerCover(2, Disk(0.1, 0.5)), Disk(0.0, 1.5), False),
     (PowerCover(2, Disk(0.0, 1.0)), Disk(0.1, 1.5), False),
-    (VietaCover(2, Polydisk((0.1, 0), (1.0, 1.0))),
+    (VietaCover(Polydisk((0.1, 0), (1.0, 1.0))),
      Polydisk((0, 0), (4.0, 4.0)), False),
 ])
 def test_fiber_containment_is_proved_only_under_its_bound(cover, up, proved):
@@ -344,8 +332,8 @@ class _CheckSpy(ScalarField):
 
 @pytest.mark.parametrize("cover, radius, proved", [
     (PowerCover(2, Disk(0.0, 1.5)), 1.5, True),
-    (VietaCover(2, Polydisk((0, 0), (2.5, 3.5))), 3.8, True),
-    (VietaCover(2, Polydisk((0, 0), (2.5, 2.0))), 3.1, False),
+    (VietaCover(Polydisk((0, 0), (2.5, 3.5))), 3.8, True),
+    (VietaCover(Polydisk((0, 0), (2.5, 2.0))), 3.1, False),
 ])
 def test_pushforward_checks_the_fiber_rows_only_where_unproved(cover, radius, proved):
     up = Polydisk((0j,) * cover.n, (radius,) * cover.n)

@@ -14,12 +14,11 @@ from coversmooth.errors import (
     ParameterError,
     UnsupportedDimensionError,
 )
-from coversmooth.covers import VietaCover
+from coversmooth.covers import discriminant_many
 from coversmooth.geometry import (
     Annulus,
     Complement,
     Disk,
-    Domain,
     Grid,
     Intersection,
     LevelRegion,
@@ -35,6 +34,7 @@ from coversmooth.geometry import (
     sample_grid,
     sample_slice_grid,
 )
+from coversmooth.psh import translates_stay_inside
 
 
 def test_halton_sample_is_deterministic_and_lands_inside():
@@ -212,7 +212,9 @@ def test_mass_integral_rejects_two_variables():
         mass_integral(f, Polydisk((0, 0), (0.5, 0.5)), 0.01)
 
 
-# domains whose boundary distance is declared 1-Lipschitz, one per type
+# boundary distances that are 1-Lipschitz, one domain per boxed type; the
+# mollifier's shrink proof (psh.translates_stay_inside) declares and reads
+# the polydisk's only
 _DECLARED = {
     "disk": Disk(0.2 + 0.1j, 0.9),
     "annulus": Annulus(-0.1j, 0.3, 1.1),
@@ -231,10 +233,9 @@ _DECLARED = {
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_a_declared_gauge_keeps_every_move_shorter_than_the_distance_inside(name, seed):
     dom = _DECLARED[name]
-    assert dom.unit_lipschitz
     rng = np.random.default_rng(seed)
     lo, hi = dom.bbox()
-    # the mollifier's shrink proof reads the box of every declared domain
+    # the mollifier's shrink proof reads the box of a polydisk
     assert np.isfinite(lo).all() and np.isfinite(hi).all()
     X = lo + rng.random((4000, lo.size)) * (hi - lo)
     Z = X[:, 0::2] + 1j * X[:, 1::2]
@@ -249,17 +250,9 @@ def test_a_declared_gauge_keeps_every_move_shorter_than_the_distance_inside(name
     assert dom.contains_many(Z + (u[:, 0::2] + 1j * u[:, 1::2])).all()
 
 
-def test_every_declaring_domain_type_is_in_the_declared_table():
-    # so the finite-box assertion above reaches every declaring type
-    declaring = {cls for cls in Domain.__subclasses__()
-                 if cls.__module__ == Domain.__module__
-                 and cls.__dict__.get("unit_lipschitz", False) is not False}
-    assert declaring <= {type(d) for d in _DECLARED.values()}
-
-
 def _s2_tube(threshold: float) -> LevelRegion:
     """The S2 sublevel {|s^2 - 4p| < threshold} with grad_scale 4."""
-    return LevelRegion(VietaCover(2).discriminant_many, threshold, 2, grad_scale=4.0)
+    return LevelRegion(discriminant_many, threshold, 2, grad_scale=4.0)
 
 
 @pytest.mark.parametrize("dom", [
@@ -291,10 +284,11 @@ def test_the_s2_level_gauge_is_a_counterexample_and_is_not_declared():
     step = np.array([[3.6 + 0j, -4.0 + 0j]])
     moved = z + 0.96 * d * step / np.linalg.norm(step)
     assert not tube.contains_many(moved)[0]
-    assert not tube.unit_lipschitz
+    assert not translates_stay_inside(tube, 0.01, 0.9)
 
 
 def test_only_metric_gauges_are_declared_1_lipschitz():
+    # none of these gets the shrink proof, which declares polydisks only
     tube = _s2_tube(1.05)
     mapped = MappedRegion(Disk(0.0, 1.0), lambda Z: 3.0 * Z, 1)
     for dom in (tube, mapped, tube.shrink(0.1),
@@ -302,7 +296,7 @@ def test_only_metric_gauges_are_declared_1_lipschitz():
                 Complement(tube, within=Polydisk((0, 0), (1.0, 1.0))),
                 Complement(Disk(0.0, 0.2), within=mapped),
                 UnionRegion((Disk(0.0, 1.0), Disk(1.0, 1.0)))):
-        assert not dom.unit_lipschitz
+        assert not translates_stay_inside(dom, 0.07, 0.9)
 
 
 def test_a_mapped_region_reads_finite_rows_in_target_coordinates():

@@ -31,7 +31,16 @@ from coversmooth.scenarios import (
     scenario_defaults,
     verify_agreement,
 )
-from coversmooth.smoothing import GlueResult, PushforwardRun, smooth_pushforward
+from coversmooth.smoothing import (
+    GlueResult,
+    GlueStep,
+    NestedOpens,
+    PushforwardRun,
+    SmoothingParams,
+    global_glue,
+    local_smooth,
+    smooth_pushforward,
+)
 
 S1_DEFAULTS = {
     "h": 0.01,
@@ -60,7 +69,7 @@ def test_scenario_defaults_returns_a_copy():
 def test_build_s1_at_defaults():
     s = build_scenario("S1")
     assert s.scenario_id == "S1"
-    assert s.cover.degree == 2
+    assert s.cover.pairs[0].cover.degree == 2
     assert s.config["nprime_radius"] == 0.4
     assert isinstance(s.X2, Polydisk)
     assert s.X2.radii == (0.6,)
@@ -112,6 +121,18 @@ def test_infeasible_triples_are_rejected_at_build(sid, overrides, message):
         build_scenario(sid, overrides)
 
 
+@pytest.mark.parametrize("sid", SCENARIO_IDS)
+def test_any_radius_override_builds_or_is_one_scenario_error(sid):
+    # build only: a bad pair must be a ScenarioError, which the CLI turns
+    # into one config error line, and never a bare ValueError
+    for n in (0.01, 0.06, 0.1, 0.4, 0.8, 1.2, 2.5):
+        for npr in (0.005, 0.01, 0.05, 0.2, 0.6, 1.1):
+            try:
+                build_scenario(sid, {"n_radius": n, "nprime_radius": npr})
+            except ScenarioError:
+                pass
+
+
 def test_explicit_nprime_override_is_taken_literally():
     s = build_scenario("S1", {"n_radius": 0.5, "nprime_radius": 0.3})
     assert s.config["nprime_radius"] == 0.3
@@ -140,7 +161,7 @@ def test_s2_and_s3_upstairs_potentials_are_symmetric_sums():
 def test_symmetric_pushforward_matches_the_plain_fiber_sum_to_1e_minus_14():
     # the closed form in (s, p) moves the last bits of the root-solved sum
     for sid, pair, f in _upstairs_pairs():
-        assert isinstance(f, SymmetricSum) and f.sp_form is not None
+        assert isinstance(f, SymmetricSum)
         plain = ScalarField(f.evaluator, f.valid_on, name=f.name)
         B = halton_sample(pair.cover.downstairs, 2000, start=1)
         got = pushforward(pair.cover, f).eval_many(B)
@@ -167,9 +188,9 @@ def test_s2_and_s3_raw_pushforwards_solve_no_roots(monkeypatch):
         monkeypatch.undo()
         assert solved == [], (sid, pair.downstairs_name)
 
-    f = covers.symmetric_sum(lambda z: np.abs(z) ** 2, 3.1, 2,
-                             sp_form=lambda s, p: np.abs(s) ** 2 + np.abs(s * s - 4.0 * p))
-    cover = covers.VietaCover(2, Polydisk((0, 0), (2.5, 2.0)))
+    f = SymmetricSum(lambda z: np.abs(z) ** 2, 3.1,
+                     lambda s, p: np.abs(s) ** 2 + np.abs(s * s - 4.0 * p))
+    cover = covers.VietaCover(Polydisk((0, 0), (2.5, 2.0)))
     assert not covers.fibers_inside(cover, f.valid_on)
     pf = pushforward(cover, f)
     B = halton_sample(cover.downstairs, 64, start=1)
@@ -291,8 +312,12 @@ def _lift_negated(cocycle, chart_name, chi):
     return _LIFT(cocycle, chart_name, neg)
 
 
-@pytest.mark.parametrize("mutant", [lambda cocycle, chart_name, chi: cocycle,
-                                    _lift_negated], ids=["dropped", "negated"])
+_MUTANTS = pytest.mark.parametrize(
+    "mutant", [lambda cocycle, chart_name, chi: cocycle, _lift_negated],
+    ids=["dropped", "negated"])
+
+
+@_MUTANTS
 def test_a_broken_gluing_lift_fails_the_s4_overlap_check(monkeypatch, mutant):
     # S4 lifts its near-chart correction into the far chart; without that
     # lift (or with its sign flipped) the glued near->far difference is no
@@ -311,6 +336,50 @@ def test_a_broken_gluing_lift_fails_the_s4_overlap_check(monkeypatch, mutant):
     last = run_scenario(s)["checks"][-1]
     assert (last["name"], last["pass"], last["error_type"]) == \
         ("pipeline", False, "CoverageError")
+
+
+# Two steps on S4's inversion atlas w = 1/z: the near chart on S4's triple,
+# then a far-chart triple of annuli inside |w| in (1/0.62, 1/0.47), where the
+# near correction lifted to the far chart is nonzero.  The far triple has
+# thin bands, hence a small delta, and a small eps keeps the near step's
+# tau_bound below it.
+_TWO_STEP_PARAMS = SmoothingParams(eps=3e-3, delta=4e-6, eta=1.5e-6, h=2.5e-3)
+_FAR_STEP = GlueStep("far", NestedOpens(
+    Annulus(0.0, 1.74, 2.01), Annulus(0.0, 1.66, 2.11), Annulus(0.0, 1.63, 2.12)))
+
+
+def _check_two_step_fixture():
+    s = build_scenario("S4")
+    near, params = s.steps[0], _TWO_STEP_PARAMS
+    one = smooth_pushforward(s.cover, s.upstairs, s.downstairs_overlaps,
+                             (near,), params)
+    raw = one.raw.chart("far").potential
+    lifted = one.cocycle.chart("far").potential
+    chi = one.glued.steps[0].result.correction
+    P = halton_sample(_FAR_STEP.opens.V, 400)
+    lift = chi.eval_many(1.0 / P)
+    assert np.max(lift) > params.delta
+    assert np.array_equal(lifted.eval_many(P), raw.eval_many(P) + lift), "lift"
+
+    two = global_glue(one.raw, (near, _FAR_STEP), params)
+    got = two.cocycle.chart("far").potential.eval_many(P)
+    # step 2 mollifies the far field that carries step 1's correction ...
+    want = local_smooth(lifted, _FAR_STEP.opens, params).psi.eval_many(P)
+    assert np.array_equal(got, want)
+    # ... which the raw far field does not
+    from_raw = local_smooth(raw, _FAR_STEP.opens, params).psi.eval_many(P)
+    assert np.max(np.abs(got - from_raw)) > params.delta
+
+
+def test_a_second_step_smooths_the_field_that_carries_the_first_correction():
+    _check_two_step_fixture()
+
+
+@_MUTANTS
+def test_a_broken_gluing_lift_fails_the_two_step_fixture(monkeypatch, mutant):
+    monkeypatch.setattr(smoothing, "_lift_through_overlaps", mutant)
+    with pytest.raises(AssertionError, match="lift"):
+        _check_two_step_fixture()
 
 
 # Report check order per scenario.  The benchmark gate compares reports to a

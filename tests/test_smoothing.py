@@ -46,6 +46,14 @@ def test_smoothing_params_defaults():
     assert smoothing.HALTON_START == 1
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["eps", "delta", "eta", "h"])
+def test_a_setting_that_is_not_finite_and_positive_is_a_parameter_error(name, value):
+    kw = {"eps": 0.1, "delta": 1e-3, "eta": 5e-4, "h": 1e-2, name: value}
+    with pytest.raises(ParameterError, match=f"0 < {name} < inf"):
+        SmoothingParams(**kw)
+
+
 GOOD_MEASUREMENTS = {
     "margin": 0.1,
     "tau_bound": 1e-4,
