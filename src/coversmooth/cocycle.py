@@ -36,12 +36,63 @@ class CocycleChart:
     potential: ScalarField
 
 
+class OverlapTransform:
+    """A chart transform that bounds its image of a polydisk about 0.
+
+    floor(radii) gives, for each image coordinate j, a lower bound on
+    |w_j| over the images of the rows with |z_k| < radii[k] for every k;
+    0.0 where it states none.  The gluing sweep reads it to prove once that
+    an overlap misses a correction's support
+    (smoothing._lift_through_overlaps).  n is the dimension of the rows
+    it maps.
+    """
+
+    n: int
+
+    def __call__(self, Z: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def floor(self, radii: Sequence[float]) -> Tuple[float, ...]:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class Inversion(OverlapTransform):
+    """z -> 1/z in each of the n coordinates: |1/z_j| > 1/r_j on |z_j| < r_j."""
+
+    n: int
+
+    def __call__(self, Z: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 1.0 / as_points(Z, self.n)
+
+    def floor(self, radii: Sequence[float]) -> Tuple[float, ...]:
+        return tuple(1.0 / r for r in radii)
+
+
+class SwapChart(OverlapTransform):
+    """(t1, t2) -> (t1/t2, 1/t2): |1/t2| > 1/r2 on |t2| < r2, and t1/t2
+    comes arbitrarily close to 0."""
+
+    n = 2
+
+    def __call__(self, Z: np.ndarray) -> np.ndarray:
+        Z = as_points(Z, self.n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.stack([Z[:, 0] / Z[:, 1], 1.0 / Z[:, 1]], axis=1)
+
+    def floor(self, radii: Sequence[float]) -> Tuple[float, ...]:
+        return (0.0, 1.0 / radii[1])
+
+
 @dataclass(frozen=True)
 class ChartOverlap:
     """Declared overlap: region inside chart `src`, mapped into chart `dst`.
 
     transform takes (m, n) complex rows in src coordinates to dst
-    coordinates and must be holomorphic on the region.
+    coordinates and must be holomorphic on the region.  An
+    OverlapTransform also bounds its image, which lets the gluing sweep
+    skip a lift that provably adds only zeros.
     """
 
     src: str

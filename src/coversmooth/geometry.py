@@ -8,9 +8,9 @@ Conventions fixed here and used everywhere else:
   exactly on the interior (not necessarily the metric distance); a
   polydisk's is 1-Lipschitz in R^{2n}, which is what the mollifier's
   shrink proof reads (psh.translates_stay_inside);
-* the domain types are Polydisk, LevelRegion, Intersection, UnionRegion,
-  Complement, MappedRegion and ShrunkDomain; Disk (a one-axis Polydisk)
-  and Annulus (a Complement of two concentric disks) are constructors;
+* the domain types are Polydisk, LevelRegion, Intersection, Complement,
+  MappedRegion and ShrunkDomain; Disk (a one-axis Polydisk) and Annulus
+  (a Complement of two concentric disks) are constructors;
 * samplers and lattices read a domain's bounding box; opaque level sets
   and preimages have none and go through an Intersection with a box, and
   a complement is bounded by the domain it is taken within;
@@ -229,31 +229,6 @@ class Intersection(Domain):
         if not los:
             raise NotImplementedError("no intersection member provides a bounding box")
         return np.max(np.stack(los), axis=0), np.min(np.stack(his), axis=0)
-
-
-@dataclass(frozen=True)
-class UnionRegion(Domain):
-    members: tuple
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("empty union")
-        ns = {d.n for d in self.members}
-        if len(ns) != 1:
-            raise ValueError("union members must share a dimension")
-        object.__setattr__(self, "n", ns.pop())
-
-    def boundary_distance_many(self, Z):
-        Z = as_points(Z, self.n)
-        return np.max(np.stack([d.boundary_distance_many(Z) for d in self.members]), axis=0)
-
-    @property
-    def center(self):
-        return self.members[0].center
-
-    def bbox(self):
-        los, his = zip(*(d.bbox() for d in self.members))
-        return np.min(np.stack(los), axis=0), np.max(np.stack(his), axis=0)
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,9 @@ from .cocycle import (
     ChartOverlap,
     CocycleChart,
     CurvePatch,
+    Inversion,
     KahlerCocycle,
+    SwapChart,
     curve_mass,
     validate_cocycle,
 )
@@ -331,15 +333,10 @@ def _build_s2(config: dict) -> Scenario:
                     battery=battery)
 
 
-def _swap_chart(Z: np.ndarray) -> np.ndarray:
-    Z = as_points(Z, 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.stack([Z[:, 0] / Z[:, 1], 1.0 / Z[:, 1]], axis=1)
-
-
-def _inv_both(Z: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 1.0 / as_points(Z, 2)
+# S3's chart changes: z -> 1/z upstairs, and downstairs its Vieta image
+# (s, p) -> (s/p, 1/p); an overlap and its MappedRegion share one instance
+_swap_chart = SwapChart()
+_inv_both = Inversion(2)
 
 
 def _axis_shell(axis: int, r_in: float, r_out: float,
@@ -453,13 +450,13 @@ def _build_s4(config: dict) -> Scenario:
 
     dom_near = Disk(0.0, 0.8)
     dom_far = Disk(0.0, 1.0 / 0.46)
+    inv = Inversion(1)
 
-    def inv(Z: np.ndarray) -> np.ndarray:
-        return 1.0 / as_points(Z, 1)
-
-    overlaps = (ChartOverlap("near", "far", Annulus(0.0, 0.47, 0.79), inv),
+    # each overlap is the charts' whole intersection 0.46 < |z| < 0.79, so
+    # the near correction is lifted to every far point the near chart covers
+    overlaps = (ChartOverlap("near", "far", Annulus(0.0, 0.46, 0.79), inv),
                 ChartOverlap("far", "near",
-                             Annulus(0.0, 1.0 / 0.79, 1.0 / 0.47), inv))
+                             Annulus(0.0, 1.0 / 0.79, 1.0 / 0.46), inv))
     upstairs = KahlerCocycle(
         (CocycleChart("near", ScalarField(phi_near, dom_near, name="near")),
          CocycleChart("far", ScalarField(phi_far, dom_far, name="far"))),

@@ -22,25 +22,28 @@ with the violated condition string:
 
 The gluing sweep applies the local step chart by chart, smoothing the
 accumulated field each time; corrections are lifted to the other charts
-through the declared overlaps, so the cocycle relations are untouched.
+through the declared overlaps, so the cocycle relations are untouched.  A
+correction is 0.0 outside its step's V, so a lift through an overlap that
+provably misses V is skipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ParameterError
-from .cocycle import CocycleChart, KahlerCocycle
-from .covers import GluedCover
+from .cocycle import ChartOverlap, CocycleChart, KahlerCocycle, OverlapTransform
+from .covers import CONTAINMENT_SLACK, GluedCover
 from .geometry import (
     Complement,
     Domain,
     Intersection,
+    Polydisk,
     ScalarField,
-    UnionRegion,
+    ShrunkDomain,
     as_points,
     halton_sample,
     nesting_margin,
@@ -292,7 +295,6 @@ class GlueStep:
 class StepRecord:
     step: GlueStep
     result: LocalSmoothResult
-    omega: Optional[Domain]
 
 
 @dataclass
@@ -305,14 +307,57 @@ class GlueResult:
         return [r.result.measurements for r in self.steps]
 
 
+def _polydisk_radii(dom: Domain) -> Optional[Tuple[float, ...]]:
+    """Radii of a polydisk about 0 that contains dom: dom itself, a shrink
+    of one (its radii less the margin), or the first member of an
+    intersection that has one.  None for anything else, such as a box off
+    0 or a level set with no box."""
+    if isinstance(dom, Polydisk):
+        return None if any(dom.center_values) else dom.radii
+    if isinstance(dom, ShrunkDomain) and isinstance(dom.base, Polydisk):
+        radii = _polydisk_radii(dom.base)
+        if radii is None or min(radii) <= dom.margin:
+            return None
+        return tuple(r - dom.margin for r in radii)
+    if isinstance(dom, Intersection):
+        return next(filter(None, map(_polydisk_radii, dom.members)), None)
+    return None
+
+
+def _overlap_misses(ov: ChartOverlap, V: Domain) -> bool:
+    """True when every image of ov's region provably lies outside V.
+
+    The region lies in a polydisk about 0 and V in another; on some axis
+    the transform's floor over the first reaches the second's radius, by
+    the relative slack CONTAINMENT_SLACK.  An untyped transform, or a
+    region or V without such a polydisk, is not proved.
+    """
+    if not isinstance(ov.transform, OverlapTransform):
+        return False
+    region, support = _polydisk_radii(ov.region), _polydisk_radii(V)
+    if region is None or support is None:
+        return False
+    return any(f >= r * (1.0 + CONTAINMENT_SLACK)
+               for f, r in zip(ov.transform.floor(region), support))
+
+
 def _lift_through_overlaps(cocycle: KahlerCocycle, chart_name: str,
-                           chi: ScalarField) -> KahlerCocycle:
+                           chi: ScalarField, V: Domain) -> KahlerCocycle:
     """Add chi (living on chart_name) to every other chart that declares an
-    overlap into chart_name; outside the overlap the lift is exactly zero,
-    consistent with chi vanishing outside its triple."""
+    overlap into chart_name; outside the overlap the lift is exactly zero.
+
+    The invariant: chi is the correction of a step whose triple has middle
+    member V, and it is exactly 0.0 outside V (local_smooth's correction
+    evaluator writes only the rows inside V).  A lift is skipped only when
+    _overlap_misses proves, from the transform's image bound, that the
+    overlap's region maps outside V's polydisk; it would add 0.0 to every
+    row.  Every other lift runs.
+    """
     out = cocycle
     for ov in cocycle.overlaps:
         if ov.dst != chart_name or ov.src == chart_name:
+            continue
+        if _overlap_misses(ov, V):
             continue
         src_chart = out.chart(ov.src)
         old = src_chart.potential
@@ -344,9 +389,9 @@ def global_glue(cocycle: KahlerCocycle, steps: Sequence[GlueStep],
     Every step runs with params.  A single step reproduces local_smooth
     exactly.
     """
+    # X1 and X2 are accepted and unread, like smooth_pushforward's
     current = cocycle
     records: List[StepRecord] = []
-    covered: Optional[Domain] = X1
     for k, step in enumerate(steps, start=1):
         chart = current.chart(step.chart_name)
         try:
@@ -356,15 +401,10 @@ def global_glue(cocycle: KahlerCocycle, steps: Sequence[GlueStep],
             raise ParameterError(exc.condition,
                                  f"glue step {k} ({step.chart_name}): {exc.detail}")
 
-        omega = None
-        if covered is not None:
-            omega = Intersection((step.opens.V, covered))
-        covered = (UnionRegion((covered, step.opens.U))
-                   if covered is not None else step.opens.U)
-
         current = current.replace_potential(step.chart_name, res.psi)
-        current = _lift_through_overlaps(current, step.chart_name, res.correction)
-        records.append(StepRecord(step, res, omega))
+        current = _lift_through_overlaps(current, step.chart_name,
+                                         res.correction, step.opens.V)
+        records.append(StepRecord(step, res))
     return GlueResult(current, records)
 
 
@@ -388,6 +428,7 @@ def smooth_pushforward(cover: GluedCover, upstairs: KahlerCocycle,
     Each chart pair of cover contributes one downstairs chart whose
     potential is the pushforward of the assigned upstairs potential.
     """
+    # X1 and X2 are accepted and unread: bench/worker.py still passes them
     from .covers import pushforward as push
 
     charts = []
@@ -396,5 +437,5 @@ def smooth_pushforward(cover: GluedCover, upstairs: KahlerCocycle,
         phi = push(pair.cover, up.potential)
         charts.append(CocycleChart(pair.downstairs_name, phi))
     raw = KahlerCocycle(tuple(charts), tuple(downstairs_overlaps))
-    glue = global_glue(raw, steps, params, X1=X1, X2=X2)
+    glue = global_glue(raw, steps, params)
     return PushforwardRun(raw, glue)

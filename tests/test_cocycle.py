@@ -7,16 +7,20 @@ line, and the diagonal in the product of two lines carries 8 pi.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coversmooth.cocycle import (
     ChartOverlap,
     CocycleChart,
     CurvePatch,
+    Inversion,
     KahlerCocycle,
+    SwapChart,
     curve_mass,
     curve_mass_patch,
     validate_cocycle,
 )
+from coversmooth.covers import CONTAINMENT_SLACK
 from coversmooth.errors import CoverageError, DomainError
 from coversmooth.geometry import (
     Annulus,
@@ -156,3 +160,24 @@ def test_map_inside_matches_the_region_test_on_the_s3_overlaps():
         assert 0 < want.sum() < 4000 and not want[4000:].any()
         assert ov.region.members[0].contains_many(Z0).any()
         assert np.array_equal(W, ov.map_many(Z[want]))
+
+
+@pytest.mark.parametrize("transform", [Inversion(1), Inversion(2), SwapChart()],
+                         ids=["inversion_1", "inversion_2", "swap"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(radii=st.lists(st.floats(1e-3, 1e3, allow_nan=False), min_size=2, max_size=2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_a_typed_transform_keeps_its_image_of_a_polydisk_above_its_floor(
+        transform, radii, seed):
+    # rows uniform in the polydisk about 0, plus rows a rounding step inside
+    # its rim, where each floor is tight
+    n = transform.n
+    radii = np.array(radii[:n])
+    rng = np.random.default_rng(seed)
+    frac = np.vstack([np.sqrt(rng.random((2000, n))), np.full((8, n), 1.0 - 1e-15)])
+    Z = frac * radii * np.exp(2j * np.pi * rng.random(frac.shape))
+    Z = Z[(np.abs(Z) < radii).all(axis=1) & (Z != 0).all(axis=1)]
+    floor = np.array(transform.floor(tuple(radii)))
+    W = transform(Z)
+    assert W.shape == Z.shape
+    assert (np.abs(W) * (1.0 + CONTAINMENT_SLACK) >= floor).all()

@@ -7,13 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coversmooth.cocycle import CocycleChart, KahlerCocycle
+from coversmooth.cocycle import ChartOverlap, CocycleChart, KahlerCocycle
 from coversmooth import covers, smoothing
 from coversmooth.covers import SymmetricSum, pushforward
 from coversmooth.errors import CoverageError, ScenarioError
 from coversmooth.geometry import (
     Annulus,
     Disk,
+    Intersection,
+    LevelRegion,
     Polydisk,
     ScalarField,
     halton_sample,
@@ -307,13 +309,13 @@ def test_s1_disk_mass_oracle_follows_the_disk_radius():
 _LIFT = smoothing._lift_through_overlaps
 
 
-def _lift_negated(cocycle, chart_name, chi):
+def _lift_negated(cocycle, chart_name, chi, V):
     neg = ScalarField(lambda Z: -chi.eval_many(Z, check=False), chi.valid_on)
-    return _LIFT(cocycle, chart_name, neg)
+    return _LIFT(cocycle, chart_name, neg, V)
 
 
 _MUTANTS = pytest.mark.parametrize(
-    "mutant", [lambda cocycle, chart_name, chi: cocycle, _lift_negated],
+    "mutant", [lambda cocycle, chart_name, chi, V: cocycle, _lift_negated],
     ids=["dropped", "negated"])
 
 
@@ -380,6 +382,77 @@ def test_a_broken_gluing_lift_fails_the_two_step_fixture(monkeypatch, mutant):
     monkeypatch.setattr(smoothing, "_lift_through_overlaps", mutant)
     with pytest.raises(AssertionError, match="lift"):
         _check_two_step_fixture()
+
+
+def _glued(sid):
+    s = build_scenario(sid)
+    return s, smooth_pushforward(s.cover, s.upstairs, s.downstairs_overlaps,
+                                 s.steps, s.params)
+
+
+def test_only_s3s_d3_to_d1_lift_is_proved_to_add_nothing():
+    s3, s4 = build_scenario("S3"), build_scenario("S4")
+    V1, V3 = (step.opens.V for step in s3.steps)
+    ov13, ov31 = s3.downstairs_overlaps
+    # D3's region lies in |t2| < 0.99, which the swap sends to |p| > 1/0.99;
+    # step 1's V lies in |p| < 0.70
+    assert smoothing._overlap_misses(ov31, V1)
+    assert not smoothing._overlap_misses(ov13, V3)
+    far_near = next(ov for ov in s4.downstairs_overlaps if ov.dst == "near")
+    assert not smoothing._overlap_misses(far_near, s4.steps[0].opens.V)
+    # what the proof cannot decide keeps the lift: an untyped transform, a
+    # V box off 0, a V with no box
+    untyped = ChartOverlap(ov31.src, ov31.dst, ov31.region,
+                           lambda Z: ov31.transform(Z))
+    off_center = Intersection((Polydisk((0.0, 0.1), (1.00, 0.70)),) + V1.members[1:])
+    level_only = LevelRegion(lambda Z: np.abs(Z[:, 1]), 0.70, 2)
+    for ov, V in ((untyped, V1), (ov31, off_center), (ov31, level_only)):
+        assert not smoothing._overlap_misses(ov, V)
+
+
+def test_s3_skips_exactly_the_d3_to_d1_lift_and_s4_keeps_its_lift(monkeypatch):
+    lifted = []
+    inner = ChartOverlap.map_inside
+
+    def spy(self, Z):
+        lifted.append(f"{self.src}->{self.dst}")
+        return inner(self, Z)
+
+    monkeypatch.setattr(ChartOverlap, "map_inside", spy)
+    for sid, want in (("S3", ["D1->D3"]), ("S4", ["far->near"])):
+        lifted.clear()
+        s, run = _glued(sid)
+        for ov in s.downstairs_overlaps:
+            P = halton_sample(ov.region, 500)
+            run.cocycle.chart(ov.src).potential.eval_many(P)
+        assert sorted(set(lifted)) == want, sid
+
+
+def test_the_skipped_s3_lift_would_add_only_zeros(monkeypatch):
+    s, run = _glued("S3")
+    ov31 = next(ov for ov in s.downstairs_overlaps if ov.src == "D3")
+    chi1 = run.glued.steps[0].result.correction
+    P = halton_sample(ov31.region, 20_000)
+    inside, W = ov31.map_inside(P)
+    assert inside.all()
+    assert np.array_equal(chi1.eval_many(W), np.zeros(len(P)))
+    skipped = run.cocycle.chart("D3").potential.eval_many(P)
+    monkeypatch.setattr(smoothing, "_overlap_misses", lambda ov, V: False)
+    _, kept = _glued("S3")
+    assert np.array_equal(skipped, kept.cocycle.chart("D3").potential.eval_many(P))
+
+
+def test_s4s_far_correction_is_continuous_where_the_near_chart_ends():
+    # the far chart reaches |w| < 1/0.46; the near correction must reach it
+    # on both sides of |w| = 1/0.47, where it is about 3e-4
+    s, run = _glued("S4")
+    raw = run.raw.chart("far").potential
+    glued = run.cocycle.chart("far").potential
+    ring = np.exp(2j * np.pi * np.arange(16) / 16)[:, None]
+    lo, hi = (ring * (1.0 / 0.47 + d) for d in (-1e-7, 1e-7))
+    inside, outside = (glued.eval_many(P) - raw.eval_many(P) for P in (lo, hi))
+    assert np.min(inside) > 1e-4
+    assert np.max(np.abs(outside - inside)) < 1e-6
 
 
 # Report check order per scenario.  The benchmark gate compares reports to a
