@@ -379,8 +379,7 @@ def _lift_through_overlaps(cocycle: KahlerCocycle, chart_name: str,
 
 
 def global_glue(cocycle: KahlerCocycle, steps: Sequence[GlueStep],
-                params: SmoothingParams, X1: Optional[Domain] = None,
-                X2: Optional[Domain] = None) -> GlueResult:
+                params: SmoothingParams) -> GlueResult:
     """Sweep the local step across charts, lifting corrections as it goes.
 
     Step k smooths the accumulated field of its chart, mollifying that
@@ -389,7 +388,6 @@ def global_glue(cocycle: KahlerCocycle, steps: Sequence[GlueStep],
     Every step runs with params.  A single step reproduces local_smooth
     exactly.
     """
-    # X1 and X2 are accepted and unread, like smooth_pushforward's
     current = cocycle
     records: List[StepRecord] = []
     for k, step in enumerate(steps, start=1):

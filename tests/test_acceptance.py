@@ -15,7 +15,6 @@ from coversmooth.cocycle import CocycleChart, KahlerCocycle
 from coversmooth.covers import PowerCover, VietaCover, pushforward
 from coversmooth.geometry import (
     Annulus,
-    Complement,
     Disk,
     Polydisk,
     ScalarField,
@@ -197,7 +196,6 @@ def test_criterion_7_corrections_vanish_off_their_support_devs_are_kept_and_one_
         KahlerCocycle((CocycleChart("c", phi),), ()),
         [GlueStep("c", opens)],
         params,
-        X1=Complement(Disk(0.0, 0.30), within=dom),
     )
     probe = halton_sample(Disk(0.0, 0.78), 800, start=1)
     assert np.array_equal(

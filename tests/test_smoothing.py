@@ -8,7 +8,6 @@ from coversmooth.cocycle import CocycleChart, KahlerCocycle
 from coversmooth.errors import ParameterError
 from coversmooth.geometry import (
     Annulus,
-    Complement,
     Disk,
     ScalarField,
     halton_sample,
@@ -160,7 +159,6 @@ def test_single_step_glue_coincides_with_local_smooth_bitwise():
         cocycle,
         [GlueStep("c", TOY_OPENS)],
         TOY_PARAMS,
-        X1=Complement(Disk(0.0, 0.30), within=TOY_DOMAIN),
     )
     pts = halton_sample(Disk(0.0, 0.78), 800, start=1)
     assert np.array_equal(
