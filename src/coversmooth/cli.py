@@ -175,8 +175,8 @@ def _cmd_verify(args) -> int:
         _fail("config", f"report is not valid JSON: {exc}")
         return 2
     checks = report.get("checks") if isinstance(report, dict) else None
-    if not isinstance(checks, list) or "pass" not in report:
-        _fail("config", "report lacks the checks/pass fields")
+    if not isinstance(checks, list) or not isinstance(report.get("pass"), bool):
+        _fail("config", "report needs a checks list and a boolean pass")
         return 2
     for c in checks:
         if not isinstance(c, dict) or not {"name", "value", "tol", "pass"} <= set(c):
@@ -185,12 +185,16 @@ def _cmd_verify(args) -> int:
         if not all(_is_number(c[k]) for k in ("value", "tol")):
             _fail("config", f"check {c['name']!r} has a non-numeric value or tol")
             return 2
-        if bool(c["pass"]) != check_passes(c):
+        if not isinstance(c["pass"], bool) or c.get("kind", "le") not in ("le", "ge"):
+            _fail("config", f"check {c['name']!r} needs a boolean pass and "
+                            "kind le or ge")
+            return 2
+        if c["pass"] != check_passes(c):
             _fail("check", f"stored verdict for {c['name']} contradicts "
                            f"value={c['value']!r} tol={c['tol']!r}")
             return 1
-    overall = all(bool(c["pass"]) for c in checks)
-    if bool(report["pass"]) != overall:
+    overall = all(c["pass"] for c in checks)
+    if report["pass"] != overall:
         _fail("check", "stored overall pass contradicts the check list")
         return 1
     n = len(checks)

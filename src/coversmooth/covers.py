@@ -23,10 +23,12 @@ import numpy as np
 from .errors import DomainError
 from .geometry import (
     Domain,
+    Intersection,
     Polydisk,
     ScalarField,
     as_points,
     halton_sample,
+    polydisk_radii,
 )
 
 
@@ -155,14 +157,6 @@ class SymmetricSum(ScalarField):
         return self.phi(Z[:, 0]) + self.phi(Z[:, 1])
 
 
-def _ball_radius(dom: Domain):
-    """Largest r with {|z_j| < r for every j} inside dom, for a polydisk
-    about 0 (its smallest radius); None for any other domain."""
-    if isinstance(dom, Polydisk) and not any(dom.center_values):
-        return min(dom.radii)
-    return None
-
-
 def fibers_inside(cover: Cover, dom: Domain) -> bool:
     """True when every fiber over cover.downstairs provably lies in dom.
 
@@ -172,26 +166,27 @@ def fibers_inside(cover: Cover, dom: Domain) -> bool:
     * Vieta cover over the polydisk (a, b) about 0: a root of
       t^2 - s t + p has |r|^2 <= a |r| + b, so |r| <= a/2 + sqrt(a^2/4 + b).
 
-    The bound must stay below the radius of dom (a disk or polydisk about
-    0) by the relative slack CONTAINMENT_SLACK.  Anything else is not
-    proved.
+    The downstairs chart may be any domain inside such a polydisk
+    (geometry.polydisk_radii).  dom must be a polydisk about 0, or a
+    shrink of one, and the bound must stay below its smallest radius by
+    the relative slack CONTAINMENT_SLACK.  Anything else is not proved.
     """
     down = cover.downstairs
     if isinstance(cover, IdentityCover):
         return dom is down
-    radius = _ball_radius(dom)
-    if radius is None:
+    # an intersection lies inside its member's polydisk, which may leave it
+    outer = polydisk_radii(down)
+    inner = None if isinstance(dom, Intersection) else polydisk_radii(dom)
+    if outer is None or inner is None:
         return False
-    if isinstance(cover, PowerCover) and isinstance(down, Polydisk) \
-            and down.n == 1 and not any(down.center_values):
-        bound = down.radii[0] ** (1.0 / cover.d)
-    elif isinstance(cover, VietaCover) and isinstance(down, Polydisk) \
-            and not any(down.center_values):
-        a, b = down.radii
+    if isinstance(cover, PowerCover):
+        bound = outer[0] ** (1.0 / cover.d)
+    elif isinstance(cover, VietaCover):
+        a, b = outer
         bound = 0.5 * a + math.sqrt(0.25 * a * a + b)
     else:
         return False
-    return bound * (1.0 + CONTAINMENT_SLACK) < radius
+    return bound * (1.0 + CONTAINMENT_SLACK) < min(inner)
 
 
 def pushforward(cover: Cover, f: ScalarField) -> ScalarField:

@@ -11,6 +11,9 @@ Conventions fixed here and used everywhere else:
 * the domain types are Polydisk, LevelRegion, Intersection, Complement,
   MappedRegion and ShrunkDomain; Disk (a one-axis Polydisk) and Annulus
   (a Complement of two concentric disks) are constructors;
+* polydisk_radii decides once whether a domain lies in a polydisk about
+  0, and with which radii; fiber containment (covers.fibers_inside) and
+  the gluing sweep's overlap proof (smoothing._overlap_misses) read it;
 * samplers and lattices read a domain's bounding box; opaque level sets
   and preimages have none and go through an Intersection with a box, and
   a complement is bounded by the domain it is taken within;
@@ -27,7 +30,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -292,11 +295,8 @@ class MappedRegion(Domain):
         Z = as_points(Z, self.n)
         W = np.asarray(self.transform(Z), dtype=complex)
         good = np.isfinite(W).all(axis=1)
-        if good.all():
-            return self.target.boundary_distance_many(W)
         out = np.full(Z.shape[0], -np.inf)
-        if good.any():
-            out[good] = self.target.boundary_distance_many(W[good])
+        out[good] = self.target.boundary_distance_many(W[good])
         return out
 
 
@@ -324,6 +324,24 @@ class ShrunkDomain(Domain):
 
     def shrink(self, margin: float) -> "Domain":
         return ShrunkDomain(self.base, self.margin + margin)
+
+
+def polydisk_radii(dom: Domain) -> Optional[Tuple[float, ...]]:
+    """Radii of a polydisk about 0 that contains dom: dom itself, a shrink
+    of one (its radii less the margin), or the first member of an
+    intersection that has one.  The polydisk is dom itself unless dom is
+    an intersection.  None for anything else, such as a box off 0 or a
+    level set with no box."""
+    if isinstance(dom, Polydisk):
+        return None if any(dom.center_values) else dom.radii
+    if isinstance(dom, ShrunkDomain) and isinstance(dom.base, Polydisk):
+        radii = polydisk_radii(dom.base)
+        if radii is None or min(radii) <= dom.margin:
+            return None
+        return tuple(r - dom.margin for r in radii)
+    if isinstance(dom, Intersection):
+        return next(filter(None, map(polydisk_radii, dom.members)), None)
+    return None
 
 
 def nesting_margin(inner: Domain, outer: Domain) -> float:

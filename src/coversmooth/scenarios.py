@@ -106,6 +106,7 @@ class Scenario:
     downstairs_overlaps: tuple
     steps: Tuple[GlueStep, ...]
     params: SmoothingParams
+    # no scenario sets X1 or X2; bench/worker.py still reads and passes them
     X1: Optional[Domain] = None
     X2: Optional[Domain] = None
     battery: tuple = ()  # ordered check specs, run by run_scenario
@@ -211,9 +212,7 @@ def _build_s1(config: dict) -> Scenario:
         FieldDump("w", kink, h, "S1_w_smoothed.csv"),
     )
     return Scenario("S1", config, cover, upstairs, (), steps,
-                    _smoothing_params(config),
-                    X1=Complement(Disk(0.0, npr), within=down),
-                    X2=Disk(0.0, n), battery=battery)
+                    _smoothing_params(config), battery=battery)
 
 
 def _sublevel(thr: float, grad_scale: float) -> LevelRegion:
@@ -295,7 +294,7 @@ def _log1p_abs_sq_sp(s: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _build_s2(config: dict) -> Scenario:
-    n, npr = config["n_radius"], config["nprime_radius"]
+    n = config["n_radius"]
     dom = Polydisk((0.0, 0.0), (1.9, 1.9))
     potential = SymmetricSum(_abs_sq, 4.2, _abs_sq_sp, name="sum_sq")
     opens, gate = _disc_tube(config, (0.55, 1.05), 4.0,
@@ -325,16 +324,11 @@ def _build_s2(config: dict) -> Scenario:
         FieldDump("sp", kink, 3e-3 * hs, "S2_sp_smoothed_kink_slice.csv"),
     )
     return Scenario("S2", config, cover, upstairs, (), steps,
-                    _smoothing_params(config, moll_order=6),
-                    X1=Complement(Intersection(
-                        (Polydisk((0.0, 0.0), (1.5, 1.5)),
-                         _sublevel(npr, 4.0))), within=dom),
-                    X2=Intersection((dom, _sublevel(n, 4.0))),
-                    battery=battery)
+                    _smoothing_params(config, moll_order=6), battery=battery)
 
 
 # S3's chart changes: z -> 1/z upstairs, and downstairs its Vieta image
-# (s, p) -> (s/p, 1/p); an overlap and its MappedRegion share one instance
+# (s, p) -> (s/p, 1/p)
 _swap_chart = SwapChart()
 _inv_both = Inversion(2)
 
@@ -796,7 +790,7 @@ def run_scenario(s: Scenario, dump_dir: Optional[str] = None,
         note("upstairs_cocycle_dev_max", t0)
         t0 = time.time()
         res = smooth_pushforward(s.cover, s.upstairs, s.downstairs_overlaps,
-                                 s.steps, s.params, X1=s.X1, X2=s.X2)
+                                 s.steps, s.params)
         note("pipeline", t0)
         for spec in s.battery:
             t0 = time.time()

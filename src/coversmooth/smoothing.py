@@ -30,7 +30,7 @@ provably misses V is skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -41,12 +41,11 @@ from .geometry import (
     Complement,
     Domain,
     Intersection,
-    Polydisk,
     ScalarField,
-    ShrunkDomain,
     as_points,
     halton_sample,
     nesting_margin,
+    polydisk_radii,
 )
 from .psh import (
     hermitian_min_eigenvalues,
@@ -292,36 +291,11 @@ class GlueStep:
 
 
 @dataclass
-class StepRecord:
-    step: GlueStep
-    result: LocalSmoothResult
-
-
-@dataclass
 class GlueResult:
+    """The glued cocycle and each step's local_smooth result, in order."""
+
     cocycle: KahlerCocycle
-    steps: List[StepRecord]
-
-    @property
-    def measurements(self) -> List[Dict[str, float]]:
-        return [r.result.measurements for r in self.steps]
-
-
-def _polydisk_radii(dom: Domain) -> Optional[Tuple[float, ...]]:
-    """Radii of a polydisk about 0 that contains dom: dom itself, a shrink
-    of one (its radii less the margin), or the first member of an
-    intersection that has one.  None for anything else, such as a box off
-    0 or a level set with no box."""
-    if isinstance(dom, Polydisk):
-        return None if any(dom.center_values) else dom.radii
-    if isinstance(dom, ShrunkDomain) and isinstance(dom.base, Polydisk):
-        radii = _polydisk_radii(dom.base)
-        if radii is None or min(radii) <= dom.margin:
-            return None
-        return tuple(r - dom.margin for r in radii)
-    if isinstance(dom, Intersection):
-        return next(filter(None, map(_polydisk_radii, dom.members)), None)
-    return None
+    steps: List[LocalSmoothResult]
 
 
 def _overlap_misses(ov: ChartOverlap, V: Domain) -> bool:
@@ -334,7 +308,7 @@ def _overlap_misses(ov: ChartOverlap, V: Domain) -> bool:
     """
     if not isinstance(ov.transform, OverlapTransform):
         return False
-    region, support = _polydisk_radii(ov.region), _polydisk_radii(V)
+    region, support = polydisk_radii(ov.region), polydisk_radii(V)
     if region is None or support is None:
         return False
     return any(f >= r * (1.0 + CONTAINMENT_SLACK)
@@ -366,11 +340,9 @@ def _lift_through_overlaps(cocycle: KahlerCocycle, chart_name: str,
         # overlap's region maps into its dst chart, where chi lives (by
         # declaration; validate_cocycle checks it on its stencil rows)
         def _lift(Z: np.ndarray, _old=old, _ov=ov, _chi=chi) -> np.ndarray:
-            Z = as_points(Z, _old.n)
             vals = _old.eval_many(Z, check=False)
-            inside, W = _ov.map_inside(Z)
-            if W.shape[0]:
-                vals[inside] = vals[inside] + _chi.eval_many(W, check=False)
+            inside = _ov.region.contains_many(Z)
+            vals[inside] += _chi.eval_many(_ov.map_many(Z[inside]), check=False)
             return vals
 
         out = out.replace_potential(
@@ -389,7 +361,7 @@ def global_glue(cocycle: KahlerCocycle, steps: Sequence[GlueStep],
     exactly.
     """
     current = cocycle
-    records: List[StepRecord] = []
+    results: List[LocalSmoothResult] = []
     for k, step in enumerate(steps, start=1):
         chart = current.chart(step.chart_name)
         try:
@@ -402,8 +374,8 @@ def global_glue(cocycle: KahlerCocycle, steps: Sequence[GlueStep],
         current = current.replace_potential(step.chart_name, res.psi)
         current = _lift_through_overlaps(current, step.chart_name,
                                          res.correction, step.opens.V)
-        records.append(StepRecord(step, res))
-    return GlueResult(current, records)
+        results.append(res)
+    return GlueResult(current, results)
 
 
 @dataclass

@@ -217,8 +217,11 @@ def _with_first_check(**fields):
     {"checks": [1], "pass": True},
     _with_first_check(value="a"),
     _with_first_check(value=None),
+    dict(_good_report(), **{"pass": "yes"}),
+    _with_first_check(**{"pass": "yes"}),
+    _with_first_check(kind="gt"),
 ], ids=["report_not_an_object", "check_not_an_object", "string_value",
-        "null_value"])
+        "null_value", "string_report_pass", "string_check_pass", "unknown_kind"])
 def test_verify_malformed_report_is_one_config_error_line(payload, tmp_path, capsys):
     p = tmp_path / "rep.json"
     _write(p, payload)

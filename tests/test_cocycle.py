@@ -144,24 +144,6 @@ def test_a_curve_patch_leaving_its_chart_raises():
         curve_mass_patch(pot, _polar_disk_patch("z"))
 
 
-def test_map_inside_matches_the_region_test_on_the_s3_overlaps():
-    # each lifted row is transformed once; the mask is the region's own,
-    # including rows with z2 = 0, where the chart swap blows up
-    s = build_scenario("S3")
-    doms = {p.downstairs_name: p.cover.downstairs for p in s.cover.pairs}
-    for ov in s.downstairs_overlaps:
-        Z = halton_sample(doms[ov.src], 4000, start=1)
-        Z0 = Z[:200].copy()
-        Z0[:, 1] = 0.0
-        Z = np.vstack([Z, Z0])
-        want = ov.region.contains_many(Z)
-        inside, W = ov.map_inside(Z)
-        assert np.array_equal(inside, want)
-        assert 0 < want.sum() < 4000 and not want[4000:].any()
-        assert ov.region.members[0].contains_many(Z0).any()
-        assert np.array_equal(W, ov.map_many(Z[want]))
-
-
 @pytest.mark.parametrize("transform", [Inversion(1), Inversion(2), SwapChart()],
                          ids=["inversion_1", "inversion_2", "swap"])
 @settings(max_examples=40, deadline=None, derandomize=True)

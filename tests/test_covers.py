@@ -26,6 +26,8 @@ from coversmooth.scenarios import (
 )
 from coversmooth.geometry import (
     Disk,
+    Intersection,
+    LevelRegion,
     Polydisk,
     ScalarField,
     halton_sample,
@@ -307,6 +309,16 @@ def test_power_roots_never_exceed_the_root_of_the_radius(d, R, seed):
     (PowerCover(2, Disk(0.0, 1.0)), Disk(0.1, 1.5), False),
     (VietaCover(Polydisk((0.1, 0), (1.0, 1.0))),
      Polydisk((0, 0), (4.0, 4.0)), False),
+    # a shrink is the polydisk of its radii less the margin: 3.5 < 3.8 - 0.2
+    # but not 3.8 - 0.4
+    (VietaCover(Polydisk((0, 0), (2.5, 3.5))),
+     Polydisk((0, 0), (3.8, 3.8)).shrink(0.2), True),
+    (VietaCover(Polydisk((0, 0), (2.5, 3.5))),
+     Polydisk((0, 0), (3.8, 3.8)).shrink(0.4), False),
+    # an intersection may cut its member's polydisk down below the fibers
+    (PowerCover(2, Disk(0.0, 1.5)),
+     Intersection((Disk(0.0, 1.5), LevelRegion(lambda Z: np.abs(Z[:, 0]), 0.1, 1))),
+     False),
 ])
 def test_fiber_containment_is_proved_only_under_its_bound(cover, up, proved):
     assert fibers_inside(cover, up) is proved

@@ -29,6 +29,7 @@ from coversmooth.geometry import (
     dump_field_csv,
     halton_sample,
     mass_integral,
+    polydisk_radii,
     reals,
     sample_grid,
     sample_slice_grid,
@@ -304,3 +305,24 @@ def test_a_mapped_region_reads_finite_rows_in_target_coordinates():
     with np.errstate(divide="ignore", invalid="ignore"):
         got = inv.boundary_distance_many(np.vstack([Z, [[0j]]]))
     assert np.array_equal(got, [-2.0, 1.0, 1.5, -np.inf])
+
+
+_BOX = Polydisk((0, 0), (1.0, 0.7))
+_LEVEL = LevelRegion(lambda Z: np.abs(Z[:, 1]), 0.5, 2)
+
+
+@pytest.mark.parametrize("dom, radii", [
+    (_BOX, (1.0, 0.7)),
+    (_BOX.shrink(0.2), (0.8, 0.5)),
+    (Intersection((_LEVEL, _BOX)), (1.0, 0.7)),
+    (Polydisk((0, 0.1), (1.0, 0.7)), None),
+    (_BOX.shrink(0.7), None),
+    (_LEVEL, None),
+], ids=["polydisk", "shrink", "intersection", "off_center", "shrink_to_nothing",
+        "level_set"])
+def test_polydisk_radii_bound_only_a_domain_inside_a_polydisk_about_0(dom, radii):
+    got = polydisk_radii(dom)
+    if radii is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(radii, abs=1e-15)

@@ -73,8 +73,9 @@ def test_build_s1_at_defaults():
     assert s.scenario_id == "S1"
     assert s.cover.pairs[0].cover.degree == 2
     assert s.config["nprime_radius"] == 0.4
-    assert isinstance(s.X2, Polydisk)
-    assert s.X2.radii == (0.6,)
+    W = s.steps[0].opens.W
+    assert isinstance(W, Polydisk)
+    assert W.radii == (0.59,)
     assert len(s.steps) == 1
     assert s.steps[0].chart_name == "w"
 
@@ -105,8 +106,8 @@ def test_shrinking_n_drags_nprime_along():
     """Overriding only the outer radius keeps the nesting feasible."""
     s = build_scenario("S2", {"n_radius": 0.5})
     assert s.config["nprime_radius"] == pytest.approx(0.5 * 0.5 / 1.15)
-    # the glued region threshold follows the override
-    level = s.X2.members[1]
+    # the outer triple member's level follows the override
+    level = s.steps[0].opens.W.members[1]
     assert level.threshold == pytest.approx(0.5)
 
 
@@ -357,7 +358,7 @@ def _check_two_step_fixture():
                              (near,), params)
     raw = one.raw.chart("far").potential
     lifted = one.cocycle.chart("far").potential
-    chi = one.glued.steps[0].result.correction
+    chi = one.glued.steps[0].correction
     P = halton_sample(_FAR_STEP.opens.V, 400)
     lift = chi.eval_many(1.0 / P)
     assert np.max(lift) > params.delta
@@ -412,13 +413,13 @@ def test_only_s3s_d3_to_d1_lift_is_proved_to_add_nothing():
 
 def test_s3_skips_exactly_the_d3_to_d1_lift_and_s4_keeps_its_lift(monkeypatch):
     lifted = []
-    inner = ChartOverlap.map_inside
+    inner = ChartOverlap.map_many
 
     def spy(self, Z):
         lifted.append(f"{self.src}->{self.dst}")
         return inner(self, Z)
 
-    monkeypatch.setattr(ChartOverlap, "map_inside", spy)
+    monkeypatch.setattr(ChartOverlap, "map_many", spy)
     for sid, want in (("S3", ["D1->D3"]), ("S4", ["far->near"])):
         lifted.clear()
         s, run = _glued(sid)
@@ -431,15 +432,39 @@ def test_s3_skips_exactly_the_d3_to_d1_lift_and_s4_keeps_its_lift(monkeypatch):
 def test_the_skipped_s3_lift_would_add_only_zeros(monkeypatch):
     s, run = _glued("S3")
     ov31 = next(ov for ov in s.downstairs_overlaps if ov.src == "D3")
-    chi1 = run.glued.steps[0].result.correction
+    chi1 = run.glued.steps[0].correction
     P = halton_sample(ov31.region, 20_000)
-    inside, W = ov31.map_inside(P)
-    assert inside.all()
-    assert np.array_equal(chi1.eval_many(W), np.zeros(len(P)))
+    assert ov31.region.contains_many(P).all()
+    assert np.array_equal(chi1.eval_many(ov31.map_many(P)), np.zeros(len(P)))
     skipped = run.cocycle.chart("D3").potential.eval_many(P)
     monkeypatch.setattr(smoothing, "_overlap_misses", lambda ov, V: False)
     _, kept = _glued("S3")
     assert np.array_equal(skipped, kept.cocycle.chart("D3").potential.eval_many(P))
+
+
+def test_s3s_glued_d1_field_adds_the_d3_correction_only_inside_the_overlap():
+    # D1 -> D3 lifts step 2's correction; rows with z2 = 0, where the chart
+    # swap blows up, lie outside the overlap and keep step 1's field.  Some
+    # inside rows map into step 2's V, but on S3 none reaches the part of
+    # it where the correction is nonzero, so the lift adds 0.0 there
+    s, run = _glued("S3")
+    ov13 = next(ov for ov in s.downstairs_overlaps if ov.src == "D1")
+    step1, step2 = run.glued.steps
+    Z = halton_sample(run.raw.chart("D1").potential.valid_on, 4000, start=1)
+    Z0 = Z[:200].copy()
+    Z0[:, 1] = 0.0
+    Z = np.vstack([Z, Z0])
+    inside = ov13.region.contains_many(Z)
+    assert 0 < inside.sum() < 4000 and not inside[4000:].any()
+    assert ov13.region.members[0].contains_many(Z0).any()
+    got = run.cocycle.chart("D1").potential.eval_many(Z)
+    base = step1.psi.eval_many(Z)
+    W = ov13.map_many(Z[inside])
+    assert s.steps[1].opens.V.contains_many(W).any()
+    lift = step2.correction.eval_many(W)
+    assert np.isfinite(got).all()
+    assert np.array_equal(got[~inside], base[~inside])
+    assert np.array_equal(got[inside], base[inside] + lift)
 
 
 def test_s4s_far_correction_is_continuous_where_the_near_chart_ends():

@@ -166,4 +166,4 @@ def test_single_step_glue_coincides_with_local_smooth_bitwise():
         direct.psi.eval_many(pts),
     )
     assert len(glued.steps) == 1
-    assert glued.measurements[0] == direct.measurements
+    assert glued.steps[0].measurements == direct.measurements
