@@ -32,7 +32,6 @@ from .psh import (
 )
 from .covers import (
     ChartPair,
-    GluedCover,
     IdentityCover,
     PowerCover,
     VietaCover,
@@ -66,7 +65,7 @@ __all__ = [
     "halton_sample", "mass_integral", "sample_grid", "sample_slice_grid",
     "laplacian_sup", "min_levi_eigenvalue", "mollifier_kernel", "mollify",
     "reg_max_fields", "regmax_kernel",
-    "ChartPair", "GluedCover", "IdentityCover", "PowerCover", "VietaCover",
+    "ChartPair", "IdentityCover", "PowerCover", "VietaCover",
     "pushforward",
     "ChartOverlap", "CocycleChart", "CurvePatch", "KahlerCocycle",
     "curve_mass", "validate_cocycle",

@@ -218,12 +218,13 @@ def _cmd_sweep(args) -> int:
     if not values:
         _fail("usage", "--values is empty")
         return 2
+    # every value must build before the first run
+    built = [(val, build_scenario(args.scenario, {key: val})) for val in values]
     _require_writable("--out", args.out)
 
     reports = []
     worst = 0
-    for val in values:
-        scenario = build_scenario(args.scenario, {key: val})
+    for val, scenario in built:
         report = run_scenario(scenario)
         reports.append({"value": val, "report": report})
         worst = max(worst, _exit_code(report)[0])

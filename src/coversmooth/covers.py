@@ -1,22 +1,24 @@
 """Branched covering models and the fiber-sum pushforward.
 
 A cover is its downstairs chart plus fiber_rows, the raw ordered fiber
-points over each base row; the upstairs chart is the domain of the field
-pushed down.  The local models are the power map w = z^d on a disk, the
-identity cover of a chart, and the Vieta map C^2 -> C^2 sending an ordered
-pair of roots (z1, z2) to (z1 + z2, z1 z2): its degree is 2 and the fiber
-over a point lists both orderings of the roots.
+points over each base row, shape (m, degree, n); the upstairs chart is
+the domain of the field pushed down.  The local models are the power map
+w = z^d on a disk, the identity cover of a chart, and the Vieta map
+C^2 -> C^2 sending an ordered pair of roots (z1, z2) to (z1 + z2, z1 z2):
+its degree is 2 and the fiber over a point lists both orderings of the
+roots.
 
-A glued cover is a finite family of (downstairs chart, upstairs chart,
-local model) assignments; projective scenarios are built from Vieta models
-in inverted coordinates, so no separate machinery is needed for them.
+A glued cover is a plain tuple of ChartPair (downstairs chart, upstairs
+chart, local model) assignments; projective scenarios are built from
+Vieta models in inverted coordinates, so no separate machinery is needed
+for them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Union
 
 import numpy as np
 
@@ -41,37 +43,25 @@ CONTAINMENT_SLACK = 1e-9
 CLOSED_FORM_RTOL = 1e-12
 
 
-class Cover:
-    """Common interface of the local covering models."""
-
-    degree: int
-    n: int
-    downstairs: Domain
-    kind: str = ""
-
-    def fiber_rows(self, B: np.ndarray) -> np.ndarray:
-        """All fiber points over each base row, shape (m, degree, n).
-
-        Raw ordered lists (no clustering): the pushforward sums over them,
-        which keeps it symmetric in the sheets and hence continuous across
-        the branch locus.
-        """
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class PowerCover(Cover):
+class PowerCover:
     """w = z^d onto a disk downstairs."""
 
     d: int
     downstairs: Domain = None
+    n = 1
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("power degree must be >= 1")
-        object.__setattr__(self, "degree", self.d)
-        object.__setattr__(self, "n", 1)
-        object.__setattr__(self, "kind", f"power_{self.d}")
+
+    @property
+    def degree(self) -> int:
+        return self.d
+
+    @property
+    def kind(self) -> str:
+        return f"power_{self.d}"
 
     def fiber_rows(self, B: np.ndarray) -> np.ndarray:
         B = as_points(B, 1)
@@ -93,7 +83,7 @@ def _roots_batched(E: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class VietaCover(Cover):
+class VietaCover:
     """Ordered pairs (z1, z2) over (s, p) = (z1 + z2, z1 z2)."""
 
     downstairs: Domain = None
@@ -115,20 +105,23 @@ def discriminant_many(B: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class IdentityCover(Cover):
+class IdentityCover:
     """Trivial cover of a chart by itself; degree one, no branch locus."""
 
-    domain: Domain = None
+    downstairs: Domain
+    degree = 1
+    kind = "identity"
 
-    def __post_init__(self):
-        object.__setattr__(self, "degree", 1)
-        object.__setattr__(self, "n", self.domain.n)
-        object.__setattr__(self, "downstairs", self.domain)
-        object.__setattr__(self, "kind", "identity")
+    @property
+    def n(self) -> int:
+        return self.downstairs.n
 
     def fiber_rows(self, B: np.ndarray) -> np.ndarray:
         B = as_points(B, self.n)
         return B[:, None, :]
+
+
+Cover = Union[PowerCover, VietaCover, IdentityCover]
 
 
 class SymmetricSum(ScalarField):
@@ -256,15 +249,3 @@ class ChartPair:
     downstairs_name: str
     upstairs_name: str
     cover: Cover
-
-
-@dataclass(frozen=True)
-class GluedCover:
-    """A finite family of chart-pair local covering models."""
-
-    pairs: Tuple[ChartPair, ...]
-
-    def __post_init__(self):
-        degs = {p.cover.degree for p in self.pairs}
-        if len(degs) != 1:
-            raise ValueError("all chart pairs must share the covering degree")

@@ -181,11 +181,8 @@ class LevelRegion(Domain):
 
     level: Callable[[np.ndarray], np.ndarray]
     threshold: float
-    dim: int
+    n: int
     grad_scale: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", int(self.dim))
 
     def boundary_distance_many(self, Z):
         Z = as_points(Z, self.n)
@@ -209,10 +206,6 @@ class Intersection(Domain):
     def boundary_distance_many(self, Z):
         Z = as_points(Z, self.n)
         return np.min(np.stack([d.boundary_distance_many(Z) for d in self.members]), axis=0)
-
-    def gauge_many(self, Z):
-        Z = as_points(Z, self.n)
-        return np.min(np.stack([d.gauge_many(Z) for d in self.members]), axis=0)
 
     @property
     def center(self):
@@ -286,10 +279,7 @@ class MappedRegion(Domain):
 
     target: Domain
     transform: Callable[[np.ndarray], np.ndarray]
-    dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", int(self.dim))
+    n: int
 
     def boundary_distance_many(self, Z):
         Z = as_points(Z, self.n)
@@ -310,9 +300,6 @@ class ShrunkDomain(Domain):
 
     def boundary_distance_many(self, Z):
         return self.base.boundary_distance_many(Z) - self.margin
-
-    def gauge_many(self, Z):
-        return self.base.gauge_many(Z) - self.margin
 
     @property
     def center(self):

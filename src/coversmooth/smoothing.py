@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .cocycle import ChartOverlap, CocycleChart, KahlerCocycle, OverlapTransform
-from .covers import CONTAINMENT_SLACK, GluedCover
+from .covers import CONTAINMENT_SLACK, ChartPair
 from .geometry import (
     Complement,
     Domain,
@@ -292,8 +292,10 @@ class GlueStep:
 
 @dataclass
 class GlueResult:
-    """The glued cocycle and each step's local_smooth result, in order."""
+    """The cocycle the sweep was given (raw), the glued one, and each
+    step's local_smooth result, in order."""
 
+    raw: KahlerCocycle
     cocycle: KahlerCocycle
     steps: List[LocalSmoothResult]
 
@@ -375,24 +377,14 @@ def global_glue(cocycle: KahlerCocycle, steps: Sequence[GlueStep],
         current = _lift_through_overlaps(current, step.chart_name,
                                          res.correction, step.opens.V)
         results.append(res)
-    return GlueResult(current, results)
+    return GlueResult(cocycle, current, results)
 
 
-@dataclass
-class PushforwardRun:
-    raw: KahlerCocycle
-    glued: GlueResult
-
-    @property
-    def cocycle(self) -> KahlerCocycle:
-        return self.glued.cocycle
-
-
-def smooth_pushforward(cover: GluedCover, upstairs: KahlerCocycle,
+def smooth_pushforward(cover: Sequence[ChartPair], upstairs: KahlerCocycle,
                        downstairs_overlaps: Sequence,
                        steps: Sequence[GlueStep], params: SmoothingParams,
                        X1: Optional[Domain] = None,
-                       X2: Optional[Domain] = None) -> PushforwardRun:
+                       X2: Optional[Domain] = None) -> GlueResult:
     """Push the upstairs potentials down, then run the gluing sweep.
 
     Each chart pair of cover contributes one downstairs chart whose
@@ -402,10 +394,9 @@ def smooth_pushforward(cover: GluedCover, upstairs: KahlerCocycle,
     from .covers import pushforward as push
 
     charts = []
-    for pair in cover.pairs:
+    for pair in cover:
         up = upstairs.chart(pair.upstairs_name)
         phi = push(pair.cover, up.potential)
         charts.append(CocycleChart(pair.downstairs_name, phi))
     raw = KahlerCocycle(tuple(charts), tuple(downstairs_overlaps))
-    glue = global_glue(raw, steps, params)
-    return PushforwardRun(raw, glue)
+    return global_glue(raw, steps, params)

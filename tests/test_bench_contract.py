@@ -118,13 +118,45 @@ def test_a_built_s3_keeps_what_the_eval_workload_reads():
     assert {"X1", "X2"} <= set(params)
 
 
+def test_the_s3_pipeline_result_keeps_the_charts_the_eval_workload_reads():
+    # bench/worker.py reads run.cocycle.chart(...) and run.raw.chart(...)
+    # for every step's chart
+    s = scenarios.build_scenario("S3")
+    run = smoothing.smooth_pushforward(s.cover, s.upstairs,
+                                       s.downstairs_overlaps, s.steps, s.params)
+    for step in s.steps:
+        for cocycle in (run.raw, run.cocycle):
+            assert isinstance(cocycle.chart(step.chart_name).potential,
+                              geometry.ScalarField)
+    assert len(run.steps) == len(s.steps)
+    assert smoothing.global_glue(run.raw, (), s.params).raw is run.raw
+
+
+def test_eval_s3_reaches_every_site_the_selftest_expects_of_it(monkeypatch):
+    # bench/selftest.py checks reach in a two-minute run; this traces the
+    # same eval_s3 set-up and two batches.  Drawing the batches inside the
+    # tracer adds only Domain.contains_many, which psi reaches anyway
+    monkeypatch.syspath_prepend(str(LAYERTRACE.parent))
+    spec = importlib.util.spec_from_file_location(
+        "selftest", LAYERTRACE.parent / "selftest.py")
+    selftest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(selftest)
+    meant = {site for site, workloads in selftest.EXPECTED_REACH.items()
+             if selftest.EV in workloads}
+    with selftest.Tracer().installed() as tracer:
+        wl = selftest.worker.EvalWorkload(7)
+        for batch in wl.batches(2, np.random.default_rng(7)):
+            wl.run_batch(batch)
+    assert sorted(meant - tracer.reached) == []
+
+
 @pytest.mark.parametrize("sid", ["S1", "S3", "S4"])
 def test_pushforward_construction_still_probes_through_fiber_rows(sid, monkeypatch):
     # bench/selftest.py expects covers.halton_sample and each cover's
     # fiber_rows to be reached; the containment proof must not replace the
     # 128-point probe that reaches them
     s = scenarios.build_scenario(sid)
-    for pair in s.cover.pairs:
+    for pair in s.cover:
         cover = pair.cover
         drawn, probed = [], []
         inner_sample = covers.halton_sample

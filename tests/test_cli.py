@@ -169,12 +169,17 @@ def test_verify_accepts_a_consistent_report(tmp_path, capsys):
 
 
 def test_verify_detects_a_tampered_check(tmp_path, capsys):
-    rep = _good_report()
-    rep["checks"][0]["value"] = 2.0  # stored verdict no longer follows
-    p = tmp_path / "rep.json"
-    _write(p, rep)
-    assert execute(["verify", "--report", str(p)]) == 1
-    assert capsys.readouterr().err.startswith("error: check:")
+    value_moved = _good_report()
+    value_moved["checks"][0]["value"] = 2.0  # stored verdict no longer follows
+    # a status note must not excuse a value that fails its tol
+    excused = _good_report()
+    excused["checks"][0].update(name="agreement_outside_N_sup", value=5.0,
+                                tol=0.0, status="not-applicable")
+    for rep in (value_moved, excused):
+        p = tmp_path / "rep.json"
+        _write(p, rep)
+        assert execute(["verify", "--report", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error: check:")
 
 
 def test_verify_detects_a_tampered_overall_verdict(tmp_path, capsys):
@@ -247,6 +252,22 @@ def test_sweep_rejects_malformed_values(tmp_path, capsys):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("error: usage:")
+
+
+def test_sweep_builds_every_value_before_the_first_run(tmp_path, capsys, monkeypatch):
+    # nprime-radius 0.7 does not nest inside S1's n_radius 0.6
+    def no_run(*args, **kwargs):
+        raise AssertionError("a sweep value ran before every value was built")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    out = tmp_path / "s.json"
+    code = execute(["sweep", "--scenario", "S1", "--param", "nprime-radius",
+                    "--values", "0.4,0.7", "--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: config:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -37,7 +37,6 @@ from coversmooth.smoothing import (
     GlueResult,
     GlueStep,
     NestedOpens,
-    PushforwardRun,
     SmoothingParams,
     global_glue,
     local_smooth,
@@ -71,7 +70,7 @@ def test_scenario_defaults_returns_a_copy():
 def test_build_s1_at_defaults():
     s = build_scenario("S1")
     assert s.scenario_id == "S1"
-    assert s.cover.pairs[0].cover.degree == 2
+    assert s.cover[0].cover.degree == 2
     assert s.config["nprime_radius"] == 0.4
     W = s.steps[0].opens.W
     assert isinstance(W, Polydisk)
@@ -148,7 +147,7 @@ def _field(fn, dom, name):
 def _upstairs_pairs():
     for sid in ("S2", "S3"):
         s = build_scenario(sid)
-        for pair in s.cover.pairs:
+        for pair in s.cover:
             yield sid, pair, s.upstairs.chart(pair.upstairs_name).potential
 
 
@@ -358,7 +357,7 @@ def _check_two_step_fixture():
                              (near,), params)
     raw = one.raw.chart("far").potential
     lifted = one.cocycle.chart("far").potential
-    chi = one.glued.steps[0].correction
+    chi = one.steps[0].correction
     P = halton_sample(_FAR_STEP.opens.V, 400)
     lift = chi.eval_many(1.0 / P)
     assert np.max(lift) > params.delta
@@ -432,7 +431,7 @@ def test_s3_skips_exactly_the_d3_to_d1_lift_and_s4_keeps_its_lift(monkeypatch):
 def test_the_skipped_s3_lift_would_add_only_zeros(monkeypatch):
     s, run = _glued("S3")
     ov31 = next(ov for ov in s.downstairs_overlaps if ov.src == "D3")
-    chi1 = run.glued.steps[0].correction
+    chi1 = run.steps[0].correction
     P = halton_sample(ov31.region, 20_000)
     assert ov31.region.contains_many(P).all()
     assert np.array_equal(chi1.eval_many(ov31.map_many(P)), np.zeros(len(P)))
@@ -449,7 +448,7 @@ def test_s3s_glued_d1_field_adds_the_d3_correction_only_inside_the_overlap():
     # it where the correction is nonzero, so the lift adds 0.0 there
     s, run = _glued("S3")
     ov13 = next(ov for ov in s.downstairs_overlaps if ov.src == "D1")
-    step1, step2 = run.glued.steps
+    step1, step2 = run.steps
     Z = halton_sample(run.raw.chart("D1").potential.valid_on, 4000, start=1)
     Z0 = Z[:200].copy()
     Z0[:, 1] = 0.0
@@ -539,7 +538,7 @@ def test_c2_spec_on_a_flat_field_gives_check_records():
     dom = Disk(0.0, 1.0)
     flat = ScalarField(lambda Z: np.full(Z.shape[0], 2.0), dom, name="flat")
     cocycle = KahlerCocycle((CocycleChart("w", flat),))
-    run = PushforwardRun(cocycle, GlueResult(cocycle, []))
+    run = GlueResult(cocycle, cocycle, [])
     spec = C2Zone("w", Lattice(Disk(0.0, 0.3)), 0.05)
     checks = [check for _, check in spec.run(None, run, None)]
     assert [c["name"] for c in checks] == ["c2_ratio_raw", "c2_ratio_smoothed"]
