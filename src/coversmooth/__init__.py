@@ -27,7 +27,6 @@ from .psh import (
     min_levi_eigenvalue,
     mollifier_kernel,
     mollify,
-    reg_max_fields,
     regmax_kernel,
 )
 from .covers import (
@@ -53,7 +52,7 @@ from .smoothing import (
     local_smooth,
     smooth_pushforward,
 )
-from .scenarios import build_scenario, run_scenario, verify_agreement
+from .scenarios import build_scenario, run_scenario
 
 __version__ = "0.1.0"
 
@@ -64,12 +63,12 @@ __all__ = [
     "Polydisk", "ScalarField", "dump_field_csv",
     "halton_sample", "mass_integral", "sample_grid", "sample_slice_grid",
     "laplacian_sup", "min_levi_eigenvalue", "mollifier_kernel", "mollify",
-    "reg_max_fields", "regmax_kernel",
+    "regmax_kernel",
     "ChartPair", "IdentityCover", "PowerCover", "VietaCover",
     "pushforward",
     "ChartOverlap", "CocycleChart", "CurvePatch", "KahlerCocycle",
     "curve_mass", "validate_cocycle",
     "GlueStep", "NestedOpens", "SmoothingParams", "global_glue",
     "local_smooth", "smooth_pushforward",
-    "build_scenario", "run_scenario", "verify_agreement",
+    "build_scenario", "run_scenario",
 ]

@@ -20,7 +20,6 @@ from .errors import DomainError, UnsupportedDimensionError
 from .geometry import (
     Domain,
     Grid,
-    Intersection,
     Polydisk,
     ScalarField,
     as_points,
@@ -301,20 +300,3 @@ def reg_max_many(T1: np.ndarray, T2: np.ndarray, eta: float) -> np.ndarray:
         W = k.weights[:, None] * k.weights[None, :]
         out[near] = np.einsum("mij,ij->m", np.maximum(a, b), W)
     return out
-
-
-def reg_max_fields(u: ScalarField, v: ScalarField, eta: float) -> ScalarField:
-    """Pointwise regularized maximum of two fields on the common domain.
-
-    Where one input dominates by >= 2*eta the value is that input's, bit for
-    bit (the shortcut branch of reg_max_many); elsewhere it is the kernel
-    average.
-    """
-    if u.n != v.n:
-        raise ValueError("field dimensions differ")
-    dom = Intersection((u.valid_on, v.valid_on))
-
-    def _eval(Z: np.ndarray) -> np.ndarray:
-        return reg_max_many(u.eval_many(Z), v.eval_many(Z), eta)
-
-    return ScalarField(_eval, dom, name=f"regmax({u.name or 'u'},{v.name or 'v'})")

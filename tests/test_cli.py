@@ -153,6 +153,19 @@ def test_a_vanishing_eps_fails_the_smoothed_c2_check(tmp_path, capsys):
     assert "c2_ratio_smoothed" in lines[0]
 
 
+def test_a_far_region_meeting_the_mapped_v_is_measured_not_skipped(tmp_path, capsys):
+    # at this n_radius the far agreement disk |w| < 1.58 meets the mapped V,
+    # |w| > 1/0.656; its part outside V is measured
+    out = tmp_path / "r.json"
+    code = execute(["run", "--scenario", "S4", "--n-radius", "0.66", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    checks = json.loads(out.read_text())["checks"]
+    far = next(c for c in checks if c["name"] == "agreement_outside_N_sup_far")
+    assert far["value"] == 0.0
+    assert [c["name"] for c in checks if "status" in c] == []
+
+
 def test_run_rejects_a_non_numeric_override(capsys, tmp_path):
     code = execute(
         ["run", "--scenario", "S1", "--eps", "wide", "--out", str(tmp_path / "r.json")]

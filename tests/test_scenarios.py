@@ -10,9 +10,10 @@ import pytest
 from coversmooth.cocycle import ChartOverlap, CocycleChart, KahlerCocycle
 from coversmooth import covers, smoothing
 from coversmooth.covers import SymmetricSum, pushforward
-from coversmooth.errors import CoverageError, ScenarioError
+from coversmooth.errors import CoverageError, DomainError, ScenarioError
 from coversmooth.geometry import (
     Annulus,
+    Complement,
     Disk,
     Intersection,
     LevelRegion,
@@ -27,11 +28,11 @@ from coversmooth.scenarios import (
     FieldDump,
     Lattice,
     OverlapDevChange,
+    SupGap,
     build_scenario,
     check_passes,
     run_scenario,
     scenario_defaults,
-    verify_agreement,
 )
 from coversmooth.smoothing import (
     GlueResult,
@@ -201,42 +202,53 @@ def test_s2_and_s3_raw_pushforwards_solve_no_roots(monkeypatch):
     assert solved == [64]
 
 
-def test_verify_agreement_passes_on_identical_fields():
+def _sup_gap(psi, phi, region, samples=2000):
+    """The SupGap check of psi against phi on region, as run on a pipeline
+    result whose raw chart "w" carries phi and whose glued one carries psi."""
+    raw = KahlerCocycle((CocycleChart("w", phi),))
+    glued = KahlerCocycle((CocycleChart("w", psi),))
+    spec = SupGap("w", region, samples=samples)
+    ((stage, check),) = spec.run(None, GlueResult(raw, glued, []), None)
+    assert stage == check["name"]
+    return check
+
+
+def test_sup_gap_spec_passes_on_identical_fields():
     dom = Disk(0.0, 1.0)
     phi = _field(lambda Z: np.abs(Z[:, 0]) ** 2, dom, "phi")
-    out = verify_agreement(phi, phi, Annulus(0.0, 0.6, 0.9), 2000)
+    out = _sup_gap(phi, phi, Annulus(0.0, 0.6, 0.9))
     assert out["pass"] is True
     assert out["value"] == 0.0
     assert out["tol"] == 0.0
     assert out["name"] == "agreement_outside_N_sup"
 
 
-def test_verify_agreement_flags_a_one_ulp_scale_defect():
+def test_sup_gap_spec_flags_a_one_ulp_scale_defect():
     # an injected 1e-9 offset must fail: the contract is exact equality
     dom = Disk(0.0, 1.0)
     phi = _field(lambda Z: np.abs(Z[:, 0]) ** 2, dom, "phi")
     psi = _field(lambda Z: np.abs(Z[:, 0]) ** 2 + 1e-9, dom, "psi")
-    out = verify_agreement(psi, phi, Annulus(0.0, 0.6, 0.9), 2000)
+    out = _sup_gap(psi, phi, Annulus(0.0, 0.6, 0.9))
     assert out["pass"] is False
     assert out["value"] == pytest.approx(1e-9, rel=1e-12)
 
 
-def test_verify_agreement_skips_regions_that_touch_the_support():
+def test_sup_gap_spec_measures_the_region_less_the_support():
     dom = Disk(0.0, 1.0)
     phi = _field(lambda Z: np.abs(Z[:, 0]) ** 2, dom, "phi")
     psi = _field(lambda Z: np.abs(Z[:, 0]) ** 2 + 1e-9, dom, "psi")
-    out = verify_agreement(
-        psi, phi, Annulus(0.0, 0.6, 0.9), 2000, correction_support=Disk(0.0, 0.7)
-    )
-    assert out["status"] == "not-applicable"
-    assert out["pass"] is True
-    assert out["value"] == 0.0
-    # a disjoint support keeps the check live
-    out2 = verify_agreement(
-        psi, phi, Annulus(0.0, 0.6, 0.9), 2000, correction_support=Disk(0.0, 0.3)
-    )
-    assert "status" not in out2
-    assert out2["pass"] is False
+    ring = Annulus(0.0, 0.6, 0.9)
+    # a support that meets the region: its part outside is measured, and fails
+    out = _sup_gap(psi, phi, Complement(Disk(0.0, 0.7), within=ring))
+    assert set(out) == {"name", "value", "tol", "pass", "kind"}
+    assert out["pass"] is False
+    assert out["value"] == pytest.approx(1e-9, rel=1e-12)
+    # a disjoint support removes no sample point
+    assert _sup_gap(psi, phi, Complement(Disk(0.0, 0.3), within=ring)) == _sup_gap(
+        psi, phi, ring)
+    # a region wholly inside the support has nothing to measure
+    with pytest.raises(DomainError):
+        _sup_gap(psi, phi, Complement(Disk(0.0, 0.95), within=ring), samples=20)
 
 
 def test_check_passes_semantics():
@@ -258,7 +270,10 @@ def test_report_shape_and_environment(scenario_runs):
         assert report["scenario"] == sid
         assert set(report["params"]) == set(S1_DEFAULTS)
         for check in report["checks"]:
-            assert {"name", "value", "tol", "pass", "kind"} <= set(check)
+            # exactly these keys: a skip or status note would mark a check
+            # that passed without its value deciding it
+            assert set(check) == {"name", "value", "tol", "pass", "kind"}, (
+                sid, check["name"])
             assert isinstance(check["pass"], bool)
         env = report["env"]
         assert env["halton_start"] == 1
