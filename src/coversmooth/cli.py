@@ -19,6 +19,7 @@ from typing import List, Optional
 
 from .errors import CoverSmoothError, ScenarioError
 from .scenarios import (
+    OVERRIDE_KEYS,
     SCENARIO_IDS,
     build_scenario,
     check_passes,
@@ -26,7 +27,6 @@ from .scenarios import (
     scenario_defaults,
 )
 
-_OVERRIDE_FLAGS = ("h", "eps", "eta", "delta", "n_radius", "nprime_radius")
 _CONFIG_ERROR_TYPES = ("ParameterError", "ScenarioError")
 
 
@@ -86,7 +86,7 @@ def _build_parser() -> _Parser:
 
     def add_run_flags(p):
         p.add_argument("--scenario", required=True, help="scenario id (S1..S4)")
-        for key in _OVERRIDE_FLAGS:
+        for key in OVERRIDE_KEYS:
             p.add_argument("--" + key.replace("_", "-"), type=float,
                            default=None, dest=key)
 
@@ -106,17 +106,12 @@ def _build_parser() -> _Parser:
                             help="run one scenario across a list of values")
     sweepp.add_argument("--scenario", required=True)
     sweepp.add_argument("--param", required=True,
-                        help="override to vary (h, eps, eta, delta, "
-                             "n-radius, nprime-radius)")
+                        help="override to vary (%s)" % ", ".join(
+                            key.replace("_", "-") for key in OVERRIDE_KEYS))
     sweepp.add_argument("--values", required=True,
                         help="comma separated numbers")
     sweepp.add_argument("--out", required=True, help="sweep JSON path")
     return top
-
-
-def _collect_overrides(args) -> dict:
-    return {key: getattr(args, key) for key in _OVERRIDE_FLAGS
-            if getattr(args, key) is not None}
 
 
 def _exit_code(report: dict):
@@ -140,7 +135,9 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    scenario = build_scenario(args.scenario, _collect_overrides(args))
+    overrides = {key: getattr(args, key) for key in OVERRIDE_KEYS
+                 if getattr(args, key) is not None}
+    scenario = build_scenario(args.scenario, overrides)
     _require_writable("--out", args.out)
     if args.timings:
         _require_writable("--timings", args.timings)
@@ -205,9 +202,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     key = args.param.replace("-", "_")
-    if key not in _OVERRIDE_FLAGS:
+    if key not in OVERRIDE_KEYS:
         _fail("usage", f"unknown sweep param {args.param!r}; "
-                       f"allowed: {', '.join(_OVERRIDE_FLAGS)}")
+                       f"allowed: {', '.join(OVERRIDE_KEYS)}")
         return 2
     try:
         values = [float(tok) for tok in args.values.split(",") if tok.strip()]

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import (
+    PROOF_SLACK,
     Domain,
     Intersection,
     Polydisk,
@@ -33,10 +34,6 @@ from .geometry import (
     polydisk_radii,
 )
 
-
-# relative slack a fiber bound keeps below the upstairs radius, for the
-# rounding of the computed roots and of the membership test
-CONTAINMENT_SLACK = 1e-9
 
 # largest difference, relative to max(|v|, 1), that pushforward accepts
 # between a closed-form fiber sum and the root-solved one
@@ -48,7 +45,7 @@ class PowerCover:
     """w = z^d onto a disk downstairs."""
 
     d: int
-    downstairs: Domain = None
+    downstairs: Domain
     n = 1
 
     def __post_init__(self):
@@ -86,7 +83,7 @@ def _roots_batched(E: np.ndarray) -> np.ndarray:
 class VietaCover:
     """Ordered pairs (z1, z2) over (s, p) = (z1 + z2, z1 z2)."""
 
-    downstairs: Domain = None
+    downstairs: Domain
     degree = 2
     n = 2
     kind = "vieta_2"
@@ -162,7 +159,8 @@ def fibers_inside(cover: Cover, dom: Domain) -> bool:
     The downstairs chart may be any domain inside such a polydisk
     (geometry.polydisk_radii).  dom must be a polydisk about 0, or a
     shrink of one, and the bound must stay below its smallest radius by
-    the relative slack CONTAINMENT_SLACK.  Anything else is not proved.
+    the relative slack PROOF_SLACK, room for the rounding of the computed
+    roots and of the membership test.  Anything else is not proved.
     """
     down = cover.downstairs
     if isinstance(cover, IdentityCover):
@@ -179,7 +177,7 @@ def fibers_inside(cover: Cover, dom: Domain) -> bool:
         bound = 0.5 * a + math.sqrt(0.25 * a * a + b)
     else:
         return False
-    return bound * (1.0 + CONTAINMENT_SLACK) < min(inner)
+    return bound * (1.0 + PROOF_SLACK) < min(inner)
 
 
 def pushforward(cover: Cover, f: ScalarField) -> ScalarField:

@@ -46,6 +46,9 @@ _MAX_LATTICE_SITES = 40_000_000
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+HALTON_START = 1     # first index of every Halton stream halton_sample draws
+GAUGE_GAP = 0.02     # softmin gap of a polydisk's smooth gauge across its axes
+
 
 # ---------------------------------------------------------------------------
 # points
@@ -104,12 +107,13 @@ class Domain:
         return ShrunkDomain(self, margin)
 
 
-def _softmin(columns: Sequence[np.ndarray], gap: float) -> np.ndarray:
-    """Smooth lower bound of the pointwise min; softmin(x,..,x) = x - gap*log2(k)."""
+def _softmin(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Smooth lower bound of the pointwise min, returning one column as it
+    is; softmin(x,..,x) = x - GAUGE_GAP*log2(k)."""
+    if len(columns) == 1:
+        return columns[0]
     v = np.stack(columns, axis=0)
-    if gap <= 0.0:
-        return v.min(axis=0)
-    t = gap / math.log(2.0)
+    t = GAUGE_GAP / math.log(2.0)
     m = v.min(axis=0)
     return m - t * np.log(np.sum(np.exp(-(v - m) / t), axis=0))
 
@@ -123,9 +127,8 @@ class Polydisk(Domain):
     any move of norm <= t.
     """
 
-    center_values: tuple = (0j,)
-    radii: tuple = (1.0,)
-    gauge_gap: float = 0.0  # softmin gap for the smooth gauge; 0 keeps hard min
+    center_values: tuple
+    radii: tuple
 
     def __post_init__(self):
         cs = tuple(complex(c) for c in self.center_values)
@@ -153,7 +156,7 @@ class Polydisk(Domain):
         Z = as_points(Z, self.n)
         smooth = [(self.radii[j] ** 2 - np.abs(Z[:, j] - self.center_values[j]) ** 2)
                   / (2.0 * self.radii[j]) for j in range(self.n)]
-        return _softmin(smooth, self.gauge_gap)
+        return _softmin(smooth)
 
     @property
     def center(self):
@@ -331,6 +334,9 @@ def polydisk_radii(dom: Domain) -> Optional[Tuple[float, ...]]:
     return None
 
 
+PROOF_SLACK = 1e-9   # relative room for rounding in each containment proved once
+
+
 def nesting_margin(inner: Domain, outer: Domain) -> float:
     """Operational nesting margin of inner inside outer.
 
@@ -356,7 +362,7 @@ def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
-def halton(dim: int, count: int, start: int = 1) -> np.ndarray:
+def halton(dim: int, count: int, start: int) -> np.ndarray:
     """Halton points in [0,1)^dim, deterministic, indexed from ``start``."""
     if dim > len(_PRIMES):
         raise ValueError("halton dimension too large")
@@ -364,22 +370,22 @@ def halton(dim: int, count: int, start: int = 1) -> np.ndarray:
     return np.stack([_radical_inverse(idx, _PRIMES[k]) for k in range(dim)], axis=1)
 
 
-def halton_sample(domain: Domain, count: int, start: int = 1) -> np.ndarray:
+def halton_sample(domain: Domain, count: int) -> np.ndarray:
     """First ``count`` Halton points of the domain's bbox that land inside.
 
-    Deterministic; the Halton index stream starts at ``start`` and is shared
-    by every caller that passes the same arguments.
+    Deterministic; the Halton index stream starts at HALTON_START and is
+    shared by every caller that passes the same arguments.
     """
     lo, hi = domain.bbox()
     dim = lo.size
     found = []
     got = 0
-    idx = start
+    idx = HALTON_START
     # thin shells in a fat bbox (discriminant bands) can sit near 1e-3
     # acceptance; the budget has to survive those before giving up
     budget = 2048 + 3000 * count
-    while got < count and idx - start < budget:
-        block = min(4 * count + 256, budget - (idx - start))
+    while got < count and idx - HALTON_START < budget:
+        block = min(4 * count + 256, budget - (idx - HALTON_START))
         u = halton(dim, block, start=idx)
         idx += block
         X = lo + u * (hi - lo)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedDimensionError
 from .geometry import (
+    PROOF_SLACK,
     Domain,
     Grid,
     Polydisk,
@@ -30,10 +31,7 @@ from .geometry import (
 
 _EVAL_CHUNK = 250_000  # stencil rows per evaluator call, keeps memory flat
 
-# the mollifier's shrink slack (1 - max|offset|) * eps must exceed this,
-# relative to the domain's coordinate scale, before its translates go
-# unchecked: room for the rounding of a translate and of its gauge
-SHRINK_SLACK = 1e-9
+MOLL_ORDER = {1: 8, 2: 6}  # mollifier's Gauss-Legendre order per real axis, by n
 
 # Bump profile exp(-1/(1-t^2)) on (-1,1); its integral over (-1,1), computed
 # once by high-order quadrature and frozen (12 digits, regression-tested).
@@ -198,17 +196,17 @@ def translates_stay_inside(dom: Domain, eps: float, reach: float) -> bool:
     Proved for a polydisk, the shape of every chart a shipped field lives
     on: its boundary distance is 1-Lipschitz, so it drops by at most
     eps*reach along the move, and (1 - reach)*eps is left over.  That slack
-    must exceed SHRINK_SLACK times the coordinate scale of dom's bounding
-    box.  Any other domain is not proved.
+    must exceed PROOF_SLACK times the coordinate scale of dom's bounding
+    box, for rounding.  Any other domain is not proved.
     """
     if not isinstance(dom, Polydisk):
         return False
     lo, hi = dom.bbox()
     scale = 1.0 + float(np.max(np.abs(np.concatenate([lo, hi]))))
-    return (1.0 - reach) * eps > SHRINK_SLACK * scale
+    return (1.0 - reach) * eps > PROOF_SLACK * scale
 
 
-def mollify(f: ScalarField, eps: float, quad_order: int = 8) -> ScalarField:
+def mollify(f: ScalarField, eps: float) -> ScalarField:
     """Convolution with the radial bump of radius eps, by fixed quadrature.
 
     The valid domain shrinks by eps in the domain's own gauge units.  On a
@@ -217,12 +215,14 @@ def mollify(f: ScalarField, eps: float, quad_order: int = 8) -> ScalarField:
     is proved once here, and the translates are evaluated without a
     membership test.  On any other domain, or with an eps too small for
     the rounding slack, every translate is checked and one that escapes
-    raises DomainError.  quad_order is the tensor Gauss-Legendre order per
-    real axis.  meta records the kernel node count, kernel_nodes.
+    raises DomainError.  The kernel order is MOLL_ORDER[f.n], and any other
+    n is unsupported.  meta records the kernel node count, kernel_nodes.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    kern = mollifier_kernel(2 * f.n, quad_order)
+    if f.n not in MOLL_ORDER:
+        raise UnsupportedDimensionError(f"no mollifier order for n = {f.n}")
+    kern = mollifier_kernel(2 * f.n, MOLL_ORDER[f.n])
     new_domain = f.valid_on.shrink(eps)
     # probe that the shrunken domain is non-empty
     try:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import CoverSmoothError, ScenarioError
 from .geometry import (
+    HALTON_START,
     Annulus,
     Complement,
     Disk,
@@ -63,6 +64,7 @@ from .cocycle import (
 )
 from .psh import (
     BUMP_INTEGRAL,
+    MOLL_ORDER,
     REGMAX_ORDER,
     c2_ratio,
     laplacian_sup,
@@ -70,7 +72,6 @@ from .psh import (
     mollifier_kernel,
 )
 from .smoothing import (
-    HALTON_START,
     GlueStep,
     NestedOpens,
     SmoothingParams,
@@ -80,8 +81,9 @@ from .smoothing import (
 
 SCENARIO_IDS = ("S1", "S2", "S3", "S4")
 
-# n_radius / nprime_radius are disk radii for S1 and S4 and discriminant
-# sublevel thresholds for S2 and S3.
+# config keys a caller may override, in CLI flag order; n_radius and
+# nprime_radius are disk radii for S1, S4 and sublevel thresholds for S2, S3
+OVERRIDE_KEYS = ("h", "eps", "eta", "delta", "n_radius", "nprime_radius")
 _DEFAULTS = {
     "S1": {"h": 0.01, "eps": 0.035, "delta": 5e-4, "eta": 1e-4,
            "n_radius": 0.6, "nprime_radius": 0.4},
@@ -105,10 +107,10 @@ class Scenario:
     downstairs_overlaps: tuple
     steps: Tuple[GlueStep, ...]
     params: SmoothingParams
+    battery: tuple  # ordered check specs, run by run_scenario
     # no scenario sets X1 or X2; bench/worker.py still reads and passes them
     X1: Optional[Domain] = None
     X2: Optional[Domain] = None
-    battery: tuple = ()  # ordered check specs, run by run_scenario
 
 
 def scenario_defaults(scenario_id: str) -> Dict[str, float]:
@@ -120,19 +122,18 @@ def scenario_defaults(scenario_id: str) -> Dict[str, float]:
 def build_scenario(scenario_id: str, overrides: Optional[dict] = None) -> Scenario:
     """Instantiate a shipped scenario, applying config overrides.
 
-    Overridable keys: h, eps, eta, delta, n_radius, nprime_radius.  Shrinking
-    n_radius alone drags nprime_radius down proportionally so the nesting
-    stays intact; an explicit nprime_radius is taken literally.  The nesting
-    N' cc N is checked here so bad configs fail before any computation
-    starts.
+    Overridable keys: OVERRIDE_KEYS.  Shrinking n_radius alone drags
+    nprime_radius down proportionally so the nesting stays intact; an
+    explicit nprime_radius is taken literally.  The nesting N' cc N is
+    checked here so bad configs fail before any computation starts.
     """
     config = scenario_defaults(scenario_id)
     overrides = dict(overrides or {})
     for key, val in overrides.items():
-        if key not in config:
+        if key not in OVERRIDE_KEYS:
             raise ScenarioError(
                 f"unknown override {key!r} for {scenario_id}; "
-                f"allowed: {', '.join(sorted(config))}")
+                f"allowed: {', '.join(sorted(OVERRIDE_KEYS))}")
         config[key] = float(val)
     if "n_radius" in overrides and "nprime_radius" not in overrides:
         defaults = _DEFAULTS[scenario_id]
@@ -149,9 +150,9 @@ def build_scenario(scenario_id: str, overrides: Optional[dict] = None) -> Scenar
     return _BUILDERS[scenario_id](config)
 
 
-def _smoothing_params(config: dict, **kw) -> SmoothingParams:
+def _smoothing_params(config: dict) -> SmoothingParams:
     return SmoothingParams(eps=config["eps"], delta=config["delta"],
-                           eta=config["eta"], h=config["h"], **kw)
+                           eta=config["eta"], h=config["h"])
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +235,7 @@ def _disc_tube(config: dict, levels: Tuple[float, float], grad_scale: float,
             f"infeasible overrides: nprime_radius {npr:g} reaches the inner "
             f"triple level {u_lvl:g}")
     opens = NestedOpens(*(
-        Intersection((Polydisk((0.0, 0.0), box, gauge_gap=0.02),
+        Intersection((Polydisk((0.0, 0.0), box),
                       _sublevel(thr, grad_scale)))
         for thr, box in zip((u_lvl, v_lvl, n), boxes)))
     gate = Complement(_sublevel(u_lvl + 0.005, grad_scale), within=chart)
@@ -321,7 +322,7 @@ def _build_s2(config: dict) -> Scenario:
         FieldDump("sp", kink, 3e-3 * hs, "S2_sp_smoothed_kink_slice.csv"),
     )
     return Scenario("S2", config, cover, upstairs, (), steps,
-                    _smoothing_params(config, moll_order=6), battery=battery)
+                    _smoothing_params(config), battery=battery)
 
 
 # S3's chart changes: z -> 1/z upstairs, and downstairs its Vieta image
@@ -330,11 +331,10 @@ _swap_chart = SwapChart()
 _inv_both = Inversion(2)
 
 
-def _axis_shell(axis: int, r_in: float, r_out: float,
-                big: float = 60.0) -> Complement:
-    rin = [big, big]
+def _axis_shell(axis: int, r_in: float, r_out: float) -> Complement:
+    rin = [60.0, 60.0]
     rin[axis] = r_in
-    rout = [big, big]
+    rout = [60.0, 60.0]
     rout[axis] = r_out
     return Complement(Polydisk((0.0, 0.0), tuple(rin)),
                       within=Polydisk((0.0, 0.0), tuple(rout)))
@@ -419,7 +419,7 @@ def _build_s3(config: dict) -> Scenario:
         FieldDump("D3", kink_d3, 3e-3 * hs, "S3_D3_smoothed_kink_slice.csv"),
     )
     return Scenario("S3", config, cover, upstairs, downstairs_overlaps, steps,
-                    _smoothing_params(config, moll_order=6), battery=battery)
+                    _smoothing_params(config), battery=battery)
 
 
 def _build_s4(config: dict) -> Scenario:
@@ -571,7 +571,7 @@ class SupGap:
 
     def run(self, s, res, dump_dir):
         raw, psi = _fields(res, self.chart)
-        pts = halton_sample(self.region, self.samples, start=HALTON_START)
+        pts = halton_sample(self.region, self.samples)
         yield self.name, _check(self.name, _sup_gap(psi, raw, pts), self.tol, self.kind)
 
 
@@ -693,7 +693,7 @@ class GlueVsLocal:
         raw, psi = _fields(res, self.chart)
         step = next(st for st in s.steps if st.chart_name == self.chart)
         direct = local_smooth(raw, step.opens, s.params)
-        pts = halton_sample(self.zone, 4000, start=HALTON_START)
+        pts = halton_sample(self.zone, 4000)
         (name,) = self.names
         yield name, _check(name, _sup_gap(direct.psi, psi, pts), 0.0)
 
@@ -719,13 +719,13 @@ class FieldDump:
 
 def _environment(s: Scenario) -> dict:
     n = s.upstairs.charts[0].potential.n
-    kern = mollifier_kernel(2 * n, s.params.moll_order)
+    kern = mollifier_kernel(2 * n, MOLL_ORDER[n])
     env = {
         "python": f"{sys.version_info[0]}.{sys.version_info[1]}",
         "numpy": np.__version__,
         "halton_start": HALTON_START,
         "agreement_samples": AGREE_SAMPLES,
-        "moll_order": s.params.moll_order,
+        "moll_order": MOLL_ORDER[n],
         "moll_kernel_nodes": int(kern.offsets.shape[0]),
         "moll_kernel_m2": kern.m2_unit,
         "regmax_order": REGMAX_ORDER,

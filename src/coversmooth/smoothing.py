@@ -36,8 +36,9 @@ import numpy as np
 
 from .errors import ParameterError
 from .cocycle import ChartOverlap, CocycleChart, KahlerCocycle, OverlapTransform
-from .covers import CONTAINMENT_SLACK, ChartPair
+from .covers import ChartPair
 from .geometry import (
+    PROOF_SLACK,
     Complement,
     Domain,
     Intersection,
@@ -56,7 +57,6 @@ from .psh import (
 
 BAND_SAMPLES = 400   # Halton points of the band V minus U (tau_bound, m, K_sigma)
 U_SAMPLES = 256      # Halton points of U (s_max)
-HALTON_START = 1     # first index of the gate and check Halton streams
 
 
 def _bump(x: np.ndarray) -> np.ndarray:
@@ -93,7 +93,6 @@ class SmoothingParams:
     delta: float
     eta: float
     h: float
-    moll_order: int = 8
 
     def __post_init__(self):
         for name in ("eps", "delta", "eta", "h"):
@@ -152,11 +151,11 @@ class LocalSmoothResult:
 
 def _measure_band(phi: ScalarField, phi_eps: ScalarField, sigma, opens: NestedOpens,
                   params: SmoothingParams,
-                  gate_region: Optional[Domain] = None) -> Dict[str, float]:
+                  gate_region: Optional[Domain]) -> Dict[str, float]:
     band: Domain = Complement(opens.U, within=opens.V)
     if gate_region is not None:
         band = Intersection((band, gate_region))
-    B = halton_sample(band, BAND_SAMPLES, start=HALTON_START)
+    B = halton_sample(band, BAND_SAMPLES)
     tau_bound = float(np.max(phi_eps.eval_many(B) - phi.eval_many(B)))
     L = levi_form_many(phi_eps, B, params.h)
     m = float(np.min(hermitian_min_eigenvalues(L)))
@@ -217,7 +216,7 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
     if phi.n != opens.U.n:
         raise ValueError("field and triple dimensions differ")
 
-    phi_eps = mollify(phi, params.eps, quad_order=params.moll_order)
+    phi_eps = mollify(phi, params.eps)
     sigma = make_shift_profile(opens.U, opens.V)
 
     # nesting and stencil slack; every measured point needs the mollified
@@ -230,12 +229,12 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
     _margin_gate(measurements["margin"])
 
     measurements.update(_measure_band(phi, phi_eps, sigma, opens, params,
-                                      gate_region=gate_region))
+                                      gate_region))
 
     # smooth-branch dominance over U; automatic (s_max <= 0) for a psh phi,
     # kept as a safety check.  Pointwise sup, no stencil, so the gate
     # window does not apply here.
-    Upts = halton_sample(opens.U, U_SAMPLES, start=HALTON_START)
+    Upts = halton_sample(opens.U, U_SAMPLES)
     s_max = float(np.max(phi.eval_many(Upts) - phi_eps.eval_many(Upts)))
     measurements["s_max"] = s_max
 
@@ -305,7 +304,7 @@ def _overlap_misses(ov: ChartOverlap, V: Domain) -> bool:
 
     The region lies in a polydisk about 0 and V in another; on some axis
     the transform's floor over the first reaches the second's radius, by
-    the relative slack CONTAINMENT_SLACK.  An untyped transform, or a
+    the relative slack PROOF_SLACK.  An untyped transform, or a
     region or V without such a polydisk, is not proved.
     """
     if not isinstance(ov.transform, OverlapTransform):
@@ -313,7 +312,7 @@ def _overlap_misses(ov: ChartOverlap, V: Domain) -> bool:
     region, support = polydisk_radii(ov.region), polydisk_radii(V)
     if region is None or support is None:
         return False
-    return any(f >= r * (1.0 + CONTAINMENT_SLACK)
+    return any(f >= r * (1.0 + PROOF_SLACK)
                for f, r in zip(ov.transform.floor(region), support))
 
 

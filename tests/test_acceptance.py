@@ -112,7 +112,7 @@ def test_criterion_5_pushforward_matches_closed_forms_to_1e_minus_9_and_unit_pus
     up = Disk(0.0, 1.1)
     cover = PowerCover(2, Disk(0.0, 1.21))
     f = ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, up, name="sq")
-    W = halton_sample(cover.downstairs, 1000, start=1)
+    W = halton_sample(cover.downstairs, 1000)
     got = pushforward(cover, f).eval_many(W)
     assert np.max(np.abs(got - 2.0 * np.abs(W[:, 0]))) <= 1e-9
 
@@ -121,7 +121,7 @@ def test_criterion_5_pushforward_matches_closed_forms_to_1e_minus_9_and_unit_pus
     g = ScalarField(
         lambda Z: np.abs(Z[:, 0]) ** 2 + np.abs(Z[:, 1]) ** 2, vup, name="ss"
     )
-    B = halton_sample(vieta.downstairs, 1000, start=1)
+    B = halton_sample(vieta.downstairs, 1000)
     s, p = B[:, 0], B[:, 1]
     want = np.abs(s) ** 2 + np.abs(s * s - 4.0 * p)
     assert np.max(np.abs(pushforward(vieta, g).eval_many(B) - want)) <= 1e-9
@@ -192,10 +192,10 @@ def test_criterion_7_corrections_vanish_off_their_support_devs_are_kept_and_one_
     opens = NestedOpens(Disk(0.0, 0.36), Disk(0.0, 0.50), Disk(0.0, 0.60))
     params = SmoothingParams(eps=0.04, delta=8e-4, eta=4e-4, h=2e-3)
     res = local_smooth(phi, opens, params)
-    outside = halton_sample(Annulus(0.0, 0.52, 0.78), 1000, start=1)
+    outside = halton_sample(Annulus(0.0, 0.52, 0.78), 1000)
     assert np.array_equal(res.correction.eval_many(outside), np.zeros(1000))
     assert np.array_equal(res.psi.eval_many(outside), phi.eval_many(outside))
-    inside = halton_sample(Disk(0.0, 0.34), 200, start=1)
+    inside = halton_sample(Disk(0.0, 0.34), 200)
     assert np.max(res.correction.eval_many(inside)) > 0.0
 
     glued = global_glue(
@@ -203,7 +203,7 @@ def test_criterion_7_corrections_vanish_off_their_support_devs_are_kept_and_one_
         [GlueStep("c", opens)],
         params,
     )
-    probe = halton_sample(Disk(0.0, 0.78), 800, start=1)
+    probe = halton_sample(Disk(0.0, 0.78), 800)
     assert np.array_equal(
         glued.cocycle.chart("c").potential.eval_many(probe), res.psi.eval_many(probe)
     )

@@ -162,8 +162,8 @@ def test_pushforward_construction_still_probes_through_fiber_rows(sid, monkeypat
         inner_sample = covers.halton_sample
         inner_rows = type(cover).fiber_rows
 
-        def sample(domain, count, start=1):
-            out = inner_sample(domain, count, start)
+        def sample(domain, count):
+            out = inner_sample(domain, count)
             drawn.append((domain, count, out))
             return out
 

@@ -20,9 +20,9 @@ from coversmooth.cocycle import (
     curve_mass_patch,
     validate_cocycle,
 )
-from coversmooth.covers import CONTAINMENT_SLACK
 from coversmooth.errors import CoverageError, DomainError
 from coversmooth.geometry import (
+    PROOF_SLACK,
     Annulus,
     Disk,
     Polydisk,
@@ -162,4 +162,4 @@ def test_a_typed_transform_keeps_its_image_of_a_polydisk_above_its_floor(
     floor = np.array(transform.floor(tuple(radii)))
     W = transform(Z)
     assert W.shape == Z.shape
-    assert (np.abs(W) * (1.0 + CONTAINMENT_SLACK) >= floor).all()
+    assert (np.abs(W) * (1.0 + PROOF_SLACK) >= floor).all()

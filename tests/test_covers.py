@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coversmooth.covers import (
-    CONTAINMENT_SLACK,
     IdentityCover,
     PowerCover,
     SymmetricSum,
@@ -25,6 +24,7 @@ from coversmooth.scenarios import (
     _log1p_abs_sq_sp,
 )
 from coversmooth.geometry import (
+    PROOF_SLACK,
     Disk,
     Intersection,
     LevelRegion,
@@ -87,7 +87,7 @@ def test_power_pushforward_matches_closed_form():
     cover = _power()
     f = ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, _POWER_UP, name="sq")
     pf = pushforward(cover, f)
-    W = halton_sample(cover.downstairs, 400, start=1)
+    W = halton_sample(cover.downstairs, 400)
     got = pf.eval_many(W)
     want = 2.0 * np.abs(W[:, 0])
     assert np.max(np.abs(got - want)) <= 1e-9
@@ -102,7 +102,7 @@ def test_vieta_pushforward_matches_root_sum_identity():
         name="ss",
     )
     pf = pushforward(cover, f)
-    B = halton_sample(cover.downstairs, 400, start=1)
+    B = halton_sample(cover.downstairs, 400)
     s, p = B[:, 0], B[:, 1]
     want = np.abs(s) ** 2 + np.abs(s * s - 4.0 * p)
     assert np.max(np.abs(pf.eval_many(B) - want)) <= 1e-9
@@ -124,7 +124,7 @@ def test_unit_pushforward_equals_the_degree_everywhere():
     for cover, up in ((_power(), _POWER_UP), (_vieta(), _VIETA_UP)):
         one = ScalarField(lambda Z: np.ones(Z.shape[0]), up, name="one")
         pf = pushforward(cover, one)
-        B = halton_sample(cover.downstairs, 400, start=1)
+        B = halton_sample(cover.downstairs, 400)
         assert np.array_equal(pf.eval_many(B), np.full(400, float(cover.degree)))
 
 
@@ -134,7 +134,7 @@ def test_identity_cover_pushforward_is_the_field_itself():
     assert cover.degree == 1
     f = ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, dom, name="sq")
     pf = pushforward(cover, f)
-    P = halton_sample(Disk(0.0, 0.9), 200, start=1)
+    P = halton_sample(Disk(0.0, 0.9), 200)
     assert np.array_equal(pf.eval_many(P), f.eval_many(P))
 
 
@@ -150,16 +150,16 @@ def _round_trips():
     """(name, cover, base rows, the cover map) for each local model."""
     power = _power()
     vieta = _vieta()
-    s = halton_sample(Disk(0.0, 2.5), 64, start=1)[:, 0]
+    s = halton_sample(Disk(0.0, 2.5), 64)[:, 0]
     return (
-        ("power", power, halton_sample(power.downstairs, 128, start=1),
+        ("power", power, halton_sample(power.downstairs, 128),
          lambda Z: Z ** 2),
         # the diagonal s^2 = 4p, where the two roots coincide, and generic rows
         ("vieta_2", vieta, np.vstack([np.stack([s, s * s / 4.0], axis=1),
-                                      halton_sample(vieta.downstairs, 64, start=1)]),
+                                      halton_sample(vieta.downstairs, 64)]),
          _elementary),
         ("identity", IdentityCover(Disk(0.0, 1.0)),
-         halton_sample(Disk(0.0, 1.0), 64, start=1), lambda Z: Z),
+         halton_sample(Disk(0.0, 1.0), 64), lambda Z: Z),
     )
 
 
@@ -275,7 +275,7 @@ def test_vieta_roots_never_exceed_the_quadratic_formula_bound(a, b, seed):
     # the extreme corner: s = a, p = -b has the root a/2 + sqrt(a^2/4 + b)
     E = np.vstack([E, [[a, -b], [-a, -b], [1j * a, b]]])
     bound = 0.5 * a + np.sqrt(0.25 * a * a + b)
-    assert np.max(np.abs(_roots_batched(E))) <= bound * (1.0 + CONTAINMENT_SLACK)
+    assert np.max(np.abs(_roots_batched(E))) <= bound * (1.0 + PROOF_SLACK)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -285,7 +285,7 @@ def test_power_roots_never_exceed_the_root_of_the_radius(d, R, seed):
     B = np.vstack([_in_disks(np.random.default_rng(seed), (R,), 2000),
                    [[R], [-R], [1j * R]]])
     roots = PowerCover(d, down).fiber_rows(B)
-    assert np.max(np.abs(roots)) <= R ** (1.0 / d) * (1.0 + CONTAINMENT_SLACK)
+    assert np.max(np.abs(roots)) <= R ** (1.0 / d) * (1.0 + PROOF_SLACK)
 
 
 @pytest.mark.parametrize("cover, up, proved", [
@@ -351,7 +351,7 @@ def test_pushforward_checks_the_fiber_rows_only_where_unproved(cover, radius, pr
     up = Polydisk((0j,) * cover.n, (radius,) * cover.n)
     f = _CheckSpy(ScalarField(lambda Z: np.sum(np.abs(Z) ** 2, axis=1), up))
     pf = pushforward(cover, f)
-    B = halton_sample(cover.downstairs, 64, start=1)
+    B = halton_sample(cover.downstairs, 64)
     vals = pf.eval_many(B)
     assert f.checks == [not proved]
     plain = pushforward(cover, _plain(f)).eval_many(B)

@@ -16,6 +16,8 @@ from coversmooth.errors import (
 )
 from coversmooth.covers import discriminant_many
 from coversmooth.geometry import (
+    GAUGE_GAP,
+    HALTON_START,
     Annulus,
     Complement,
     Disk,
@@ -25,8 +27,10 @@ from coversmooth.geometry import (
     MappedRegion,
     Polydisk,
     ScalarField,
+    _softmin,
     csv_header,
     dump_field_csv,
+    halton,
     halton_sample,
     mass_integral,
     polydisk_radii,
@@ -39,17 +43,37 @@ from coversmooth.psh import translates_stay_inside
 
 def test_halton_sample_is_deterministic_and_lands_inside():
     d = Disk(0.3 + 0.1j, 0.9)
-    a = halton_sample(d, 200, start=1)
-    b = halton_sample(d, 200, start=1)
+    a = halton_sample(d, 200)
+    b = halton_sample(d, 200)
     assert np.array_equal(a, b)
     assert d.contains_many(a).all()
-    c = halton_sample(d, 200, start=2)
+
+    # the stream starts at HALTON_START: a holds the first bbox candidates
+    # that land inside, and the stream one index on is another sample
+    def first_inside(start):
+        lo, hi = d.bbox()
+        X = lo + halton(2, 1000, start) * (hi - lo)
+        Z = X[:, 0::2] + 1j * X[:, 1::2]
+        return Z[d.contains_many(Z)][:200]
+
+    assert np.array_equal(a, first_inside(HALTON_START))
+    c = first_inside(HALTON_START + 1)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("col", [
+    np.array([0.3, -1.2, 0.0, -0.0, 5e-300]),
+    np.array([np.inf, -np.inf, np.nan, 1.0]),
+], ids=["finite", "non_finite"])
+def test_the_softmin_of_one_column_is_that_column(col):
+    assert GAUGE_GAP > 0.0
+    out = _softmin([col])
+    assert out.tobytes() == col.tobytes()
 
 
 def test_halton_sample_two_variables():
     p = Polydisk((0.1, -0.2j), (1.0, 0.7))
-    pts = halton_sample(p, 300, start=1)
+    pts = halton_sample(p, 300)
     assert pts.shape == (300, 2)
     assert p.contains_many(pts).all()
 
@@ -57,7 +81,7 @@ def test_halton_sample_two_variables():
 def test_halton_sample_gives_up_on_empty_region():
     empty = Intersection((Disk(0.0, 0.2), Disk(5.0, 0.2)))
     with pytest.raises(DomainError):
-        halton_sample(empty, 8, start=1)
+        halton_sample(empty, 8)
 
 
 @given(
@@ -68,7 +92,7 @@ def test_halton_sample_gives_up_on_empty_region():
 @settings(max_examples=25, deadline=None)
 def test_disk_samples_have_positive_boundary_distance(cx, cy, r):
     d = Disk(complex(cx, cy), r)
-    pts = halton_sample(d, 64, start=1)
+    pts = halton_sample(d, 64)
     assert d.contains_many(pts).all()
     assert (d.boundary_distance_many(pts) > 0).all()
 
@@ -77,13 +101,13 @@ def test_disk_samples_have_positive_boundary_distance(cx, cy, r):
 @settings(max_examples=25, deadline=None)
 def test_shrunk_domain_keeps_the_stated_margin(r, m):
     d = Disk(0.0, r)
-    pts = halton_sample(d.shrink(m), 64, start=1)
+    pts = halton_sample(d.shrink(m), 64)
     assert (d.boundary_distance_many(pts) >= m - 1e-12).all()
 
 
 def test_bbox_contains_every_sample():
     dom = Annulus(0.2j, 0.4, 1.1)
-    pts = halton_sample(dom, 256, start=1)
+    pts = halton_sample(dom, 256)
     lo, hi = dom.bbox()
     X = np.column_stack([pts[:, 0].real, pts[:, 0].imag])
     assert (X >= lo - 1e-12).all()
@@ -218,7 +242,7 @@ def test_mass_integral_rejects_two_variables():
 _DECLARED = {
     "disk": Disk(0.2 + 0.1j, 0.9),
     "annulus": Annulus(-0.1j, 0.3, 1.1),
-    "polydisk": Polydisk((0.1, -0.2j), (1.0, 0.6), gauge_gap=0.02),
+    "polydisk": Polydisk((0.1, -0.2j), (1.0, 0.6)),
     "intersection": Intersection((Disk(0.0, 1.0), Annulus(0.4, 0.2, 0.9))),
     "complement": Complement(Polydisk((0, 0), (0.3, 0.5)),
                              within=Polydisk((0, 0), (1.0, 0.8))),
@@ -266,7 +290,7 @@ def test_an_opaque_domain_has_no_box(dom):
 
 
 def test_a_boxed_tube_has_the_box_of_its_polydisk():
-    box = Polydisk((0.1, -0.2j), (1.6, 1.82), gauge_gap=0.02)
+    box = Polydisk((0.1, -0.2j), (1.6, 1.82))
     want = box.bbox()
     for dom in (Intersection((box, _s2_tube(1.05))),
                 Intersection((_s2_tube(1.05), box))):

@@ -31,6 +31,7 @@ from coversmooth.geometry import (
 from coversmooth.psh import (
     _EVAL_CHUNK,
     BUMP_INTEGRAL,
+    MOLL_ORDER,
     bump_profile,
     c2_ratio,
     hermitian_min_eigenvalues,
@@ -106,6 +107,13 @@ def test_mollify_shifts_a_quadratic_by_exactly_eps2_m2():
     pts = np.array([[0.0j], [0.3 + 0.1j], [-0.5 + 0.2j]])
     d = fe.eval_many(pts) - f.eval_many(pts)
     assert np.max(np.abs(d - eps ** 2 * kern.m2_unit)) < 1e-12
+
+
+def test_mollify_has_no_order_for_three_variables():
+    dom = Polydisk((0, 0, 0), (1.0, 1.0, 1.0))
+    f = ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, dom)
+    with pytest.raises(UnsupportedDimensionError):
+        mollify(f, 0.1)
 
 
 def test_mollify_shrinks_the_valid_domain():
@@ -491,7 +499,8 @@ def _unit_level_disk(grad_scale: float) -> Intersection:
     (Intersection((Disk(0.0, 1.0), Disk(0.3, 1.0))).shrink(0.02), 0.07, False),
 ])
 def test_mollify_checks_its_translates_only_where_the_shrink_is_unproved(dom, eps, proved):
-    reach = float(np.max(np.abs(mollifier_kernel(2 * dom.n, 8).offsets)))
+    kern = mollifier_kernel(2 * dom.n, MOLL_ORDER[dom.n])
+    reach = float(np.max(np.abs(kern.offsets)))
     assert translates_stay_inside(dom, eps, reach) is proved
     plain = ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, dom)
     f = _CheckSpy(plain)

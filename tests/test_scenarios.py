@@ -22,6 +22,7 @@ from coversmooth.geometry import (
     halton_sample,
 )
 from coversmooth.scenarios import (
+    OVERRIDE_KEYS,
     SCENARIO_IDS,
     C2Zone,
     DiskMass,
@@ -56,6 +57,8 @@ S1_DEFAULTS = {
 
 def test_shipped_scenario_ids():
     assert SCENARIO_IDS == ("S1", "S2", "S3", "S4")
+    for sid in SCENARIO_IDS:
+        assert sorted(scenario_defaults(sid)) == sorted(OVERRIDE_KEYS)
 
 
 def test_scenario_defaults_frozen_for_s1():
@@ -66,6 +69,17 @@ def test_scenario_defaults_returns_a_copy():
     d = scenario_defaults("S1")
     d["h"] = 99.0
     assert scenario_defaults("S1") == S1_DEFAULTS
+
+
+@pytest.mark.parametrize("sid", ["S1", "S4"])
+def test_a_disk_triple_gauge_is_its_smooth_defining_function(sid):
+    # one axis: the softmin shortcut returns the column, with no exp or log
+    (step,) = build_scenario(sid).steps
+    Z = halton_sample(Disk(0.0, 1.0), 1000)
+    for disk in (step.opens.U, step.opens.V, step.opens.W):
+        (c,), (R,) = disk.center_values, disk.radii
+        want = (R ** 2 - np.abs(Z[:, 0] - c) ** 2) / (2.0 * R)
+        assert disk.gauge_many(Z).tobytes() == want.tobytes()
 
 
 def test_build_s1_at_defaults():
@@ -166,7 +180,7 @@ def test_symmetric_pushforward_matches_the_plain_fiber_sum_to_1e_minus_14():
     for sid, pair, f in _upstairs_pairs():
         assert isinstance(f, SymmetricSum)
         plain = ScalarField(f.evaluator, f.valid_on, name=f.name)
-        B = halton_sample(pair.cover.downstairs, 2000, start=1)
+        B = halton_sample(pair.cover.downstairs, 2000)
         got = pushforward(pair.cover, f).eval_many(B)
         want = pushforward(pair.cover, plain).eval_many(B)
         assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0)), \
@@ -185,7 +199,7 @@ def test_s2_and_s3_raw_pushforwards_solve_no_roots(monkeypatch):
 
     for sid, pair, f in _upstairs_pairs():
         pf = pushforward(pair.cover, f)
-        B = halton_sample(pair.cover.downstairs, 500, start=1)
+        B = halton_sample(pair.cover.downstairs, 500)
         monkeypatch.setattr(covers, "_roots_batched", spy)
         pf.eval_many(B)
         monkeypatch.undo()
@@ -196,7 +210,7 @@ def test_s2_and_s3_raw_pushforwards_solve_no_roots(monkeypatch):
     cover = covers.VietaCover(Polydisk((0, 0), (2.5, 2.0)))
     assert not covers.fibers_inside(cover, f.valid_on)
     pf = pushforward(cover, f)
-    B = halton_sample(cover.downstairs, 64, start=1)
+    B = halton_sample(cover.downstairs, 64)
     monkeypatch.setattr(covers, "_roots_batched", spy)
     pf.eval_many(B)
     assert solved == [64]
@@ -464,7 +478,7 @@ def test_s3s_glued_d1_field_adds_the_d3_correction_only_inside_the_overlap():
     s, run = _glued("S3")
     ov13 = next(ov for ov in s.downstairs_overlaps if ov.src == "D1")
     step1, step2 = run.steps
-    Z = halton_sample(run.raw.chart("D1").potential.valid_on, 4000, start=1)
+    Z = halton_sample(run.raw.chart("D1").potential.valid_on, 4000)
     Z0 = Z[:200].copy()
     Z0[:, 1] = 0.0
     Z = np.vstack([Z, Z0])

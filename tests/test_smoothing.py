@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from coversmooth import psh, smoothing
+from coversmooth import geometry, psh, smoothing
 from coversmooth.cocycle import CocycleChart, KahlerCocycle
 from coversmooth.errors import ParameterError
 from coversmooth.geometry import (
     Annulus,
     Disk,
+    Polydisk,
     ScalarField,
     halton_sample,
     sample_grid,
@@ -37,12 +38,14 @@ def _toy_field():
 
 
 def test_smoothing_params_defaults():
-    p = SmoothingParams(eps=0.1, delta=1e-3, eta=5e-4, h=1e-2)
-    assert p.moll_order == 8
+    assert psh.MOLL_ORDER == {1: 8, 2: 6}
+    for dom, nodes in ((Disk(0.0, 1.0), 40), (Polydisk((0, 0), (1.0, 1.0)), 176)):
+        f = ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, dom)
+        assert psh.mollify(f, 0.1).meta["kernel_nodes"] == nodes
     assert psh.REGMAX_ORDER == 16
     assert smoothing.BAND_SAMPLES == 400
     assert smoothing.U_SAMPLES == 256
-    assert smoothing.HALTON_START == 1
+    assert geometry.HALTON_START == 1
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
@@ -115,7 +118,7 @@ def test_local_smooth_is_verbatim_outside_V():
     """Outside the middle open the smoother evaluates the input, bit for bit."""
     phi = _toy_field()
     res = local_smooth(phi, TOY_OPENS, TOY_PARAMS)
-    pts = halton_sample(Annulus(0.0, 0.52, 0.78), 500, start=1)
+    pts = halton_sample(Annulus(0.0, 0.52, 0.78), 500)
     assert np.array_equal(res.psi.eval_many(pts), phi.eval_many(pts))
     assert np.array_equal(res.correction.eval_many(pts), np.zeros(len(pts)))
 
@@ -123,7 +126,7 @@ def test_local_smooth_is_verbatim_outside_V():
 def test_local_smooth_lifts_strictly_over_the_kink():
     phi = _toy_field()
     res = local_smooth(phi, TOY_OPENS, TOY_PARAMS)
-    ring = halton_sample(Annulus(0.0, 0.31, 0.32), 200, start=1)
+    ring = halton_sample(Annulus(0.0, 0.31, 0.32), 200)
     lift = res.psi.eval_many(ring) - phi.eval_many(ring)
     assert np.min(lift) > 1e-3
 
@@ -160,7 +163,7 @@ def test_single_step_glue_coincides_with_local_smooth_bitwise():
         [GlueStep("c", TOY_OPENS)],
         TOY_PARAMS,
     )
-    pts = halton_sample(Disk(0.0, 0.78), 800, start=1)
+    pts = halton_sample(Disk(0.0, 0.78), 800)
     assert np.array_equal(
         glued.cocycle.chart("c").potential.eval_many(pts),
         direct.psi.eval_many(pts),
