@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import tempfile
-from typing import List, Optional
+from typing import List
 
 from .errors import CoverSmoothError, ScenarioError
 from .scenarios import (
@@ -240,7 +240,7 @@ _COMMANDS = {"list": _cmd_list, "run": _cmd_run, "verify": _cmd_verify,
              "sweep": _cmd_sweep}
 
 
-def execute(argv: Optional[List[str]] = None) -> int:
+def execute(argv: List[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -43,6 +43,8 @@ from .errors import (
 
 # Lattices with more sites than this are refused with a ParameterError.
 _MAX_LATTICE_SITES = 40_000_000
+# Candidate sites a lattice holds at once while it is filtered.
+_LATTICE_BLOCK_SITES = 2 ** 18
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -53,8 +55,9 @@ GAUGE_GAP = 0.02     # softmin gap of a polydisk's smooth gauge across its axes
 # ---------------------------------------------------------------------------
 # points
 
-def as_points(z, n: Optional[int] = None) -> np.ndarray:
-    """Coerce scalars / sequences / arrays to an (m, n) block."""
+def as_points(z, n: Optional[int]) -> np.ndarray:
+    """Coerce scalars / sequences / arrays to an (m, n) block; n None
+    takes the width as given."""
     a = np.asarray(z, dtype=complex)
     if a.ndim == 0:
         a = a.reshape(1, 1)
@@ -442,7 +445,10 @@ def _lattice_grid(domain: Domain, h: float, origin: np.ndarray,
 
     A free axis narrower than h keeps the single site of the origin.  The
     site count is capped from the integer axis bounds, before any axis is
-    allocated.
+    allocated.  The candidates are built and filtered in blocks of whole
+    slices of the first free axis, at most _LATTICE_BLOCK_SITES of them
+    unless one slice holds more; in ij order the kept blocks join into the
+    nodes a single pass would keep.
     """
     if not h > 0:
         raise ValueError("grid spacing must be positive")
@@ -458,12 +464,18 @@ def _lattice_grid(domain: Domain, h: float, origin: np.ndarray,
     axes = [o[k:k + 1] for k in range(o.size)]
     for k, a, b in zip(free, kmin, kmax):
         axes[k] = o[k] + h * np.arange(int(a), int(b) + 1)
-    X = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
-    Z = X.reshape(-1, o.size).view(complex)
-    keep = domain.contains_many(Z)
-    if not keep.any():
+    first = axes[free[0]]
+    step = max(1, _LATTICE_BLOCK_SITES * first.size // math.prod(map(len, axes)))
+    kept = []
+    for s in range(0, first.size, step):
+        axes[free[0]] = first[s:s + step]
+        X = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
+        Z = X.reshape(-1, o.size).view(complex)
+        kept.append(Z[domain.contains_many(Z)])
+    nodes = np.concatenate(kept)
+    if not len(nodes):
         raise EmptyGridError("no lattice point of spacing %g lies inside the domain" % h)
-    return Grid(Z[keep], float(h), domain, o)
+    return Grid(nodes, float(h), domain, o)
 
 
 def sample_grid(domain: Domain, h: float) -> Grid:
@@ -637,17 +649,35 @@ def discrete_laplacian_many(f: ScalarField, Z, h: float) -> np.ndarray:
 
 
 def mass_integral(f: ScalarField, disk: Domain, h: float) -> float:
-    """Integral of the Laplacian density over a planar region.
+    """Integral of the Laplacian density over a planar region, as the
+    boundary flux of f.
 
-    Midpoint quadrature over lattice cells of the discrete Laplacian; the
-    inner differences telescope, so the value is a discrete boundary flux
-    and tolerates isolated interior kinks of the potential.
+    The area sum of the discrete Laplacian over the lattice nodes G of
+    spacing h in the region, sum_x lap f(x) h^2, telescopes along each
+    axis direction e: sum_x [f(x+e) - f(x)] keeps only the edges that
+    leave G.  So the mass is the sum, over the four directions e of
+    stencil_offsets and the nodes x with x+e off G, of f(x+e) - f(x).  It
+    reads only those edge nodes and their outer neighbours, through
+    lattice_field, a subset of the area sum's stencil sites; isolated
+    interior kinks of the potential do not enter it.
     """
     if disk.n != 1:
         raise UnsupportedDimensionError("mass_integral is restricted to one variable")
     grid = sample_grid(disk, h)
-    lap = discrete_laplacian_many(lattice_field(f, grid, h), grid.nodes, h)
-    return float(np.sum(lap) * h * h)
+    offs = stencil_offsets(1, h)[1:5]
+    # integer node indices, framed by one free index on every side
+    K = np.rint((reals(grid.nodes) - grid.origin) / h).astype(np.int64)
+    K -= K.min(axis=0) - 1
+    on_grid = np.zeros(K.max(axis=0) + 2, dtype=bool)
+    on_grid[tuple(K.T)] = True
+    inner, outer = [], []
+    for e, step in zip(offs, np.rint(reals(offs) / h).astype(np.int64)):
+        leaves = grid.nodes[~on_grid[tuple((K + step).T)]]
+        inner.append(leaves)
+        outer.append(leaves + e)
+    m = sum(map(len, outer))
+    V = lattice_field(f, grid, h).eval_many(np.concatenate(outer + inner))
+    return float(np.sum(V[:m] - V[m:]))
 
 
 # ---------------------------------------------------------------------------

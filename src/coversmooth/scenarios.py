@@ -636,24 +636,29 @@ class C2Zone:
 
 @dataclass(frozen=True)
 class DiskMass:
-    """Raw disk mass (lattice spacing 4e-3) within 1% of the oracle, moved
-    at most 1e-9 by the smoothing.  With slice_s the disk lies in the second
-    coordinate of the slice {first coordinate = slice_s}."""
+    """Raw disk mass on the lattice of spacing 4e-3 (`spacing`) within 1%
+    of the oracle, moved at most 1e-9 by the smoothing.  With slice_s the
+    disk lies in the second coordinate of the slice {first coordinate =
+    slice_s}."""
 
     chart: str
     disk: Polydisk
     oracle: float
     slice_s: Optional[float] = None
     names = ("mass_raw_rel_err", "mass_smoothed_drift")
+    spacing = 4e-3
+
+    def fields(self, res) -> Tuple[ScalarField, ScalarField]:
+        """(raw, smoothed) potentials on the plane of the disk."""
+        if self.slice_s is None:
+            return _fields(res, self.chart)
+        valid = Disk(self.disk.center_values[0], self.disk.radii[0] + 0.10)
+        return tuple(_slice_field_at(f, self.slice_s, valid)
+                     for f in _fields(res, self.chart))
 
     def run(self, s, res, dump_dir):
-        raw, psi = _fields(res, self.chart)
-        if self.slice_s is not None:
-            valid = Disk(self.disk.center_values[0], self.disk.radii[0] + 0.10)
-            raw = _slice_field_at(raw, self.slice_s, valid)
-            psi = _slice_field_at(psi, self.slice_s, valid)
-        m_raw = mass_integral(raw, self.disk, 4e-3)
-        m_sm = mass_integral(psi, self.disk, 4e-3)
+        m_raw, m_sm = (mass_integral(f, self.disk, self.spacing)
+                       for f in self.fields(res))
         err_name, drift_name = self.names
         yield "mass_conservation", _check(
             err_name, abs(m_raw - self.oracle) / self.oracle, 0.01)

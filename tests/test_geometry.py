@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coversmooth import geometry
 from coversmooth.errors import (
     DomainError,
     EmptyGridError,
@@ -39,6 +40,7 @@ from coversmooth.geometry import (
     sample_slice_grid,
 )
 from coversmooth.psh import translates_stay_inside
+from coversmooth.scenarios import LeviZone, build_scenario
 
 
 def test_halton_sample_is_deterministic_and_lands_inside():
@@ -189,6 +191,67 @@ def test_the_site_cap_is_counted_before_any_axis_is_allocated():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def _zone_grid(sid, zone, halve):
+    spec = next(spec for spec in build_scenario(sid).battery
+                if isinstance(spec, LeviZone) and spec.zone == zone)
+    return spec.lattice.grid(spec.h / 2.0 if halve else spec.h)
+
+
+def _count_membership_rows(monkeypatch):
+    rows = []
+    contains = geometry.Domain.contains_many
+
+    def counted(self, Z):
+        rows.append(len(Z))
+        return contains(self, Z)
+
+    monkeypatch.setattr(geometry.Domain, "contains_many", counted)
+    return rows
+
+
+@pytest.mark.parametrize("build, blocks", [
+    (lambda: _zone_grid("S4", "far_ring", True), 11),
+    (lambda: _zone_grid("S1", "band", True), 1),
+    (lambda: _zone_grid("S3", "band_slice_D1", True), 1),
+    (lambda: sample_slice_grid(Polydisk((0, 0), (1.0, 1.0)), 2e-3, 1,
+                               (0.3, 0.1j)), 4),
+], ids=["S4_far_ring_h2", "S1_band_h2", "S3_band_slice_D1_h2", "slice_free_axis_1"])
+def test_a_blocked_lattice_keeps_the_nodes_of_one_block(monkeypatch, build, blocks):
+    rows = _count_membership_rows(monkeypatch)
+    g = build()
+    assert len(rows) == blocks
+    assert max(rows) <= geometry._LATTICE_BLOCK_SITES
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_LATTICE_BLOCK_SITES", 2 ** 62)
+        one = build()
+    assert len(rows) == blocks + 1
+    assert np.array_equal(g.nodes, one.nodes)
+    assert np.array_equal(g.origin, one.origin)
+
+
+def test_a_lattice_whose_blocks_all_miss_the_domain_raises(monkeypatch):
+    rows = _count_membership_rows(monkeypatch)
+    # |z| = 0.1 sqrt(2) and 0.2 bracket the ring: none of the 5 x 5 sites
+    # lies inside, and each of the 5 one-slice blocks keeps nothing
+    monkeypatch.setattr(geometry, "_LATTICE_BLOCK_SITES", 1)
+    with pytest.raises(EmptyGridError):
+        sample_grid(Annulus(0.0, 0.15, 0.2), 0.1)
+    assert rows == [5] * 5
+
+
+def test_a_lattice_build_holds_one_block_of_candidates():
+    # S4's far ring at h/2: 2.83 M candidates for 763,976 nodes; a pass
+    # that held every candidate at once peaked near 11 times the nodes
+    tracemalloc.start()
+    try:
+        g = sample_grid(Annulus(0.0, 1.70, 2.10), 2.5e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g) == 763_976
+    assert peak < 3 * g.nodes.nbytes
 
 
 def test_field_eval_outside_domain_raises():

@@ -14,11 +14,9 @@ _SRC = Path(coversmooth.__file__).resolve().parent
 # as _ov=ov, which freeze a loop variable, start with "_" and are left out
 _PINNED = {
     "cli._require_writable(is_dir)",
-    "cli.execute(argv)",
     "cocycle.KahlerCocycle.overlaps",
     "covers.SymmetricSum.__init__(name)",
     "errors.ParameterError.__init__(detail)",
-    "geometry.as_points(n)",
     "geometry.LevelRegion.grad_scale",
     "geometry.Grid.origin",
     "geometry.ScalarField.name",

@@ -212,12 +212,15 @@ def _square(half: float) -> Intersection:
         lambda Z: np.maximum(np.abs(Z[:, 0].real), np.abs(Z[:, 0].imag)), half, 1)))
 
 
-@pytest.mark.parametrize("check", [
-    min_levi_eigenvalue, laplacian_sup, lambda f, g, h: mass_integral(f, g.domain, h),
+@pytest.mark.parametrize("check, sites", [
+    (min_levi_eigenvalue, lambda k: k * k + 4 * k),
+    (laplacian_sup, lambda k: k * k + 4 * k),
+    (lambda f, g, h: mass_integral(f, g.domain, h), lambda k: 8 * k - 4),
 ], ids=["min_levi_eigenvalue", "laplacian_sup", "mass_integral"])
-def test_lattice_checks_evaluate_each_distinct_site_once(check):
+def test_lattice_checks_evaluate_each_distinct_site_once(check, sites):
     # a k x k lattice in one block: the 5-point stencils cover k^2 + 4k
-    # sites, and membership is tested on those sites alone
+    # sites, the mass flux its 4k - 4 edge nodes and their 4k outer
+    # neighbours; membership is tested on those sites alone
     seen = []
 
     def sq(Z):
@@ -230,7 +233,7 @@ def test_lattice_checks_evaluate_each_distinct_site_once(check):
     dom = _Counted(Disk(0.0, 1.0))
     check(ScalarField(sq, dom), g, h)
     P = np.concatenate(seen)
-    assert P.shape[0] == k * k + 4 * k
+    assert P.shape[0] == sites(k)
     assert np.unique(P.view(np.int64), axis=0).shape[0] == P.shape[0]
     assert sum(dom.rows) == P.shape[0]
 

@@ -2,6 +2,7 @@
 shape."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,11 @@ from coversmooth.geometry import (
     LevelRegion,
     Polydisk,
     ScalarField,
+    discrete_laplacian_many,
     halton_sample,
+    lattice_field,
+    mass_integral,
+    sample_grid,
 )
 from coversmooth.scenarios import (
     OVERRIDE_KEYS,
@@ -333,6 +338,66 @@ def test_s1_disk_mass_oracle_follows_the_disk_radius():
     assert checks["mass_raw_rel_err"]["value"] < 1e-3
     assert checks["mass_raw_rel_err"]["pass"]
     assert checks["mass_smoothed_drift"]["pass"]
+
+
+def _mass_spec(sid):
+    s, run = _glued(sid)
+    return s, run, next(spec for spec in s.battery if isinstance(spec, DiskMass))
+
+
+@pytest.mark.parametrize("sid", ["S1", "S2", "S4"])
+def test_the_mass_flux_is_the_area_sum_of_the_laplacian(sid):
+    # the oracle is the area sum the flux telescopes: every node's 5-point
+    # Laplacian on the same lattice, times h^2
+    _, run, spec = _mass_spec(sid)
+    h = spec.spacing
+    grid = sample_grid(spec.disk, h)
+    for f in spec.fields(run):
+        area = float(np.sum(discrete_laplacian_many(
+            lattice_field(f, grid, h), grid.nodes, h)) * h * h)
+        flux = mass_integral(f, spec.disk, h)
+        assert abs(flux - area) <= 1e-12 * abs(area), (sid, flux, area)
+
+
+def _bumped(f: ScalarField, p: complex) -> ScalarField:
+    """f plus a smooth bump of height 1e-6 and radius 0.05 about p."""
+    def ev(Z):
+        t = 1.0 - np.abs(Z[:, 0] - p) ** 2 / 0.05 ** 2
+        bump = np.zeros_like(t)
+        bump[t > 0] = 1e-6 * np.exp(-1.0 / t[t > 0])
+        return f.eval_many(Z) + bump
+    return ScalarField(ev, f.valid_on)
+
+
+@pytest.mark.parametrize("depth, moves", [(0.025, True), (0.1, False)],
+                         ids=["reaches_the_edge_ring", "inside"])
+def test_a_correction_moves_the_disk_mass_only_if_it_reaches_the_edge(
+        monkeypatch, depth, moves):
+    # a bump centred depth inside S1's mass circle; at depth 0.1 its support
+    # ends 0.05 inside, clear of the edge nodes within 2h of the circle
+    s, run, spec = _mass_spec("S1")
+    raw, psi = spec.fields(run)
+    c, R = spec.disk.center_values[0], spec.disk.radii[0]
+    monkeypatch.setattr(DiskMass, "fields",
+                        lambda self, res: (raw, _bumped(psi, c + R - depth)))
+    drift = {c["name"]: c for _, c in spec.run(s, run, None)}["mass_smoothed_drift"]
+    if moves:
+        assert drift["value"] > 1e-9 and not drift["pass"]
+    else:
+        assert drift["value"] == 0.0 and drift["pass"]
+
+
+def test_the_s1_disk_mass_holds_a_small_working_set():
+    # the area sum read 196,293 nodes x 5 stencil rows and peaked near 97 MiB
+    s, run, spec = _mass_spec("S1")
+    tracemalloc.start()
+    try:
+        checks = list(spec.run(s, run, None))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c["pass"] for _, c in checks)
+    assert peak < 32 * 2 ** 20
 
 
 _LIFT = smoothing._lift_through_overlaps
