@@ -355,7 +355,7 @@ def nesting_margin(inner: Domain, outer: Domain) -> float:
 # low-discrepancy sampling
 
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
-    idx = indices.astype(np.int64).copy()
+    idx = indices.astype(np.int64)
     out = np.zeros(idx.shape, dtype=float)
     denom = 1.0
     while idx.max(initial=0) > 0:
@@ -377,7 +377,10 @@ def halton_sample(domain: Domain, count: int) -> np.ndarray:
     """First ``count`` Halton points of the domain's bbox that land inside.
 
     Deterministic; the Halton index stream starts at HALTON_START and is
-    shared by every caller that passes the same arguments.
+    shared by every caller that passes the same arguments.  Until the first hit
+    the budget is a one-point draw's (2048 + 3000 candidates, checked at the
+    end of each block), so an empty region raises DomainError without
+    spending the whole budget.
     """
     lo, hi = domain.bbox()
     dim = lo.size
@@ -387,7 +390,7 @@ def halton_sample(domain: Domain, count: int) -> np.ndarray:
     # thin shells in a fat bbox (discriminant bands) can sit near 1e-3
     # acceptance; the budget has to survive those before giving up
     budget = 2048 + 3000 * count
-    while got < count and idx - HALTON_START < budget:
+    while got < count and idx - HALTON_START < (budget if got else 2048 + 3000):
         block = min(4 * count + 256, budget - (idx - HALTON_START))
         u = halton(dim, block, start=idx)
         idx += block

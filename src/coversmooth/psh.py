@@ -29,7 +29,10 @@ from .geometry import (
     stencil_offsets,
 )
 
-_EVAL_CHUNK = 250_000  # stencil rows per evaluator call, keeps memory flat
+# Rows per evaluator call, keeps memory flat.  It also sets mollify's
+# translate blocks, which fix a value's last bits: changing it is a value
+# change (see mollify).
+_EVAL_CHUNK = 250_000
 
 MOLL_ORDER = {1: 8, 2: 6}  # mollifier's Gauss-Legendre order per real axis, by n
 
@@ -217,6 +220,14 @@ def mollify(f: ScalarField, eps: float) -> ScalarField:
     the rounding slack, every translate is checked and one that escapes
     raises DomainError.  The kernel order is MOLL_ORDER[f.n], and any other
     n is unsupported.  meta records the kernel node count, kernel_nodes.
+
+    Points are taken in blocks of _EVAL_CHUNK // K from each call's first
+    row; a block's K translates per point reach f as one (points * K, n)
+    array whose every coordinate is a contiguous column.  The blocks fix a
+    point's last bits: its value is a row of vals @ weights, a BLAS product
+    whose rounding follows the block's shape.  So one point can differ in
+    the last bit between batches, and changing _EVAL_CHUNK or where a block
+    starts is a value change.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -236,13 +247,17 @@ def mollify(f: ScalarField, eps: float) -> ScalarField:
     reach = float(np.max(np.linalg.norm(offsets, axis=1)))
     check = not translates_stay_inside(f.valid_on, eps, reach)
 
+    steps = eps * offsets.T[:, None, :]  # (n, 1, K)
+
     def _eval(Z: np.ndarray) -> np.ndarray:
-        m = Z.shape[0]
+        m, n = Z.shape
         out = np.zeros(m)
         block = max(1, _EVAL_CHUNK // K)
         for lo in range(0, m, block):
             Zb = Z[lo:lo + block]
-            W = (Zb[:, None, :] - eps * offsets[None, :, :]).reshape(-1, Z.shape[1])
+            # (n, mb, K) in C order, so each coordinate of the (mb * K, n)
+            # translate rows is one contiguous column
+            W = np.subtract(Zb.T[:, :, None], steps, order="C").reshape(n, -1).T
             vals = f.eval_many(W, check=check).reshape(Zb.shape[0], K)
             out[lo:lo + block] = vals @ weights
         return out

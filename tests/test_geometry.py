@@ -86,6 +86,44 @@ def test_halton_sample_gives_up_on_empty_region():
         halton_sample(empty, 8)
 
 
+class _RowCounter:
+    """A region's bbox and membership, counting the rows tested."""
+
+    def __init__(self, dom):
+        self.dom = dom
+        self.rows = 0
+
+    def bbox(self):
+        return self.dom.bbox()
+
+    def contains_many(self, Z):
+        self.rows += Z.shape[0]
+        return self.dom.contains_many(Z)
+
+
+@pytest.mark.parametrize("count, rows", [
+    (1, 2048 + 3000),          # a one-point draw spends its whole budget
+    (10_000, 4 * 10_000 + 256),  # one block, not 2048 + 3000 * 10,000 rows
+])
+def test_halton_sample_gives_up_on_an_empty_region_after_a_one_point_budget(count, rows):
+    empty = _RowCounter(Complement(Disk(0.0, 0.95), within=Annulus(0.0, 0.6, 0.9)))
+    with pytest.raises(DomainError, match=r"\(found 0\)"):
+        halton_sample(empty, count)
+    assert empty.rows == rows
+
+
+def test_a_thin_region_keeps_the_whole_budget_once_it_has_a_point():
+    # about one candidate in 640 lands in the shell, so 20 points need more
+    # than a one-point draw's 5,048 candidates
+    shell = _RowCounter(Complement(Disk(0.0, 0.999), within=Disk(0.0, 1.0)))
+    pts = halton_sample(shell, 20)
+    assert shell.rows > 2048 + 3000
+    lo, hi = shell.bbox()
+    X = lo + halton(2, shell.rows, HALTON_START) * (hi - lo)
+    Z = X[:, 0::2] + 1j * X[:, 1::2]
+    assert np.array_equal(pts, Z[shell.dom.contains_many(Z)][:20])
+
+
 @given(
     st.floats(-0.5, 0.5, allow_nan=False),
     st.floats(-0.5, 0.5, allow_nan=False),
