@@ -12,6 +12,7 @@ from coversmooth.covers import (
     PowerCover,
     SymmetricSum,
     VietaCover,
+    _fiber_sum,
     _roots_batched,
     discriminant_many,
     fibers_inside,
@@ -356,3 +357,19 @@ def test_pushforward_checks_the_fiber_rows_only_where_unproved(cover, radius, pr
     assert f.checks == [not proved]
     plain = pushforward(cover, _plain(f)).eval_many(B)
     assert np.array_equal(vals, plain)
+
+
+@pytest.mark.parametrize("deg", [1, 2, 3, 8])
+def test_the_fiber_sum_keeps_the_bits_of_numpys_row_sum(deg):
+    # every ordering of signed zeros, infinities and NaNs (the sign of a
+    # NaN and the zero of an all-zero row show the order), and random rows
+    # whose rounding shows any regrouping
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1e-17])
+    rng = np.random.default_rng(deg)
+    rand = rng.standard_normal((50_000, deg)) * 10.0 ** rng.integers(-12, 12, (50_000, deg))
+    for V in (np.array(list(itertools.product(special, repeat=min(deg, 3)))), rand):
+        V = np.tile(V, (1, -(-deg // V.shape[1])))[:, :deg]
+        with np.errstate(invalid="ignore"):
+            want = V.sum(axis=1)
+            got = _fiber_sum(V.ravel(), deg)
+        assert got.tobytes() == want.tobytes()

@@ -39,7 +39,7 @@ from coversmooth.geometry import (
     sample_grid,
     sample_slice_grid,
 )
-from coversmooth.psh import translates_stay_inside
+from coversmooth.psh import _EVAL_CHUNK, translates_stay_inside
 from coversmooth.scenarios import LeviZone, build_scenario
 
 
@@ -451,3 +451,69 @@ def test_polydisk_radii_bound_only_a_domain_inside_a_polydisk_about_0(dom, radii
         assert got is None
     else:
         assert got == pytest.approx(radii, abs=1e-15)
+
+
+def _radical_inverse_digit_loop(indices, base):
+    # the loop _radical_inverse replaced: % and //= per digit, stopping on
+    # a full-array max
+    idx = indices.astype(np.int64)
+    out = np.zeros(idx.shape, dtype=float)
+    denom = 1.0
+    while idx.max(initial=0) > 0:
+        denom *= base
+        out += (idx % base) / denom
+        idx //= base
+    return out
+
+
+@pytest.mark.parametrize("base", geometry._PRIMES)
+def test_the_radical_inverse_keeps_the_bits_of_the_digit_loop(base):
+    # the budget of a halton_sample draw of 4096 points ends its index stream
+    last = HALTON_START + 2048 + 3000 * 4096
+    for idx in (np.arange(1, 200_001), np.arange(last - 5000, last + 5000),
+                np.zeros(3, dtype=np.int64), np.arange(0)):
+        got = geometry._radical_inverse(idx, base)
+        assert got.tobytes() == _radical_inverse_digit_loop(idx, base).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_polydisk_distance_is_the_min_of_its_margins_bit_for_bit(n):
+    p = Polydisk((0.1 - 0.2j, 0.3j)[:n], (0.9, 1.3)[:n])
+    col = np.array([0.0, 0.1 - 0.2j, 0.5 + 0.4j, -3.0 + 1e-300j, 2.0,
+                    complex(np.inf, 0.0), complex(-np.inf, 1.0),
+                    complex(0.0, np.inf), complex(np.nan, 0.0),
+                    complex(0.2, np.nan)])
+    rows = np.stack([col] + [np.roll(col, k) for k in range(1, n)], axis=1)
+    want = np.min(np.stack(p._margins(rows), axis=0), axis=0)
+    assert p.boundary_distance_many(rows).tobytes() == want.tobytes()
+
+
+def _lattice_sites_axis0(X, origin, h):
+    # _lattice_sites with the index bounds reduced along axis 0
+    K = np.rint((X - origin) / h).astype(np.int64)
+    lo = K.min(axis=0)
+    K -= lo
+    key = np.ravel_multi_index(tuple(K.T), K.max(axis=0) + 1)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return origin + h * (K[first] + lo), inverse
+
+
+@pytest.mark.parametrize("sid, zone, half, block", [
+    ("S1", "band", False, 0),
+    ("S4", "far_ring", True, 3),
+    ("S3", "band_slice_D1", False, 0),
+])
+def test_lattice_sites_keep_the_bits_of_axis_0_bounds(sid, zone, half, block):
+    # one Levi block of stencil rows, as min_levi_eigenvalue reads it
+    spec = next(z for z in build_scenario(sid).battery
+                if isinstance(z, LeviZone) and z.zone == zone)
+    h = spec.h / 2.0 if half else spec.h
+    g = spec.lattice.grid(h)
+    step = _EVAL_CHUNK // 32 + 1
+    Z = g.nodes[block * step:(block + 1) * step]
+    offs = geometry.stencil_offsets(g.n, h)
+    X = reals((Z[:, None, :] + offs[None, :, :]).reshape(-1, g.n))
+    sites, inverse = geometry._lattice_sites(X, g.origin, h, g.h)
+    want_sites, want_inverse = _lattice_sites_axis0(X, g.origin, h)
+    assert sites.tobytes() == want_sites.tobytes()
+    assert np.array_equal(inverse, want_inverse)

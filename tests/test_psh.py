@@ -614,3 +614,15 @@ def test_the_column_layout_adds_no_copy():
     Z = halton_sample(fe.valid_on, 4096)
     oracle = _traced_peak(lambda: _row_major_mollify(f, eps, Z))
     assert _traced_peak(lambda: fe.eval_many(Z)) <= 1.1 * oracle
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_an_empty_block_passes_through_the_lattice_operators(n):
+    dom = Polydisk((0j,) * n, (1.0,) * n)
+    f = ScalarField(lambda Z: np.sum(np.abs(Z) ** 2, axis=1), dom, name="sq")
+    h = 0.05
+    fl = lattice_field(f, sample_grid(dom, 0.1), h)
+    Z = np.zeros((0, n), dtype=complex)
+    assert fl.eval_many(Z).shape == (0,)
+    assert levi_form_many(fl, Z, h).shape == (0, n, n)
+    assert discrete_laplacian_many(fl, Z, h).shape == (0,)
