@@ -61,8 +61,16 @@ class PowerCover:
         return f"power_{self.d}"
 
     def fiber_rows(self, B: np.ndarray) -> np.ndarray:
+        """The d roots of w, starting at the principal one; for d = 2 they
+        are (sqrt(w), -sqrt(w)), one square root per row."""
         B = as_points(B, 1)
         w = B[:, 0]
+        if self.d == 2:
+            roots = np.empty((w.size, 2, 1), dtype=complex)
+            root = np.sqrt(w)
+            roots[:, 0, 0] = root
+            np.negative(root, out=roots[:, 1, 0])
+            return roots
         r = np.abs(w) ** (1.0 / self.d)
         theta = np.angle(w) / self.d
         ks = 2.0 * np.pi * np.arange(self.d) / self.d

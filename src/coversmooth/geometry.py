@@ -46,6 +46,9 @@ from .errors import (
 _MAX_LATTICE_SITES = 40_000_000
 # Candidate sites a lattice holds at once while it is filtered.
 _LATTICE_BLOCK_SITES = 2 ** 18
+# Index-box sites per stencil row up to which lattice sites merge through a
+# marker over the box rather than a sort (the two break even near 6).
+_MARKER_SITES_PER_ROW = 4
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -146,9 +149,10 @@ class Polydisk(Domain):
         object.__setattr__(self, "n", len(rs))
 
     def _margins(self, Z):
+        # a zero centre takes |z_j| as it is: subtracting 0j keeps its bits
         Z = as_points(Z, self.n)
-        return [self.radii[j] - np.abs(Z[:, j] - self.center_values[j])
-                for j in range(self.n)]
+        return [r - np.abs(Z[:, j] - c if c else Z[:, j])
+                for j, (c, r) in enumerate(zip(self.center_values, self.radii))]
 
     def boundary_distance_many(self, Z):
         # a left fold: one axis returns its margin column as it is
@@ -387,11 +391,14 @@ def halton_sample(domain: Domain, count: int) -> np.ndarray:
     shared by every caller that passes the same arguments.  Until the first hit
     the budget is a one-point draw's (2048 + 3000 candidates, checked at the
     end of each block), so an empty region raises DomainError without
-    spending the whole budget.
+    spending the whole budget.  A count of 0 gives an empty (0, n) block;
+    a negative count raises ValueError.
     """
+    if count < 0:
+        raise ValueError(f"halton_sample needs a count >= 0, got {count}")
     lo, hi = domain.bbox()
     dim = lo.size
-    found = []
+    found = [np.empty((0, dim // 2), dtype=complex)]
     got = 0
     idx = HALTON_START
     # thin shells in a fat bbox (discriminant bands) can sit near 1e-3
@@ -566,9 +573,16 @@ def _column_bounds(K: np.ndarray):
 
 
 def _lattice_sites(X: np.ndarray, origin: np.ndarray, h: float, spacing: float):
-    """Distinct lattice sites origin + h*index of the real rows X, and the
-    index of each row's site.  A function of its own so that its
-    temporaries are freed before the field is evaluated."""
+    """Distinct lattice sites origin + h*index of the real rows X, in
+    ascending raveled index, and the index of each row's site.
+
+    Where the rows' index box holds at most _MARKER_SITES_PER_ROW sites per
+    row, the raveled indices are marked in an intp array over the box; the
+    marked positions are the distinct indices, and the marker's running
+    count numbers them, with no sort.  A sparser box goes through
+    np.unique, which is then cheaper.  Both give np.unique's sites and
+    order.  A function of its own so that its temporaries are freed before
+    the field is evaluated."""
     q = X - origin
     q /= h
     K = np.rint(q)
@@ -583,10 +597,19 @@ def _lattice_sites(X: np.ndarray, origin: np.ndarray, h: float, spacing: float):
     if not K.shape[0]:
         return X, np.zeros(0, dtype=np.intp)
     lo, hi = _column_bounds(K)
-    K -= lo
-    key = np.ravel_multi_index(tuple(K.T), hi - lo + 1)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return origin + h * (K[first] + lo), inverse
+    dims = tuple(int(d) for d in hi - lo + 1)
+    key = np.ravel_multi_index(tuple(c - l for c, l in zip(K.T, lo)), dims)
+    box = math.prod(dims)
+    if box > _MARKER_SITES_PER_ROW * key.size:
+        distinct, inverse = np.unique(key, return_inverse=True)
+    else:
+        mark = np.zeros(box, dtype=np.intp)
+        mark[key] = 1
+        distinct = np.flatnonzero(mark)
+        np.cumsum(mark, out=mark)
+        inverse = mark[key]
+        inverse -= 1
+    return origin + h * (np.stack(np.unravel_index(distinct, dims), axis=1) + lo), inverse
 
 
 def lattice_field(f: ScalarField, grid: Grid, h: float) -> ScalarField:

@@ -429,8 +429,13 @@ def _build_s4(config: dict) -> Scenario:
     c0 = a * np.log(1.0 + s_kink ** 2)
 
     def phi_near(Z: np.ndarray) -> np.ndarray:
-        L = np.log1p(np.abs(as_points(Z, 1)[:, 0]) ** 2)
-        return np.maximum(L, (1.0 - a) * L + c0)
+        # max(L, (1 - a) L + c0) with L = log1p(|z|^2), in two arrays
+        L = np.abs(as_points(Z, 1)[:, 0])
+        np.square(L, out=L)
+        np.log1p(L, out=L)
+        out = np.multiply(L, 1.0 - a)
+        out += c0
+        return np.maximum(L, out, out=out)
 
     def phi_far(Z: np.ndarray) -> np.ndarray:
         r2 = np.abs(as_points(Z, 1)[:, 0]) ** 2

@@ -373,3 +373,18 @@ def test_the_fiber_sum_keeps_the_bits_of_numpys_row_sum(deg):
             want = V.sum(axis=1)
             got = _fiber_sum(V.ravel(), deg)
         assert got.tobytes() == want.tobytes()
+
+
+def test_the_square_root_cover_has_the_fiber_plus_and_minus_the_principal_root():
+    # the branch point, the cut along the negative reals from either side
+    # (the sign of a zero imaginary part picks the side), and random rows
+    special = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                        complex(-2.0, 0.0), complex(-2.0, -0.0), complex(-1e-300, 0.0)])
+    rng = np.random.default_rng(7)
+    w = np.concatenate([special, rng.standard_normal(1000) + 1j * rng.standard_normal(1000)])
+    rows = _power().fiber_rows(w[:, None])
+    root = np.sqrt(w)
+    assert rows.shape == (w.size, 2, 1)
+    assert rows[:, 0, 0].tobytes() == root.tobytes()
+    assert rows[:, 1, 0].tobytes() == (-root).tobytes()
+    assert rows[3, 0, 0] == 1j * np.sqrt(2.0) and rows[4, 0, 0] == -1j * np.sqrt(2.0)

@@ -40,7 +40,7 @@ from coversmooth.geometry import (
     sample_slice_grid,
 )
 from coversmooth.psh import _EVAL_CHUNK, translates_stay_inside
-from coversmooth.scenarios import LeviZone, build_scenario
+from coversmooth.scenarios import DiskMass, LeviZone, build_scenario
 
 
 def test_halton_sample_is_deterministic_and_lands_inside():
@@ -517,3 +517,114 @@ def test_lattice_sites_keep_the_bits_of_axis_0_bounds(sid, zone, half, block):
     want_sites, want_inverse = _lattice_sites_axis0(X, g.origin, h)
     assert sites.tobytes() == want_sites.tobytes()
     assert np.array_equal(inverse, want_inverse)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_zero_centre_margin_is_the_subtracting_margin_bit_for_bit(n):
+    p = Polydisk((0j,) * n, (0.9, 1.3)[:n])
+    col = np.array([0.0, complex(-0.0, 0.0), complex(0.0, -0.0),
+                    complex(-0.0, -0.0), 0.5 - 0.4j, -3.0 + 1e-300j,
+                    complex(np.inf, 0.0), complex(-np.inf, -0.0),
+                    complex(-0.0, np.inf), complex(0.0, -np.inf),
+                    complex(np.nan, 0.0), complex(-0.0, np.nan)])
+    rows = np.stack([col] + [np.roll(col, k) for k in range(1, n)], axis=1)
+    want = [r - np.abs(rows[:, j] - c)
+            for j, (c, r) in enumerate(zip(p.center_values, p.radii))]
+    for got, w in zip(p._margins(rows), want, strict=True):
+        assert got.tobytes() == w.tobytes()
+
+
+def test_halton_sample_of_no_points_is_an_empty_block():
+    for dom in (Disk(0.1, 0.5), Polydisk((0j, 1j), (0.5, 0.7))):
+        pts = halton_sample(dom, 0)
+        assert pts.shape == (0, dom.n) and pts.dtype == complex
+
+
+def test_halton_sample_of_a_negative_count_is_a_value_error():
+    with pytest.raises(ValueError, match="-3"):
+        halton_sample(Disk(0.0, 1.0), -3)
+
+
+def test_lattice_sites_of_no_rows_are_empty():
+    sites, inverse = geometry._lattice_sites(np.zeros((0, 2)), np.zeros(2), 0.01, 0.01)
+    assert sites.shape == (0, 2)
+    assert inverse.shape == (0,) and inverse.dtype == np.intp
+
+
+def test_lattice_sites_of_one_row_keep_the_bits_of_axis_0_bounds():
+    origin = np.array([0.003, -0.25, 1.0, 0.0])
+    X = origin + 0.01 * np.array([[-7.0, 12.0, 0.0, 3.0]])
+    sites, inverse = geometry._lattice_sites(X, origin, 0.01, 0.01)
+    want_sites, want_inverse = _lattice_sites_axis0(X, origin, 0.01)
+    assert sites.tobytes() == want_sites.tobytes()
+    assert np.array_equal(inverse, want_inverse) and inverse.tolist() == [0]
+
+
+def _traced_lattice_sites(X, origin, h):
+    # _lattice_sites and the peak of what it allocates
+    tracemalloc.start()
+    try:
+        got = geometry._lattice_sites(X, origin, h, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return got, peak
+
+
+def _box_sites(X, origin, h):
+    K = np.rint((X - origin) / h)
+    return math.prod(K.max(axis=0) - K.min(axis=0) + 1)
+
+
+def test_lattice_sites_of_a_sparse_box_keep_the_bits_and_a_working_set_of_the_rows(monkeypatch):
+    # mass_integral reads only the edge nodes of S1's mass disk and their
+    # outer neighbours: 3,992 rows spread over the disk's whole box of
+    # 251,001 sites, where a marker would take 31 times the rows' bytes
+    spec = next(z for z in build_scenario("S1").battery if isinstance(z, DiskMass))
+    c, R = spec.disk.center_values[0], spec.disk.radii[0]
+    f = ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(c, R + 0.1))
+    seen = []
+    sites_of = geometry._lattice_sites
+
+    def spy(X, origin, h, spacing):
+        seen.append((X, origin, h))
+        return sites_of(X, origin, h, spacing)
+
+    monkeypatch.setattr(geometry, "_lattice_sites", spy)
+    mass_integral(f, spec.disk, spec.spacing)
+    monkeypatch.undo()
+    (X, origin, h), = seen
+    assert _box_sites(X, origin, h) > 20 * len(X)
+    (sites, inverse), peak = _traced_lattice_sites(X, origin, h)
+    want_sites, want_inverse = _lattice_sites_axis0(X, origin, h)
+    assert sites.tobytes() == want_sites.tobytes()
+    assert np.array_equal(inverse, want_inverse)
+    assert peak < 8 * X.nbytes
+
+
+def test_a_levi_block_merges_through_a_marker_of_a_few_sites_per_row():
+    # S4's far ring at h/2: the first block's box holds 0.31 sites per
+    # stencil row; a marker of at most 4 intp sites per row takes at most
+    # twice the bytes of the rows
+    spec = next(z for z in build_scenario("S4").battery
+                if isinstance(z, LeviZone) and z.zone == "far_ring")
+    h = spec.h / 2.0
+    g = spec.lattice.grid(h)
+    Z = g.nodes[:_EVAL_CHUNK // 32 + 1]
+    offs = geometry.stencil_offsets(g.n, h)
+    X = reals((Z[:, None, :] + offs[None, :, :]).reshape(-1, g.n))
+    assert _box_sites(X, g.origin, h) <= geometry._MARKER_SITES_PER_ROW * len(X)
+    _, peak = _traced_lattice_sites(X, g.origin, h)
+    assert peak < 8 * X.nbytes
+
+
+def test_lattice_rows_far_apart_merge_without_a_box_sized_marker():
+    # two rows 500 apart at step 0.01 span 2.5e9 sites: a marker over that
+    # box would take 18.6 GiB
+    origin = np.zeros(2)
+    X = np.array([[0.0, 0.0], [500.0, 500.0], [0.0, 0.0]])
+    (sites, inverse), peak = _traced_lattice_sites(X, origin, 0.01)
+    want_sites, want_inverse = _lattice_sites_axis0(X, origin, 0.01)
+    assert sites.tobytes() == want_sites.tobytes()
+    assert np.array_equal(inverse, want_inverse) and inverse.tolist() == [0, 1, 0]
+    assert peak < 2 ** 16

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from coversmooth.cocycle import ChartOverlap, CocycleChart, KahlerCocycle
-from coversmooth import covers, smoothing
+from coversmooth import covers, psh, smoothing
 from coversmooth.covers import SymmetricSum, pushforward
-from coversmooth.errors import CoverageError, DomainError, ScenarioError
+from coversmooth.errors import CoverageError, DomainError, ParameterError, ScenarioError
 from coversmooth.geometry import (
     Annulus,
     Complement,
@@ -403,21 +403,25 @@ def test_the_s1_disk_mass_holds_a_small_working_set():
 _LIFT = smoothing._lift_through_overlaps
 
 
-def _lift_negated(cocycle, chart_name, chi, V):
-    neg = ScalarField(lambda Z: -chi.eval_many(Z, check=False), chi.valid_on)
-    return _LIFT(cocycle, chart_name, neg, V)
+def _lift_scaled(k):
+    def lift(cocycle, chart_name, chi, V):
+        scaled = ScalarField(lambda Z: k * chi.eval_many(Z, check=False), chi.valid_on)
+        return _LIFT(cocycle, chart_name, scaled, V)
+    return lift
 
 
 _MUTANTS = pytest.mark.parametrize(
-    "mutant", [lambda cocycle, chart_name, chi, V: cocycle, _lift_negated],
-    ids=["dropped", "negated"])
+    "mutant", [lambda cocycle, chart_name, chi, V: cocycle, _lift_scaled(-1.0),
+               _lift_scaled(2.0)],
+    ids=["dropped", "negated", "doubled"])
 
 
 @_MUTANTS
 def test_a_broken_gluing_lift_fails_the_s4_overlap_check(monkeypatch, mutant):
     # S4 lifts its near-chart correction into the far chart; without that
-    # lift (or with its sign flipped) the glued near->far difference is no
-    # longer pluriharmonic, and the report carries a failing pipeline check
+    # lift (or with its sign flipped, or doubled) the glued near->far
+    # difference is no longer pluriharmonic, and the report carries a
+    # failing pipeline check
     s = build_scenario("S4")
     spec = next(spec for spec in s.battery if isinstance(spec, OverlapDevChange))
 
@@ -432,6 +436,58 @@ def test_a_broken_gluing_lift_fails_the_s4_overlap_check(monkeypatch, mutant):
     last = run_scenario(s)["checks"][-1]
     assert (last["name"], last["pass"], last["error_type"]) == \
         ("pipeline", False, "CoverageError")
+
+
+def test_a_mollifier_at_a_twentieth_of_eps_fails_the_s1_smoothed_c2_check(monkeypatch):
+    # the gates still pass, but the smoothing no longer bounds the Laplacian
+    # under halving h: only c2_ratio_smoothed sees it
+    s = build_scenario("S1")
+    spec = next(spec for spec in s.battery if isinstance(spec, C2Zone))
+
+    def smoothed_ratio():
+        run = smooth_pushforward(s.cover, s.upstairs, s.downstairs_overlaps,
+                                 s.steps, s.params)
+        return {c["name"]: c for _, c in spec.run(s, run, None)}["c2_ratio_smoothed"]
+
+    assert smoothed_ratio()["pass"]
+    mollify = psh.mollify
+    monkeypatch.setattr(smoothing, "mollify", lambda f, eps: mollify(f, eps / 20.0))
+    assert not smoothed_ratio()["pass"]
+
+
+def test_a_mollifier_kernel_of_mass_1p001_fails_the_s1_gates(monkeypatch):
+    # a kernel that does not sum to one lifts the mollified field by about
+    # 1e-3 of it, past delta on S1's band
+    kernel = psh.mollifier_kernel
+
+    def heavy(two_n, order):
+        k = kernel(two_n, order)
+        return psh.MollifierKernel(k.offsets, k.weights * 1.001, k.m2_unit)
+
+    monkeypatch.setattr(psh, "mollifier_kernel", heavy)
+    s = build_scenario("S1")
+    with pytest.raises(ParameterError, match="tau_bound < delta"):
+        smooth_pushforward(s.cover, s.upstairs, s.downstairs_overlaps,
+                           s.steps, s.params)
+
+
+def _phi_near_expression(Z):
+    # S4's near potential as one expression: max(L, L/2 + log(5/4)/2)
+    a = 0.5
+    L = np.log1p(np.abs(Z[:, 0]) ** 2)
+    return np.maximum(L, (1.0 - a) * L + a * np.log(1.0 + 0.5 ** 2))
+
+
+def test_s4s_near_potential_keeps_the_bits_of_its_expression():
+    phi_near = build_scenario("S4").upstairs.chart("near").potential.evaluator
+    rng = np.random.default_rng(4)
+    t = rng.uniform(0.0, 2.0 * np.pi, 2000)
+    Z = np.concatenate([
+        0.5 * np.exp(1j * t),                            # the kink circle
+        [0.5, -0.5, 0.5j, -0.5j, 0j, complex(-0.0, -0.0)],
+        rng.uniform(0.0, 0.8, 20_000) * np.exp(1j * rng.uniform(0.0, 7.0, 20_000)),
+    ])[:, None]
+    assert phi_near(Z).tobytes() == _phi_near_expression(Z).tobytes()
 
 
 # Two steps on S4's inversion atlas w = 1/z: the near chart on S4's triple,
