@@ -129,6 +129,26 @@ class IdentityCover:
 Cover = Union[PowerCover, VietaCover, IdentityCover]
 
 
+class ColumnField(ScalarField):
+    """A field given by an elementwise form of its coordinate columns: its
+    value at the rows Z is form(Z[:, 0], ..., Z[:, n - 1]).
+
+    form is built from numpy ufuncs, so it broadcasts: handed columns of
+    broadcastable shapes it returns their broadcast shape, and each value
+    has the bits it has at the row of the same coordinates.  psh.mollify
+    evaluates a block's translates through it on the product of per-axis
+    translates.
+    """
+
+    def __init__(self, form: Callable[..., np.ndarray], valid_on: Domain,
+                 name: str):
+        self.form = form
+        super().__init__(self._columns, valid_on, name=name)
+
+    def _columns(self, Z: np.ndarray) -> np.ndarray:
+        return self.form(*Z.T)
+
+
 class SymmetricSum(ScalarField):
     """phi(z1) + phi(z2) on the bidisk of the given radius about 0.
 
@@ -227,11 +247,23 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
     ValueError where they differ by more than CLOSED_FORM_RTOL relative
     (to max(|v|, 1)).  Every other case (an unproved chart, any other
     field) sums f over the whole root-solved fiber.
+
+    The closed-form branch, and only it, returns a ColumnField of sp_form:
+    its evaluator is sp_form(B[:, 0], B[:, 1]), as for any field, and
+    psh.mollify, where its translates are proved inside, hands sp_form
+    the per-axis translates instead and lets it broadcast over their
+    product.  The bits are those of the row path: each translate is the
+    same subtraction z_j - (eps * o_j), every ufunc of sp_form is
+    elementwise, and the kernel sum is the same BLAS product over the
+    same C-contiguous (points, K) block, whose boundaries still fix a
+    value's last bits.  Such mollified evaluations do not pass through
+    this field's evaluator.
     """
     if f.n != cover.n:
         raise ValueError("field and cover dimensions differ")
     deg = cover.degree
     check = not fibers_inside(cover, f.valid_on)
+    name = f"pushforward[{cover.kind}]({f.name or 'f'})"
 
     P = halton_sample(cover.downstairs, 128)
     rows = cover.fiber_rows(P).reshape(-1, cover.n)
@@ -251,15 +283,13 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
                 f"the (s, p) form of {f.name or 'f'} differs from its fiber "
                 f"sum by {np.max(err):.3e} relative (tolerance {CLOSED_FORM_RTOL:g})")
 
-        def _eval(B: np.ndarray) -> np.ndarray:
-            return f.sp_form(B[:, 0], B[:, 1])
-    else:
-        def _eval(B: np.ndarray) -> np.ndarray:
-            rows = cover.fiber_rows(B)
-            return _fiber_sum(f.eval_many(rows.reshape(-1, cover.n), check=check), deg)
+        return ColumnField(f.sp_form, cover.downstairs, name)
 
-    return ScalarField(_eval, cover.downstairs,
-                       name=f"pushforward[{cover.kind}]({f.name or 'f'})")
+    def _eval(B: np.ndarray) -> np.ndarray:
+        rows = cover.fiber_rows(B)
+        return _fiber_sum(f.eval_many(rows.reshape(-1, cover.n), check=check), deg)
+
+    return ScalarField(_eval, cover.downstairs, name=name)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coversmooth.covers import (
+    ColumnField,
     IdentityCover,
     PowerCover,
     SymmetricSum,
@@ -23,6 +24,7 @@ from coversmooth.scenarios import (
     _abs_sq,
     _abs_sq_sp,
     _log1p_abs_sq_sp,
+    build_scenario,
 )
 from coversmooth.geometry import (
     PROOF_SLACK,
@@ -388,3 +390,38 @@ def test_the_square_root_cover_has_the_fiber_plus_and_minus_the_principal_root()
     assert rows[:, 0, 0].tobytes() == root.tobytes()
     assert rows[:, 1, 0].tobytes() == (-root).tobytes()
     assert rows[3, 0, 0] == 1j * np.sqrt(2.0) and rows[4, 0, 0] == -1j * np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("sid", ["S2", "S3"])
+def test_a_column_fields_form_gives_its_evaluators_bits_on_the_shipped_charts(sid):
+    s = build_scenario(sid)
+    for pair in s.cover:
+        pf = pushforward(pair.cover, s.upstairs.chart(pair.upstairs_name).potential)
+        assert isinstance(pf, ColumnField), pair.downstairs_name
+        Z = halton_sample(pf.valid_on, 4000)
+        assert pf.form(*Z.T).tobytes() == pf.eval_many(Z).tobytes()
+        # broadcast over the product of 40 first and 50 second coordinates,
+        # value for value the form at the rows of the product
+        S, P = Z[:40, 0], Z[40:90, 1]
+        rows = np.stack(np.meshgrid(S, P, indexing="ij"), axis=-1).reshape(-1, 2)
+        want = pf.eval_many(rows).reshape(40, 50)
+        assert pf.form(S[:, None], P[None, :]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["closed form", "no sp_form", "unproved",
+                                  "power", "identity"])
+def test_pushforward_returns_a_column_field_only_from_its_closed_form(case):
+    vieta = VietaCover(Polydisk((0, 0), (2.5, 3.5)))
+    summed = SymmetricSum(_log1p_abs_sq, 3.8, _log1p_abs_sq_sp)
+    sq = ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(0.0, 1.5))
+    cover, f = {
+        "closed form": (vieta, summed),
+        "no sp_form": (vieta, _plain(summed)),
+        # the bound 3.137 of (2.5, 2.0) is above the radius 3.0: the probes
+        # stay inside, but containment is not proved
+        "unproved": (VietaCover(Polydisk((0, 0), (2.5, 2.0))),
+                     SymmetricSum(_abs_sq, 3.0, _abs_sq_sp)),
+        "power": (PowerCover(2, Disk(0.0, 1.5)), sq),
+        "identity": (IdentityCover(sq.valid_on), sq),
+    }[case]
+    assert isinstance(pushforward(cover, f), ColumnField) is (case == "closed form")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coversmooth.covers import pushforward
+from coversmooth.covers import ColumnField, pushforward
 from coversmooth.errors import DomainError, ParameterError, UnsupportedDimensionError
 from coversmooth.geometry import (
     Annulus,
@@ -35,6 +35,7 @@ from coversmooth.psh import (
     _EVAL_CHUNK,
     BUMP_INTEGRAL,
     MOLL_ORDER,
+    _axis_product,
     bump_profile,
     c2_ratio,
     hermitian_min_eigenvalues,
@@ -614,6 +615,126 @@ def test_the_column_layout_adds_no_copy():
     Z = halton_sample(fe.valid_on, 4096)
     oracle = _traced_peak(lambda: _row_major_mollify(f, eps, Z))
     assert _traced_peak(lambda: fe.eval_many(Z)) <= 1.1 * oracle
+
+
+@pytest.mark.parametrize("n", sorted(MOLL_ORDER))
+def test_the_kernel_nodes_ascend_through_the_product_of_their_axes(n):
+    kern = mollifier_kernel(2 * n, MOLL_ORDER[n])
+    axes, flat = _axis_product(kern.offsets)
+    assert len(axes) == n
+    assert np.all(np.diff(flat) > 0)
+    index = np.unravel_index(flat, tuple(a.size for a in axes))
+    for j, a in enumerate(axes):
+        assert np.array_equal(a, np.unique(kern.offsets[:, j]))
+        assert np.array_equal(a[index[j]], kern.offsets[:, j])
+    # n = 1: every node is its own axis offset; n = 2: 16 offsets per axis
+    # carry the 176 nodes
+    sizes = {1: (40,), 2: (16, 16)}[n]
+    assert tuple(a.size for a in axes) == sizes
+
+
+def test_kernel_nodes_out_of_product_order_are_refused():
+    offsets = mollifier_kernel(4, 6).offsets
+    with pytest.raises(ValueError, match="per-axis product"):
+        _axis_product(offsets[::-1])
+    with pytest.raises(ValueError, match="per-axis product"):
+        _axis_product(np.vstack([offsets[:1], offsets]))
+
+
+def _row_path(f):
+    """f as a field of no special type, which mollify takes row by row."""
+    return ScalarField(f.evaluator, f.valid_on, name=f.name)
+
+
+# S2's chart (|s|^2 + |s^2 - 4p|) and S3's D1 (its log1p form)
+_CLOSED_FORMS = [("S2", "sp"), ("S3", "D1")]
+
+
+def _product_inputs(dom, B, seed):
+    """Rows of dom: none, one, one past a block, the branch locus s^2 = 4p,
+    and random rows of dom's box."""
+    rng = np.random.default_rng(seed)
+    lo, hi = dom.bbox()
+
+    def inside(Z, m):
+        Z = Z[dom.contains_many(Z)][:m]
+        assert Z.shape[0] == m
+        return Z
+
+    X = rng.uniform(lo, hi, size=(4 * (B + 1), lo.size))
+    rows = inside(X[:, 0::2] + 1j * X[:, 1::2], B + 1)
+    r = rng.uniform(lo[0], hi[0], 400) / 2 + 1j * rng.uniform(lo[1], hi[1], 400) / 2
+    locus = inside(np.stack([2.0 * r, r * r], axis=1), 50)
+    return {"0 rows": rows[:0], "1 row": rows[:1], "block + 1 rows": rows,
+            "branch locus": locus, "random": rows[rng.permutation(B + 1)[:300]]}
+
+
+@pytest.mark.parametrize("sid, chart", _CLOSED_FORMS, ids=[s for s, _ in _CLOSED_FORMS])
+def test_the_product_path_gives_the_row_paths_bits(sid, chart):
+    f, eps = _pushforward(sid, chart)
+    assert isinstance(f, ColumnField)
+    fe, rows = mollify(f, eps), mollify(_row_path(f), eps)
+    B = _EVAL_CHUNK // fe.meta["kernel_nodes"]
+    for what, Z in _product_inputs(fe.valid_on, B, 7).items():
+        got = fe.eval_many(Z)
+        assert got.shape == (Z.shape[0],), what
+        assert np.array_equal(got, rows.eval_many(Z)), what
+
+
+class _FormSpy(ColumnField):
+    """A column field that records the shapes its form is handed and the
+    check flag of each eval_many call."""
+
+    def __init__(self, f, valid_on):
+        super().__init__(self._spied, valid_on, name=f.name)
+        self.inner = f.form
+        self.shapes, self.checks = [], []
+
+    def _spied(self, *cols):
+        self.shapes.append(np.broadcast_shapes(*(c.shape for c in cols)))
+        return self.inner(*cols)
+
+    def eval_many(self, Z, check=True):
+        self.checks.append(check)
+        return super().eval_many(Z, check=check)
+
+
+def test_a_proved_column_field_is_read_on_the_translate_product():
+    f, eps = _pushforward("S3", "D1")
+    spy = _FormSpy(f, f.valid_on)
+    fe = mollify(spy, eps)
+    B = _EVAL_CHUNK // fe.meta["kernel_nodes"]
+    Z = halton_sample(fe.valid_on, B + 1)
+    spy.shapes.clear()
+    assert np.array_equal(fe.eval_many(Z), mollify(f, eps).eval_many(Z))
+    assert spy.checks == []
+    assert spy.shapes == [(16, 16, B), (16, 16, 1)]
+
+
+def test_unproved_translates_of_a_column_field_take_the_checked_row_path():
+    # the same form on an intersection, which translates_stay_inside does
+    # not prove: every translate row is checked
+    f, eps = _pushforward("S3", "D1")
+    dom = Intersection((f.valid_on, Polydisk((0j, 0j), (2.4, 3.4))))
+    spy = _FormSpy(f, dom)
+    fe = mollify(spy, eps)
+    K = fe.meta["kernel_nodes"]
+    Z = halton_sample(fe.valid_on, 50)
+    spy.shapes.clear()
+    spy.checks.clear()
+    assert np.array_equal(fe.eval_many(Z), mollify(_row_path(f), eps).eval_many(Z))
+    assert spy.checks == [True]
+    assert spy.shapes == [(50 * K,)]
+
+
+def test_a_field_without_a_column_form_takes_the_row_path():
+    f, eps = _pushforward("S3", "D1")
+    spy = _CheckSpy(_row_path(f))
+    fe = mollify(spy, eps)
+    spy.checks.clear()
+    Z = halton_sample(fe.valid_on, 50)
+    assert np.array_equal(fe.eval_many(Z), mollify(f, eps).eval_many(Z))
+    assert spy.checks == [False]
 
 
 @pytest.mark.parametrize("n", [1, 2])
