@@ -133,11 +133,14 @@ class ColumnField(ScalarField):
     """A field given by an elementwise form of its coordinate columns: its
     value at the rows Z is form(Z[:, 0], ..., Z[:, n - 1]).
 
-    form is built from numpy ufuncs, so it broadcasts: handed columns of
-    broadcastable shapes it returns their broadcast shape, and each value
-    has the bits it has at the row of the same coordinates.  psh.mollify
-    evaluates a block's translates through it on the product of per-axis
-    translates.
+    form is built from numpy ufuncs, so it broadcasts: handed array
+    columns of broadcastable shapes it returns their broadcast shape, and
+    each value has the bits it has at the row of the same coordinates.
+    Like a ufunc it takes out=None: handed a float array of the broadcast
+    shape as out, it writes its values there and returns out, with the
+    bits of the call that allocates.  The evaluator calls form(*Z.T);
+    psh.mollify hands it one product of per-axis translates per group of
+    kernel nodes, with an out in its shared workspace.
     """
 
     def __init__(self, form: Callable[..., np.ndarray], valid_on: Domain,
@@ -251,13 +254,14 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
     The closed-form branch, and only it, returns a ColumnField of sp_form:
     its evaluator is sp_form(B[:, 0], B[:, 1]), as for any field, and
     psh.mollify, where its translates are proved inside, hands sp_form
-    the per-axis translates instead and lets it broadcast over their
-    product.  The bits are those of the row path: each translate is the
-    same subtraction z_j - (eps * o_j), every ufunc of sp_form is
-    elementwise, and the kernel sum is the same BLAS product over the
-    same C-contiguous (points, K) block, whose boundaries still fix a
-    value's last bits.  Such mollified evaluations do not pass through
-    this field's evaluator.
+    the per-axis translates of each group of kernel nodes instead and
+    lets it broadcast over their product into an out.  The bits are those
+    of the row path: each translate is the same subtraction
+    z_j - (eps * o_j), every ufunc of sp_form is elementwise, and the
+    kernel sum is the same BLAS product over the same C-contiguous
+    (points, K) block, whose boundaries still fix a value's last bits.
+    Such mollified evaluations do not pass through this field's
+    evaluator.
     """
     if f.n != cover.n:
         raise ValueError("field and cover dimensions differ")

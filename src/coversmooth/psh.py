@@ -222,6 +222,50 @@ def _axis_product(offsets: np.ndarray):
     return axes, flat
 
 
+def _node_groups(offsets: np.ndarray) -> list:
+    """The kernel's nodes (n <= 2) as a few full products of per-axis
+    offsets, one per set of first-axis offsets that share the same
+    second-axis offsets (_axis_product's index).
+
+    Each group is (cols, nodes): cols[j] holds the group's offsets on axis
+    j, ascending, and nodes, of shape tuple(c.size for c in cols), holds
+    the kernel position of each cell of their product.  Every node is in
+    exactly one group.  For MOLL_ORDER[2] the groups are 4 x 16, 8 x 12
+    and 4 x 4, the 176 nodes; for n = 1 one group holds all 40.
+    """
+    axes, flat = _axis_product(offsets)
+    first, second = np.divmod(flat, axes[1].size if len(axes) == 2 else 1)
+    heads, starts = np.unique(first, return_index=True)
+    # second-axis indices -> (them, the first-axis indices, their first nodes)
+    shared = {}
+    for head, start, run in zip(heads, starts, np.split(second, starts[1:])):
+        _, hs, ss = shared.setdefault(run.tobytes(), (run, [], []))
+        hs.append(head)
+        ss.append(start)
+    groups = []
+    for run, hs, ss in shared.values():
+        cols = (axes[0][hs],) + ((axes[1][run],) if len(axes) == 2 else ())
+        nodes = np.add.outer(ss, np.arange(run.size))
+        groups.append((cols, nodes.reshape(tuple(c.size for c in cols))))
+    return groups
+
+
+# mollify's product path writes each block's form values, node rows and
+# (points, K) block here: one buffer for every mollified field, grown to
+# the largest block it has served.  Fresh temporaries of these sizes cost
+# page faults on every block, and a buffer per field holds memory per
+# field.
+_work = np.empty(0)
+
+
+def _workspace(size: int) -> np.ndarray:
+    """The first size floats of the shared workspace, grown to fit."""
+    global _work
+    if _work.size < size:
+        _work = np.empty(size)
+    return _work[:size]
+
+
 def mollify(f: ScalarField, eps: float) -> ScalarField:
     """Convolution with the radial bump of radius eps, by fixed quadrature.
 
@@ -243,12 +287,16 @@ def mollify(f: ScalarField, eps: float) -> ScalarField:
     starts is a value change.
 
     A ColumnField (covers.pushforward's closed forms) whose translates are
-    proved inside takes the product path instead: axis j's translates
-    z_j - (eps * a) over its distinct offsets a (16 per axis for n = 2,
-    against 176 nodes) sit on a leading axis with the points innermost,
-    f.form broadcasts once over their product, and the kernel's nodes,
-    rows of that product in ascending order (_axis_product), are copied
-    into a C-contiguous (points, K) block.  The bits are the row path's:
+    proved inside takes the product path instead.  The kernel's nodes fall
+    into a few full products of per-axis offsets (_node_groups): for n = 2
+    the first-axis offsets that share the same second-axis offsets, 4 x 16
+    + 8 x 12 + 4 x 4 = 176 cells, exactly the nodes.  Per group, axis j's
+    translates z_j - (eps * a) sit on a leading axis with the points
+    innermost, f.form broadcasts once over their product into the shared
+    workspace (its out=), and the values become their nodes' rows of a
+    (K, points) table; one transposing copy turns that into the
+    C-contiguous (points, K) block, which lives in the workspace too,
+    until the next block.  The bits are the row path's:
     each translate is the same subtraction, every ufunc of the form is
     elementwise, and vals @ weights sees the same block in the same
     layout, so the block boundaries still fix the last bits.  Every other
@@ -274,15 +322,26 @@ def mollify(f: ScalarField, eps: float) -> ScalarField:
 
     n = f.n
     if isinstance(f, ColumnField) and not check:
-        axes, flat = _axis_product(offsets)
-        # axis j's steps on axis j of an (u_0, ..., u_{n-1}, points) product
-        steps = [(eps * a).reshape([-1 if i == j else 1 for i in range(n + 1)])
-                 for j, a in enumerate(axes)]
+        # each group's axis j steps on axis j of a (u_0, ..., u_{n-1},
+        # points) product, and its nodes' kernel positions
+        groups = [([(eps * c).reshape([-1 if i == j else 1 for i in range(n + 1)])
+                    for j, c in enumerate(cols)], nodes.shape, nodes.ravel())
+                  for cols, nodes in _node_groups(offsets)]
 
         def _values(Zb: np.ndarray) -> np.ndarray:
-            V = f.form(*(Zb[:, j] - s for j, s in enumerate(steps)))
-            # the nodes' rows, then the (mb, K) C-order block of the row path
-            return V.reshape(-1, Zb.shape[0])[flat].T.copy()
+            # the workspace's second half holds the nodes' rows in kernel
+            # order; its first holds one group's values (fewer than K
+            # rows), then the (mb, K) block, one transposing copy
+            mb = Zb.shape[0]
+            work = _workspace(2 * mb * K)
+            rows = work[mb * K:].reshape(K, mb)
+            for steps, shape, nodes in groups:
+                V = f.form(*(Zb[:, j] - s for j, s in enumerate(steps)),
+                           out=work[:mb * nodes.size].reshape(shape + (mb,)))
+                rows[nodes] = V.reshape(-1, mb)
+            vals = work[:mb * K].reshape(mb, K)
+            vals[...] = rows.T
+            return vals
     else:
         steps = eps * offsets.T[:, None, :]  # (n, 1, K)
 

@@ -281,14 +281,22 @@ def _log1p_abs_sq(z: np.ndarray) -> np.ndarray:
 # The Vieta fiber sums of the two potentials above, in (s, p) =
 # (e1, e2).  For the roots r1, r2 of t^2 - s t + p the parallelogram law
 # gives 2 (|r1|^2 + |r2|^2) = |s|^2 + |s^2 - 4p|, and
-# (1 + |r1|^2)(1 + |r2|^2) = 1 + |r1|^2 + |r2|^2 + |p|^2.
+# (1 + |r1|^2)(1 + |r2|^2) = 1 + |r1|^2 + |r2|^2 + |p|^2.  Each writes
+# its value into out where one is given and returns it (the
+# covers.ColumnField contract), with the bits of the allocating call.
 
-def _abs_sq_sp(s: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return np.abs(s) ** 2 + np.abs(s * s - 4.0 * p)
+def _abs_sq_sp(s: np.ndarray, p: np.ndarray, out=None) -> np.ndarray:
+    d = np.abs(s * s - 4.0 * p, out=out)
+    return np.add(np.abs(s) ** 2, d, out=d)
 
 
-def _log1p_abs_sq_sp(s: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return 2.0 * np.log1p(0.5 * _abs_sq_sp(s, p) + np.abs(p) ** 2)
+def _log1p_abs_sq_sp(s: np.ndarray, p: np.ndarray, out=None) -> np.ndarray:
+    x = _abs_sq_sp(s, p, out=out)
+    x *= 0.5
+    x += np.abs(p) ** 2
+    np.log1p(x, out=x)
+    x *= 2.0
+    return x
 
 
 def _build_s2(config: dict) -> Scenario:

@@ -408,6 +408,45 @@ def test_a_column_fields_form_gives_its_evaluators_bits_on_the_shipped_charts(si
         assert pf.form(S[:, None], P[None, :]).tobytes() == want.tobytes()
 
 
+# mollify's node groups for n = 2: (first-axis, second-axis) translates
+_GROUP_SHAPES = [(4, 16), (8, 12), (4, 4)]
+
+
+def _group_columns(a, b, mb, locus, seed):
+    """s on a leading axis of a translates and p on the next of b, with mb
+    points innermost, as mollify hands a form its translates.  On the
+    locus every cell has s^2 = 4p exactly: s = 2r and p = r^2 for each
+    point's r, and doubling is exact."""
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(-1.0, 1.0, mb) + 1j * rng.uniform(-1.0, 1.0, mb)
+    if locus:
+        return (np.broadcast_to(2.0 * r, (a, 1, mb)),
+                np.broadcast_to(r * r, (1, b, mb)))
+    moves = rng.uniform(-0.1, 0.1, (a + b, 2)) @ np.array([1.0, 1j])
+    return 2.0 * r - moves[:a].reshape(a, 1, 1), r * r - moves[a:].reshape(1, b, 1)
+
+
+@pytest.mark.parametrize("form", [_abs_sq_sp, _log1p_abs_sq_sp], ids=["sum_sq", "log1p"])
+@pytest.mark.parametrize("a, b", _GROUP_SHAPES, ids=[f"{a}x{b}" for a, b in _GROUP_SHAPES])
+@pytest.mark.parametrize("mb, locus", [(1420, False), (0, False), (300, True)],
+                         ids=["block", "0 points", "branch locus"])
+def test_a_closed_form_writes_into_out_with_the_bits_of_its_allocating_call(
+        form, a, b, mb, locus):
+    s, p = _group_columns(a, b, mb, locus, seed=a * b + mb)
+    if locus:
+        assert np.all(s * s == 4.0 * p)
+    want = form(s, p)
+    assert want.shape == (a, b, mb)
+    # an out one float into a larger buffer, as the workspace hands out
+    out = np.full(a * b * mb + 1, np.nan)[1:].reshape(a, b, mb)
+    assert form(s, p, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    rows = np.full(a * b * mb, np.nan)
+    assert form(*(np.broadcast_to(c, (a, b, mb)).ravel() for c in (s, p)),
+                out=rows) is rows
+    assert rows.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("case", ["closed form", "no sp_form", "unproved",
                                   "power", "identity"])
 def test_pushforward_returns_a_column_field_only_from_its_closed_form(case):

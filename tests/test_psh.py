@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coversmooth import psh
 from coversmooth.covers import ColumnField, pushforward
 from coversmooth.errors import DomainError, ParameterError, UnsupportedDimensionError
 from coversmooth.geometry import (
@@ -36,6 +37,7 @@ from coversmooth.psh import (
     BUMP_INTEGRAL,
     MOLL_ORDER,
     _axis_product,
+    _node_groups,
     bump_profile,
     c2_ratio,
     hermitian_min_eigenvalues,
@@ -641,6 +643,23 @@ def test_kernel_nodes_out_of_product_order_are_refused():
         _axis_product(np.vstack([offsets[:1], offsets]))
 
 
+@pytest.mark.parametrize("n", sorted(MOLL_ORDER))
+def test_the_node_groups_place_every_kernel_node_once_in_kernel_order(n):
+    kern = mollifier_kernel(2 * n, MOLL_ORDER[n])
+    groups = _node_groups(kern.offsets)
+    placed = np.concatenate([nodes.ravel() for _, nodes in groups])
+    assert np.array_equal(np.sort(placed), np.arange(kern.offsets.shape[0]))
+    for cols, nodes in groups:
+        assert nodes.shape == tuple(c.size for c in cols)
+        # the raveled product runs through its nodes in kernel order
+        assert np.all(np.diff(nodes.ravel()) > 0)
+        for j, c in enumerate(np.meshgrid(*cols, indexing="ij")):
+            assert np.array_equal(kern.offsets[nodes, j], c)
+    # n = 1: one group of 40; n = 2: the 176 nodes and no other cell
+    shapes = {1: [(40,)], 2: [(4, 4), (8, 12), (4, 16)]}[n]
+    assert [nodes.shape for _, nodes in groups] == shapes
+
+
 def _row_path(f):
     """f as a field of no special type, which mollify takes row by row."""
     return ScalarField(f.evaluator, f.valid_on, name=f.name)
@@ -690,9 +709,9 @@ class _FormSpy(ColumnField):
         self.inner = f.form
         self.shapes, self.checks = [], []
 
-    def _spied(self, *cols):
+    def _spied(self, *cols, out=None):
         self.shapes.append(np.broadcast_shapes(*(c.shape for c in cols)))
-        return self.inner(*cols)
+        return self.inner(*cols, out=out)
 
     def eval_many(self, Z, check=True):
         self.checks.append(check)
@@ -708,7 +727,42 @@ def test_a_proved_column_field_is_read_on_the_translate_product():
     spy.shapes.clear()
     assert np.array_equal(fe.eval_many(Z), mollify(f, eps).eval_many(Z))
     assert spy.checks == []
-    assert spy.shapes == [(16, 16, B), (16, 16, 1)]
+    # one broadcast per node group, in the order of their first nodes
+    groups = [(4, 4), (8, 12), (4, 16)]
+    assert spy.shapes == [g + (B,) for g in groups] + [g + (1,) for g in groups]
+
+
+def test_a_warm_block_of_the_product_path_allocates_under_two_value_blocks():
+    # the form values and the (points, K) block live in the shared
+    # workspace; what is left are the form's own temporaries
+    f, eps = _pushforward("S3", "D1")
+    fe = mollify(f, eps)
+    K = fe.meta["kernel_nodes"]
+    B = _EVAL_CHUNK // K
+    Z = halton_sample(fe.valid_on, B)
+    fe.eval_many(Z)
+    assert _traced_peak(lambda: fe.eval_many(Z)) < 2 * B * K * 8
+
+
+def test_fields_sharing_the_workspace_give_the_bits_each_gives_alone(monkeypatch):
+    f1, eps = _pushforward("S3", "D1")
+    f3, _ = _pushforward("S3", "D3")
+    fields = [(mollify(f, eps), mollify(_row_path(f), eps)) for f in (f1, f3)]
+    B = _EVAL_CHUNK // fields[0][0].meta["kernel_nodes"]
+    Zs = [halton_sample(fe.valid_on, 2 * B + 7) for fe, _ in fields]
+    # from an empty workspace: a 5-point block of D1, then D3's and D1's
+    # blocks in turn, the first of which grows it
+    monkeypatch.setattr(psh, "_work", np.empty(0))
+    small = fields[0][0].eval_many(Zs[0][:5])
+    got = [[], []]
+    for lo in range(0, 2 * B + 7, B):
+        for i in (1, 0):
+            got[i].append(fields[i][0].eval_many(Zs[i][lo:lo + B]))
+    assert small.tobytes() == fields[0][1].eval_many(Zs[0][:5]).tobytes()
+    for (fe, rows), Z, blocks in zip(fields, Zs, got):
+        alone = rows.eval_many(Z)
+        assert np.concatenate(blocks).tobytes() == alone.tobytes()
+        assert fe.eval_many(Z).tobytes() == alone.tobytes()
 
 
 def test_unproved_translates_of_a_column_field_take_the_checked_row_path():
