@@ -1,0 +1,93 @@
+"""Compare the CLI outputs of the working tree with those of a revision.
+
+    python3 scripts/compare_outputs.py REV
+
+Checks REV out in a temporary git worktree and runs, on both trees, S1-S4
+at their defaults and S3 at --h 6e-3, each with --dump-fields.  Every run
+writes its report, its stdout, its stderr, its exit code and its CSV
+dumps under one directory, with the same relative paths on both trees.
+Exits 0 when the two output trees are byte-identical, and 1 naming each
+file that differs or exists on one side only.  The runs go one after
+another, each in a fresh interpreter.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (output directory, `coversmooth run` arguments besides --out and --dump-fields)
+RUNS = (
+    ("S1", ("--scenario", "S1")),
+    ("S2", ("--scenario", "S2")),
+    ("S3", ("--scenario", "S3")),
+    ("S4", ("--scenario", "S4")),
+    ("S3_h6e-3", ("--scenario", "S3", "--h", "6e-3")),
+)
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(("git", "-C", str(ROOT)) + args, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def run_tree(tree: Path, out: Path) -> None:
+    """Run every entry of RUNS on the package source under tree/src."""
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    for name, args in RUNS:
+        d = out / name
+        d.mkdir(parents=True)
+        proc = subprocess.run(
+            (sys.executable, "-m", "coversmooth", "run", *args,
+             "--out", "report.json", "--dump-fields", "dumps"),
+            cwd=d, env=env, capture_output=True)
+        (d / "stdout").write_bytes(proc.stdout)
+        (d / "stderr").write_bytes(proc.stderr)
+        (d / "exit_code").write_text(f"{proc.returncode}\n")
+
+
+def differing_files(a: Path, b: Path) -> list:
+    """Relative paths of the files that differ between the trees a and b,
+    or that exist in only one of them."""
+    def files(top: Path) -> set:
+        return {p.relative_to(top) for p in top.rglob("*") if p.is_file()}
+
+    fa, fb = files(a), files(b)
+    differ = fa ^ fb
+    differ.update(p for p in fa & fb
+                  if not filecmp.cmp(a / p, b / p, shallow=False))
+    return sorted(map(str, differ))
+
+
+def main(argv: list) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    rev = _git("rev-parse", "--verify", argv[0] + "^{commit}")
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        tmp = Path(tmp)
+        base = tmp / "base"
+        _git("worktree", "add", "--detach", str(base), rev)
+        try:
+            run_tree(base, tmp / "out_base")
+        finally:
+            _git("worktree", "remove", "--force", str(base))
+        run_tree(ROOT, tmp / "out_head")
+        differ = differing_files(tmp / "out_base", tmp / "out_head")
+    for path in differ:
+        print(f"differs: {path}")
+    if differ:
+        print(f"{len(differ)} output file(s) differ from {rev}", file=sys.stderr)
+        return 1
+    print(f"all outputs identical to {rev}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -346,26 +346,31 @@ def polydisk_radii(dom: Domain) -> Optional[Tuple[float, ...]]:
 PROOF_SLACK = 1e-9   # relative room for rounding in each containment proved once
 
 
-def nesting_margin(inner: Domain, outer: Domain) -> float:
-    """Operational nesting margin of inner inside outer.
+def nesting_margin(inner: Domain, *outers: Domain) -> Tuple[float, ...]:
+    """Operational nesting margins of inner inside each of outers.
 
-    Minimum of outer's boundary distance over the first 4096 Halton points
-    of the inner closure.  Positive iff (at sampling resolution) the inner
-    closure sits strictly inside outer.
+    One margin per outer, in order: the minimum of that outer's boundary
+    distance over the first 4096 Halton points of the inner closure.  It is
+    positive iff (at sampling resolution) the inner closure sits strictly
+    inside the outer.  The sample is drawn once for all outers, so each
+    margin is the one a call with that outer alone gives.  At least one
+    outer is needed (ValueError).
     """
+    if not outers:
+        raise ValueError("nesting_margin needs at least one outer domain")
     pts = halton_sample(inner, 4096)
-    return float(np.min(outer.boundary_distance_many(pts)))
+    return tuple(float(np.min(outer.boundary_distance_many(pts))) for outer in outers)
 
 
 # ---------------------------------------------------------------------------
 # low-discrepancy sampling
 
-def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
-    # one floor division per digit; the scalar top runs out of digits
-    # exactly when every index does
-    idx = indices.astype(np.int64)
-    out = np.zeros(idx.shape, dtype=float)
-    denom = 1.0
+def _add_digits(out: np.ndarray, idx: np.ndarray, base: int,
+                denom: float) -> np.ndarray:
+    """Add the base-``base`` digits of idx to out in place, lowest first,
+    the lowest divided by denom * base; returns out.  One floor division
+    per digit; the scalar top runs out of digits exactly when every index
+    does."""
     top = int(idx.max(initial=0))
     while top > 0:
         denom *= base
@@ -376,12 +381,51 @@ def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
+def _digit_table(base: int) -> np.ndarray:
+    """Radical inverses of 0 .. base^k - 1, the largest k with base^k <=
+    4096, by _add_digits itself: the same additions in the same order as
+    the low k digits of any index."""
+    size = base
+    while size * base <= 4096:
+        size *= base
+    return _add_digits(np.zeros(size), np.arange(size), base, 1.0)
+
+
+_DIGIT_TABLES = {base: _digit_table(base) for base in _PRIMES}
+
+
+def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
+    # the low k digits' partial sum from the table, then the higher digits
+    # on top, starting at denom = base^k; a sum the digit loop would reach
+    # one digit at a time, bit for bit
+    table = _DIGIT_TABLES[base]
+    high, low = np.divmod(indices.astype(np.int64), table.size)
+    return _add_digits(table[low], high, base, float(table.size))
+
+
 def halton(dim: int, count: int, start: int) -> np.ndarray:
-    """Halton points in [0,1)^dim, deterministic, indexed from ``start``."""
+    """Halton points in [0,1)^dim, deterministic, indexed from ``start``
+    (>= 0): a C-ordered (count, dim) array whose column k is the radical
+    inverse in the k-th prime base, filled column by column."""
     if dim > len(_PRIMES):
         raise ValueError("halton dimension too large")
     idx = np.arange(start, start + count)
-    return np.stack([_radical_inverse(idx, _PRIMES[k]) for k in range(dim)], axis=1)
+    u = np.empty((count, dim))
+    for k in range(dim):
+        u[:, k] = _radical_inverse(idx, _PRIMES[k])
+    return u
+
+
+def _box_points(lo: np.ndarray, hi: np.ndarray, count: int,
+                start: int) -> np.ndarray:
+    """The Halton points start .. start + count - 1 scaled into the real box
+    [lo, hi) in place, as an (count, n) complex view of the (count, 2n)
+    block.  In a finite box no coordinate lo + u * (hi - lo) is -0.0, so
+    the view has the bits of X[:, 0::2] + 1j * X[:, 1::2]."""
+    u = halton(lo.size, count, start)
+    u *= hi - lo
+    u += lo
+    return u.view(complex)
 
 
 def halton_sample(domain: Domain, count: int) -> np.ndarray:
@@ -392,13 +436,14 @@ def halton_sample(domain: Domain, count: int) -> np.ndarray:
     the budget is a one-point draw's (2048 + 3000 candidates, checked at the
     end of each block), so an empty region raises DomainError without
     spending the whole budget.  A count of 0 gives an empty (0, n) block;
-    a negative count raises ValueError.
+    a negative count raises ValueError.  Each block of candidates is a
+    complex view of its scaled Halton block (_box_points), with the bits
+    of pairing the real columns as re + 1j * im.
     """
     if count < 0:
         raise ValueError(f"halton_sample needs a count >= 0, got {count}")
     lo, hi = domain.bbox()
-    dim = lo.size
-    found = [np.empty((0, dim // 2), dtype=complex)]
+    found = [np.empty((0, lo.size // 2), dtype=complex)]
     got = 0
     idx = HALTON_START
     # thin shells in a fat bbox (discriminant bands) can sit near 1e-3
@@ -406,10 +451,8 @@ def halton_sample(domain: Domain, count: int) -> np.ndarray:
     budget = 2048 + 3000 * count
     while got < count and idx - HALTON_START < (budget if got else 2048 + 3000):
         block = min(4 * count + 256, budget - (idx - HALTON_START))
-        u = halton(dim, block, start=idx)
+        Z = _box_points(lo, hi, block, idx)
         idx += block
-        X = lo + u * (hi - lo)
-        Z = X[:, 0::2] + 1j * X[:, 1::2]
         keep = domain.contains_many(Z)
         if keep.any():
             found.append(Z[keep])
@@ -581,9 +624,11 @@ def _lattice_sites(X: np.ndarray, origin: np.ndarray, h: float, spacing: float):
     marked positions are the distinct indices, and the marker's running
     count numbers them, with no sort.  A sparser box goes through
     np.unique, which is then cheaper.  Both give np.unique's sites and
-    order.  A function of its own so that its temporaries are freed before
-    the field is evaluated."""
-    q = X - origin
+    order.  The indices are worked on as a C-ordered (2n, rows) block, so
+    every per-coordinate step (bounds, ravel) runs along a contiguous row.
+    A function of its own so that its temporaries are freed before the
+    field is evaluated."""
+    q = np.subtract(X.T, origin[:, None], order="C")
     q /= h
     K = np.rint(q)
     q -= K
@@ -593,12 +638,15 @@ def _lattice_sites(X: np.ndarray, origin: np.ndarray, h: float, spacing: float):
             "stencil rows on the grid lattice",
             f"step h = {h!r}, grid spacing {spacing!r}: a row lies {off:.3g} "
             f"steps off; h must divide the spacing")
+    del q
     K = K.astype(np.int64)
-    if not K.shape[0]:
+    if not K.shape[1]:
         return X, np.zeros(0, dtype=np.intp)
-    lo, hi = _column_bounds(K)
-    dims = tuple(int(d) for d in hi - lo + 1)
-    key = np.ravel_multi_index(tuple(c - l for c, l in zip(K.T, lo)), dims)
+    lo = K.min(axis=1)
+    K -= lo[:, None]
+    dims = tuple(int(d) + 1 for d in K.max(axis=1))
+    key = np.ravel_multi_index(K, dims)
+    del K
     box = math.prod(dims)
     if box > _MARKER_SITES_PER_ROW * key.size:
         distinct, inverse = np.unique(key, return_inverse=True)
@@ -609,7 +657,10 @@ def _lattice_sites(X: np.ndarray, origin: np.ndarray, h: float, spacing: float):
         np.cumsum(mark, out=mark)
         inverse = mark[key]
         inverse -= 1
-    return origin + h * (np.stack(np.unravel_index(distinct, dims), axis=1) + lo), inverse
+    sites = np.empty((distinct.size, len(dims)))
+    for j, c in enumerate(np.unravel_index(distinct, dims)):
+        sites[:, j] = origin[j] + h * (c + lo[j])
+    return sites, inverse
 
 
 def lattice_field(f: ScalarField, grid: Grid, h: float) -> ScalarField:

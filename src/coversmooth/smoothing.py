@@ -220,10 +220,11 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
     sigma = make_shift_profile(opens.U, opens.V)
 
     # nesting and stencil slack; every measured point needs the mollified
-    # field defined a stencil width around it
-    margins = [nesting_margin(opens.U, opens.V),
-               nesting_margin(opens.V, phi_eps.valid_on.shrink(3.0 * params.h)),
-               nesting_margin(opens.V, opens.W)]
+    # field defined a stencil width around it.  V's sample is drawn once
+    # for both of its outers
+    margins = [*nesting_margin(opens.U, opens.V),
+               *nesting_margin(opens.V, phi_eps.valid_on.shrink(3.0 * params.h),
+                               opens.W)]
     measurements = {"margin": float(min(margins))}
     # the band stencils below need that slack, so this gate goes first
     _margin_gate(measurements["margin"])

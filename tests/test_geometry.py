@@ -476,6 +476,78 @@ def test_the_radical_inverse_keeps_the_bits_of_the_digit_loop(base):
         assert got.tobytes() == _radical_inverse_digit_loop(idx, base).tobytes()
 
 
+def _halton_digit_loop(dim, count, start):
+    # halton before the digit table: np.stack of the digit loop's columns
+    idx = np.arange(start, start + count)
+    return np.stack([_radical_inverse_digit_loop(idx, geometry._PRIMES[k])
+                     for k in range(dim)], axis=1)
+
+
+def _table_size(base):
+    # the largest power of base with at most 4096 entries
+    return base ** max(k for k in range(1, 13) if base ** k <= 4096)
+
+
+def test_each_digit_table_holds_the_largest_power_of_its_base_up_to_4096():
+    sizes = {base: t.size for base, t in geometry._DIGIT_TABLES.items()}
+    assert sizes == {base: _table_size(base) for base in geometry._PRIMES}
+    assert [sizes[b] for b in (2, 3, 5, 7)] == [2 ** 12, 3 ** 7, 5 ** 5, 7 ** 4]
+    for base, t in geometry._DIGIT_TABLES.items():
+        want = _radical_inverse_digit_loop(np.arange(t.size), base)
+        assert t.tobytes() == want.tobytes()
+
+
+# a window of 3 indices centred on each base^k and base^2k a table wraps at,
+# and the end of a 4096-point draw's budget
+_HALTON_STARTS = sorted(
+    {w for b in geometry._PRIMES for w in (_table_size(b) - 1, _table_size(b) ** 2 - 1)}
+    | {HALTON_START + 2048 + 3000 * 4096 - 1})
+
+
+@pytest.mark.parametrize("dim", range(1, len(geometry._PRIMES) + 1))
+def test_halton_keeps_the_bits_of_the_stacked_digit_loop(dim):
+    for start in _HALTON_STARTS:
+        got = halton(dim, 3, start)
+        assert got.flags.c_contiguous and got.shape == (3, dim)
+        assert got.tobytes() == _halton_digit_loop(dim, 3, start).tobytes()
+    for start, count in ((HALTON_START, 20_000), (0, 1), (5, 0)):
+        got = halton(dim, count, start)
+        assert got.tobytes() == _halton_digit_loop(dim, count, start).tobytes()
+    with pytest.raises(ValueError, match="too large"):
+        halton(len(geometry._PRIMES) + 1, 3, HALTON_START)
+
+
+def _triple_boxes():
+    # the bounding box of every member of every shipped smoothing triple
+    for sid in ("S1", "S2", "S3", "S4"):
+        for step in build_scenario(sid).steps:
+            for name in ("U", "V", "W"):
+                try:
+                    yield f"{sid}_{step.chart_name}_{name}", getattr(step.opens, name).bbox()
+                except NotImplementedError:
+                    continue
+
+
+_BOXES = [*_triple_boxes(),
+          ("lo_-0", (np.array([-0.0, -0.0]), np.array([0.5, 0.25]))),
+          ("lo_-0_flat", (np.array([-0.0, -1.0, 0.2, -0.0]),
+                          np.array([0.0, 1.0, 0.3, 2.0])))]
+
+
+@pytest.mark.parametrize("lo, hi", [box for _, box in _BOXES],
+                         ids=[name for name, _ in _BOXES])
+def test_box_points_view_the_bits_of_re_plus_1j_im(lo, hi):
+    for start, count in ((0, 5), (HALTON_START, 16_640), (HALTON_START + 49_920, 3)):
+        X = lo + halton(lo.size, count, start) * (hi - lo)
+        want = X[:, 0::2] + 1j * X[:, 1::2]
+        got = geometry._box_points(lo, hi, count, start)
+        assert got.shape == want.shape and got.dtype == complex
+        assert got.tobytes() == want.tobytes()
+        # index 0 puts lo itself in the block: lo + 0.0 is never -0.0
+        coords = got.view(float)
+        assert not (np.signbit(coords) & (coords == 0.0)).any()
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_the_polydisk_distance_is_the_min_of_its_margins_bit_for_bit(n):
     p = Polydisk((0.1 - 0.2j, 0.3j)[:n], (0.9, 1.3)[:n])
@@ -498,13 +570,41 @@ def _lattice_sites_axis0(X, origin, h):
     return origin + h * (K[first] + lo), inverse
 
 
-@pytest.mark.parametrize("sid, zone, half, block", [
-    ("S1", "band", False, 0),
-    ("S4", "far_ring", True, 3),
-    ("S3", "band_slice_D1", False, 0),
-])
-def test_lattice_sites_keep_the_bits_of_axis_0_bounds(sid, zone, half, block):
-    # one Levi block of stencil rows, as min_levi_eigenvalue reads it
+def _lattice_sites_row_major(X, origin, h, spacing):
+    # _lattice_sites on the (rows, 2n) block as given, before the indices
+    # were worked on as a (2n, rows) block
+    q = X - origin
+    q /= h
+    K = np.rint(q)
+    q -= K
+    off = float(np.max(np.abs(q, out=q), initial=0.0))
+    if not off <= 1e-9:
+        raise ParameterError(
+            "stencil rows on the grid lattice",
+            f"step h = {h!r}, grid spacing {spacing!r}: a row lies {off:.3g} "
+            f"steps off; h must divide the spacing")
+    K = K.astype(np.int64)
+    if not K.shape[0]:
+        return X, np.zeros(0, dtype=np.intp)
+    lo, hi = geometry._column_bounds(K)
+    dims = tuple(int(d) for d in hi - lo + 1)
+    key = np.ravel_multi_index(tuple(c - l for c, l in zip(K.T, lo)), dims)
+    box = math.prod(dims)
+    if box > geometry._MARKER_SITES_PER_ROW * key.size:
+        distinct, inverse = np.unique(key, return_inverse=True)
+    else:
+        mark = np.zeros(box, dtype=np.intp)
+        mark[key] = 1
+        distinct = np.flatnonzero(mark)
+        np.cumsum(mark, out=mark)
+        inverse = mark[key]
+        inverse -= 1
+    return origin + h * (np.stack(np.unravel_index(distinct, dims), axis=1) + lo), inverse
+
+
+def _levi_block_rows(sid, zone, half, block):
+    # one Levi block of stencil rows, as min_levi_eigenvalue reads it, with
+    # the grid it is read through
     spec = next(z for z in build_scenario(sid).battery
                 if isinstance(z, LeviZone) and z.zone == zone)
     h = spec.h / 2.0 if half else spec.h
@@ -512,11 +612,40 @@ def test_lattice_sites_keep_the_bits_of_axis_0_bounds(sid, zone, half, block):
     step = _EVAL_CHUNK // 32 + 1
     Z = g.nodes[block * step:(block + 1) * step]
     offs = geometry.stencil_offsets(g.n, h)
-    X = reals((Z[:, None, :] + offs[None, :, :]).reshape(-1, g.n))
+    return reals((Z[:, None, :] + offs[None, :, :]).reshape(-1, g.n)), g, h
+
+
+@pytest.mark.parametrize("sid, zone, half, block", [
+    ("S1", "band", False, 0),
+    ("S4", "far_ring", True, 3),
+    ("S3", "band_slice_D1", False, 0),
+    ("S1", "kink", True, 1),
+    ("S4", "far_ring", True, 0),
+    ("S4", "near_disk", False, 2),
+    ("S3", "kink_slice_D3", True, 0),
+])
+def test_lattice_sites_keep_the_bits_of_axis_0_bounds(sid, zone, half, block):
+    X, g, h = _levi_block_rows(sid, zone, half, block)
     sites, inverse = geometry._lattice_sites(X, g.origin, h, g.h)
-    want_sites, want_inverse = _lattice_sites_axis0(X, g.origin, h)
-    assert sites.tobytes() == want_sites.tobytes()
-    assert np.array_equal(inverse, want_inverse)
+    assert sites.flags.c_contiguous
+    for want_sites, want_inverse in (_lattice_sites_axis0(X, g.origin, h),
+                                     _lattice_sites_row_major(X, g.origin, h, g.h)):
+        assert sites.tobytes() == want_sites.tobytes()
+        assert inverse.dtype == want_inverse.dtype
+        assert np.array_equal(inverse, want_inverse)
+
+
+def test_an_off_lattice_row_is_the_row_major_snaps_parameter_error():
+    X, g, h = _levi_block_rows("S4", "near_disk", False, 0)
+    X = X.copy()
+    X[7, 1] += 0.3 * h
+    errors = []
+    for snap in (geometry._lattice_sites, _lattice_sites_row_major):
+        with pytest.raises(ParameterError) as err:
+            snap(X, g.origin, h, g.h)
+        errors.append((err.value.condition, err.value.detail))
+    assert errors[0] == errors[1]
+    assert "0.3 steps off" in errors[0][1]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -549,6 +678,11 @@ def test_lattice_sites_of_no_rows_are_empty():
     sites, inverse = geometry._lattice_sites(np.zeros((0, 2)), np.zeros(2), 0.01, 0.01)
     assert sites.shape == (0, 2)
     assert inverse.shape == (0,) and inverse.dtype == np.intp
+    X, origin = np.zeros((0, 4)), np.full(4, 0.25)
+    sites, inverse = geometry._lattice_sites(X, origin, 0.01, 0.02)
+    want_sites, want_inverse = _lattice_sites_row_major(X, origin, 0.01, 0.02)
+    assert sites.shape == want_sites.shape == (0, 4)
+    assert inverse.dtype == want_inverse.dtype and inverse.shape == (0,)
 
 
 def test_lattice_sites_of_one_row_keep_the_bits_of_axis_0_bounds():
@@ -596,9 +730,10 @@ def test_lattice_sites_of_a_sparse_box_keep_the_bits_and_a_working_set_of_the_ro
     (X, origin, h), = seen
     assert _box_sites(X, origin, h) > 20 * len(X)
     (sites, inverse), peak = _traced_lattice_sites(X, origin, h)
-    want_sites, want_inverse = _lattice_sites_axis0(X, origin, h)
-    assert sites.tobytes() == want_sites.tobytes()
-    assert np.array_equal(inverse, want_inverse)
+    for want_sites, want_inverse in (_lattice_sites_axis0(X, origin, h),
+                                     _lattice_sites_row_major(X, origin, h, h)):
+        assert sites.tobytes() == want_sites.tobytes()
+        assert np.array_equal(inverse, want_inverse)
     assert peak < 8 * X.nbytes
 
 

@@ -15,11 +15,13 @@ from coversmooth.geometry import (
     sample_grid,
 )
 from coversmooth.psh import min_levi_eigenvalue
+from coversmooth.scenarios import build_scenario
 from coversmooth.smoothing import (
     GlueStep,
     NestedOpens,
     SmoothingParams,
     global_glue,
+    U_SAMPLES,
     local_smooth,
 )
 
@@ -170,3 +172,81 @@ def test_single_step_glue_coincides_with_local_smooth_bitwise():
     )
     assert len(glued.steps) == 1
     assert glued.steps[0].measurements == direct.measurements
+
+
+def _one_outer_margin(inner, outer):
+    # nesting_margin before it took several outers: one draw per outer
+    pts = halton_sample(inner, 4096)
+    return float(np.min(outer.boundary_distance_many(pts)))
+
+
+def _spy_halton_draws(monkeypatch):
+    # every draw local_smooth makes, through either module's binding
+    draws = []
+    for mod in (geometry, smoothing):
+        def spy(domain, count, _real=mod.halton_sample):
+            draws.append((domain, count))
+            return _real(domain, count)
+
+        monkeypatch.setattr(mod, "halton_sample", spy)
+    return draws
+
+
+def test_local_smooth_draws_V_once(monkeypatch):
+    draws = _spy_halton_draws(monkeypatch)
+    local_smooth(_toy_field(), TOY_OPENS, TOY_PARAMS)
+    assert [c for d, c in draws if d is TOY_OPENS.V] == [4096]
+    assert [c for d, c in draws if d is TOY_OPENS.U] == [4096, U_SAMPLES]
+
+
+@pytest.mark.parametrize("sid", ["S1", "S2", "S3", "S4"])
+def test_every_shipped_step_keeps_its_three_one_outer_margins(sid, monkeypatch):
+    s = build_scenario(sid)
+    calls = []
+
+    def spy(inner, *outers, _real=smoothing.nesting_margin):
+        calls.append((inner, outers, _real(inner, *outers)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(smoothing, "nesting_margin", spy)
+    draws = _spy_halton_draws(monkeypatch)
+    run = smoothing.smooth_pushforward(s.cover, s.upstairs, s.downstairs_overlaps,
+                                       s.steps, s.params)
+    monkeypatch.undo()
+    assert len(calls) == 2 * len(s.steps) == 2 * len(run.steps)
+    for k, (step, res) in enumerate(zip(s.steps, run.steps)):
+        (u, (v,), first), (v2, (shrunk, w), rest) = calls[2 * k:2 * k + 2]
+        assert u is step.opens.U and v is v2 is step.opens.V and w is step.opens.W
+        want = [_one_outer_margin(u, v), _one_outer_margin(v, shrunk),
+                _one_outer_margin(v, w)]
+        assert np.array([*first, *rest]).tobytes() == np.array(want).tobytes()
+        assert res.measurements["margin"] == min(want)
+        assert sum(d is step.opens.V for d, _ in draws) == 1
+
+
+@pytest.mark.parametrize("nan_at", [0, 1, 2])
+def test_a_nan_margin_keeps_the_min_of_the_three_margins(monkeypatch, nan_at):
+    # today's gate reads min() of the list [U in V, V in shrunk, V in W]:
+    # a NaN first is the min and passes "margin > 0", a NaN later is skipped
+    margins = []
+
+    def nan_one(inner, *outers, _real=smoothing.nesting_margin):
+        out = list(_real(inner, *outers))
+        for j in range(len(out)):
+            if len(margins) + j == nan_at:
+                out[j] = np.nan
+        margins.extend(out)
+        return tuple(out)
+
+    monkeypatch.setattr(smoothing, "nesting_margin", nan_one)
+    res = local_smooth(_toy_field(), TOY_OPENS, TOY_PARAMS)
+    assert len(margins) == 3 and np.isnan(margins[nan_at])
+    want = float(min(margins))
+    assert np.array(res.measurements["margin"]).tobytes() == np.array(want).tobytes()
+    assert np.isnan(want) == (nan_at == 0)
+
+
+def test_nesting_margin_needs_an_outer_domain():
+    with pytest.raises(ValueError, match="at least one outer"):
+        geometry.nesting_margin(Disk(0.0, 0.5))
+    assert geometry.nesting_margin(Disk(0.0, 0.5), Disk(0.0, 0.6), Disk(0.0, 0.4))[1] < 0.0
