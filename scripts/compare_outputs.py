@@ -7,13 +7,17 @@ at their defaults and S3 at --h 6e-3, each with --dump-fields.  Every run
 writes its report, its stdout, its stderr, its exit code and its CSV
 dumps under one directory, with the same relative paths on both trees.
 Exits 0 when the two output trees are byte-identical, and 1 naming each
-file that differs or exists on one side only.  The runs go one after
-another, each in a fresh interpreter.
+file that differs or exists on one side only.  Under a report.json that
+differs it also prints whether the two reports' check names, kinds and
+verdicts are equal, and the largest relative move of a check value.  The
+runs go one after another, each in a fresh interpreter.
 """
 
 from __future__ import annotations
 
 import filecmp
+import json
+import math
 import os
 import subprocess
 import sys
@@ -65,6 +69,34 @@ def differing_files(a: Path, b: Path) -> list:
     return sorted(map(str, differ))
 
 
+def _relative_move(x: float, y: float) -> float:
+    """|x - y| over the larger magnitude: 0 for equal values (NaN equals
+    NaN here), inf where only one side is finite."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def report_moves(a: Path, b: Path) -> str:
+    """One line on how the checks of the report files a and b compare:
+    whether their names, kinds and verdicts are equal, and the largest
+    relative move of a value among the checks both name."""
+    ca, cb = (json.loads(p.read_text())["checks"] for p in (a, b))
+    same = ([(c["name"], c["kind"], c["pass"]) for c in ca]
+            == [(c["name"], c["kind"], c["pass"]) for c in cb])
+    values = {c["name"]: c["value"] for c in cb}
+    moves = [(_relative_move(c["value"], values[c["name"]]), c["name"])
+             for c in ca if c["name"] in values]
+    verdicts = ("check names, kinds and verdicts equal" if same
+                else "check names, kinds or verdicts DIFFER")
+    if not moves:
+        return f"{verdicts}; no check in common"
+    move, name = max(moves)
+    return f"{verdicts}; largest relative value move {move:.3g} ({name})"
+
+
 def main(argv: list) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -80,8 +112,11 @@ def main(argv: list) -> int:
             _git("worktree", "remove", "--force", str(base))
         run_tree(ROOT, tmp / "out_head")
         differ = differing_files(tmp / "out_base", tmp / "out_head")
-    for path in differ:
-        print(f"differs: {path}")
+        for path in differ:
+            print(f"differs: {path}")
+            pa, pb = tmp / "out_base" / path, tmp / "out_head" / path
+            if pa.name == "report.json" and pa.is_file() and pb.is_file():
+                print(f"  {report_moves(pa, pb)}")
     if differ:
         print(f"{len(differ)} output file(s) differ from {rev}", file=sys.stderr)
         return 1

@@ -140,7 +140,7 @@ class ColumnField(ScalarField):
     shape as out, it writes its values there and returns out, with the
     bits of the call that allocates.  The evaluator calls form(*Z.T);
     psh.mollify hands it one product of per-axis translates per group of
-    kernel nodes, with an out in its shared workspace.
+    kernel nodes, with that group's rows of its table as out.
     """
 
     def __init__(self, form: Callable[..., np.ndarray], valid_on: Domain,
@@ -257,11 +257,9 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
     the per-axis translates of each group of kernel nodes instead and
     lets it broadcast over their product into an out.  The bits are those
     of the row path: each translate is the same subtraction
-    z_j - (eps * o_j), every ufunc of sp_form is elementwise, and the
-    kernel sum is the same BLAS product over the same C-contiguous
-    (points, K) block, whose boundaries still fix a value's last bits.
-    Such mollified evaluations do not pass through this field's
-    evaluator.
+    z_j - (eps * o_j), every ufunc of sp_form is elementwise, and both
+    paths fold the same (K, points) table in the same node order.  Such
+    mollified evaluations do not pass through this field's evaluator.
     """
     if f.n != cover.n:
         raise ValueError("field and cover dimensions differ")

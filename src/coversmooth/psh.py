@@ -30,9 +30,8 @@ from .geometry import (
     stencil_offsets,
 )
 
-# Rows per evaluator call, keeps memory flat.  It also sets mollify's
-# translate blocks, which fix a value's last bits: changing it is a value
-# change (see mollify).
+# Rows per evaluator call, keeps memory flat; it also sets mollify's
+# translate blocks.
 _EVAL_CHUNK = 250_000
 
 MOLL_ORDER = {1: 8, 2: 6}  # mollifier's Gauss-Legendre order per real axis, by n
@@ -250,11 +249,10 @@ def _node_groups(offsets: np.ndarray) -> list:
     return groups
 
 
-# mollify's product path writes each block's form values, node rows and
-# (points, K) block here: one buffer for every mollified field, grown to
-# the largest block it has served.  Fresh temporaries of these sizes cost
-# page faults on every block, and a buffer per field holds memory per
-# field.
+# mollify's product path writes each block's (K, points) table of form
+# values here: one buffer for every mollified field, grown to the largest
+# block it has served.  Fresh temporaries of this size cost page faults on
+# every block, and a buffer per field holds memory per field.
 _work = np.empty(0)
 
 
@@ -278,29 +276,22 @@ def mollify(f: ScalarField, eps: float) -> ScalarField:
     raises DomainError.  The kernel order is MOLL_ORDER[f.n], and any other
     n is unsupported.  meta records the kernel node count, kernel_nodes.
 
-    Points are taken in blocks of _EVAL_CHUNK // K from each call's first
-    row; a block's K translates per point reach f as one (points * K, n)
-    array whose every coordinate is a contiguous column.  The blocks fix a
-    point's last bits: its value is a row of vals @ weights, a BLAS product
-    whose rounding follows the block's shape.  So one point can differ in
-    the last bit between batches, and changing _EVAL_CHUNK or where a block
-    starts is a value change.
+    Points go in blocks of _EVAL_CHUNK // K.  A block fills a (K, points)
+    table whose row k holds f at the translates z - eps * o_k, the nodes
+    in _node_groups order, and the kernel sum folds it in that order:
+    acc = w_0 * row_0, then acc += w_k * row_k.  Every step is elementwise,
+    so a point's value does not depend on its block or its place in it.
 
-    A ColumnField (covers.pushforward's closed forms) whose translates are
-    proved inside takes the product path instead.  The kernel's nodes fall
-    into a few full products of per-axis offsets (_node_groups): for n = 2
-    the first-axis offsets that share the same second-axis offsets, 4 x 16
-    + 8 x 12 + 4 x 4 = 176 cells, exactly the nodes.  Per group, axis j's
-    translates z_j - (eps * a) sit on a leading axis with the points
-    innermost, f.form broadcasts once over their product into the shared
-    workspace (its out=), and the values become their nodes' rows of a
-    (K, points) table; one transposing copy turns that into the
-    C-contiguous (points, K) block, which lives in the workspace too,
-    until the next block.  The bits are the row path's:
-    each translate is the same subtraction, every ufunc of the form is
-    elementwise, and vals @ weights sees the same block in the same
-    layout, so the block boundaries still fix the last bits.  Every other
-    field, and translates that must be checked, take the row path.
+    On the row path the translates reach f as one (K * points, n) array
+    whose every coordinate is a contiguous column.  A ColumnField
+    (covers.pushforward's closed forms) whose translates are proved inside
+    takes the product path instead: each node group is a full product of
+    per-axis offsets (for n = 2, 4 x 16 + 8 x 12 + 4 x 4 = 176 cells,
+    exactly the nodes), and f.form broadcasts once over the product of
+    the group's translates z_j - (eps * a), points innermost, into the
+    group's rows of the table, which lives in the shared workspace.  Each
+    translate is the same subtraction and every ufunc of the form is
+    elementwise, so both paths give the same bits.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -314,8 +305,9 @@ def mollify(f: ScalarField, eps: float) -> ScalarField:
     except DomainError as exc:
         raise DomainError(f"eps={eps} too large for the field domain") from exc
 
-    offsets = kern.offsets
-    weights = kern.weights
+    node_groups = _node_groups(kern.offsets)
+    order = np.concatenate([nodes.ravel() for _, nodes in node_groups])
+    offsets, weights = kern.offsets[order], kern.weights[order]
     K = offsets.shape[0]
     reach = float(np.max(np.linalg.norm(offsets, axis=1)))
     check = not translates_stay_inside(f.valid_on, eps, reach)
@@ -323,40 +315,38 @@ def mollify(f: ScalarField, eps: float) -> ScalarField:
     n = f.n
     if isinstance(f, ColumnField) and not check:
         # each group's axis j steps on axis j of a (u_0, ..., u_{n-1},
-        # points) product, and its nodes' kernel positions
+        # points) product, and its nodes are the table rows a:b
+        ends = np.cumsum([nodes.size for _, nodes in node_groups])
         groups = [([(eps * c).reshape([-1 if i == j else 1 for i in range(n + 1)])
-                    for j, c in enumerate(cols)], nodes.shape, nodes.ravel())
-                  for cols, nodes in _node_groups(offsets)]
+                    for j, c in enumerate(cols)], nodes.shape, b - nodes.size, b)
+                  for (cols, nodes), b in zip(node_groups, ends)]
 
         def _values(Zb: np.ndarray) -> np.ndarray:
-            # the workspace's second half holds the nodes' rows in kernel
-            # order; its first holds one group's values (fewer than K
-            # rows), then the (mb, K) block, one transposing copy
             mb = Zb.shape[0]
-            work = _workspace(2 * mb * K)
-            rows = work[mb * K:].reshape(K, mb)
-            for steps, shape, nodes in groups:
-                V = f.form(*(Zb[:, j] - s for j, s in enumerate(steps)),
-                           out=work[:mb * nodes.size].reshape(shape + (mb,)))
-                rows[nodes] = V.reshape(-1, mb)
-            vals = work[:mb * K].reshape(mb, K)
-            vals[...] = rows.T
-            return vals
+            rows = _workspace(mb * K).reshape(K, mb)
+            for steps, shape, a, b in groups:
+                f.form(*(Zb[:, j] - s for j, s in enumerate(steps)),
+                       out=rows[a:b].reshape(shape + (mb,)))
+            return rows
     else:
-        steps = eps * offsets.T[:, None, :]  # (n, 1, K)
+        steps = eps * offsets.T[:, :, None]  # (n, K, 1)
 
         def _values(Zb: np.ndarray) -> np.ndarray:
-            # (n, mb, K) in C order, so each coordinate of the (mb * K, n)
+            # (n, K, mb) in C order, so each coordinate of the (K * mb, n)
             # translate rows is one contiguous column
-            W = np.subtract(Zb.T[:, :, None], steps, order="C").reshape(n, -1).T
-            return f.eval_many(W, check=check).reshape(Zb.shape[0], K)
+            W = np.subtract(Zb.T[:, None, :], steps, order="C").reshape(n, -1).T
+            return f.eval_many(W, check=check).reshape(K, Zb.shape[0])
 
     block = max(1, _EVAL_CHUNK // K)
 
     def _eval(Z: np.ndarray) -> np.ndarray:
-        out = np.zeros(Z.shape[0])
+        out = np.empty(Z.shape[0])
         for lo in range(0, Z.shape[0], block):
-            out[lo:lo + block] = _values(Z[lo:lo + block]) @ weights
+            rows = _values(Z[lo:lo + block])
+            acc, term = out[lo:lo + block], np.empty(rows.shape[1])
+            np.multiply(rows[0], weights[0], out=acc)
+            for row, w in zip(rows[1:], weights[1:]):
+                acc += np.multiply(row, w, out=term)
         return out
 
     g = ScalarField(_eval, new_domain, name=f"mollify({f.name or 'f'},{eps:g})")

@@ -167,7 +167,7 @@ def _measure_band(phi: ScalarField, phi_eps: ScalarField, sigma, opens: NestedOp
 
 
 def _margin_gate(margin: float) -> None:
-    if margin <= 0.0:
+    if not (margin > 0.0):
         raise ParameterError("margin > 0", f"margin = {margin!r}")
 
 
@@ -221,11 +221,11 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
 
     # nesting and stencil slack; every measured point needs the mollified
     # field defined a stencil width around it.  V's sample is drawn once
-    # for both of its outers
+    # for both of its outers; a NaN margin is the minimum
     margins = [*nesting_margin(opens.U, opens.V),
                *nesting_margin(opens.V, phi_eps.valid_on.shrink(3.0 * params.h),
                                opens.W)]
-    measurements = {"margin": float(min(margins))}
+    measurements = {"margin": float(np.min(margins))}
     # the band stencils below need that slack, so this gate goes first
     _margin_gate(measurements["margin"])
 

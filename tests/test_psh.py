@@ -461,6 +461,18 @@ def test_reg_max_many_matches_scalar():
         assert M[i] == pytest.approx(_reg_max_one(T1[i], T2[i], 0.3), abs=1e-14)
 
 
+def test_reg_max_many_gives_a_pair_the_same_bits_alone_and_in_its_block():
+    # most pairs lie within 2 eta of each other, in the quadrature branch
+    rng = np.random.default_rng(11)
+    eta = 0.01
+    T1 = rng.uniform(-1.0, 1.0, 2000)
+    T2 = T1 + rng.uniform(-3.0 * eta, 3.0 * eta, 2000)
+    whole = reg_max_many(T1, T2, eta)
+    alone = [reg_max_many(T1[i:i + 1], T2[i:i + 1], eta) for i in range(2000)]
+    assert np.mean(np.abs(T1 - T2) < 2.0 * eta) > 0.6
+    assert np.concatenate(alone).tobytes() == whole.tobytes()
+
+
 def _reg_max_fields(u, v, eta):
     """Pointwise regularized maximum of two fields on u's domain."""
     return ScalarField(lambda Z: reg_max_many(u.eval_many(Z), v.eval_many(Z), eta),
@@ -544,8 +556,9 @@ def _pushforward(sid: str, chart: str) -> tuple:
 
 
 def _row_major_mollify(f, eps, Z):
-    """mollify's value, built row-major ((points, K, n) translates) in the
-    same blocks: the oracle for the column layout."""
+    """mollify's translates built row-major ((points, K, n)) in the same
+    blocks and summed by BLAS: the memory reference for the column layout.
+    Its kernel sum is not mollify's fold, so its bits are not compared."""
     kern = mollifier_kernel(2 * f.n, MOLL_ORDER[f.n])
     K, n = kern.offsets.shape
     block = _EVAL_CHUNK // K
@@ -558,20 +571,38 @@ def _row_major_mollify(f, eps, Z):
     return out
 
 
+def _pointwise_mollify(f, eps, Z):
+    """mollify's value at each row z of Z from z alone: f at z's K
+    translates z - eps * o, folded one scalar at a time in the order of
+    the kernel's node groups."""
+    kern = mollifier_kernel(2 * f.n, MOLL_ORDER[f.n])
+    order = np.concatenate([nodes.ravel() for _, nodes in _node_groups(kern.offsets)])
+    offsets, weights = kern.offsets[order], kern.weights[order]
+    out = []
+    for z in Z:
+        vals = f.eval_many(z - eps * offsets, check=False)
+        acc = weights[0] * vals[0]
+        for w, v in zip(weights[1:], vals[1:]):
+            acc += w * v
+        out.append(acc)
+    return np.array(out)
+
+
 # S1's power pushforward (n = 1) and S3's D1 closed form (n = 2)
 _MOLLIFIED = [("S1", "w"), ("S3", "D1")]
 
 
 @pytest.mark.parametrize("sid, chart", _MOLLIFIED, ids=[s for s, _ in _MOLLIFIED])
-def test_mollify_is_bit_identical_to_a_row_major_build_in_the_same_blocks(sid, chart):
-    # a point's last bits follow its translate block (vals @ weights is a
-    # BLAS product), so the oracle keeps mollify's block boundaries
+def test_mollify_is_bit_identical_to_a_pointwise_fold_in_kernel_order(sid, chart):
+    # calls of one block, one short of a block, one past it and several
+    # blocks: each point is the oracle's point alone
     f, eps = _pushforward(sid, chart)
     fe = mollify(f, eps)
     B = _EVAL_CHUNK // fe.meta["kernel_nodes"]
     Z = halton_sample(fe.valid_on, 3 * B + 7)
+    want = _pointwise_mollify(f, eps, Z)
     for m in (1, B - 1, B, B + 1, 3 * B + 7):
-        assert np.array_equal(fe.eval_many(Z[:m]), _row_major_mollify(f, eps, Z[:m])), m
+        assert fe.eval_many(Z[:m]).tobytes() == want[:m].tobytes(), m
 
 
 class _ColumnSpy(ScalarField):
@@ -742,6 +773,19 @@ def test_a_warm_block_of_the_product_path_allocates_under_two_value_blocks():
     Z = halton_sample(fe.valid_on, B)
     fe.eval_many(Z)
     assert _traced_peak(lambda: fe.eval_many(Z)) < 2 * B * K * 8
+
+
+def test_a_warm_block_of_the_product_path_leaves_one_value_table_in_the_workspace(
+        monkeypatch):
+    f, eps = _pushforward("S3", "D1")
+    fe = mollify(f, eps)
+    K = fe.meta["kernel_nodes"]
+    B = _EVAL_CHUNK // K
+    Z = halton_sample(fe.valid_on, B + 1)
+    monkeypatch.setattr(psh, "_work", np.empty(0))
+    fe.eval_many(Z[:B])
+    fe.eval_many(Z)
+    assert psh._work.size == B * K
 
 
 def test_fields_sharing_the_workspace_give_the_bits_each_gives_alone(monkeypatch):

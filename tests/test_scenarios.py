@@ -540,6 +540,28 @@ def _glued(sid):
                                  s.steps, s.params)
 
 
+@pytest.mark.parametrize("sid", SCENARIO_IDS)
+def test_every_glued_chart_gives_a_point_the_same_bits_in_any_batch(sid):
+    # one call against blocks of 1, 7 and 333 rows and a permuted order;
+    # the message names every chart and batching that differs
+    _, run = _glued(sid)
+    perm = np.random.default_rng(0).permutation(3000)
+    differ = []
+    for chart in run.cocycle.charts:
+        f = chart.potential
+        Z = halton_sample(f.valid_on, 3000)
+        whole = f.eval_many(Z).tobytes()
+        for b in (1, 7, 333):
+            got = np.concatenate([f.eval_many(Z[lo:lo + b]) for lo in range(0, 3000, b)])
+            if got.tobytes() != whole:
+                differ.append((chart.name, b))
+        got = np.empty(3000)
+        got[perm] = f.eval_many(Z[perm])
+        if got.tobytes() != whole:
+            differ.append((chart.name, "permuted"))
+    assert differ == []
+
+
 def test_only_s3s_d3_to_d1_lift_is_proved_to_add_nothing():
     s3, s4 = build_scenario("S3"), build_scenario("S4")
     V1, V3 = (step.opens.V for step in s3.steps)

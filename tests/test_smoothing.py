@@ -225,9 +225,8 @@ def test_every_shipped_step_keeps_its_three_one_outer_margins(sid, monkeypatch):
 
 
 @pytest.mark.parametrize("nan_at", [0, 1, 2])
-def test_a_nan_margin_keeps_the_min_of_the_three_margins(monkeypatch, nan_at):
-    # today's gate reads min() of the list [U in V, V in shrunk, V in W]:
-    # a NaN first is the min and passes "margin > 0", a NaN later is skipped
+def test_a_nan_margin_fails_the_margin_gate_at_any_position(monkeypatch, nan_at):
+    # the margins [U in V, V in shrunk, V in W], one of them NaN
     margins = []
 
     def nan_one(inner, *outers, _real=smoothing.nesting_margin):
@@ -239,11 +238,11 @@ def test_a_nan_margin_keeps_the_min_of_the_three_margins(monkeypatch, nan_at):
         return tuple(out)
 
     monkeypatch.setattr(smoothing, "nesting_margin", nan_one)
-    res = local_smooth(_toy_field(), TOY_OPENS, TOY_PARAMS)
+    with pytest.raises(ParameterError, match="margin > 0") as err:
+        local_smooth(_toy_field(), TOY_OPENS, TOY_PARAMS)
+    assert err.value.condition == "margin > 0"
+    assert err.value.detail == "margin = nan"
     assert len(margins) == 3 and np.isnan(margins[nan_at])
-    want = float(min(margins))
-    assert np.array(res.measurements["margin"]).tobytes() == np.array(want).tobytes()
-    assert np.isnan(want) == (nan_at == 0)
 
 
 def test_nesting_margin_needs_an_outer_domain():
