@@ -140,7 +140,9 @@ class ColumnField(ScalarField):
     shape as out, it writes its values there and returns out, with the
     bits of the call that allocates.  The evaluator calls form(*Z.T);
     psh.mollify hands it one product of per-axis translates per group of
-    kernel nodes, with that group's rows of its table as out.
+    kernel nodes, with that group's rows of its table as out, and
+    pushforward passes it down an identity or square-root cover as a form
+    of the base columns.
     """
 
     def __init__(self, form: Callable[..., np.ndarray], valid_on: Domain,
@@ -226,6 +228,38 @@ def _fiber_sum(vals: np.ndarray, deg: int) -> np.ndarray:
     return out
 
 
+def _column_fiber_sum(cover: Cover, f: ColumnField, rows: np.ndarray):
+    """The fiber sum of f over a cover whose fibers are proved inside its
+    domain, as a form of the base columns, or None.
+
+    Over an identity cover it is f's form; over the square-root cover
+    PowerCover(2), whose fiber is (r, -r) with r = sqrt(w), it is
+    2 f(sqrt(w)) when f(-r) equals f(r) bit for bit on the probe's fiber
+    rows.  The row path sums a fiber as (f(r) + 0.0) + f(-r), so both
+    forms add 0.0 first, which turns a -0.0 into 0.0; then f(-r) == f(r)
+    makes the sum the exact doubling v + v.
+    Any other cover, or a form that is not even on the probe, is None.
+    """
+    if isinstance(cover, IdentityCover):
+        def identity_form(*cols, out=None):
+            v = f.form(*cols, out=out)
+            v += 0.0
+            return v
+        return identity_form
+    if isinstance(cover, PowerCover) and cover.d == 2:
+        vals = f.eval_many(rows, check=False).reshape(-1, 2)
+        if vals[:, 0].tobytes() != vals[:, 1].tobytes():
+            return None
+
+        def square_root_form(w, out=None):
+            v = f.form(np.sqrt(w), out=out)
+            v += 0.0
+            v += v
+            return v
+        return square_root_form
+    return None
+
+
 def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
     """Sum of f over the raw ordered fiber rows.
 
@@ -240,24 +274,31 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
     way, construction probes that the fibers over 128 Halton points stay
     inside f's domain.
 
-    A SymmetricSum over the Vieta cover, where containment is proved, is
-    evaluated from its closed form sp_form in (s, p) = (e1, e2), with no
-    roots.  For the shipped potentials the parallelogram law gives
-    |r1|^2 + |r2|^2 = (|s|^2 + |s^2 - 4p|)/2, so the kink of the
-    pushforward along the diagonal is |s^2 - 4p|, the modulus of the
-    discriminant.  Construction compares the closed form
-    with the root-solved fiber sum over the 128 probe points and raises
-    ValueError where they differ by more than CLOSED_FORM_RTOL relative
-    (to max(|v|, 1)).  Every other case (an unproved chart, any other
-    field) sums f over the whole root-solved fiber.
+    Where containment is proved, two cases are evaluated from a closed
+    form with no roots:
 
-    The closed-form branch, and only it, returns a ColumnField of sp_form:
-    its evaluator is sp_form(B[:, 0], B[:, 1]), as for any field, and
-    psh.mollify, where its translates are proved inside, hands sp_form
+    * a SymmetricSum over the Vieta cover, from its sp_form in
+      (s, p) = (e1, e2).  For the shipped potentials the parallelogram law
+      gives |r1|^2 + |r2|^2 = (|s|^2 + |s^2 - 4p|)/2, so the kink of the
+      pushforward along the diagonal is |s^2 - 4p|, the modulus of the
+      discriminant.  Construction compares the closed form with the
+      root-solved fiber sum over the 128 probe points and raises
+      ValueError where they differ by more than CLOSED_FORM_RTOL relative
+      (to max(|v|, 1));
+    * a ColumnField over an identity cover, or over PowerCover(2) when its
+      form is even on the probe (_column_fiber_sum), which gives the bits
+      of the root-solved sum.
+
+    Every other case (an unproved chart, any other field or cover, an
+    uneven form) sums f over the whole root-solved fiber.
+
+    The closed-form branches, and only they, return a ColumnField: its
+    evaluator is the form at the base columns, as for any field, and
+    psh.mollify, where its translates are proved inside, hands the form
     the per-axis translates of each group of kernel nodes instead and
     lets it broadcast over their product into an out.  The bits are those
     of the row path: each translate is the same subtraction
-    z_j - (eps * o_j), every ufunc of sp_form is elementwise, and both
+    z_j - (eps * o_j), every ufunc of the form is elementwise, and both
     paths fold the same (K, points) table in the same node order.  Such
     mollified evaluations do not pass through this field's evaluator.
     """
@@ -286,6 +327,11 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
                 f"sum by {np.max(err):.3e} relative (tolerance {CLOSED_FORM_RTOL:g})")
 
         return ColumnField(f.sp_form, cover.downstairs, name)
+
+    if isinstance(f, ColumnField) and not check:
+        form = _column_fiber_sum(cover, f, rows)
+        if form is not None:
+            return ColumnField(form, cover.downstairs, name)
 
     def _eval(B: np.ndarray) -> np.ndarray:
         rows = cover.fiber_rows(B)

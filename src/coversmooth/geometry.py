@@ -473,29 +473,55 @@ def reals(Z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(Z, dtype=complex).view(float)
 
 
-@dataclass(frozen=True)
 class Grid:
     """Lattice nodes in a domain: each node is origin + h*(integer offsets)
     in real coordinates.  origin is (2n,) real and defaults to the first
-    node."""
+    node.
 
-    nodes: np.ndarray  # (m, n) complex
-    h: float
-    domain: Domain
-    origin: Optional[np.ndarray] = None
+    A grid built from explicit nodes holds them.  A lattice grid
+    (_lattice_grid) holds only a membership bit per candidate and gathers
+    its nodes from the lattice axes on every read, so no pass over it
+    holds the whole node array: blocks(size) reads the nodes in order as
+    they are enumerated, and nodes joins them into one array.
+    """
 
-    def __post_init__(self):
-        if self.nodes.ndim != 2 or self.nodes.shape[0] == 0:
+    def __init__(self, nodes: np.ndarray, h: float, domain: Domain,
+                 origin: Optional[np.ndarray] = None):
+        if nodes.ndim != 2 or nodes.shape[0] == 0:
             raise EmptyGridError("grid has no nodes")
-        if self.origin is None:
-            object.__setattr__(self, "origin", reals(self.nodes[:1])[0])
+        if origin is None:
+            origin = reals(nodes[:1])[0]
+        self._bind(lambda: (nodes,), nodes.shape, h, domain, origin)
 
-    @property
-    def n(self) -> int:
-        return self.nodes.shape[1]
+    def _bind(self, node_blocks, shape, h, domain, origin) -> None:
+        self._node_blocks = node_blocks
+        self._size, self.n = shape
+        self.h, self.domain, self.origin = h, domain, origin
 
     def __len__(self) -> int:
-        return self.nodes.shape[0]
+        return self._size
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """(m, n) complex: every node, in order, joined afresh per read."""
+        parts = list(self._node_blocks())
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def blocks(self, size: int):
+        """The nodes in order, in blocks of size rows and a shorter last
+        one: the blocks that slicing the joined nodes gives, with the rows
+        an enumerated block leaves over carried into the next."""
+        carry = None
+        for Z in self._node_blocks():
+            if carry is not None:
+                Z, carry = np.concatenate((carry, Z)), None
+            stop = len(Z) - len(Z) % size
+            for lo in range(0, stop, size):
+                yield Z[lo:lo + size]
+            if stop < len(Z):
+                carry = Z[stop:]
+        if carry is not None:
+            yield carry
 
 
 def _lattice_grid(domain: Domain, h: float, origin: np.ndarray,
@@ -505,10 +531,12 @@ def _lattice_grid(domain: Domain, h: float, origin: np.ndarray,
 
     A free axis narrower than h keeps the single site of the origin.  The
     site count is capped from the integer axis bounds, before any axis is
-    allocated.  The candidates are built and filtered in blocks of whole
-    slices of the first free axis, at most _LATTICE_BLOCK_SITES of them
-    unless one slice holds more; in ij order the kept blocks join into the
-    nodes a single pass would keep.
+    allocated.  The candidates are enumerated in blocks of whole slices of
+    the first free axis, at most _LATTICE_BLOCK_SITES of them unless one
+    slice holds more, and each block is tested for membership once, here;
+    the grid keeps each block's mask, packed to a bit per candidate, and
+    gathers the block's kept nodes when it is read.  In ij order the kept
+    blocks join into the nodes a single pass would keep.
     """
     if not h > 0:
         raise ValueError("grid spacing must be positive")
@@ -526,16 +554,32 @@ def _lattice_grid(domain: Domain, h: float, origin: np.ndarray,
         axes[k] = o[k] + h * np.arange(int(a), int(b) + 1)
     first = axes[free[0]]
     step = max(1, _LATTICE_BLOCK_SITES * first.size // math.prod(map(len, axes)))
-    kept = []
-    for s in range(0, first.size, step):
-        axes[free[0]] = first[s:s + step]
-        X = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
-        Z = X.reshape(-1, o.size).view(complex)
-        kept.append(Z[domain.contains_many(Z)])
-    nodes = np.concatenate(kept)
-    if not len(nodes):
+    starts = range(0, first.size, step)
+
+    def sites(s: int, mask: Optional[np.ndarray]) -> np.ndarray:
+        # block s's candidates in ij order (mask None), or those its packed
+        # mask keeps, gathered per axis without building the whole block
+        part = list(axes)
+        part[free[0]] = first[s:s + step]
+        cols = np.meshgrid(*part, indexing="ij", copy=False)
+        if mask is not None:
+            shape = cols[0].shape
+            keep = np.unpackbits(mask, count=math.prod(shape)).view(bool).reshape(shape)
+            cols = [c[keep] for c in cols]
+        return np.stack(cols, axis=-1).reshape(-1, o.size).view(complex)
+
+    masks, count = [], 0
+    for s in starts:
+        inside = domain.contains_many(sites(s, None))
+        count += np.count_nonzero(inside)
+        masks.append(np.packbits(inside))
+    if not count:
         raise EmptyGridError("no lattice point of spacing %g lies inside the domain" % h)
-    return Grid(nodes, float(h), domain, o)
+
+    g = Grid.__new__(Grid)
+    g._bind(lambda: (sites(s, mask) for s, mask in zip(starts, masks)),
+            (int(count), o.size // 2), float(h), domain, o)
+    return g
 
 
 def sample_grid(domain: Domain, h: float) -> Grid:
@@ -757,16 +801,17 @@ def mass_integral(f: ScalarField, disk: Domain, h: float) -> float:
     if disk.n != 1:
         raise UnsupportedDimensionError("mass_integral is restricted to one variable")
     grid = sample_grid(disk, h)
+    nodes = grid.nodes
     offs = stencil_offsets(1, h)[1:5]
     # integer node indices, framed by one free index on every side
-    K = np.rint((reals(grid.nodes) - grid.origin) / h).astype(np.int64)
+    K = np.rint((reals(nodes) - grid.origin) / h).astype(np.int64)
     lo, hi = _column_bounds(K)
     K -= lo - 1
     on_grid = np.zeros(hi - lo + 3, dtype=bool)
     on_grid[tuple(K.T)] = True
     inner, outer = [], []
     for e, step in zip(offs, np.rint(reals(offs) / h).astype(np.int64)):
-        leaves = grid.nodes[~on_grid[tuple((K + step).T)]]
+        leaves = nodes[~on_grid[tuple((K + step).T)]]
         inner.append(leaves)
         outer.append(leaves + e)
     m = sum(map(len, outer))
@@ -787,11 +832,12 @@ def csv_header(n: int) -> list:
 
 def dump_field_csv(f: ScalarField, grid: Grid, path: str) -> None:
     """Grid dump with header re_1,im_1,...,re_n,im_n,value."""
-    vals = f.eval_many(grid.nodes)
+    nodes = grid.nodes
+    vals = f.eval_many(nodes)
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(csv_header(grid.n))
-        for row, v in zip(grid.nodes, vals):
+        for row, v in zip(nodes, vals):
             rec = []
             for c in row:
                 rec.extend((repr(float(c.real)), repr(float(c.imag))))

@@ -119,19 +119,19 @@ def min_levi_eigenvalue(f: ScalarField, g: Grid, h: float) -> PshReport:
     """Minimum over grid nodes of the smallest Levi eigenvalue.
 
     f is read through the grid's lattice at step h (lattice_field), so h
-    must divide the grid spacing.  A NaN eigenvalue is the minimum, located
-    at the first node that has one.
+    must divide the grid spacing.  The nodes are read in blocks as the
+    grid enumerates them (Grid.blocks).  A NaN eigenvalue is the minimum,
+    located at the first node that has one.
     """
     fl = lattice_field(f, g, h)
-    step = _EVAL_CHUNK // 32 + 1
     mins, where = [], []
-    for lo in range(0, len(g), step):
-        eigs = hermitian_min_eigenvalues(levi_form_many(fl, g.nodes[lo:lo + step], h))
+    for Z in g.blocks(_EVAL_CHUNK // 32 + 1):
+        eigs = hermitian_min_eigenvalues(levi_form_many(fl, Z, h))
         i = int(np.argmin(eigs))
         mins.append(eigs[i])
-        where.append(lo + i)
+        where.append(tuple(complex(c) for c in Z[i]))
     k = int(np.argmin(mins))
-    return PshReport(float(mins[k]), tuple(complex(c) for c in g.nodes[where[k]]))
+    return PshReport(float(mins[k]), where[k])
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +139,13 @@ def min_levi_eigenvalue(f: ScalarField, g: Grid, h: float) -> PshReport:
 
 def laplacian_sup(f: ScalarField, g: Grid, h: float) -> float:
     """Sup over grid nodes of |discrete Laplacian|, NaN when any node's is;
-    f is read through the grid's lattice at step h, as in
-    min_levi_eigenvalue."""
+    f is read through the grid's lattice at step h, and the nodes in
+    blocks, as in min_levi_eigenvalue."""
     from .geometry import discrete_laplacian_many
 
     fl = lattice_field(f, g, h)
-    step = _EVAL_CHUNK // 8 + 1
-    sups = [np.max(np.abs(discrete_laplacian_many(fl, g.nodes[lo:lo + step], h)))
-            for lo in range(0, len(g), step)]
+    sups = [np.max(np.abs(discrete_laplacian_many(fl, Z, h)))
+            for Z in g.blocks(_EVAL_CHUNK // 8 + 1)]
     return float(np.max(sups))
 
 

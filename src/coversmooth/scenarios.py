@@ -46,6 +46,7 @@ from .geometry import (
 )
 from .covers import (
     ChartPair,
+    ColumnField,
     IdentityCover,
     PowerCover,
     SymmetricSum,
@@ -192,9 +193,7 @@ def _build_s1(config: dict) -> Scenario:
             "the band lattice no inner radius (it needs more than 0.07)")
     mass_r = max(1.0, w_r + 0.05)  # dd^c(2|w|) has mass 4 pi r on |w| < r
 
-    chart_up = CocycleChart(
-        "z", ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(0.0, 1.5),
-                         name="abs_sq"))
+    chart_up = CocycleChart("z", ColumnField(_abs_sq, Disk(0.0, 1.5), name="abs_sq"))
     upstairs = KahlerCocycle((chart_up,), ())
     cover = (ChartPair("w", "z", PowerCover(2, down)),)
     steps = (GlueStep("w", opens),)
@@ -270,8 +269,9 @@ def _annulus_window(center: complex, axis: int, r_in: float, r_out: float,
                          LevelRegion(level, r_out, 2)))
 
 
-def _abs_sq(z: np.ndarray) -> np.ndarray:
-    return np.abs(z) ** 2
+def _abs_sq(z: np.ndarray, out=None) -> np.ndarray:
+    a = np.abs(z, out=out)
+    return np.square(a, out=a)
 
 
 def _log1p_abs_sq(z: np.ndarray) -> np.ndarray:
@@ -291,8 +291,12 @@ def _abs_sq_sp(s: np.ndarray, p: np.ndarray, out=None) -> np.ndarray:
 
 
 def _log1p_abs_sq_sp(s: np.ndarray, p: np.ndarray, out=None) -> np.ndarray:
-    x = _abs_sq_sp(s, p, out=out)
-    x *= 0.5
+    # (|s|^2 + |s^2 - 4p|) / 2 as |s^2 / 2 - 2p| + |s|^2 / 2, the same
+    # bits away from subnormals, where halving is exact; on mollify's
+    # translate product the halving falls on the s and p columns, not on
+    # every cell
+    x = np.abs(0.5 * (s * s) - 2.0 * p, out=out)
+    x += 0.5 * np.abs(s) ** 2
     x += np.abs(p) ** 2
     np.log1p(x, out=x)
     x *= 2.0
@@ -436,12 +440,12 @@ def _build_s4(config: dict) -> Scenario:
     s_kink = 0.5      # kink circle radius in the near chart
     c0 = a * np.log(1.0 + s_kink ** 2)
 
-    def phi_near(Z: np.ndarray) -> np.ndarray:
+    def phi_near(z: np.ndarray, out=None) -> np.ndarray:
         # max(L, (1 - a) L + c0) with L = log1p(|z|^2), in two arrays
-        L = np.abs(as_points(Z, 1)[:, 0])
+        L = np.abs(z)
         np.square(L, out=L)
         np.log1p(L, out=L)
-        out = np.multiply(L, 1.0 - a)
+        out = np.multiply(L, 1.0 - a, out=out)
         out += c0
         return np.maximum(L, out, out=out)
 
@@ -462,7 +466,7 @@ def _build_s4(config: dict) -> Scenario:
                 ChartOverlap("far", "near",
                              Annulus(0.0, 1.0 / 0.79, 1.0 / 0.46), inv))
     upstairs = KahlerCocycle(
-        (CocycleChart("near", ScalarField(phi_near, dom_near, name="near")),
+        (CocycleChart("near", ColumnField(phi_near, dom_near, name="near")),
          CocycleChart("far", ScalarField(phi_far, dom_far, name="far"))),
         overlaps)
     cover = (ChartPair("near", "near", IdentityCover(dom_near)),

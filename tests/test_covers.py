@@ -464,3 +464,123 @@ def test_pushforward_returns_a_column_field_only_from_its_closed_form(case):
         "identity": (IdentityCover(sq.valid_on), sq),
     }[case]
     assert isinstance(pushforward(cover, f), ColumnField) is (case == "closed form")
+
+
+def _log1p_abs_sq_sp_halved_per_cell(s, p):
+    """S3's closed form with the halving on every cell, as
+    (|s|^2 + |s^2 - 4p|) * 0.5: the reference for the halving on the s and
+    p columns."""
+    x = np.abs(s) ** 2 + np.abs(s * s - 4.0 * p)
+    x *= 0.5
+    x += np.abs(p) ** 2
+    return 2.0 * np.log1p(x)
+
+
+@pytest.mark.parametrize("a, b", _GROUP_SHAPES, ids=[f"{a}x{b}" for a, b in _GROUP_SHAPES])
+@pytest.mark.parametrize("mb, locus", [(1420, False), (300, True)],
+                         ids=["block", "branch locus"])
+def test_halving_s3s_form_on_its_columns_keeps_the_bits_of_halving_each_cell(
+        a, b, mb, locus):
+    s, p = _group_columns(a, b, mb, locus, seed=a + b + mb)
+    want = _log1p_abs_sq_sp_halved_per_cell(s, p)
+    assert _log1p_abs_sq_sp(s, p).tobytes() == want.tobytes()
+    # and |D / 2| is |D| / 2 on random discriminants of every scale
+    rng = np.random.default_rng(mb)
+    D = (rng.standard_normal(200_000) + 1j * rng.standard_normal(200_000)) \
+        * 10.0 ** rng.uniform(-6, 6, 200_000)
+    assert np.abs(0.5 * D).tobytes() == (0.5 * np.abs(D)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# n = 1 column forms: S1's |z|^2 over the square-root cover, S4's near
+# potential over the identity cover
+
+_N1_CHARTS = [("S1", "w"), ("S4", "near")]
+
+
+def _n1_chart(sid, chart):
+    """(cover, upstairs field) of a shipped n = 1 chart."""
+    s = build_scenario(sid)
+    pair = next(p for p in s.cover if p.downstairs_name == chart)
+    return pair.cover, s.upstairs.chart(pair.upstairs_name).potential
+
+
+def _neg_abs_sq(z, out=None):
+    """-|z|^2, which is -0.0 at z = 0."""
+    a = np.abs(z, out=out)
+    np.square(a, out=a)
+    return np.negative(a, out=a)
+
+
+def _base_rows(cover):
+    """The probe, the branch point w = 0 with each sign of zero, the
+    negative real axis from both sides of sqrt's cut, and random rows."""
+    R = cover.downstairs.radii[0]
+    x = np.linspace(0.0, 0.999 * R, 50)
+    special = np.concatenate([[0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                               complex(-0.0, -0.0)],
+                              -x + 0.0j, np.array(-x + 0.0j).conj()])
+    assert np.signbit(special[54:].imag).all()
+    return np.concatenate([halton_sample(cover.downstairs, 128)[:, 0], special,
+                           halton_sample(cover.downstairs, 2000)[:, 0]])[:, None]
+
+
+@pytest.mark.parametrize("sid, chart", _N1_CHARTS, ids=[s for s, _ in _N1_CHARTS])
+def test_the_n1_closed_forms_give_the_root_solved_fiber_sums_bits(sid, chart):
+    cover, f = _n1_chart(sid, chart)
+    assert isinstance(f, ColumnField)
+    neg = ColumnField(_neg_abs_sq, f.valid_on, name="neg")
+    B = _base_rows(cover)
+    for g in (f, neg):
+        closed, rows = pushforward(cover, g), pushforward(cover, _plain(g))
+        assert isinstance(closed, ColumnField) and not isinstance(rows, ColumnField)
+        want = rows.eval_many(B).tobytes()
+        assert closed.eval_many(B).tobytes() == want
+        assert closed.form(B[:, 0]).tobytes() == want
+    # -|z|^2 is -0.0 at 0, where the fiber sum adds 0.0 and gives 0.0
+    assert not np.signbit(pushforward(cover, neg).eval_many(np.zeros((1, 1)))[0])
+
+
+@pytest.mark.parametrize("sid, chart", _N1_CHARTS, ids=[s for s, _ in _N1_CHARTS])
+def test_an_n1_form_writes_into_out_with_the_bits_of_its_allocating_call(sid, chart):
+    # upstairs and pushed down, on a (K, points) translate block as mollify
+    # hands it, into an out one float into a larger buffer
+    cover, f = _n1_chart(sid, chart)
+    rng = np.random.default_rng(1)
+    z = (rng.uniform(-0.5, 0.5, (40, 1000)) + 1j * rng.uniform(-0.5, 0.5, (40, 1000)))
+    z[0, :3] = [0j, -0.25 + 0j, complex(-0.25, -0.0)]
+    for form in (f.form, pushforward(cover, f).form):
+        want = form(z)
+        out = np.full(z.size + 1, np.nan)[1:].reshape(z.shape)
+        assert form(z, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+
+def _re(z, out=None):
+    return np.add(z.real, 0.0, out=out)
+
+
+def test_a_form_that_is_not_even_takes_the_row_path_through_the_square_root_cover():
+    cover = PowerCover(2, Disk(0.0, 1.0))
+    odd = ColumnField(_re, _POWER_UP, name="re")
+    assert fibers_inside(cover, odd.valid_on)
+    pf = pushforward(cover, odd)
+    assert not isinstance(pf, ColumnField)
+    B = halton_sample(cover.downstairs, 500)
+    assert pf.eval_many(B).tobytes() == pushforward(cover, _plain(odd)).eval_many(B).tobytes()
+    # Re sqrt(w) + Re(-sqrt(w)) = 0 off the cut
+    assert np.max(np.abs(pf.eval_many(B))) == 0.0
+
+
+@pytest.mark.parametrize("case", ["unproved identity", "power 3", "unproved power"])
+def test_a_column_form_passes_only_a_proved_identity_or_square_root_cover(case):
+    even = ColumnField(_abs_sq, Disk(0.0, 1.5), name="sq")
+    cover, f = {
+        # an equal disk, but not the chart itself: containment is not proved
+        "unproved identity": (IdentityCover(Disk(0.0, 1.5)), even),
+        "power 3": (PowerCover(3, Disk(0.0, 1.5)), even),
+        # the fibers stay inside, but an intersection is not proved
+        "unproved power": (PowerCover(2, Disk(0.0, 1.0)), ColumnField(
+            _abs_sq, Intersection((Disk(0.0, 1.5), Disk(0.0, 1.4))), name="sq")),
+    }[case]
+    assert not isinstance(pushforward(cover, f), ColumnField)

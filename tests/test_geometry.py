@@ -39,7 +39,12 @@ from coversmooth.geometry import (
     sample_grid,
     sample_slice_grid,
 )
-from coversmooth.psh import _EVAL_CHUNK, translates_stay_inside
+from coversmooth.psh import (
+    _EVAL_CHUNK,
+    laplacian_sup,
+    min_levi_eigenvalue,
+    translates_stay_inside,
+)
 from coversmooth.scenarios import DiskMass, LeviZone, build_scenario
 
 
@@ -290,6 +295,76 @@ def test_a_lattice_build_holds_one_block_of_candidates():
         tracemalloc.stop()
     assert len(g) == 763_976
     assert peak < 3 * g.nodes.nbytes
+
+
+def _slices(nodes, size):
+    return [nodes[lo:lo + size] for lo in range(0, len(nodes), size)]
+
+
+@pytest.mark.parametrize("sites", [None, 2 ** 12], ids=["default", "4096"])
+@pytest.mark.parametrize("build", [
+    lambda: _zone_grid("S4", "far_ring", True),
+    lambda: _zone_grid("S3", "band_slice_D1", True),
+    lambda: sample_grid(Disk(0.0, 0.5), 5e-3),
+], ids=["S4_far_ring_h2", "S3_band_slice_D1_h2", "disk"])
+def test_a_lattice_grids_blocks_are_the_slices_of_its_joined_nodes(
+        monkeypatch, build, sites):
+    if sites is not None:
+        monkeypatch.setattr(geometry, "_LATTICE_BLOCK_SITES", sites)
+    g = build()
+    nodes = g.nodes
+    assert len(g) == len(nodes) and g.n == nodes.shape[1]
+    assert np.array_equal(nodes, g.nodes)
+    # a block size above, below and across the enumerated blocks
+    for size in (1000, _EVAL_CHUNK // 32 + 1, _EVAL_CHUNK // 8 + 1, len(g) + 1):
+        got = list(g.blocks(size))
+        want = _slices(nodes, size)
+        assert len(got) == len(want)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_a_grid_from_explicit_nodes_reads_them_as_given():
+    nodes = halton_sample(Disk(0.0, 1.0), 100)
+    g = Grid(nodes, 0.1, Disk(0.0, 1.0))
+    assert len(g) == 100 and g.n == 1
+    assert g.nodes is nodes
+    assert np.array_equal(g.origin, reals(nodes[:1])[0])
+    blocks = list(g.blocks(30))
+    assert [len(b) for b in blocks] == [30, 30, 30, 10]
+    assert all(np.shares_memory(b, nodes) for b in blocks)
+    with pytest.raises(EmptyGridError):
+        Grid(nodes[:0], 0.1, Disk(0.0, 1.0))
+
+
+def test_an_empty_lattice_window_raises_with_any_block_size(monkeypatch):
+    empty = Intersection((Disk(0.0, 0.2), Disk(5.0, 0.2)))
+    for sites in (1, 2 ** 12, 2 ** 62):
+        monkeypatch.setattr(geometry, "_LATTICE_BLOCK_SITES", sites)
+        with pytest.raises(EmptyGridError):
+            sample_grid(empty, 0.01)
+
+
+def test_s4s_far_ring_at_h2_is_built_and_read_in_a_fraction_of_its_nodes():
+    # 763,976 nodes, 12.2 MB joined.  Joining every kept block peaked at
+    # 26.7 MB traced and held the 11.7 MB array; the grid now holds one bit
+    # per candidate, and a pass holds one enumerated block at a time
+    f = ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(0.0, 2.2))
+    h = 2.5e-3
+    tracemalloc.start()
+    try:
+        g = _zone_grid("S4", "far_ring", True)
+        held, build = tracemalloc.get_traced_memory()
+        peaks = []
+        for check in (min_levi_eigenvalue, laplacian_sup):
+            tracemalloc.reset_peak()
+            check(f, g, h)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert len(g) == 763_976
+    assert build < 14e6
+    assert held < 1e6
+    assert max(peaks) < 12e6
 
 
 def test_field_eval_outside_domain_raises():

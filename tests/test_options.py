@@ -18,7 +18,7 @@ _PINNED = {
     "covers.SymmetricSum.__init__(name)",
     "errors.ParameterError.__init__(detail)",
     "geometry.LevelRegion.grad_scale",
-    "geometry.Grid.origin",
+    "geometry.Grid.__init__(origin)",
     "geometry.ScalarField.name",
     "geometry.ScalarField.meta",
     "geometry.ScalarField.eval_many(check)",
@@ -39,8 +39,12 @@ _PINNED = {
     "scenarios.run_scenario(timings)",
     # the closed forms' ufunc-style output buffer (covers.ColumnField),
     # which mollify's product path passes; not a setting
+    "scenarios._abs_sq(out)",
     "scenarios._abs_sq_sp(out)",
     "scenarios._log1p_abs_sq_sp(out)",
+    "scenarios._build_s4.phi_near(out)",
+    "covers._column_fiber_sum.identity_form(out)",
+    "covers._column_fiber_sum.square_root_form(out)",
     "smoothing.local_smooth(gate_region)",
     "smoothing.GlueStep.gate_region",
     "smoothing.smooth_pushforward(X1)",

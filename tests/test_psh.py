@@ -7,12 +7,13 @@ discretizations against silent drift.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coversmooth import psh
+from coversmooth import geometry, psh
 from coversmooth.covers import ColumnField, pushforward
 from coversmooth.errors import DomainError, ParameterError, UnsupportedDimensionError
 from coversmooth.geometry import (
@@ -50,7 +51,8 @@ from coversmooth.psh import (
     reg_max_many,
     regmax_kernel,
 )
-from coversmooth.scenarios import build_scenario
+from coversmooth.scenarios import C2Zone, Lattice, LeviZone, build_scenario
+from coversmooth.smoothing import smooth_pushforward
 
 # int_{-1}^{1} exp(-1/(1-t^2)) dt, Gauss-Legendre order 200
 BUMP_INTEGRAL_FROZEN = 0.443993816169
@@ -845,3 +847,133 @@ def test_an_empty_block_passes_through_the_lattice_operators(n):
     assert fl.eval_many(Z).shape == (0,)
     assert levi_form_many(fl, Z, h).shape == (0, n, n)
     assert discrete_laplacian_many(fl, Z, h).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# streamed lattices: the grid's blocks against one pass over its joined nodes
+
+def _joined_min_levi(f, g, h):
+    """min_levi_eigenvalue over g.nodes joined into one array and sliced
+    into Levi blocks: (value, argmin location)."""
+    fl = lattice_field(f, g, h)
+    nodes = g.nodes
+    step = _EVAL_CHUNK // 32 + 1
+    mins, where = [], []
+    for lo in range(0, len(nodes), step):
+        eigs = hermitian_min_eigenvalues(levi_form_many(fl, nodes[lo:lo + step], h))
+        i = int(np.argmin(eigs))
+        mins.append(eigs[i])
+        where.append(lo + i)
+    k = int(np.argmin(mins))
+    return float(mins[k]), tuple(complex(c) for c in nodes[where[k]])
+
+
+def _joined_laplacian_sup(f, g, h):
+    fl = lattice_field(f, g, h)
+    nodes = g.nodes
+    step = _EVAL_CHUNK // 8 + 1
+    return float(np.max([np.max(np.abs(discrete_laplacian_many(fl, nodes[lo:lo + step], h)))
+                         for lo in range(0, len(nodes), step)]))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _levi_equals_joined(monkeypatch, f, g, h):
+    """The streamed Levi minimum has the joined pass's bits and location,
+    from levi_form_many calls on the joined pass's blocks."""
+    sizes = []
+    levi = psh.levi_form_many
+    with monkeypatch.context() as m:
+        m.setattr(psh, "levi_form_many",
+                  lambda fl, Z, hh: sizes.append(len(Z)) or levi(fl, Z, hh))
+        rep = min_levi_eigenvalue(f, g, h)
+    step = _EVAL_CHUNK // 32 + 1
+    assert sizes == [min(step, len(g) - lo) for lo in range(0, len(g), step)]
+    value, where = _joined_min_levi(f, g, h)
+    assert _bits(rep.min_eigenvalue) == _bits(value)
+    assert rep.argmin_location == where
+
+
+def _laplacian_equals_joined(f, g, h):
+    assert _bits(laplacian_sup(f, g, h)) == _bits(_joined_laplacian_sup(f, g, h))
+
+
+@pytest.mark.parametrize("sid", ["S1", "S2", "S3", "S4"])
+def test_every_streamed_zone_check_equals_a_pass_over_the_joined_nodes(monkeypatch, sid):
+    s = build_scenario(sid)
+    res = smooth_pushforward(s.cover, s.upstairs, s.downstairs_overlaps,
+                             s.steps, s.params)
+    zones = 0
+    for spec in s.battery:
+        if isinstance(spec, LeviZone):
+            f = res.cocycle.chart(spec.chart).potential
+            for h in (spec.h, spec.h / 2.0):
+                _levi_equals_joined(monkeypatch, f, spec.lattice.grid(h), h)
+        elif isinstance(spec, C2Zone):
+            for f in (res.raw.chart(spec.chart).potential,
+                      res.cocycle.chart(spec.chart).potential):
+                for h in (spec.h, spec.h / 2.0):
+                    _laplacian_equals_joined(f, spec.lattice.grid(h), h)
+        else:
+            continue
+        zones += 1
+    assert zones == {"S1": 3, "S2": 5, "S3": 5, "S4": 3}[sid]
+
+
+def _regmax_field():
+    """test_acceptance's kinked field: the regularized max of two shifted
+    quadratics on the disk of radius 0.8."""
+    dom = Disk(0.0, 0.8)
+    u = ScalarField(lambda Z: np.abs(Z[:, 0] - 0.2) ** 2, dom)
+    v = ScalarField(lambda Z: np.abs(Z[:, 0] + 0.2) ** 2 + 0.05, dom)
+    return ScalarField(lambda Z: reg_max_many(u.eval_many(Z), v.eval_many(Z), 0.05), dom)
+
+
+@pytest.mark.parametrize("sites", [None, 2 ** 12, 1], ids=["default", "4096", "1"])
+def test_a_streamed_grid_read_at_half_its_spacing_equals_the_joined_pass(
+        monkeypatch, sites):
+    # spacing 5e-3 and step 2.5e-3, as in test_acceptance; small candidate
+    # blocks carry Levi blocks across many enumerated blocks
+    if sites is not None:
+        monkeypatch.setattr(geometry, "_LATTICE_BLOCK_SITES", sites)
+    f = _regmax_field()
+    g = sample_grid(Disk(0.0, 0.5), 5e-3)
+    assert len(g) > 4 * (_EVAL_CHUNK // 32 + 1)
+    _levi_equals_joined(monkeypatch, f, g, 2.5e-3)
+    _laplacian_equals_joined(f, g, 2.5e-3)
+
+
+@pytest.mark.parametrize("sites", [None, 2 ** 12], ids=["default", "4096"])
+def test_a_nan_in_a_later_block_than_the_minimum_fails_the_zone_checks(
+        monkeypatch, sites):
+    if sites is not None:
+        monkeypatch.setattr(geometry, "_LATTICE_BLOCK_SITES", sites)
+    z0 = 0.85  # a node of both lattices, near the end of their ij order
+
+    def clean(Z):
+        # Levi value 1 + 0.75 Re z: smallest at the first nodes
+        return np.abs(Z[:, 0]) ** 2 + 0.5 * Z[:, 0].real ** 3
+
+    def ev(Z):
+        v = clean(Z)
+        v[np.abs(Z[:, 0] - z0) < 1e-9] = np.nan
+        return v
+
+    f = ScalarField(ev, Disk(0.0, 1.0))
+    lattice, h = Lattice(Disk(0.0, 0.9)), 0.01
+    step = _EVAL_CHUNK // 32 + 1
+    for hh in (h, h / 2.0):
+        g = lattice.grid(hh)
+        low = min_levi_eigenvalue(ScalarField(clean, f.valid_on), g, hh).argmin_location
+        nodes = g.nodes
+        first_nan = np.flatnonzero(np.abs(nodes[:, 0] - z0) < 1e-9)[0]
+        assert first_nan // step > np.flatnonzero(nodes[:, 0] == low[0])[0] // step
+        assert np.isnan(laplacian_sup(f, g, hh))
+    charts = SimpleNamespace(chart=lambda name: SimpleNamespace(potential=f))
+    res = SimpleNamespace(raw=charts, cocycle=charts)
+    checks = [c for spec in (LeviZone("z", "w", lattice, h), C2Zone("w", lattice, h))
+              for _, c in spec.run(None, res, None)]
+    assert len(checks) == 4
+    assert all(np.isnan(c["value"]) and c["pass"] is False for c in checks)
