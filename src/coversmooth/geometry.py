@@ -648,6 +648,14 @@ class ScalarField:
             raise ValueError("field evaluator returned a wrong shape")
         return out
 
+    def eval_stencil(self, Z, offsets: np.ndarray) -> np.ndarray:
+        """Values at Z[i] + offsets[a], shape (m, k): the m * k rows of
+        stencil_rows in one checked eval_many call.  A lattice field
+        (lattice_field) reads the same values without building the rows."""
+        Z = as_points(Z, self.n)
+        V = self.eval_many(stencil_rows(Z, offsets))
+        return V.reshape(Z.shape[0], offsets.shape[0])
+
 
 # ---------------------------------------------------------------------------
 # discrete operators
@@ -659,19 +667,12 @@ def _column_bounds(K: np.ndarray):
     return np.array([c.min() for c in K.T]), np.array([c.max() for c in K.T])
 
 
-def _lattice_sites(X: np.ndarray, origin: np.ndarray, h: float, spacing: float):
-    """Distinct lattice sites origin + h*index of the real rows X, in
-    ascending raveled index, and the index of each row's site.
-
-    Where the rows' index box holds at most _MARKER_SITES_PER_ROW sites per
-    row, the raveled indices are marked in an intp array over the box; the
-    marked positions are the distinct indices, and the marker's running
-    count numbers them, with no sort.  A sparser box goes through
-    np.unique, which is then cheaper.  Both give np.unique's sites and
-    order.  The indices are worked on as a C-ordered (2n, rows) block, so
-    every per-coordinate step (bounds, ravel) runs along a contiguous row.
-    A function of its own so that its temporaries are freed before the
-    field is evaluated."""
+def _lattice_index(X: np.ndarray, origin: np.ndarray, h: float,
+                   spacing: float) -> np.ndarray:
+    """The lattice index (X - origin) / h of the real rows X, as a C-ordered
+    (2n, rows) int64 block, so that every per-coordinate step after it
+    (bounds, ravel) runs along a contiguous row.  A row more than 1e-9
+    steps off the lattice raises ParameterError."""
     q = np.subtract(X.T, origin[:, None], order="C")
     q /= h
     K = np.rint(q)
@@ -683,14 +684,33 @@ def _lattice_sites(X: np.ndarray, origin: np.ndarray, h: float, spacing: float):
             f"step h = {h!r}, grid spacing {spacing!r}: a row lies {off:.3g} "
             f"steps off; h must divide the spacing")
     del q
-    K = K.astype(np.int64)
+    return K.astype(np.int64)
+
+
+def _distinct_sites(K: np.ndarray, steps: np.ndarray, origin: np.ndarray,
+                    h: float):
+    """Distinct lattice sites origin + h*index among the indices
+    K[:, i] + steps[:, a] of the (2n, m) nodes K and (2n, k) steps, in
+    ascending raveled index, and the index of each one's site, node-major
+    (i, then a).  K is shifted in place.
+
+    The index box is the nodes' box widened by the steps' box, the box of
+    the m * k indices themselves.  Raveling is linear, so an index's key
+    is its node's key plus its step's: the m node keys and k step keys are
+    raveled once each and added, and no (m * k, 2n) index block is built.
+    Where the box holds at most _MARKER_SITES_PER_ROW sites per index, the
+    keys are marked in an intp array over the box; the marked positions
+    are the distinct keys, and the marker's running count numbers them,
+    with no sort.  A sparser box goes through np.unique, which is then
+    cheaper.  Both give np.unique's sites and order."""
     if not K.shape[1]:
-        return X, np.zeros(0, dtype=np.intp)
-    lo = K.min(axis=1)
-    K -= lo[:, None]
-    dims = tuple(int(d) + 1 for d in K.max(axis=1))
-    key = np.ravel_multi_index(K, dims)
-    del K
+        return np.empty((0, K.shape[0])), np.zeros(0, dtype=np.intp)
+    klo, slo = K.min(axis=1), steps.min(axis=1)
+    lo = klo + slo
+    dims = tuple(int(d) + 1 for d in K.max(axis=1) + steps.max(axis=1) - lo)
+    K -= klo[:, None]
+    key = np.add.outer(np.ravel_multi_index(K, dims),
+                       np.ravel_multi_index(steps - slo[:, None], dims)).ravel()
     box = math.prod(dims)
     if box > _MARKER_SITES_PER_ROW * key.size:
         distinct, inverse = np.unique(key, return_inverse=True)
@@ -707,18 +727,31 @@ def _lattice_sites(X: np.ndarray, origin: np.ndarray, h: float, spacing: float):
     return sites, inverse
 
 
+def _lattice_sites(X: np.ndarray, origin: np.ndarray, h: float, spacing: float):
+    """Distinct lattice sites origin + h*index of the real rows X, in
+    ascending raveled index, and the index of each row's site: each row
+    snapped on its own (_lattice_index), then merged as a node with the
+    one zero step (_distinct_sites).  A function of its own so that its
+    temporaries are freed before the field is evaluated."""
+    return _distinct_sites(_lattice_index(X, origin, h, spacing),
+                           np.zeros((X.shape[1], 1), dtype=np.int64), origin, h)
+
+
 def lattice_field(f: ScalarField, grid: Grid, h: float) -> ScalarField:
     """f read through the lattice origin + h*(integers) of grid.
 
-    This is where stencil sites merge: each row is snapped to its integer
-    index and each distinct index is evaluated once per call, at
+    This is where stencil sites merge.  eval_stencil, which
+    levi_form_many and discrete_laplacian_many call, snaps each node to
+    its integer index once and each stencil offset to an integer step,
+    and evaluates each distinct node + step once per call, at
     origin + h*index, so the stencils of neighbouring nodes share their
-    values (levi_form_many and discrete_laplacian_many evaluate their rows
-    as given).  h must divide the grid spacing; a node keeps its own bits
-    when the spacing is h times a power of two.  A row more than 1e-9 steps
-    off the lattice raises ParameterError; no point is moved further than
-    that.  Domain membership is checked on the snapped sites, not on the
-    rows as given.
+    values and no (nodes * offsets, n) row block is built.  eval_many
+    snaps each row as given (mass_integral's edge rows), and merges them
+    the same way.  h must divide the grid spacing; a node keeps its own
+    bits when the spacing is h times a power of two.  A node, offset or
+    row more than 1e-9 steps off the lattice raises ParameterError; no
+    point is moved further than that.  Domain membership is checked on
+    the snapped sites, not on the rows as given.
     """
     return _LatticeField(f, grid.origin, h, grid.h)
 
@@ -739,6 +772,16 @@ class _LatticeField(ScalarField):
 
     def eval_many(self, Z, check: bool = True) -> np.ndarray:
         return self._read(as_points(Z, self.n), check)
+
+    def eval_stencil(self, Z, offsets: np.ndarray) -> np.ndarray:
+        Z = as_points(Z, self.n)
+        steps = _lattice_index(reals(offsets), np.zeros(2 * self.n), self._h,
+                               self._spacing)
+        sites, inverse = _distinct_sites(
+            _lattice_index(reals(Z), self._origin, self._h, self._spacing),
+            steps, self._origin, self._h)
+        V = self._f.eval_many(sites.view(complex))
+        return V[inverse].reshape(Z.shape[0], offsets.shape[0])
 
 
 def stencil_offsets(n: int, h: float) -> np.ndarray:
@@ -772,14 +815,18 @@ def stencil_offsets(n: int, h: float) -> np.ndarray:
     return np.stack(offs, axis=0)
 
 
+def stencil_rows(Z: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The (m * k, n) rows Z[i] + offsets[a] of an (m, n) block, node-major."""
+    return (Z[:, None, :] + offsets[None, :, :]).reshape(-1, Z.shape[1])
+
+
 def discrete_laplacian_many(f: ScalarField, Z, h: float) -> np.ndarray:
-    """Central second-difference Laplacian over all 2n real directions."""
+    """Central second-difference Laplacian over all 2n real directions,
+    from f.eval_stencil on the first 4n + 1 stencil offsets."""
     Z = as_points(Z, f.n)
-    m, n = Z.shape
-    offs = stencil_offsets(n, h)[:4 * n + 1]
-    V = f.eval_many((Z[:, None, :] + offs[None, :, :]).reshape(-1, n))
-    V = V.reshape(m, offs.shape[0])
-    acc = np.zeros(m)
+    n = Z.shape[1]
+    V = f.eval_stencil(Z, stencil_offsets(n, h)[:4 * n + 1])
+    acc = np.zeros(Z.shape[0])
     for k in range(2 * n):
         acc += V[:, 1 + 2 * k] + V[:, 2 + 2 * k] - 2.0 * V[:, 0]
     return acc / (h * h)

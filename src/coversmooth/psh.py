@@ -4,9 +4,9 @@ Finite-difference Levi forms, mollification by a compactly supported radial
 bump, and the regularized maximum.  The Levi form is the Hermitian matrix
 of mixed second derivatives d^2 u / dz_j dz_bar_k; in the package's
 normalization the n=1 Levi value is a quarter of the ordinary Laplacian.
-levi_form_many evaluates its stencil rows as given; the lattice checks read
-the field through geometry.lattice_field, which is where the stencil sites
-of neighbouring nodes merge.
+levi_form_many reads its stencil table through the field's eval_stencil;
+the lattice checks read the field through geometry.lattice_field, which is
+where the stencil sites of neighbouring nodes merge.
 """
 
 from __future__ import annotations
@@ -28,10 +28,13 @@ from .geometry import (
     halton_sample,
     lattice_field,
     stencil_offsets,
+    stencil_rows,
 )
 
-# Rows per evaluator call, keeps memory flat; it also sets mollify's
-# translate blocks.
+# Floats in one working block, which keeps memory flat: mollify's (K, points)
+# table and reg_max_many's (pairs, 16, 16) quadrature hold about this many,
+# and the lattice checks read nodes in blocks of _EVAL_CHUNK // 32 + 1 (Levi,
+# at most 25 stencil points a node) and _EVAL_CHUNK // 8 + 1 (Laplacian).
 _EVAL_CHUNK = 250_000
 
 MOLL_ORDER = {1: 8, 2: 6}  # mollifier's Gauss-Legendre order per real axis, by n
@@ -63,17 +66,18 @@ class PshReport:
 def levi_form_many(f, Z, h: float) -> np.ndarray:
     """Levi matrices at a block of points, shape (m, n, n), Hermitian.
 
-    f may be a ScalarField or any callable taking (m, n) complex rows.  The
-    m * len(stencil_offsets(n, h)) stencil rows are evaluated as given, in
-    one call; read f through lattice_field to merge the sites that
-    neighbouring nodes share.
+    f may be a ScalarField, read at the m * len(stencil_offsets(n, h))
+    stencil points in one eval_stencil call, or any callable taking the
+    (m * k, n) complex rows of stencil_rows.  Read f through lattice_field to
+    merge the sites that neighbouring nodes share.
     """
     Z = as_points(Z, getattr(f, "n", None))
     m, n = Z.shape
-    ev = f.eval_many if isinstance(f, ScalarField) else f
     offs = stencil_offsets(n, h)
-    P = (Z[:, None, :] + offs[None, :, :]).reshape(m * offs.shape[0], n)
-    V = np.asarray(ev(P), dtype=float).reshape(m, offs.shape[0])
+    if isinstance(f, ScalarField):
+        V = f.eval_stencil(Z, offs)
+    else:
+        V = np.asarray(f(stencil_rows(Z, offs)), dtype=float).reshape(m, offs.shape[0])
 
     L = np.zeros((m, n, n), dtype=complex)
     c = V[:, 0]
@@ -382,11 +386,16 @@ def regmax_kernel() -> RegMaxKernel:
 
 
 def reg_max_many(T1: np.ndarray, T2: np.ndarray, eta: float) -> np.ndarray:
-    """Vectorized regularized maximum with the exact-max shortcut.
+    """Vectorized regularized maximum of two 1-D arrays, pair by pair, with
+    the exact-max shortcut.
 
     Whenever |t1 - t2| >= 2*eta the kernel support forces the plain max and
     that is what is returned, bit for bit.  The quadrature branch is the
-    double sum over the discrete kernel of order REGMAX_ORDER.
+    double sum over the discrete kernel of order REGMAX_ORDER, taken over
+    the near pairs in chunks of _EVAL_CHUNK // REGMAX_ORDER**2, so a chunk's
+    (pairs, 16, 16) quadrature is about 2 MB, the size of a mollify table.
+    Each pair's sum is its own, so a pair gets the same bits alone, in any
+    chunk and in any block.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -394,10 +403,12 @@ def reg_max_many(T1: np.ndarray, T2: np.ndarray, eta: float) -> np.ndarray:
     T1 = np.asarray(T1, dtype=float)
     T2 = np.asarray(T2, dtype=float)
     out = np.maximum(T1, T2)
-    near = np.abs(T1 - T2) < 2.0 * eta
-    if near.any():
-        a = T1[near][:, None, None] + eta * k.nodes[None, :, None]
-        b = T2[near][:, None, None] + eta * k.nodes[None, None, :]
-        W = k.weights[:, None] * k.weights[None, :]
-        out[near] = np.einsum("mij,ij->m", np.maximum(a, b), W)
+    near = np.flatnonzero(np.abs(T1 - T2) < 2.0 * eta)
+    W = k.weights[:, None] * k.weights[None, :]
+    chunk = _EVAL_CHUNK // REGMAX_ORDER ** 2
+    for lo in range(0, near.size, chunk):
+        rows = near[lo:lo + chunk]
+        a = T1[rows][:, None, None] + eta * k.nodes[None, :, None]
+        b = T2[rows][:, None, None] + eta * k.nodes[None, None, :]
+        out[rows] = np.einsum("mij,ij->m", np.maximum(a, b), W)
     return out

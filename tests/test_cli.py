@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from coversmooth import cli
+from coversmooth import cli, smoothing
 from coversmooth.cli import execute
+from coversmooth.scenarios import build_scenario
 
 
 def _good_report():
@@ -141,6 +143,66 @@ def test_a_hostile_override_is_one_config_error_line(scenario, tail, tmp_path,
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: config:")
+
+
+# (gate, named measurement, field made NaN, sample, where): the field is NaN
+# at the sample's eighth point ("at") or only within 1.5 stencil steps of
+# it ("beside", its stencil neighbours).  The band sample feeds tau_bound
+# and m (the mollified field) and K_sigma (the shift profile); U's feeds
+# s_max.  A NaN at the band point makes tau_bound and m NaN, and the tau
+# gate comes first
+_NAN_GATES = [
+    ("tau_bound < delta", "tau_bound", "phi_eps", "band", "at"),
+    ("2*delta*K_sigma < m/2", "m", "phi_eps", "band", "beside"),
+    ("2*delta*K_sigma < m/2", "K_sigma", "sigma", "band", "at"),
+    ("2*delta >= s_max + 2*eta", "s_max", "phi_eps", "U", "at"),
+]
+
+
+@pytest.mark.parametrize("gate, measured, field, sample, where", _NAN_GATES,
+                         ids=[g[1] for g in _NAN_GATES])
+def test_a_nan_at_one_sampled_gate_point_is_one_config_error_line(
+        monkeypatch, tmp_path, capsys, gate, measured, field, sample, where):
+    h = build_scenario("S1").params.h
+    count = {"band": smoothing.BAND_SAMPLES, "U": smoothing.U_SAMPLES}[sample]
+    poisoned = []
+    draw = smoothing.halton_sample
+
+    def spy_draw(domain, k):
+        pts = draw(domain, k)
+        if k == count and not poisoned:
+            poisoned.append(pts[7])
+        return pts
+
+    def poison(ev):
+        def nan_near(Z):
+            v = np.array(ev(Z), dtype=float)
+            if poisoned:
+                d = np.linalg.norm(Z - poisoned[0], axis=1)
+                v[(d == 0.0) if where == "at" else (d > 0.0) & (d < 1.5 * h)] = np.nan
+            return v
+        return nan_near
+
+    def nan_mollify(f, eps, _real=smoothing.mollify):
+        g = _real(f, eps)
+        g.evaluator = poison(g.evaluator)
+        return g
+
+    monkeypatch.setattr(smoothing, "halton_sample", spy_draw)
+    if field == "phi_eps":
+        monkeypatch.setattr(smoothing, "mollify", nan_mollify)
+    else:
+        monkeypatch.setattr(smoothing, "make_shift_profile",
+                            lambda U, V, _real=smoothing.make_shift_profile:
+                            poison(_real(U, V)))
+    code = execute(["run", "--scenario", "S1", "--out", str(tmp_path / "r.json")])
+    assert poisoned
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: config: ParameterError: {gate}")
+    assert f"{measured} = nan" in lines[0]
+    assert lines[0].count("nan") == 1
 
 
 def test_a_vanishing_eps_fails_the_smoothed_c2_check(tmp_path, capsys):

@@ -284,19 +284,6 @@ def test_a_lattice_whose_blocks_all_miss_the_domain_raises(monkeypatch):
     assert rows == [5] * 5
 
 
-def test_a_lattice_build_holds_one_block_of_candidates():
-    # S4's far ring at h/2: 2.83 M candidates for 763,976 nodes; a pass
-    # that held every candidate at once peaked near 11 times the nodes
-    tracemalloc.start()
-    try:
-        g = sample_grid(Annulus(0.0, 1.70, 2.10), 2.5e-3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(g) == 763_976
-    assert peak < 3 * g.nodes.nbytes
-
-
 def _slices(nodes, size):
     return [nodes[lo:lo + size] for lo in range(0, len(nodes), size)]
 
@@ -345,9 +332,12 @@ def test_an_empty_lattice_window_raises_with_any_block_size(monkeypatch):
 
 
 def test_s4s_far_ring_at_h2_is_built_and_read_in_a_fraction_of_its_nodes():
-    # 763,976 nodes, 12.2 MB joined.  Joining every kept block peaked at
-    # 26.7 MB traced and held the 11.7 MB array; the grid now holds one bit
-    # per candidate, and a pass holds one enumerated block at a time
+    # the annulus 1.70 < |z| < 2.10 at 2.5e-3: 2.83 M candidates for
+    # 763,976 nodes, 12.2 MB joined.  A build that held every candidate at
+    # once peaked near 11 times the nodes, and joining every kept block
+    # peaked at 26.7 MB traced and held the 11.7 MB array; the build now
+    # filters one block of candidates at a time, the grid holds one bit per
+    # candidate, and a pass holds one enumerated block at a time
     f = ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(0.0, 2.2))
     h = 2.5e-3
     tracemalloc.start()
@@ -361,6 +351,7 @@ def test_s4s_far_ring_at_h2_is_built_and_read_in_a_fraction_of_its_nodes():
             peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
+    assert g.domain == Annulus(0.0, 1.70, 2.10) and g.h == h
     assert len(g) == 763_976
     assert build < 14e6
     assert held < 1e6
@@ -677,17 +668,22 @@ def _lattice_sites_row_major(X, origin, h, spacing):
     return origin + h * (np.stack(np.unravel_index(distinct, dims), axis=1) + lo), inverse
 
 
-def _levi_block_rows(sid, zone, half, block):
-    # one Levi block of stencil rows, as min_levi_eigenvalue reads it, with
-    # the grid it is read through
+def _levi_block(sid, zone, half, block):
+    # one Levi block of nodes, as min_levi_eigenvalue reads it, with the
+    # grid it is read through and the stencil step
     spec = next(z for z in build_scenario(sid).battery
                 if isinstance(z, LeviZone) and z.zone == zone)
     h = spec.h / 2.0 if half else spec.h
     g = spec.lattice.grid(h)
     step = _EVAL_CHUNK // 32 + 1
-    Z = g.nodes[block * step:(block + 1) * step]
-    offs = geometry.stencil_offsets(g.n, h)
-    return reals((Z[:, None, :] + offs[None, :, :]).reshape(-1, g.n)), g, h
+    return g.nodes[block * step:(block + 1) * step], g, h
+
+
+def _levi_block_rows(sid, zone, half, block):
+    # the block's stencil rows, node-major
+    Z, g, h = _levi_block(sid, zone, half, block)
+    return reals((Z[:, None, :] + geometry.stencil_offsets(g.n, h)[None, :, :])
+                 .reshape(-1, g.n)), g, h
 
 
 @pytest.mark.parametrize("sid, zone, half, block", [
@@ -708,6 +704,20 @@ def test_lattice_sites_keep_the_bits_of_axis_0_bounds(sid, zone, half, block):
         assert sites.tobytes() == want_sites.tobytes()
         assert inverse.dtype == want_inverse.dtype
         assert np.array_equal(inverse, want_inverse)
+    # the Levi read keys each node once and adds the stencil's integer
+    # steps: the field sees the rows' sites in their order, and every
+    # stencil point gets its row's value
+    seen = []
+
+    def ev(P):
+        seen.append(P.copy())
+        return np.sum(np.abs(P) ** 2, axis=1)
+
+    fl = geometry.lattice_field(ScalarField(ev, Polydisk((0j,) * g.n, (5.0,) * g.n)), g, h)
+    Z, _, _ = _levi_block(sid, zone, half, block)
+    V = fl.eval_stencil(Z, geometry.stencil_offsets(g.n, h))
+    assert reals(seen[0]).tobytes() == sites.tobytes()
+    assert V.tobytes() == fl.eval_many(X.view(complex)).reshape(V.shape).tobytes()
 
 
 def test_an_off_lattice_row_is_the_row_major_snaps_parameter_error():

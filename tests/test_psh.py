@@ -945,31 +945,44 @@ def test_a_streamed_grid_read_at_half_its_spacing_equals_the_joined_pass(
     _laplacian_equals_joined(f, g, 2.5e-3)
 
 
+def _clean_levi_field(Z):
+    # Levi value 1 + 0.75 Re z along the last coordinate, 1 along any
+    # other: smallest at the first nodes of a lattice in the last one
+    return np.sum(np.abs(Z) ** 2, axis=1) + 0.5 * Z[:, -1].real ** 3
+
+
+# (lattice, field domain) per n: the n = 2 lattice is the one-variable
+# slice through (0.3, 0) along the second coordinate
+_NAN_ZONES = {
+    1: (Lattice(Disk(0.0, 0.9)), Disk(0.0, 1.0)),
+    2: (Lattice(Polydisk((0.3, 0.0), (0.2, 0.9)), free_axis=1, basepoint=(0.3, 0.0)),
+        Polydisk((0.0, 0.0), (1.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("sites", [None, 2 ** 12], ids=["default", "4096"])
 def test_a_nan_in_a_later_block_than_the_minimum_fails_the_zone_checks(
-        monkeypatch, sites):
+        monkeypatch, sites, n):
     if sites is not None:
         monkeypatch.setattr(geometry, "_LATTICE_BLOCK_SITES", sites)
     z0 = 0.85  # a node of both lattices, near the end of their ij order
 
-    def clean(Z):
-        # Levi value 1 + 0.75 Re z: smallest at the first nodes
-        return np.abs(Z[:, 0]) ** 2 + 0.5 * Z[:, 0].real ** 3
-
     def ev(Z):
-        v = clean(Z)
-        v[np.abs(Z[:, 0] - z0) < 1e-9] = np.nan
+        v = _clean_levi_field(Z)
+        v[np.abs(Z[:, -1] - z0) < 1e-9] = np.nan
         return v
 
-    f = ScalarField(ev, Disk(0.0, 1.0))
-    lattice, h = Lattice(Disk(0.0, 0.9)), 0.01
+    lattice, dom = _NAN_ZONES[n]
+    f = ScalarField(ev, dom)
+    h = 0.01
     step = _EVAL_CHUNK // 32 + 1
     for hh in (h, h / 2.0):
         g = lattice.grid(hh)
-        low = min_levi_eigenvalue(ScalarField(clean, f.valid_on), g, hh).argmin_location
+        low = min_levi_eigenvalue(ScalarField(_clean_levi_field, dom), g, hh).argmin_location
         nodes = g.nodes
-        first_nan = np.flatnonzero(np.abs(nodes[:, 0] - z0) < 1e-9)[0]
-        assert first_nan // step > np.flatnonzero(nodes[:, 0] == low[0])[0] // step
+        first_nan = np.flatnonzero(np.abs(nodes[:, -1] - z0) < 1e-9)[0]
+        assert first_nan // step > np.flatnonzero(nodes[:, -1] == low[-1])[0] // step
         assert np.isnan(laplacian_sup(f, g, hh))
     charts = SimpleNamespace(chart=lambda name: SimpleNamespace(potential=f))
     res = SimpleNamespace(raw=charts, cocycle=charts)
@@ -977,3 +990,97 @@ def test_a_nan_in_a_later_block_than_the_minimum_fails_the_zone_checks(
               for _, c in spec.run(None, res, None)]
     assert len(checks) == 4
     assert all(np.isnan(c["value"]) and c["pass"] is False for c in checks)
+
+
+def _near_pairs(count, eta, seed):
+    """count pairs of values within 2 eta of each other: all of them take
+    reg_max_many's quadrature branch."""
+    rng = np.random.default_rng(seed)
+    T1 = rng.uniform(-1.0, 1.0, count)
+    return T1, T1 + rng.uniform(-1.9 * eta, 1.9 * eta, count)
+
+
+def _reg_max_unchunked(T1, T2, eta):
+    # reg_max_many with every near pair in one (pairs, 16, 16) quadrature
+    k = regmax_kernel()
+    out = np.maximum(T1, T2)
+    near = np.abs(T1 - T2) < 2.0 * eta
+    a = T1[near][:, None, None] + eta * k.nodes[None, :, None]
+    b = T2[near][:, None, None] + eta * k.nodes[None, None, :]
+    out[near] = np.einsum("mij,ij->m", np.maximum(a, b),
+                          k.weights[:, None] * k.weights[None, :])
+    return out
+
+
+def test_a_nan_pair_in_a_later_chunk_leaves_every_other_pair_its_unchunked_bits():
+    eta = 0.01
+    chunk = _EVAL_CHUNK // 256
+    T1, T2 = _near_pairs(3 * chunk + 17, eta, 5)
+    T1[2 * chunk + 3] = np.nan
+    T2[chunk + 11] = np.nan
+    got = reg_max_many(T1, T2, eta)
+    want = _reg_max_unchunked(T1, T2, eta)
+    bad = np.isnan(got)
+    assert np.flatnonzero(bad).tolist() == [chunk + 11, 2 * chunk + 3]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_reg_max_many_holds_one_chunk_of_its_quadrature():
+    # 40,000 near pairs: one (pairs, 16, 16) quadrature over all of them
+    # took 93 MB; a chunk of _EVAL_CHUNK // 256 pairs takes 2 MB
+    T1, T2 = _near_pairs(40_000, 0.01, 9)
+    tracemalloc.start()
+    try:
+        got = reg_max_many(T1, T2, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+    assert got.tobytes() == _reg_max_unchunked(T1, T2, 0.01).tobytes()
+
+
+def test_s3s_band_slice_zone_at_h2_reads_its_stencils_in_a_fraction_of_their_rows():
+    # S3 at h = 6e-3, band_slice_D1 at h/2 on the glued psi: 4,760 nodes,
+    # 119,000 stencil points, 25,940 distinct sites.  Snapping every row and
+    # one quadrature over every near pair peaked at 20.2 MB traced
+    s = build_scenario("S3", {"h": 6e-3})
+    res = smooth_pushforward(s.cover, s.upstairs, s.downstairs_overlaps,
+                             s.steps, s.params)
+    spec = next(z for z in s.battery
+                if isinstance(z, LeviZone) and z.zone == "band_slice_D1")
+    psi, h = res.cocycle.chart(spec.chart).potential, spec.h / 2.0
+    g = spec.lattice.grid(h)
+    warm = min_levi_eigenvalue(psi, g, h)  # grows mollify's shared workspace
+    tracemalloc.start()
+    try:
+        rep = min_levi_eigenvalue(psi, g, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g) == 4_760
+    assert rep == warm
+    assert peak < 10e6
+
+
+@pytest.mark.parametrize("sid, zone", [("S1", "band"), ("S3", "band_slice_D1")])
+def test_no_lattice_check_builds_the_stencil_row_block(monkeypatch, sid, zone):
+    # the lattice checks key each node once and add the stencil's integer
+    # steps; neither the (nodes * offsets, n) rows nor a per-row snap is made
+    spec = next(z for z in build_scenario(sid).battery
+                if isinstance(z, LeviZone) and z.zone == zone)
+    g = spec.lattice.grid(spec.h / 2.0)
+    f = ScalarField(_clean_levi_field, Polydisk((0j,) * g.n, (3.0,) * g.n))
+    want = (min_levi_eigenvalue(f, g, spec.h / 2.0),
+            laplacian_sup(f, g, spec.h / 2.0))
+
+    def refused(name):
+        def spy(*args):
+            raise AssertionError(f"{name} called by a lattice check")
+        return spy
+
+    for mod in (geometry, psh):
+        monkeypatch.setattr(mod, "stencil_rows", refused("stencil_rows"))
+    monkeypatch.setattr(geometry, "_lattice_sites", refused("_lattice_sites"))
+    got = (min_levi_eigenvalue(f, g, spec.h / 2.0),
+           laplacian_sup(f, g, spec.h / 2.0))
+    assert got == want
