@@ -214,14 +214,12 @@ def fibers_inside(cover: Cover, dom: Domain) -> bool:
 
 
 def _fiber_sum(vals: np.ndarray, deg: int) -> np.ndarray:
-    """vals.reshape(-1, deg).sum(axis=1), bit for bit.
-
-    numpy sums fewer than 8 terms as the left fold 0.0 + v_0 + v_1 + ...;
-    below 8 this folds column by column instead, which skips numpy's slow
-    reduction along the narrow axis.  The 0.0 turns a -0.0 into 0.0."""
+    """The left fold 0.0 + v_0 + v_1 + ... of each row of
+    vals.reshape(-1, deg), column by column, which skips numpy's slow
+    reduction along the narrow axis.  Below 8 terms numpy sums a row as the
+    same fold, so this is vals.reshape(-1, deg).sum(axis=1) bit for bit on
+    every shipped cover (degree 1 or 2).  The 0.0 turns a -0.0 into 0.0."""
     V = vals.reshape(-1, deg)
-    if deg >= 8:
-        return V.sum(axis=1)
     out = V[:, 0] + 0.0
     for k in range(1, deg):
         out += V[:, k]

@@ -313,10 +313,6 @@ class ShrunkDomain(Domain):
     def boundary_distance_many(self, Z):
         return self.base.boundary_distance_many(Z) - self.margin
 
-    @property
-    def center(self):
-        return self.base.center
-
     def bbox(self):
         lo, hi = self.base.bbox()
         return lo + self.margin, hi - self.margin
@@ -660,13 +656,6 @@ class ScalarField:
 # ---------------------------------------------------------------------------
 # discrete operators
 
-def _column_bounds(K: np.ndarray):
-    """(min, max) of each column of a non-empty (rows, k) block, reduced one
-    column at a time: numpy reduces a narrow block along its long axis
-    (K.min(axis=0)) about 19 times slower than each column on its own."""
-    return np.array([c.min() for c in K.T]), np.array([c.max() for c in K.T])
-
-
 def _lattice_index(X: np.ndarray, origin: np.ndarray, h: float,
                    spacing: float) -> np.ndarray:
     """The lattice index (X - origin) / h of the real rows X, as a C-ordered
@@ -727,16 +716,6 @@ def _distinct_sites(K: np.ndarray, steps: np.ndarray, origin: np.ndarray,
     return sites, inverse
 
 
-def _lattice_sites(X: np.ndarray, origin: np.ndarray, h: float, spacing: float):
-    """Distinct lattice sites origin + h*index of the real rows X, in
-    ascending raveled index, and the index of each row's site: each row
-    snapped on its own (_lattice_index), then merged as a node with the
-    one zero step (_distinct_sites).  A function of its own so that its
-    temporaries are freed before the field is evaluated."""
-    return _distinct_sites(_lattice_index(X, origin, h, spacing),
-                           np.zeros((X.shape[1], 1), dtype=np.int64), origin, h)
-
-
 def lattice_field(f: ScalarField, grid: Grid, h: float) -> ScalarField:
     """f read through the lattice origin + h*(integers) of grid.
 
@@ -745,13 +724,12 @@ def lattice_field(f: ScalarField, grid: Grid, h: float) -> ScalarField:
     its integer index once and each stencil offset to an integer step,
     and evaluates each distinct node + step once per call, at
     origin + h*index, so the stencils of neighbouring nodes share their
-    values and no (nodes * offsets, n) row block is built.  eval_many
-    snaps each row as given (mass_integral's edge rows), and merges them
-    the same way.  h must divide the grid spacing; a node keeps its own
-    bits when the spacing is h times a power of two.  A node, offset or
-    row more than 1e-9 steps off the lattice raises ParameterError; no
-    point is moved further than that.  Domain membership is checked on
-    the snapped sites, not on the rows as given.
+    values and no (nodes * offsets, n) row block is built.  The field's
+    evaluator is its zero-offset stencil.  h must divide the grid
+    spacing; a node keeps its own bits when the spacing is h times a
+    power of two.  A node or offset more than 1e-9 steps off the lattice
+    raises ParameterError; no point is moved further than that.  Domain
+    membership is checked on the snapped sites.
     """
     return _LatticeField(f, grid.origin, h, grid.h)
 
@@ -762,16 +740,10 @@ class _LatticeField(ScalarField):
 
     def __init__(self, f: ScalarField, origin: np.ndarray, h: float,
                  spacing: float):
-        super().__init__(self._read, f.valid_on, name=f.name)
+        zero = np.zeros((1, f.n), dtype=complex)
+        super().__init__(lambda Z: self.eval_stencil(Z, zero)[:, 0],
+                         f.valid_on, name=f.name)
         self._f, self._origin, self._h, self._spacing = f, origin, h, spacing
-
-    def _read(self, Z: np.ndarray, check: bool = False) -> np.ndarray:
-        sites, inverse = _lattice_sites(reals(Z), self._origin, self._h,
-                                        self._spacing)
-        return self._f.eval_many(sites.view(complex), check=check)[inverse]
-
-    def eval_many(self, Z, check: bool = True) -> np.ndarray:
-        return self._read(as_points(Z, self.n), check)
 
     def eval_stencil(self, Z, offsets: np.ndarray) -> np.ndarray:
         Z = as_points(Z, self.n)
@@ -841,28 +813,29 @@ def mass_integral(f: ScalarField, disk: Domain, h: float) -> float:
     axis direction e: sum_x [f(x+e) - f(x)] keeps only the edges that
     leave G.  So the mass is the sum, over the four directions e of
     stencil_offsets and the nodes x with x+e off G, of f(x+e) - f(x).  It
-    reads only those edge nodes and their outer neighbours, through
-    lattice_field, a subset of the area sum's stencil sites; isolated
-    interior kinks of the potential do not enter it.
+    reads only those edge nodes and their outer neighbours, a subset of
+    the area sum's stencil sites, each distinct one once, at the lattice
+    site of its integer index; isolated interior kinks of the potential do
+    not enter it.
     """
     if disk.n != 1:
         raise UnsupportedDimensionError("mass_integral is restricted to one variable")
     grid = sample_grid(disk, h)
-    nodes = grid.nodes
-    offs = stencil_offsets(1, h)[1:5]
-    # integer node indices, framed by one free index on every side
-    K = np.rint((reals(nodes) - grid.origin) / h).astype(np.int64)
-    lo, hi = _column_bounds(K)
-    K -= lo - 1
-    on_grid = np.zeros(hi - lo + 3, dtype=bool)
-    on_grid[tuple(K.T)] = True
+    K = _lattice_index(reals(grid.nodes), grid.origin, h, h)
+    steps = _lattice_index(reals(stencil_offsets(1, h)[1:5]), np.zeros(2), h, h)
+    # the node indices, framed by one free index on every side
+    lo = K.min(axis=1, keepdims=True) - 1
+    on_grid = np.zeros(K.max(axis=1) - lo[:, 0] + 2, dtype=bool)
+    on_grid[tuple(K - lo)] = True
     inner, outer = [], []
-    for e, step in zip(offs, np.rint(reals(offs) / h).astype(np.int64)):
-        leaves = nodes[~on_grid[tuple((K + step).T)]]
+    for step in steps.T[:, :, None]:
+        leaves = K[:, ~on_grid[tuple(K - lo + step)]]
         inner.append(leaves)
-        outer.append(leaves + e)
-    m = sum(map(len, outer))
-    V = lattice_field(f, grid, h).eval_many(np.concatenate(outer + inner))
+        outer.append(leaves + step)
+    m = sum(e.shape[1] for e in outer)
+    sites, inverse = _distinct_sites(np.concatenate(outer + inner, axis=1),
+                                     np.zeros((2, 1), dtype=np.int64), grid.origin, h)
+    V = f.eval_many(sites.view(complex))[inverse]
     return float(np.sum(V[:m] - V[m:]))
 
 

@@ -5,8 +5,10 @@ bump, and the regularized maximum.  The Levi form is the Hermitian matrix
 of mixed second derivatives d^2 u / dz_j dz_bar_k; in the package's
 normalization the n=1 Levi value is a quarter of the ordinary Laplacian.
 levi_form_many reads its stencil table through the field's eval_stencil;
-the lattice checks read the field through geometry.lattice_field, which is
-where the stencil sites of neighbouring nodes merge.
+the lattice checks read the field through geometry.lattice_field, which
+snaps each node to its integer index once and merges the stencil sites of
+neighbouring nodes by integer key, as every lattice read of the package
+does (geometry._lattice_index, then geometry._distinct_sites).
 """
 
 from __future__ import annotations

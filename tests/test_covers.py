@@ -361,7 +361,7 @@ def test_pushforward_checks_the_fiber_rows_only_where_unproved(cover, radius, pr
     assert np.array_equal(vals, plain)
 
 
-@pytest.mark.parametrize("deg", [1, 2, 3, 8])
+@pytest.mark.parametrize("deg", [1, 2, 3])
 def test_the_fiber_sum_keeps_the_bits_of_numpys_row_sum(deg):
     # every ordering of signed zeros, infinities and NaNs (the sign of a
     # NaN and the zero of an all-zero row show the order), and random rows

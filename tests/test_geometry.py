@@ -46,6 +46,7 @@ from coversmooth.psh import (
     translates_stay_inside,
 )
 from coversmooth.scenarios import DiskMass, LeviZone, build_scenario
+from coversmooth.smoothing import smooth_pushforward
 
 
 def test_halton_sample_is_deterministic_and_lands_inside():
@@ -626,8 +627,15 @@ def test_the_polydisk_distance_is_the_min_of_its_margins_bit_for_bit(n):
     assert p.boundary_distance_many(rows).tobytes() == want.tobytes()
 
 
+def _snap(X, origin, h, spacing):
+    # the package's one row snap: each row's lattice index (_lattice_index),
+    # merged as a node with the one zero step (_distinct_sites)
+    return geometry._distinct_sites(geometry._lattice_index(X, origin, h, spacing),
+                                    np.zeros((X.shape[1], 1), dtype=np.int64), origin, h)
+
+
 def _lattice_sites_axis0(X, origin, h):
-    # _lattice_sites with the index bounds reduced along axis 0
+    # the row snap with the index bounds reduced along axis 0
     K = np.rint((X - origin) / h).astype(np.int64)
     lo = K.min(axis=0)
     K -= lo
@@ -637,8 +645,8 @@ def _lattice_sites_axis0(X, origin, h):
 
 
 def _lattice_sites_row_major(X, origin, h, spacing):
-    # _lattice_sites on the (rows, 2n) block as given, before the indices
-    # were worked on as a (2n, rows) block
+    # the row snap on the (rows, 2n) block as given, before the indices
+    # were worked on as a (2n, rows) block, with per-column bounds
     q = X - origin
     q /= h
     K = np.rint(q)
@@ -652,7 +660,8 @@ def _lattice_sites_row_major(X, origin, h, spacing):
     K = K.astype(np.int64)
     if not K.shape[0]:
         return X, np.zeros(0, dtype=np.intp)
-    lo, hi = geometry._column_bounds(K)
+    lo = np.array([c.min() for c in K.T])
+    hi = np.array([c.max() for c in K.T])
     dims = tuple(int(d) for d in hi - lo + 1)
     key = np.ravel_multi_index(tuple(c - l for c, l in zip(K.T, lo)), dims)
     box = math.prod(dims)
@@ -697,7 +706,7 @@ def _levi_block_rows(sid, zone, half, block):
 ])
 def test_lattice_sites_keep_the_bits_of_axis_0_bounds(sid, zone, half, block):
     X, g, h = _levi_block_rows(sid, zone, half, block)
-    sites, inverse = geometry._lattice_sites(X, g.origin, h, g.h)
+    sites, inverse = _snap(X, g.origin, h, g.h)
     assert sites.flags.c_contiguous
     for want_sites, want_inverse in (_lattice_sites_axis0(X, g.origin, h),
                                      _lattice_sites_row_major(X, g.origin, h, g.h)):
@@ -725,7 +734,7 @@ def test_an_off_lattice_row_is_the_row_major_snaps_parameter_error():
     X = X.copy()
     X[7, 1] += 0.3 * h
     errors = []
-    for snap in (geometry._lattice_sites, _lattice_sites_row_major):
+    for snap in (_snap, _lattice_sites_row_major):
         with pytest.raises(ParameterError) as err:
             snap(X, g.origin, h, g.h)
         errors.append((err.value.condition, err.value.detail))
@@ -760,11 +769,11 @@ def test_halton_sample_of_a_negative_count_is_a_value_error():
 
 
 def test_lattice_sites_of_no_rows_are_empty():
-    sites, inverse = geometry._lattice_sites(np.zeros((0, 2)), np.zeros(2), 0.01, 0.01)
+    sites, inverse = _snap(np.zeros((0, 2)), np.zeros(2), 0.01, 0.01)
     assert sites.shape == (0, 2)
     assert inverse.shape == (0,) and inverse.dtype == np.intp
     X, origin = np.zeros((0, 4)), np.full(4, 0.25)
-    sites, inverse = geometry._lattice_sites(X, origin, 0.01, 0.02)
+    sites, inverse = _snap(X, origin, 0.01, 0.02)
     want_sites, want_inverse = _lattice_sites_row_major(X, origin, 0.01, 0.02)
     assert sites.shape == want_sites.shape == (0, 4)
     assert inverse.dtype == want_inverse.dtype and inverse.shape == (0,)
@@ -773,17 +782,17 @@ def test_lattice_sites_of_no_rows_are_empty():
 def test_lattice_sites_of_one_row_keep_the_bits_of_axis_0_bounds():
     origin = np.array([0.003, -0.25, 1.0, 0.0])
     X = origin + 0.01 * np.array([[-7.0, 12.0, 0.0, 3.0]])
-    sites, inverse = geometry._lattice_sites(X, origin, 0.01, 0.01)
+    sites, inverse = _snap(X, origin, 0.01, 0.01)
     want_sites, want_inverse = _lattice_sites_axis0(X, origin, 0.01)
     assert sites.tobytes() == want_sites.tobytes()
     assert np.array_equal(inverse, want_inverse) and inverse.tolist() == [0]
 
 
-def _traced_lattice_sites(X, origin, h):
-    # _lattice_sites and the peak of what it allocates
+def _traced_snap(X, origin, h):
+    # the row snap and the peak of what it allocates
     tracemalloc.start()
     try:
-        got = geometry._lattice_sites(X, origin, h, h)
+        got = _snap(X, origin, h, h)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -796,30 +805,69 @@ def _box_sites(X, origin, h):
 
 
 def test_lattice_sites_of_a_sparse_box_keep_the_bits_and_a_working_set_of_the_rows(monkeypatch):
-    # mass_integral reads only the edge nodes of S1's mass disk and their
-    # outer neighbours: 3,992 rows spread over the disk's whole box of
-    # 251,001 sites, where a marker would take 31 times the rows' bytes
+    # mass_integral merges only the indices of the edge nodes of S1's mass
+    # disk and their outer neighbours, with the zero step: 3,992 indices
+    # spread over the disk's whole box of 251,001 sites, where a marker
+    # would take 31 times the rows' bytes
     spec = next(z for z in build_scenario("S1").battery if isinstance(z, DiskMass))
     c, R = spec.disk.center_values[0], spec.disk.radii[0]
     f = ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(c, R + 0.1))
     seen = []
-    sites_of = geometry._lattice_sites
+    distinct = geometry._distinct_sites
 
-    def spy(X, origin, h, spacing):
-        seen.append((X, origin, h))
-        return sites_of(X, origin, h, spacing)
+    def spy(K, steps, origin, h):
+        seen.append((K.copy(), steps, origin, h))
+        return distinct(K, steps, origin, h)
 
-    monkeypatch.setattr(geometry, "_lattice_sites", spy)
+    monkeypatch.setattr(geometry, "_distinct_sites", spy)
     mass_integral(f, spec.disk, spec.spacing)
     monkeypatch.undo()
-    (X, origin, h), = seen
-    assert _box_sites(X, origin, h) > 20 * len(X)
-    (sites, inverse), peak = _traced_lattice_sites(X, origin, h)
+    (K, steps, origin, h), = seen
+    assert np.array_equal(steps, np.zeros((2, 1)))
+    X = origin + h * K.T
+    assert len(X) == 3_992 and _box_sites(X, origin, h) > 20 * len(X)
+    (sites, inverse), peak = _traced_snap(X, origin, h)
     for want_sites, want_inverse in (_lattice_sites_axis0(X, origin, h),
                                      _lattice_sites_row_major(X, origin, h, h)):
         assert sites.tobytes() == want_sites.tobytes()
         assert np.array_equal(inverse, want_inverse)
     assert peak < 8 * X.nbytes
+
+
+def _row_snapped_flux(f, disk, h):
+    # the reference flux: the complex edge rows x + e and x, snapped as
+    # given (the row-major snap), each distinct site evaluated once, outer
+    # minus inner summed in direction order
+    grid = sample_grid(disk, h)
+    nodes = grid.nodes
+    K = np.rint((reals(nodes) - grid.origin) / h).astype(np.int64)
+    lo, hi = K.min(axis=0), K.max(axis=0)
+    K -= lo - 1
+    on_grid = np.zeros(hi - lo + 3, dtype=bool)
+    on_grid[tuple(K.T)] = True
+    inner, outer = [], []
+    offs = geometry.stencil_offsets(1, h)[1:5]
+    for e, step in zip(offs, np.rint(reals(offs) / h).astype(np.int64)):
+        leaves = nodes[~on_grid[tuple((K + step).T)]]
+        inner.append(leaves)
+        outer.append(leaves + e)
+    m = sum(map(len, outer))
+    sites, inverse = _lattice_sites_row_major(reals(np.concatenate(outer + inner)),
+                                              grid.origin, h, h)
+    V = f.eval_many(sites.view(complex))[inverse]
+    return float(np.sum(V[:m] - V[m:]))
+
+
+@pytest.mark.parametrize("sid", ["S1", "S2", "S4"])
+def test_the_mass_flux_keeps_the_bits_of_the_row_snapped_flux(sid):
+    s = build_scenario(sid)
+    res = smooth_pushforward(s.cover, s.upstairs, s.downstairs_overlaps,
+                             s.steps, s.params)
+    spec = next(z for z in s.battery if isinstance(z, DiskMass))
+    for f in spec.fields(res):  # raw, then smoothed
+        got = mass_integral(f, spec.disk, spec.spacing)
+        want = _row_snapped_flux(f, spec.disk, spec.spacing)
+        assert got.hex() == want.hex(), (sid, f.name)
 
 
 def test_a_levi_block_merges_through_a_marker_of_a_few_sites_per_row():
@@ -834,7 +882,7 @@ def test_a_levi_block_merges_through_a_marker_of_a_few_sites_per_row():
     offs = geometry.stencil_offsets(g.n, h)
     X = reals((Z[:, None, :] + offs[None, :, :]).reshape(-1, g.n))
     assert _box_sites(X, g.origin, h) <= geometry._MARKER_SITES_PER_ROW * len(X)
-    _, peak = _traced_lattice_sites(X, g.origin, h)
+    _, peak = _traced_snap(X, g.origin, h)
     assert peak < 8 * X.nbytes
 
 
@@ -843,7 +891,7 @@ def test_lattice_rows_far_apart_merge_without_a_box_sized_marker():
     # box would take 18.6 GiB
     origin = np.zeros(2)
     X = np.array([[0.0, 0.0], [500.0, 500.0], [0.0, 0.0]])
-    (sites, inverse), peak = _traced_lattice_sites(X, origin, 0.01)
+    (sites, inverse), peak = _traced_snap(X, origin, 0.01)
     want_sites, want_inverse = _lattice_sites_axis0(X, origin, 0.01)
     assert sites.tobytes() == want_sites.tobytes()
     assert np.array_equal(inverse, want_inverse) and inverse.tolist() == [0, 1, 0]

@@ -22,8 +22,6 @@ _PINNED = {
     "geometry.ScalarField.name",
     "geometry.ScalarField.meta",
     "geometry.ScalarField.eval_many(check)",
-    "geometry._LatticeField._read(check)",
-    "geometry._LatticeField.eval_many(check)",
     "scenarios.Scenario.X1",
     "scenarios.Scenario.X2",
     "scenarios.build_scenario(overrides)",

@@ -1065,7 +1065,7 @@ def test_s3s_band_slice_zone_at_h2_reads_its_stencils_in_a_fraction_of_their_row
 @pytest.mark.parametrize("sid, zone", [("S1", "band"), ("S3", "band_slice_D1")])
 def test_no_lattice_check_builds_the_stencil_row_block(monkeypatch, sid, zone):
     # the lattice checks key each node once and add the stencil's integer
-    # steps; neither the (nodes * offsets, n) rows nor a per-row snap is made
+    # steps; the (nodes * offsets, n) rows are never made
     spec = next(z for z in build_scenario(sid).battery
                 if isinstance(z, LeviZone) and z.zone == zone)
     g = spec.lattice.grid(spec.h / 2.0)
@@ -1080,7 +1080,6 @@ def test_no_lattice_check_builds_the_stencil_row_block(monkeypatch, sid, zone):
 
     for mod in (geometry, psh):
         monkeypatch.setattr(mod, "stencil_rows", refused("stencil_rows"))
-    monkeypatch.setattr(geometry, "_lattice_sites", refused("_lattice_sites"))
     got = (min_levi_eigenvalue(f, g, spec.h / 2.0),
            laplacian_sup(f, g, spec.h / 2.0))
     assert got == want
