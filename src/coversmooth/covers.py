@@ -140,9 +140,8 @@ class ColumnField(ScalarField):
     shape as out, it writes its values there and returns out, with the
     bits of the call that allocates.  The evaluator calls form(*Z.T);
     psh.mollify hands it one product of per-axis translates per group of
-    kernel nodes, with that group's rows of its table as out, and
-    pushforward passes it down an identity or square-root cover as a form
-    of the base columns.
+    kernel nodes, with that group's rows of its table as out.  pushforward
+    returns its n = 2 closed forms as column fields.
     """
 
     def __init__(self, form: Callable[..., np.ndarray], valid_on: Domain,
@@ -152,6 +151,33 @@ class ColumnField(ScalarField):
 
     def _columns(self, Z: np.ndarray) -> np.ndarray:
         return self.form(*Z.T)
+
+
+class RadialField(ColumnField):
+    """An n = 1 field that depends on |z|^2 alone: its value at z is
+    profile(x*x + y*y), with x = Re z and y = Im z.
+
+    profile maps squared moduli to values elementwise and takes out=None
+    as a ufunc does; handed its own input as out it runs in place.  The
+    form computes x*x + y*y in that order, so a caller that holds the
+    squares of the real and imaginary parts of a translate (psh.mollify,
+    one add per kernel node) gets the form's bits at that translate.
+    pushforward passes a radial field down an identity cover unchanged and
+    down the square-root cover as another radial field.
+    """
+
+    def __init__(self, profile: Callable[..., np.ndarray], valid_on: Domain,
+                 name: str):
+        if valid_on.n != 1:
+            raise ValueError("a radial field lives on one complex variable")
+        self.profile = profile
+        super().__init__(self._radial, valid_on, name)
+
+    def _radial(self, z: np.ndarray, out=None) -> np.ndarray:
+        x, y = z.real, z.imag
+        r2 = np.multiply(x, x, out=out)
+        r2 += y * y
+        return self.profile(r2, out=r2)
 
 
 class SymmetricSum(ScalarField):
@@ -226,36 +252,16 @@ def _fiber_sum(vals: np.ndarray, deg: int) -> np.ndarray:
     return out
 
 
-def _column_fiber_sum(cover: Cover, f: ColumnField, rows: np.ndarray):
-    """The fiber sum of f over a cover whose fibers are proved inside its
-    domain, as a form of the base columns, or None.
-
-    Over an identity cover it is f's form; over the square-root cover
-    PowerCover(2), whose fiber is (r, -r) with r = sqrt(w), it is
-    2 f(sqrt(w)) when f(-r) equals f(r) bit for bit on the probe's fiber
-    rows.  The row path sums a fiber as (f(r) + 0.0) + f(-r), so both
-    forms add 0.0 first, which turns a -0.0 into 0.0; then f(-r) == f(r)
-    makes the sum the exact doubling v + v.
-    Any other cover, or a form that is not even on the probe, is None.
-    """
-    if isinstance(cover, IdentityCover):
-        def identity_form(*cols, out=None):
-            v = f.form(*cols, out=out)
-            v += 0.0
-            return v
-        return identity_form
-    if isinstance(cover, PowerCover) and cover.d == 2:
-        vals = f.eval_many(rows, check=False).reshape(-1, 2)
-        if vals[:, 0].tobytes() != vals[:, 1].tobytes():
-            return None
-
-        def square_root_form(w, out=None):
-            v = f.form(np.sqrt(w), out=out)
-            v += 0.0
-            v += v
-            return v
-        return square_root_form
-    return None
+def _square_root_profile(profile: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """The profile of a radial field's fiber sum over PowerCover(2): the
+    fiber over w is (r, -r) with |r|^2 = |w|, so the sum at |w|^2 = r2 is
+    2 profile(sqrt(r2))."""
+    def square_root_profile(r2, out=None):
+        v = np.sqrt(r2, out=out)
+        v = profile(v, out=v)
+        v += v
+        return v
+    return square_root_profile
 
 
 def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
@@ -279,26 +285,24 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
       (s, p) = (e1, e2).  For the shipped potentials the parallelogram law
       gives |r1|^2 + |r2|^2 = (|s|^2 + |s^2 - 4p|)/2, so the kink of the
       pushforward along the diagonal is |s^2 - 4p|, the modulus of the
-      discriminant.  Construction compares the closed form with the
-      root-solved fiber sum over the 128 probe points and raises
-      ValueError where they differ by more than CLOSED_FORM_RTOL relative
-      (to max(|v|, 1));
-    * a ColumnField over an identity cover, or over PowerCover(2) when its
-      form is even on the probe (_column_fiber_sum), which gives the bits
-      of the root-solved sum.
+      discriminant;
+    * a RadialField over an identity cover, which is the field itself,
+      or over PowerCover(2), which is the radial field of profile
+      2 profile(sqrt(r2)) (_square_root_profile).
 
-    Every other case (an unproved chart, any other field or cover, an
-    uneven form) sums f over the whole root-solved fiber.
+    Construction compares the closed form with the root-solved fiber sum
+    over the 128 probe points and raises ValueError where they differ by
+    more than CLOSED_FORM_RTOL relative (to max(|v|, 1)).  Every other case
+    (an unproved chart, any other field or cover) sums f over the whole
+    root-solved fiber.
 
     The closed-form branches, and only they, return a ColumnField: its
-    evaluator is the form at the base columns, as for any field, and
-    psh.mollify, where its translates are proved inside, hands the form
-    the per-axis translates of each group of kernel nodes instead and
-    lets it broadcast over their product into an out.  The bits are those
-    of the row path: each translate is the same subtraction
-    z_j - (eps * o_j), every ufunc of the form is elementwise, and both
-    paths fold the same (K, points) table in the same node order.  Such
-    mollified evaluations do not pass through this field's evaluator.
+    evaluator is the form at the base columns, as for any field.
+    psh.mollify, where its translates are proved inside, hands an n = 2
+    form the per-axis translates of each group of kernel nodes instead,
+    and a radial profile the sums of per-axis squares; both give the bits
+    of the row path.  Such mollified evaluations do not pass through this
+    field's evaluator.
     """
     if f.n != cover.n:
         raise ValueError("field and cover dimensions differ")
@@ -315,21 +319,24 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
             f"fiber point {tuple(bad)} escapes the upstairs chart; "
             "the cover does not satisfy fiber containment")
 
-    if isinstance(f, SymmetricSum) and isinstance(cover, VietaCover) and not check:
+    closed = None
+    if not check:
+        down = cover.downstairs
+        if isinstance(f, SymmetricSum) and isinstance(cover, VietaCover):
+            closed = ColumnField(f.sp_form, down, name)
+        elif isinstance(f, RadialField) and isinstance(cover, IdentityCover):
+            closed = RadialField(f.profile, down, name)
+        elif isinstance(f, RadialField) and isinstance(cover, PowerCover) and cover.d == 2:
+            closed = RadialField(_square_root_profile(f.profile), down, name)
+    if closed is not None:
         # the probe rows were tested against f's domain just above
         want = _fiber_sum(f.eval_many(rows, check=False), deg)
-        err = np.abs(f.sp_form(P[:, 0], P[:, 1]) - want) / np.maximum(np.abs(want), 1.0)
+        err = np.abs(closed.form(*P.T) - want) / np.maximum(np.abs(want), 1.0)
         if not np.all(err <= CLOSED_FORM_RTOL):
             raise ValueError(
-                f"the (s, p) form of {f.name or 'f'} differs from its fiber "
+                f"the closed form of {f.name or 'f'} differs from its fiber "
                 f"sum by {np.max(err):.3e} relative (tolerance {CLOSED_FORM_RTOL:g})")
-
-        return ColumnField(f.sp_form, cover.downstairs, name)
-
-    if isinstance(f, ColumnField) and not check:
-        form = _column_fiber_sum(cover, f, rows)
-        if form is not None:
-            return ColumnField(form, cover.downstairs, name)
+        return closed
 
     def _eval(B: np.ndarray) -> np.ndarray:
         rows = cover.fiber_rows(B)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .covers import ColumnField
+from .covers import ColumnField, RadialField
 from .errors import DomainError, UnsupportedDimensionError
 from .geometry import (
     PROOF_SLACK,
@@ -34,8 +34,8 @@ from .geometry import (
 )
 
 # Floats in one working block, which keeps memory flat: mollify's (K, points)
-# table and reg_max_many's (pairs, 16, 16) quadrature hold about this many,
-# and the lattice checks read nodes in blocks of _EVAL_CHUNK // 32 + 1 (Levi,
+# table (with a radial field's axis rows beside it) and reg_max_many's
+# (pairs, 16, 16) quadrature hold about this many, and the lattice checks read nodes in blocks of _EVAL_CHUNK // 32 + 1 (Levi,
 # at most 25 stencil points a node) and _EVAL_CHUNK // 8 + 1 (Laplacian).
 _EVAL_CHUNK = 250_000
 
@@ -281,8 +281,9 @@ def mollify(f: ScalarField, eps: float) -> ScalarField:
     raises DomainError.  The kernel order is MOLL_ORDER[f.n], and any other
     n is unsupported.  meta records the kernel node count, kernel_nodes.
 
-    Points go in blocks of _EVAL_CHUNK // K.  A block fills a (K, points)
-    table whose row k holds f at the translates z - eps * o_k, the nodes
+    Points go in blocks of _EVAL_CHUNK // K, or of _EVAL_CHUNK // (K + 16)
+    on the radial path below, whose axis rows share the workspace.  A block
+    fills a (K, points) table whose row k holds f at the translates z - eps * o_k, the nodes
     in _node_groups order, and the kernel sum folds it in that order:
     acc = w_0 * row_0, then acc += w_k * row_k.  Every step is elementwise,
     so a point's value does not depend on its block or its place in it.
@@ -290,13 +291,24 @@ def mollify(f: ScalarField, eps: float) -> ScalarField:
     On the row path the translates reach f as one (K * points, n) array
     whose every coordinate is a contiguous column.  A ColumnField
     (covers.pushforward's closed forms) whose translates are proved inside
-    takes the product path instead: each node group is a full product of
-    per-axis offsets (for n = 2, 4 x 16 + 8 x 12 + 4 x 4 = 176 cells,
-    exactly the nodes), and f.form broadcasts once over the product of
-    the group's translates z_j - (eps * a), points innermost, into the
-    group's rows of the table, which lives in the shared workspace.  Each
-    translate is the same subtraction and every ufunc of the form is
-    elementwise, so both paths give the same bits.
+    takes a product path instead, which gives the row path's bits:
+
+    * a form (the n = 2 closed forms): each node group is a full product
+      of per-axis offsets (for n = 2, 4 x 16 + 8 x 12 + 4 x 4 = 176 cells,
+      exactly the nodes),
+      and f.form broadcasts once over the product of the group's
+      translates z_j - (eps * a), points innermost, into the group's rows
+      of the table.  Each translate is the same subtraction and every
+      ufunc of the form is elementwise;
+    * a RadialField (n = 1): with x = Re z and y = Im z, the rows
+      (x - eps a_i)^2 and (y - eps b_j)^2 over the 8 abscissae of each
+      real axis, then one add per kernel node (a_i, b_j), a run of b_j per
+      a_i, into the table, and the profile once over the table in place.
+      These are the real and imaginary parts of the translate's
+      subtraction, squared and added as the form adds them; no complex
+      translate is built.
+
+    The table and the axis rows live in the shared workspace.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -317,8 +329,32 @@ def mollify(f: ScalarField, eps: float) -> ScalarField:
     reach = float(np.max(np.linalg.norm(offsets, axis=1)))
     check = not translates_stay_inside(f.valid_on, eps, reach)
 
-    n = f.n
-    if isinstance(f, ColumnField) and not check:
+    n, width = f.n, K   # workspace floats per point
+    if isinstance(f, RadialField) and not check:
+        # node k sits at (xs[i], ys[j]); the nodes of one xs[i] are a
+        # contiguous run of ys, so each run's table rows are one add
+        steps = eps * offsets[:, 0]
+        xs, xi = np.unique(steps.real, return_inverse=True)
+        ys, yi = np.unique(steps.imag, return_inverse=True)
+        if not np.all(np.diff(yi)[np.diff(xi) == 0] == 1):
+            raise ValueError("the nodes of one real abscissa skip an imaginary one")
+        starts = np.flatnonzero(np.diff(xi, prepend=-1))
+        runs = [(xi[a], yi[a], a, b) for a, b in zip(starts, [*starts[1:], K])]
+        nx, ny = xs.size, ys.size
+        width = K + nx + ny
+
+        def _values(Zb: np.ndarray) -> np.ndarray:
+            mb = Zb.shape[0]
+            work = _workspace(width * mb)
+            rows = work[:K * mb].reshape(K, mb)
+            dx = work[K * mb:(K + nx) * mb].reshape(nx, mb)
+            dy = work[(K + nx) * mb:].reshape(ny, mb)
+            np.square(np.subtract(Zb[:, 0].real, xs[:, None], out=dx), out=dx)
+            np.square(np.subtract(Zb[:, 0].imag, ys[:, None], out=dy), out=dy)
+            for i, j, a, b in runs:
+                np.add(dx[i], dy[j:j + b - a], out=rows[a:b])
+            return f.profile(rows, out=rows)
+    elif isinstance(f, ColumnField) and not check:
         # each group's axis j steps on axis j of a (u_0, ..., u_{n-1},
         # points) product, and its nodes are the table rows a:b
         ends = np.cumsum([nodes.size for _, nodes in node_groups])
@@ -342,7 +378,7 @@ def mollify(f: ScalarField, eps: float) -> ScalarField:
             W = np.subtract(Zb.T[:, None, :], steps, order="C").reshape(n, -1).T
             return f.eval_many(W, check=check).reshape(K, Zb.shape[0])
 
-    block = max(1, _EVAL_CHUNK // K)
+    block = max(1, _EVAL_CHUNK // width)
 
     def _eval(Z: np.ndarray) -> np.ndarray:
         out = np.empty(Z.shape[0])

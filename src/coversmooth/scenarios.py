@@ -46,9 +46,9 @@ from .geometry import (
 )
 from .covers import (
     ChartPair,
-    ColumnField,
     IdentityCover,
     PowerCover,
+    RadialField,
     SymmetricSum,
     VietaCover,
     discriminant_many,
@@ -193,7 +193,8 @@ def _build_s1(config: dict) -> Scenario:
             "the band lattice no inner radius (it needs more than 0.07)")
     mass_r = max(1.0, w_r + 0.05)  # dd^c(2|w|) has mass 4 pi r on |w| < r
 
-    chart_up = CocycleChart("z", ColumnField(_abs_sq, Disk(0.0, 1.5), name="abs_sq"))
+    chart_up = CocycleChart("z", RadialField(_abs_sq_profile, Disk(0.0, 1.5),
+                                             name="abs_sq"))
     upstairs = KahlerCocycle((chart_up,), ())
     cover = (ChartPair("w", "z", PowerCover(2, down)),)
     steps = (GlueStep("w", opens),)
@@ -269,9 +270,14 @@ def _annulus_window(center: complex, axis: int, r_in: float, r_out: float,
                          LevelRegion(level, r_out, 2)))
 
 
-def _abs_sq(z: np.ndarray, out=None) -> np.ndarray:
-    a = np.abs(z, out=out)
+def _abs_sq(z: np.ndarray) -> np.ndarray:
+    a = np.abs(z)
     return np.square(a, out=a)
+
+
+def _abs_sq_profile(r2: np.ndarray, out=None) -> np.ndarray:
+    """|z|^2 as a profile of r2 = |z|^2 (covers.RadialField): r2 itself."""
+    return np.positive(r2, out=out)
 
 
 def _log1p_abs_sq(z: np.ndarray) -> np.ndarray:
@@ -440,11 +446,9 @@ def _build_s4(config: dict) -> Scenario:
     s_kink = 0.5      # kink circle radius in the near chart
     c0 = a * np.log(1.0 + s_kink ** 2)
 
-    def phi_near(z: np.ndarray, out=None) -> np.ndarray:
-        # max(L, (1 - a) L + c0) with L = log1p(|z|^2), in two arrays
-        L = np.abs(z)
-        np.square(L, out=L)
-        np.log1p(L, out=L)
+    def phi_near(r2: np.ndarray, out=None) -> np.ndarray:
+        # max(L, (1 - a) L + c0) with L = log1p(r2), r2 = |z|^2, in two arrays
+        L = np.log1p(r2)
         out = np.multiply(L, 1.0 - a, out=out)
         out += c0
         return np.maximum(L, out, out=out)
@@ -456,7 +460,8 @@ def _build_s4(config: dict) -> Scenario:
             inner = (1.0 - a) * L + a * np.log(r2) + c0
         return np.maximum(L, inner)
 
-    dom_near = Disk(0.0, 0.8)
+    near = RadialField(phi_near, Disk(0.0, 0.8), name="near")
+    dom_near = near.valid_on
     dom_far = Disk(0.0, 1.0 / 0.46)
     inv = Inversion(1)
 
@@ -466,7 +471,7 @@ def _build_s4(config: dict) -> Scenario:
                 ChartOverlap("far", "near",
                              Annulus(0.0, 1.0 / 0.79, 1.0 / 0.46), inv))
     upstairs = KahlerCocycle(
-        (CocycleChart("near", ColumnField(phi_near, dom_near, name="near")),
+        (CocycleChart("near", near),
          CocycleChart("far", ScalarField(phi_far, dom_far, name="far"))),
         overlaps)
     cover = (ChartPair("near", "near", IdentityCover(dom_near)),

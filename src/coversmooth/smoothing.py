@@ -14,6 +14,7 @@ own values there), and psh-positive on the transition band.
 Gates, checked against measured quantities and raised as ParameterError
 with the violated condition string:
 
+    U, V, V minus U not empty  the regions the gates sample
     margin > 0                 nesting margins and mollification slack
     tau_bound < delta          sup of (phi_eps - phi) over the band V minus U
     eta <= delta/2             shortcut collar fits inside the exactness gap
@@ -29,12 +30,13 @@ provably misses V is skipped.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 from .cocycle import ChartOverlap, CocycleChart, KahlerCocycle, OverlapTransform
 from .covers import ChartPair
 from .geometry import (
@@ -149,13 +151,24 @@ class LocalSmoothResult:
     measurements: Dict[str, float]
 
 
+@contextmanager
+def _nonempty(what: str):
+    """An empty gate region, where halton_sample raises DomainError, as a
+    ParameterError that names it."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ParameterError(f"{what} not empty", str(exc)) from exc
+
+
 def _measure_band(phi: ScalarField, phi_eps: ScalarField, sigma, opens: NestedOpens,
                   params: SmoothingParams,
                   gate_region: Optional[Domain]) -> Dict[str, float]:
     band: Domain = Complement(opens.U, within=opens.V)
     if gate_region is not None:
         band = Intersection((band, gate_region))
-    B = halton_sample(band, BAND_SAMPLES)
+    with _nonempty("band V minus U"):
+        B = halton_sample(band, BAND_SAMPLES)
     tau_bound = float(np.max(phi_eps.eval_many(B) - phi.eval_many(B)))
     L = levi_form_many(phi_eps, B, params.h)
     m = float(np.min(hermitian_min_eigenvalues(L)))
@@ -222,9 +235,11 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
     # nesting and stencil slack; every measured point needs the mollified
     # field defined a stencil width around it.  V's sample is drawn once
     # for both of its outers; a NaN margin is the minimum
-    margins = [*nesting_margin(opens.U, opens.V),
-               *nesting_margin(opens.V, phi_eps.valid_on.shrink(3.0 * params.h),
-                               opens.W)]
+    with _nonempty("U"):
+        margins = list(nesting_margin(opens.U, opens.V))
+    with _nonempty("V"):
+        margins += nesting_margin(opens.V, phi_eps.valid_on.shrink(3.0 * params.h),
+                                  opens.W)
     measurements = {"margin": float(np.min(margins))}
     # the band stencils below need that slack, so this gate goes first
     _margin_gate(measurements["margin"])
@@ -234,7 +249,8 @@ def local_smooth(phi: ScalarField, opens: NestedOpens, params: SmoothingParams,
 
     # smooth-branch dominance over U; automatic (s_max <= 0) for a psh phi,
     # kept as a safety check.  Pointwise sup, no stencil, so the gate
-    # window does not apply here.
+    # window does not apply here.  These are the first points of the
+    # margins' draw of U, which has named an empty U
     Upts = halton_sample(opens.U, U_SAMPLES)
     s_max = float(np.max(phi.eval_many(Upts) - phi_eps.eval_many(Upts)))
     measurements["s_max"] = s_max

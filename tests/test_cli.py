@@ -119,6 +119,19 @@ def test_run_with_an_h_too_large_for_the_nesting_margin_exits_config(tmp_path,
     assert "Traceback" not in proc.stderr
 
 
+def test_an_empty_smoothing_band_is_one_config_error_line_naming_its_step(tmp_path,
+                                                                          capsys):
+    # at this n_radius the U level takes in V and W, so V minus U is empty
+    code = execute(["run", "--scenario", "S2", "--n-radius", "1e300",
+                    "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [
+        "error: config: ParameterError: band V minus U not empty [glue step 1 (sp): "
+        "could not draw 400 sample points inside the domain (found 0); the region "
+        "may be too thin for its bbox]"]
+
+
 _HOSTILE = [
     ("S1", "--h", "nan"), ("S1", "--h", "inf"), ("S1", "--h", "0"), ("S1", "--h", "-1"),
     ("S1", "--eps", "nan"), ("S1", "--eps", "inf"), ("S1", "--eps", "0.5"),

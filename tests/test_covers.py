@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coversmooth import covers
 from coversmooth.covers import (
+    CLOSED_FORM_RTOL,
     ColumnField,
     IdentityCover,
     PowerCover,
+    RadialField,
     SymmetricSum,
     VietaCover,
     _fiber_sum,
@@ -22,6 +25,7 @@ from coversmooth.covers import (
 from coversmooth.errors import DomainError
 from coversmooth.scenarios import (
     _abs_sq,
+    _abs_sq_profile,
     _abs_sq_sp,
     _log1p_abs_sq_sp,
     build_scenario,
@@ -448,11 +452,12 @@ def test_a_closed_form_writes_into_out_with_the_bits_of_its_allocating_call(
 
 
 @pytest.mark.parametrize("case", ["closed form", "no sp_form", "unproved",
-                                  "power", "identity"])
+                                  "power", "identity", "radial power", "radial identity"])
 def test_pushforward_returns_a_column_field_only_from_its_closed_form(case):
     vieta = VietaCover(Polydisk((0, 0), (2.5, 3.5)))
     summed = SymmetricSum(_log1p_abs_sq, 3.8, _log1p_abs_sq_sp)
     sq = ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(0.0, 1.5))
+    radial = RadialField(_abs_sq_profile, sq.valid_on, name="sq")
     cover, f = {
         "closed form": (vieta, summed),
         "no sp_form": (vieta, _plain(summed)),
@@ -462,8 +467,11 @@ def test_pushforward_returns_a_column_field_only_from_its_closed_form(case):
                      SymmetricSum(_abs_sq, 3.0, _abs_sq_sp)),
         "power": (PowerCover(2, Disk(0.0, 1.5)), sq),
         "identity": (IdentityCover(sq.valid_on), sq),
+        "radial power": (PowerCover(2, Disk(0.0, 1.5)), radial),
+        "radial identity": (IdentityCover(sq.valid_on), radial),
     }[case]
-    assert isinstance(pushforward(cover, f), ColumnField) is (case == "closed form")
+    closed = case in ("closed form", "radial power", "radial identity")
+    assert isinstance(pushforward(cover, f), ColumnField) is closed
 
 
 def _log1p_abs_sq_sp_halved_per_cell(s, p):
@@ -492,7 +500,7 @@ def test_halving_s3s_form_on_its_columns_keeps_the_bits_of_halving_each_cell(
 
 
 # ---------------------------------------------------------------------------
-# n = 1 column forms: S1's |z|^2 over the square-root cover, S4's near
+# n = 1 radial fields: S1's |z|^2 over the square-root cover, S4's near
 # potential over the identity cover
 
 _N1_CHARTS = [("S1", "w"), ("S4", "near")]
@@ -505,11 +513,9 @@ def _n1_chart(sid, chart):
     return pair.cover, s.upstairs.chart(pair.upstairs_name).potential
 
 
-def _neg_abs_sq(z, out=None):
-    """-|z|^2, which is -0.0 at z = 0."""
-    a = np.abs(z, out=out)
-    np.square(a, out=a)
-    return np.negative(a, out=a)
+def _neg_profile(r2, out=None):
+    """-|z|^2 as a profile of r2, which is -0.0 at z = 0."""
+    return np.negative(r2, out=out)
 
 
 def _base_rows(cover):
@@ -526,61 +532,114 @@ def _base_rows(cover):
 
 
 @pytest.mark.parametrize("sid, chart", _N1_CHARTS, ids=[s for s, _ in _N1_CHARTS])
-def test_the_n1_closed_forms_give_the_root_solved_fiber_sums_bits(sid, chart):
+def test_the_n1_closed_forms_give_the_root_solved_fiber_sums_within_the_probe_tolerance(
+        sid, chart):
+    # the radial form of the square-root cover is 2 profile(sqrt(|w|^2)),
+    # not the profile at |sqrt(w)|^2, so it agrees to rounding, not bits
     cover, f = _n1_chart(sid, chart)
-    assert isinstance(f, ColumnField)
-    neg = ColumnField(_neg_abs_sq, f.valid_on, name="neg")
+    assert isinstance(f, RadialField)
+    neg = RadialField(_neg_profile, f.valid_on, name="neg")
     B = _base_rows(cover)
     for g in (f, neg):
         closed, rows = pushforward(cover, g), pushforward(cover, _plain(g))
-        assert isinstance(closed, ColumnField) and not isinstance(rows, ColumnField)
-        want = rows.eval_many(B).tobytes()
-        assert closed.eval_many(B).tobytes() == want
-        assert closed.form(B[:, 0]).tobytes() == want
-    # -|z|^2 is -0.0 at 0, where the fiber sum adds 0.0 and gives 0.0
-    assert not np.signbit(pushforward(cover, neg).eval_many(np.zeros((1, 1)))[0])
+        assert isinstance(closed, RadialField) and not isinstance(rows, ColumnField)
+        want = rows.eval_many(B)
+        got = closed.eval_many(B)
+        assert np.all(np.abs(got - want) <= CLOSED_FORM_RTOL * np.maximum(np.abs(want), 1.0))
+        assert closed.form(B[:, 0]).tobytes() == got.tobytes()
+    if isinstance(cover, IdentityCover):
+        # the identity cover passes the field itself
+        assert pushforward(cover, f).eval_many(B).tobytes() == f.eval_many(B).tobytes()
+
+
+def _mutant_square_root_profiles():
+    # the upstairs profile g is a function of r^2 = |z|^2 = |w|
+    def at_r2(profile):        # g(|w|^2) in place of g(|w|)
+        def square_root_profile(r2, out=None):
+            v = profile(r2, out=out)
+            v += v
+            return v
+        return square_root_profile
+
+    def undoubled(profile):    # the factor 2 of the two sheets dropped
+        def square_root_profile(r2, out=None):
+            return profile(np.sqrt(r2, out=out), out=out)
+        return square_root_profile
+
+    return {"g(r) in place of g(r^2)": at_r2, "no factor 2": undoubled}
+
+
+@pytest.mark.parametrize("mutant", sorted(_mutant_square_root_profiles()))
+def test_a_wrong_square_root_profile_fails_pushforward_construction(monkeypatch, mutant):
+    cover, f = _n1_chart("S1", "w")
+    pushforward(cover, f)
+    monkeypatch.setattr(covers, "_square_root_profile",
+                        _mutant_square_root_profiles()[mutant])
+    with pytest.raises(ValueError, match="differs from its fiber sum"):
+        pushforward(cover, f)
 
 
 @pytest.mark.parametrize("sid, chart", _N1_CHARTS, ids=[s for s, _ in _N1_CHARTS])
 def test_an_n1_form_writes_into_out_with_the_bits_of_its_allocating_call(sid, chart):
-    # upstairs and pushed down, on a (K, points) translate block as mollify
-    # hands it, into an out one float into a larger buffer
+    # upstairs and pushed down, on a (K, points) translate block as the row
+    # path hands it, into an out one float into a larger buffer; and the
+    # profiles themselves in place
     cover, f = _n1_chart(sid, chart)
     rng = np.random.default_rng(1)
     z = (rng.uniform(-0.5, 0.5, (40, 1000)) + 1j * rng.uniform(-0.5, 0.5, (40, 1000)))
     z[0, :3] = [0j, -0.25 + 0j, complex(-0.25, -0.0)]
-    for form in (f.form, pushforward(cover, f).form):
+    pf = pushforward(cover, f)
+    for form in (f.form, pf.form):
         want = form(z)
         out = np.full(z.size + 1, np.nan)[1:].reshape(z.shape)
         assert form(z, out=out) is out
         assert out.tobytes() == want.tobytes()
+    r2 = np.abs(z) ** 2
+    for profile in (f.profile, pf.profile):
+        want = profile(r2)
+        work = r2.copy()
+        assert profile(work, out=work) is work
+        assert work.tobytes() == want.tobytes()
+
+
+def test_a_radial_form_adds_the_squares_of_the_real_and_imaginary_parts():
+    rng = np.random.default_rng(2)
+    z = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
+    f = RadialField(_neg_profile, Disk(0.0, 10.0), name="neg")
+    assert f.form(z).tobytes() == (-(z.real * z.real + z.imag * z.imag)).tobytes()
+    with pytest.raises(ValueError, match="one complex variable"):
+        RadialField(_neg_profile, Polydisk((0, 0), (1.0, 1.0)), name="two")
 
 
 def _re(z, out=None):
     return np.add(z.real, 0.0, out=out)
 
 
-def test_a_form_that_is_not_even_takes_the_row_path_through_the_square_root_cover():
-    cover = PowerCover(2, Disk(0.0, 1.0))
+@pytest.mark.parametrize("cover", [PowerCover(2, Disk(0.0, 1.0)), IdentityCover(_POWER_UP)],
+                         ids=["square root", "identity"])
+def test_a_non_radial_n1_column_field_gives_the_root_solved_fiber_sum(cover):
     odd = ColumnField(_re, _POWER_UP, name="re")
     assert fibers_inside(cover, odd.valid_on)
     pf = pushforward(cover, odd)
     assert not isinstance(pf, ColumnField)
     B = halton_sample(cover.downstairs, 500)
     assert pf.eval_many(B).tobytes() == pushforward(cover, _plain(odd)).eval_many(B).tobytes()
-    # Re sqrt(w) + Re(-sqrt(w)) = 0 off the cut
-    assert np.max(np.abs(pf.eval_many(B))) == 0.0
+    if isinstance(cover, PowerCover):
+        # Re sqrt(w) + Re(-sqrt(w)) = 0 off the cut
+        assert np.max(np.abs(pf.eval_many(B))) == 0.0
+    else:
+        assert pf.eval_many(B).tobytes() == (B[:, 0].real + 0.0).tobytes()
 
 
 @pytest.mark.parametrize("case", ["unproved identity", "power 3", "unproved power"])
-def test_a_column_form_passes_only_a_proved_identity_or_square_root_cover(case):
-    even = ColumnField(_abs_sq, Disk(0.0, 1.5), name="sq")
+def test_a_radial_field_passes_only_a_proved_identity_or_square_root_cover(case):
+    radial = RadialField(_abs_sq_profile, Disk(0.0, 1.5), name="sq")
     cover, f = {
         # an equal disk, but not the chart itself: containment is not proved
-        "unproved identity": (IdentityCover(Disk(0.0, 1.5)), even),
-        "power 3": (PowerCover(3, Disk(0.0, 1.5)), even),
+        "unproved identity": (IdentityCover(Disk(0.0, 1.5)), radial),
+        "power 3": (PowerCover(3, Disk(0.0, 1.5)), radial),
         # the fibers stay inside, but an intersection is not proved
-        "unproved power": (PowerCover(2, Disk(0.0, 1.0)), ColumnField(
-            _abs_sq, Intersection((Disk(0.0, 1.5), Disk(0.0, 1.4))), name="sq")),
+        "unproved power": (PowerCover(2, Disk(0.0, 1.0)), RadialField(
+            _abs_sq_profile, Intersection((Disk(0.0, 1.5), Disk(0.0, 1.4))), name="sq")),
     }[case]
     assert not isinstance(pushforward(cover, f), ColumnField)

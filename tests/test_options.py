@@ -35,14 +35,15 @@ _PINNED = {
     "scenarios.DiskMass.slice_s",
     "scenarios.run_scenario(dump_dir)",
     "scenarios.run_scenario(timings)",
-    # the closed forms' ufunc-style output buffer (covers.ColumnField),
-    # which mollify's product path passes; not a setting
-    "scenarios._abs_sq(out)",
+    # the closed forms' and the radial profiles' ufunc-style output buffer
+    # (covers.ColumnField, covers.RadialField), which mollify's product
+    # paths pass; not a setting
     "scenarios._abs_sq_sp(out)",
     "scenarios._log1p_abs_sq_sp(out)",
+    "scenarios._abs_sq_profile(out)",
     "scenarios._build_s4.phi_near(out)",
-    "covers._column_fiber_sum.identity_form(out)",
-    "covers._column_fiber_sum.square_root_form(out)",
+    "covers.RadialField._radial(out)",
+    "covers._square_root_profile.square_root_profile(out)",
     "smoothing.local_smooth(gate_region)",
     "smoothing.GlueStep.gate_region",
     "smoothing.smooth_pushforward(X1)",

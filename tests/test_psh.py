@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coversmooth import geometry, psh
-from coversmooth.covers import ColumnField, pushforward
+from coversmooth.covers import ColumnField, RadialField, pushforward
 from coversmooth.errors import DomainError, ParameterError, UnsupportedDimensionError
 from coversmooth.geometry import (
     Annulus,
@@ -590,21 +590,30 @@ def _pointwise_mollify(f, eps, Z):
     return np.array(out)
 
 
-# S1's power pushforward (n = 1) and S3's D1 closed form (n = 2)
-_MOLLIFIED = [("S1", "w"), ("S3", "D1")]
+# S1's power pushforward and S4's near chart (radial, n = 1) and S3's D1
+# closed form (n = 2)
+_MOLLIFIED = [("S1", "w"), ("S4", "near"), ("S3", "D1")]
+
+
+def _block(f, fe):
+    """Points in one of mollify's blocks: a radial field's 8 + 8 axis rows
+    share the workspace with its (K, points) table."""
+    K = fe.meta["kernel_nodes"]
+    return _EVAL_CHUNK // (K + 16 if isinstance(f, RadialField) else K)
 
 
 @pytest.mark.parametrize("sid, chart", _MOLLIFIED, ids=[s for s, _ in _MOLLIFIED])
 def test_mollify_is_bit_identical_to_a_pointwise_fold_in_kernel_order(sid, chart):
     # calls of one block, one short of a block, one past it and several
-    # blocks: each point is the oracle's point alone
+    # blocks: each point is the oracle's point alone, and the row path's
     f, eps = _pushforward(sid, chart)
     fe = mollify(f, eps)
-    B = _EVAL_CHUNK // fe.meta["kernel_nodes"]
+    B = _block(f, fe)
     Z = halton_sample(fe.valid_on, 3 * B + 7)
     want = _pointwise_mollify(f, eps, Z)
     for m in (1, B - 1, B, B + 1, 3 * B + 7):
         assert fe.eval_many(Z[:m]).tobytes() == want[:m].tobytes(), m
+    assert mollify(_row_path(f), eps).eval_many(Z).tobytes() == want.tobytes()
 
 
 class _ColumnSpy(ScalarField):
@@ -809,6 +818,73 @@ def test_fields_sharing_the_workspace_give_the_bits_each_gives_alone(monkeypatch
         alone = rows.eval_many(Z)
         assert np.concatenate(blocks).tobytes() == alone.tobytes()
         assert fe.eval_many(Z).tobytes() == alone.tobytes()
+
+
+class _ProfileSpy(RadialField):
+    """A radial field that records the shapes its profile and its form
+    are handed."""
+
+    def __init__(self, f):
+        super().__init__(self._spied, f.valid_on, name=f.name)
+        self.inner = f.profile
+        self.shapes, self.forms = [], 0
+
+    def _spied(self, r2, out=None):
+        self.shapes.append(r2.shape)
+        return self.inner(r2, out=out)
+
+    def _radial(self, z, out=None):
+        self.forms += 1
+        return super()._radial(z, out=out)
+
+
+_RADIAL = [("S1", "w"), ("S4", "near")]
+
+
+@pytest.mark.parametrize("sid, chart", _RADIAL, ids=[s for s, _ in _RADIAL])
+def test_a_proved_radial_field_runs_its_profile_once_per_block_on_the_table(sid, chart):
+    f, eps = _pushforward(sid, chart)
+    assert isinstance(f, RadialField)
+    spy = _ProfileSpy(f)
+    fe = mollify(spy, eps)
+    K, B = fe.meta["kernel_nodes"], _block(f, fe)
+    Z = halton_sample(fe.valid_on, B + 1)
+    spy.shapes.clear()
+    assert fe.eval_many(Z).tobytes() == mollify(f, eps).eval_many(Z).tobytes()
+    assert spy.shapes == [(K, B), (K, 1)]
+    assert spy.forms == 0
+
+
+@pytest.mark.parametrize("sid, chart", _RADIAL, ids=[s for s, _ in _RADIAL])
+def test_a_warm_n1_block_allocates_no_complex_translate_table(sid, chart, monkeypatch):
+    # the table and the 8 + 8 axis rows live in the workspace; S4's
+    # profile keeps one float temporary of the table's size, a complex
+    # translate table would be twice that
+    f, eps = _pushforward(sid, chart)
+    fe = mollify(f, eps)
+    K, B = fe.meta["kernel_nodes"], _block(f, fe)
+    Z = halton_sample(fe.valid_on, B)
+    monkeypatch.setattr(psh, "_work", np.empty(0))
+    fe.eval_many(Z)
+    assert psh._work.size == (K + 16) * B <= _EVAL_CHUNK
+    assert _traced_peak(lambda: fe.eval_many(Z)) < K * B * np.dtype(complex).itemsize
+
+
+def test_a_radial_kernel_whose_runs_skip_an_abscissa_is_refused(monkeypatch):
+    # the second run of imaginary abscissae less its second node: the
+    # nodes still ascend, but that run's table rows are no longer one add
+    kernel = psh.mollifier_kernel
+
+    def holed(two_n, order):
+        k = kernel(two_n, order)
+        keep = np.arange(k.weights.size) != 3
+        return psh.MollifierKernel(k.offsets[keep], k.weights[keep], k.m2_unit)
+
+    f, eps = _pushforward("S1", "w")
+    monkeypatch.setattr(psh, "mollifier_kernel", holed)
+    with pytest.raises(ValueError, match="skip an imaginary one"):
+        mollify(f, eps)
+    mollify(_row_path(f), eps)
 
 
 def test_unproved_translates_of_a_column_field_take_the_checked_row_path():

@@ -472,9 +472,11 @@ def test_a_mollifier_kernel_of_mass_1p001_fails_the_s1_gates(monkeypatch):
 
 
 def _phi_near_expression(Z):
-    # S4's near potential as one expression: max(L, L/2 + log(5/4)/2)
+    # S4's near potential as one expression: max(L, L/2 + log(5/4)/2), with
+    # L = log1p(x*x + y*y), the radial field's |z|^2
     a = 0.5
-    L = np.log1p(np.abs(Z[:, 0]) ** 2)
+    z = Z[:, 0]
+    L = np.log1p(z.real * z.real + z.imag * z.imag)
     return np.maximum(L, (1.0 - a) * L + a * np.log(1.0 + 0.5 ** 2))
 
 

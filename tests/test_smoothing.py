@@ -8,6 +8,7 @@ from coversmooth.cocycle import CocycleChart, KahlerCocycle
 from coversmooth.errors import ParameterError
 from coversmooth.geometry import (
     Annulus,
+    Complement,
     Disk,
     Polydisk,
     ScalarField,
@@ -147,6 +148,25 @@ def test_unnested_triple_fails_the_margin_gate():
     with pytest.raises(ParameterError) as err:
         local_smooth(_toy_field(), opens, TOY_PARAMS)
     assert err.value.condition == "margin > 0"
+
+
+_EMPTY = {
+    # U is the disk of radius 0.36 less the disk of radius 0.4
+    "U": NestedOpens(Complement(Disk(0.0, 0.4), within=Disk(0.0, 0.36)),
+                     Disk(0.0, 0.50), Disk(0.0, 0.60)),
+    "V": NestedOpens(Disk(0.0, 0.36), Complement(Disk(0.0, 0.6), within=Disk(0.0, 0.5)),
+                     Disk(0.0, 0.60)),
+    "band V minus U": NestedOpens(Disk(0.0, 0.50), Disk(0.0, 0.50), Disk(0.0, 0.60)),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_EMPTY))
+def test_an_empty_gate_region_is_a_parameter_error_that_names_its_step(what):
+    cocycle = KahlerCocycle((CocycleChart("z", _toy_field()),), ())
+    with pytest.raises(ParameterError) as err:
+        global_glue(cocycle, (GlueStep("z", _EMPTY[what]),), TOY_PARAMS)
+    assert err.value.condition == f"{what} not empty"
+    assert err.value.detail.startswith("glue step 1 (z): could not draw")
 
 
 def test_eta_above_half_delta_fails_before_any_gluing():
