@@ -9,8 +9,9 @@ dumps under one directory, with the same relative paths on both trees.
 Exits 0 when the two output trees are byte-identical, and 1 naming each
 file that differs or exists on one side only.  Under a report.json that
 differs it also prints whether the two reports' check names, kinds and
-verdicts are equal, and the largest relative move of a check value.  The
-runs go one after another, each in a fresh interpreter.
+verdicts are equal, the largest relative move of a check value, and each
+key outside the checks whose value differs, with both values.  The runs
+go one after another, each in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -97,6 +98,29 @@ def report_moves(a: Path, b: Path) -> str:
     return f"{verdicts}; largest relative value move {move:.3g} ({name})"
 
 
+def _leaves(node, path: str = "") -> dict:
+    """A JSON tree's leaves by dotted key path; a list is one leaf."""
+    if not isinstance(node, dict):
+        return {path: node}
+    out = {}
+    for key, value in node.items():
+        out.update(_leaves(value, f"{path}.{key}" if path else key))
+    return out
+
+
+def report_key_moves(a: Path, b: Path) -> str:
+    """One line naming each key outside "checks" whose value differs
+    between the report files a and b, as key: a's value -> b's value
+    ("absent" where a side lacks the key); empty when none differs."""
+    la, lb = ({k: v for k, v in _leaves(json.loads(p.read_text())).items()
+               if k.split(".")[0] != "checks"} for p in (a, b))
+    moves = [f"{key}: {json.dumps(la[key]) if key in la else 'absent'} -> "
+             f"{json.dumps(lb[key]) if key in lb else 'absent'}"
+             for key in sorted(la.keys() | lb.keys())
+             if key not in la or key not in lb or la[key] != lb[key]]
+    return "; ".join(moves)
+
+
 def main(argv: list) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -117,6 +141,9 @@ def main(argv: list) -> int:
             pa, pb = tmp / "out_base" / path, tmp / "out_head" / path
             if pa.name == "report.json" and pa.is_file() and pb.is_file():
                 print(f"  {report_moves(pa, pb)}")
+                keys = report_key_moves(pa, pb)
+                if keys:
+                    print(f"  other keys differ: {keys}")
     if differ:
         print(f"{len(differ)} output file(s) differ from {rev}", file=sys.stderr)
         return 1

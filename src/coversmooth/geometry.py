@@ -745,6 +745,11 @@ class _LatticeField(ScalarField):
                          f.valid_on, name=f.name)
         self._f, self._origin, self._h, self._spacing = f, origin, h, spacing
 
+    def eval_many(self, Z, check: bool = True) -> np.ndarray:
+        # the rows themselves are not tested: eval_stencil tests their
+        # snapped sites, whatever check says
+        return self.evaluator(Z)
+
     def eval_stencil(self, Z, offsets: np.ndarray) -> np.ndarray:
         Z = as_points(Z, self.n)
         steps = _lattice_index(reals(offsets), np.zeros(2 * self.n), self._h,

@@ -179,7 +179,20 @@ def mollifier_kernel(two_n: int, order: int) -> MollifierKernel:
 
     Nodes outside the ball carry zero weight and are dropped; the remaining
     weights are normalized to total mass one, which makes constants exact and
-    keeps plurisubharmonicity (positive mixture of translates).
+    keeps plurisubharmonicity (positive mixture of translates).  m2_unit is
+    the second moment of these weights.
+
+    Only then is every node whose weight is below 2^-53 times the largest
+    weight dropped too; the kept weights and m2_unit keep their bits, and
+    sum to one within 2^-53.  For n = 2 at order 6 that leaves 80 of 176
+    nodes: the 96 dropped sit at r^2 = 0.988, where the bump is e^-85, and
+    weigh at most 6.6e-39 against at least 7.3e-3 for a kept node.  The
+    n = 1 kernel at order 8 keeps all 40 (its least weight is 1.2e-11).
+    mollify's fold therefore gives the full kernel's bits wherever each
+    dropped term would stay below half an ulp of the running sum: on the
+    shipped closed forms, which are non-negative and bounded, that holds
+    with about 18 orders of magnitude to spare.  A non-finite value at a
+    dropped translate no longer reaches the sum.
     """
     x, w = np.polynomial.legendre.leggauss(order)
     grids = np.meshgrid(*([x] * two_n), indexing="ij")
@@ -193,6 +206,8 @@ def mollifier_kernel(two_n: int, order: int) -> MollifierKernel:
     full = wt * rho
     full = full / full.sum()
     m2 = float(np.sum(full * r * r))
+    seen = full >= 2.0 ** -53 * full.max()
+    pts, full = pts[seen], full[seen]
     cplx = pts[:, 0::2] + 1j * pts[:, 1::2]
     return MollifierKernel(cplx, full, m2)
 
@@ -234,8 +249,10 @@ def _node_groups(offsets: np.ndarray) -> list:
     Each group is (cols, nodes): cols[j] holds the group's offsets on axis
     j, ascending, and nodes, of shape tuple(c.size for c in cols), holds
     the kernel position of each cell of their product.  Every node is in
-    exactly one group.  For MOLL_ORDER[2] the groups are 4 x 16, 8 x 12
-    and 4 x 4, the 176 nodes; for n = 1 one group holds all 40.
+    exactly one group.  For MOLL_ORDER[2] the groups are 8 x 4 and
+    4 x 12, the 80 nodes mollifier_kernel keeps, in the order the 176-node
+    kernel's groups gave them less the 96 it drops; for n = 1 one group
+    holds all 40.
     """
     axes, flat = _axis_product(offsets)
     first, second = np.divmod(flat, axes[1].size if len(axes) == 2 else 1)
@@ -287,6 +304,10 @@ def mollify(f: ScalarField, eps: float) -> ScalarField:
     in _node_groups order, and the kernel sum folds it in that order:
     acc = w_0 * row_0, then acc += w_k * row_k.  Every step is elementwise,
     so a point's value does not depend on its block or its place in it.
+    K is the count of nodes mollifier_kernel keeps (80 for n = 2, 40 for
+    n = 1): the nodes it drops weigh under 2^-53 of the heaviest, and the
+    fold gives the full kernel's bits where their terms would sit below
+    half an ulp of the running sum (see mollifier_kernel).
 
     On the row path the translates reach f as one (K * points, n) array
     whose every coordinate is a contiguous column.  A ColumnField
@@ -294,12 +315,14 @@ def mollify(f: ScalarField, eps: float) -> ScalarField:
     takes a product path instead, which gives the row path's bits:
 
     * a form (the n = 2 closed forms): each node group is a full product
-      of per-axis offsets (for n = 2, 4 x 16 + 8 x 12 + 4 x 4 = 176 cells,
-      exactly the nodes),
-      and f.form broadcasts once over the product of the group's
+      of per-axis offsets (for n = 2, 8 x 4 + 4 x 12 = 80 cells, exactly
+      the nodes), and f.form broadcasts over the product of the group's
       translates z_j - (eps * a), points innermost, into the group's rows
-      of the table.  Each translate is the same subtraction and every
-      ufunc of the form is elementwise;
+      of the table: one call per slab of first-axis offsets of at most
+      K // 2 cells a point (8 x 4, 3 x 12 and 1 x 12 for n = 2), so the
+      form's complex temporaries of one call are no larger than the
+      table.  Each translate is the same subtraction and every ufunc of
+      the form is elementwise;
     * a RadialField (n = 1): with x = Re z and y = Im z, the rows
       (x - eps a_i)^2 and (y - eps b_j)^2 over the 8 abscissae of each
       real axis, then one add per kernel node (a_i, b_j), a run of b_j per
@@ -356,18 +379,24 @@ def mollify(f: ScalarField, eps: float) -> ScalarField:
             return f.profile(rows, out=rows)
     elif isinstance(f, ColumnField) and not check:
         # each group's axis j steps on axis j of a (u_0, ..., u_{n-1},
-        # points) product, and its nodes are the table rows a:b
+        # points) product, and its nodes are the table rows a:b; a form
+        # call covers a slab of r first-axis offsets, at most K // 2 cells
+        # a point, so its complex temporaries (16 bytes a cell) stay within
+        # the size of the float table
         ends = np.cumsum([nodes.size for _, nodes in node_groups])
         groups = [([(eps * c).reshape([-1 if i == j else 1 for i in range(n + 1)])
-                    for j, c in enumerate(cols)], nodes.shape, b - nodes.size, b)
+                    for j, c in enumerate(cols)], nodes.shape, b - nodes.size, b,
+                   max(1, K // 2 * nodes.shape[0] // nodes.size))
                   for (cols, nodes), b in zip(node_groups, ends)]
 
         def _values(Zb: np.ndarray) -> np.ndarray:
             mb = Zb.shape[0]
             rows = _workspace(mb * K).reshape(K, mb)
-            for steps, shape, a, b in groups:
-                f.form(*(Zb[:, j] - s for j, s in enumerate(steps)),
-                       out=rows[a:b].reshape(shape + (mb,)))
+            for (first, *rest), shape, a, b, r in groups:
+                out = rows[a:b].reshape(shape + (mb,))
+                tail = [Zb[:, j] - s for j, s in enumerate(rest, 1)]
+                for lo in range(0, shape[0], r):
+                    f.form(Zb[:, 0] - first[lo:lo + r], *tail, out=out[lo:lo + r])
             return rows
     else:
         steps = eps * offsets.T[:, :, None]  # (n, K, 1)

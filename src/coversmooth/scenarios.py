@@ -447,11 +447,16 @@ def _build_s4(config: dict) -> Scenario:
     c0 = a * np.log(1.0 + s_kink ** 2)
 
     def phi_near(r2: np.ndarray, out=None) -> np.ndarray:
-        # max(L, (1 - a) L + c0) with L = log1p(r2), r2 = |z|^2, in two arrays
-        L = np.log1p(r2)
-        out = np.multiply(L, 1.0 - a, out=out)
-        out += c0
-        return np.maximum(L, out, out=out)
+        # max(L, (1 - a) L + c0) with L = log1p(r2), r2 = |z|^2: L fills
+        # out, and (1 - a) L + c0 takes one temporary of a row at a time
+        L = np.log1p(r2, out=out)
+        rows = np.atleast_2d(L)
+        inner = np.empty(rows.shape[1:])
+        for row in rows:
+            np.multiply(row, 1.0 - a, out=inner)
+            inner += c0
+            np.maximum(row, inner, out=row)
+        return L
 
     def phi_far(Z: np.ndarray) -> np.ndarray:
         r2 = np.abs(as_points(Z, 1)[:, 0]) ** 2

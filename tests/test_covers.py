@@ -412,8 +412,9 @@ def test_a_column_fields_form_gives_its_evaluators_bits_on_the_shipped_charts(si
         assert pf.form(S[:, None], P[None, :]).tobytes() == want.tobytes()
 
 
-# mollify's node groups for n = 2: (first-axis, second-axis) translates
-_GROUP_SHAPES = [(4, 16), (8, 12), (4, 4)]
+# the slabs of mollify's node groups for n = 2 that one form call covers:
+# (first-axis, second-axis) translates
+_GROUP_SHAPES = [(8, 4), (3, 12), (1, 12)]
 
 
 def _group_columns(a, b, mb, locus, seed):

@@ -22,6 +22,9 @@ _PINNED = {
     "geometry.ScalarField.name",
     "geometry.ScalarField.meta",
     "geometry.ScalarField.eval_many(check)",
+    # the same flag on the lattice field's override, which tests the
+    # snapped sites whatever it says; not a new setting
+    "geometry._LatticeField.eval_many(check)",
     "scenarios.Scenario.X1",
     "scenarios.Scenario.X2",
     "scenarios.build_scenario(overrides)",

@@ -61,7 +61,7 @@ BUMP_INTEGRAL_FROZEN = 0.443993816169
 # continuum value via radial quadrature and the shipped lattice kernels
 M2_CONTINUUM = {2: 0.261311203421, 4: 0.391048442228}
 M2_DISCRETE = {(2, 8): 0.262566820262, (4, 8): 0.393707629037}
-KERNEL_NODE_COUNTS = {(2, 8): 40, (4, 8): 496, (4, 6): 176}
+KERNEL_NODE_COUNTS = {(2, 8): 40, (4, 8): 304, (4, 6): 80}
 
 # M_eta(0, 0) = c0 * eta for the order-16 quadrature
 REGMAX_C0_ORDER16 = 0.226932059917525
@@ -104,6 +104,39 @@ def test_mollifier_kernel_shapes_and_weight_normalization():
         assert kern.offsets.shape == (count, two_n // 2)
         assert kern.weights.shape == (count,)
         assert float(kern.weights.sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+def _unpruned_kernel(two_n, order):
+    """The tensor kernel before its weightless nodes are dropped: every
+    Gauss-Legendre node inside the unit ball, weights normalized to mass
+    one, and their second moment."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    pts = np.stack([g.ravel() for g in np.meshgrid(*([x] * two_n), indexing="ij")], axis=1)
+    wt = np.prod(np.stack([g.ravel() for g in np.meshgrid(*([w] * two_n), indexing="ij")],
+                          axis=1), axis=1)
+    r = np.linalg.norm(pts, axis=1)
+    rho = bump_profile(r)
+    inside = rho > 0.0
+    pts, r = pts[inside], r[inside]
+    full = wt[inside] * rho[inside]
+    full = full / full.sum()
+    m2 = float(np.sum(full * r * r))
+    return psh.MollifierKernel(pts[:, 0::2] + 1j * pts[:, 1::2], full, m2)
+
+
+@pytest.mark.parametrize("two_n, order", sorted(KERNEL_NODE_COUNTS))
+def test_the_kernel_drops_only_nodes_below_2_53_of_the_heaviest_and_keeps_the_bits(
+        two_n, order):
+    kern, full = mollifier_kernel(two_n, order), _unpruned_kernel(two_n, order)
+    kept = full.weights >= 2.0 ** -53 * full.weights.max()
+    assert np.array_equal(kern.offsets, full.offsets[kept])
+    assert kern.weights.tobytes() == full.weights[kept].tobytes()
+    assert kern.m2_unit == full.m2_unit
+    # the n = 1 kernel keeps all its nodes; for n = 2 a dropped node weighs
+    # under 2^-53 of the lightest kept one
+    assert bool(kept.all()) == (two_n == 2)
+    if two_n == 4:
+        assert full.weights[~kept].max() < 2.0 ** -53 * kern.weights.min()
 
 
 def test_mollify_shifts_a_quadratic_by_exactly_eps2_m2():
@@ -256,6 +289,23 @@ class _Counted(Domain):
     def boundary_distance_many(self, Z):
         self.rows.append(len(Z))
         return self.inner.boundary_distance_many(Z)
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_a_read_of_a_lattice_field_tests_its_snapped_sites_once(check):
+    # 305 nodes, each its own site: one membership test of the 305 snapped
+    # sites, none of the rows as given, whatever check says
+    g = sample_grid(Disk(0.0, 0.1), 0.01)
+    assert len(g) == 305
+    dom = _Counted(Disk(0.0, 1.0))
+    fl = lattice_field(ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, dom), g, g.h)
+    vals = fl.eval_many(g.nodes, check=check)
+    assert dom.rows == [305]
+    assert vals.tobytes() == fl.eval_stencil(g.nodes, np.zeros((1, 1)))[:, 0].tobytes()
+    outside = lattice_field(ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2,
+                                        Disk(0.0, 0.05)), g, g.h)
+    with pytest.raises(DomainError):
+        outside.eval_many(g.nodes, check=check)
 
 
 def test_a_lattice_site_outside_the_domain_raises():
@@ -616,6 +666,37 @@ def test_mollify_is_bit_identical_to_a_pointwise_fold_in_kernel_order(sid, chart
     assert mollify(_row_path(f), eps).eval_many(Z).tobytes() == want.tobytes()
 
 
+def _unpruned_fold(f, eps, Z):
+    """mollify's value at the rows of Z on the unpruned kernel, the 96
+    weightless n = 2 nodes included: f at each node's translates, folded
+    node by node in _node_groups order of the full kernel."""
+    kern = _unpruned_kernel(2 * f.n, MOLL_ORDER[f.n])
+    order = np.concatenate([nodes.ravel() for _, nodes in _node_groups(kern.offsets)])
+    steps, weights = eps * kern.offsets[order], kern.weights[order]
+    acc = weights[0] * f.eval_many(Z - steps[0], check=False)
+    for s, w in zip(steps[1:], weights[1:]):
+        acc += w * f.eval_many(Z - s, check=False)
+    return acc
+
+
+_N2_CHARTS = [("S2", "sp"), ("S3", "D1"), ("S3", "D3")]
+
+
+@pytest.mark.parametrize("sid, chart", _N2_CHARTS, ids=[f"{s}_{c}" for s, c in _N2_CHARTS])
+def test_the_pruned_kernel_gives_the_unpruned_folds_bits(sid, chart):
+    # the dropped terms sit below half an ulp of the running sum, so both
+    # n = 2 paths keep the full kernel's bits: blocks of one, one short of
+    # and one past a block, and over 2,000 points
+    f, eps = _pushforward(sid, chart)
+    fe = mollify(f, eps)
+    B = _EVAL_CHUNK // fe.meta["kernel_nodes"]
+    Z = halton_sample(fe.valid_on, 2 * B + 7)
+    want = _unpruned_fold(f, eps, Z)
+    for m in (1, B - 1, B + 1, 2 * B + 7):
+        assert fe.eval_many(Z[:m]).tobytes() == want[:m].tobytes(), m
+    assert mollify(_row_path(f), eps).eval_many(Z).tobytes() == want.tobytes()
+
+
 class _ColumnSpy(ScalarField):
     """A field that asserts each coordinate column it is given is contiguous,
     and counts the rows."""
@@ -671,9 +752,9 @@ def test_the_kernel_nodes_ascend_through_the_product_of_their_axes(n):
     for j, a in enumerate(axes):
         assert np.array_equal(a, np.unique(kern.offsets[:, j]))
         assert np.array_equal(a[index[j]], kern.offsets[:, j])
-    # n = 1: every node is its own axis offset; n = 2: 16 offsets per axis
-    # carry the 176 nodes
-    sizes = {1: (40,), 2: (16, 16)}[n]
+    # n = 1: every node is its own axis offset; n = 2: 12 offsets per axis
+    # carry the 80 nodes
+    sizes = {1: (40,), 2: (12, 12)}[n]
     assert tuple(a.size for a in axes) == sizes
 
 
@@ -697,8 +778,8 @@ def test_the_node_groups_place_every_kernel_node_once_in_kernel_order(n):
         assert np.all(np.diff(nodes.ravel()) > 0)
         for j, c in enumerate(np.meshgrid(*cols, indexing="ij")):
             assert np.array_equal(kern.offsets[nodes, j], c)
-    # n = 1: one group of 40; n = 2: the 176 nodes and no other cell
-    shapes = {1: [(40,)], 2: [(4, 4), (8, 12), (4, 16)]}[n]
+    # n = 1: one group of 40; n = 2: the 80 nodes and no other cell
+    shapes = {1: [(40,)], 2: [(8, 4), (4, 12)]}[n]
     assert [nodes.shape for _, nodes in groups] == shapes
 
 
@@ -769,9 +850,10 @@ def test_a_proved_column_field_is_read_on_the_translate_product():
     spy.shapes.clear()
     assert np.array_equal(fe.eval_many(Z), mollify(f, eps).eval_many(Z))
     assert spy.checks == []
-    # one broadcast per node group, in the order of their first nodes
-    groups = [(4, 4), (8, 12), (4, 16)]
-    assert spy.shapes == [g + (B,) for g in groups] + [g + (1,) for g in groups]
+    # one broadcast per slab of a node group's first axis, at most K // 2
+    # = 40 cells, in the order of the groups' first nodes
+    slabs = [(8, 4), (3, 12), (1, 12)]
+    assert spy.shapes == [g + (B,) for g in slabs] + [g + (1,) for g in slabs]
 
 
 def test_a_warm_block_of_the_product_path_allocates_under_two_value_blocks():
@@ -857,9 +939,8 @@ def test_a_proved_radial_field_runs_its_profile_once_per_block_on_the_table(sid,
 
 @pytest.mark.parametrize("sid, chart", _RADIAL, ids=[s for s, _ in _RADIAL])
 def test_a_warm_n1_block_allocates_no_complex_translate_table(sid, chart, monkeypatch):
-    # the table and the 8 + 8 axis rows live in the workspace; S4's
-    # profile keeps one float temporary of the table's size, a complex
-    # translate table would be twice that
+    # the table and the 8 + 8 axis rows live in the workspace; a complex
+    # translate table would be twice the table's size
     f, eps = _pushforward(sid, chart)
     fe = mollify(f, eps)
     K, B = fe.meta["kernel_nodes"], _block(f, fe)
@@ -868,6 +949,18 @@ def test_a_warm_n1_block_allocates_no_complex_translate_table(sid, chart, monkey
     fe.eval_many(Z)
     assert psh._work.size == (K + 16) * B <= _EVAL_CHUNK
     assert _traced_peak(lambda: fe.eval_many(Z)) < K * B * np.dtype(complex).itemsize
+
+
+def test_a_warm_s4_near_call_allocates_no_table_sized_temporary():
+    # phi_near takes log1p into mollify's table in place and keeps one
+    # row of (1 - a) L + c0 at a time; a float L of the whole table
+    # (40 x 4,464, 1.43 MB) put this call's peak at 1.49 MB
+    f, eps = _pushforward("S4", "near")
+    fe = mollify(f, eps)
+    K, B = fe.meta["kernel_nodes"], _block(f, fe)
+    Z = halton_sample(fe.valid_on, 6250)
+    fe.eval_many(Z)
+    assert _traced_peak(lambda: fe.eval_many(Z)) < K * B * 8 / 5
 
 
 def test_a_radial_kernel_whose_runs_skip_an_abscissa_is_refused(monkeypatch):

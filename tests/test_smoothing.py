@@ -42,7 +42,7 @@ def _toy_field():
 
 def test_smoothing_params_defaults():
     assert psh.MOLL_ORDER == {1: 8, 2: 6}
-    for dom, nodes in ((Disk(0.0, 1.0), 40), (Polydisk((0, 0), (1.0, 1.0)), 176)):
+    for dom, nodes in ((Disk(0.0, 1.0), 40), (Polydisk((0, 0), (1.0, 1.0)), 80)):
         f = ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, dom)
         assert psh.mollify(f, 0.1).meta["kernel_nodes"] == nodes
     assert psh.REGMAX_ORDER == 16
