@@ -129,39 +129,53 @@ class IdentityCover:
 Cover = Union[PowerCover, VietaCover, IdentityCover]
 
 
-class ColumnField(ScalarField):
-    """A field given by an elementwise form of its coordinate columns: its
-    value at the rows Z is form(Z[:, 0], ..., Z[:, n - 1]).
+def _complex_columns(Z: np.ndarray) -> tuple:
+    """The n = 2 split: copies of the two complex coordinate columns."""
+    return Z[:, 0].copy(), Z[:, 1].copy()
 
-    form is built from numpy ufuncs, so it broadcasts: handed array
-    columns of broadcastable shapes it returns their broadcast shape, and
-    each value has the bits it has at the row of the same coordinates.
-    Like a ufunc it takes out=None: handed a float array of the broadcast
-    shape as out, it writes its values there and returns out, with the
-    bits of the call that allocates.  The evaluator calls form(*Z.T);
-    psh.mollify hands it one product of per-axis translates per group of
-    kernel nodes, with that group's rows of its table as out.  pushforward
-    returns its n = 2 closed forms as column fields.
+
+def _real_parts(Z: np.ndarray) -> tuple:
+    """The n = 1 split: copies of Re z and Im z."""
+    return Z[:, 0].real.copy(), Z[:, 0].imag.copy()
+
+
+def _square(x: np.ndarray) -> tuple:
+    """The radial term of a real axis: x * x, written into x."""
+    return (np.multiply(x, x, out=x),)
+
+
+class ColumnField(ScalarField):
+    """A field separable over two axes: with (u, v) = split(Z), its value
+    at the rows Z is cell(terms[0](u), terms[1](v)).
+
+    split returns two axis columns, copies that are real-linear in Z, so
+    the split of a translate z - eps * o is split(z) - split(eps * o).
+    terms[j] maps an axis column of any shape to a tuple of arrays,
+    elementwise, and may write into the column.  cell(U, V, out=None)
+    broadcasts elementwise and, like a ufunc, writes into a float out of
+    the broadcast shape with the bits of the call that allocates.
+    psh.mollify takes each axis's terms once per block, at that axis's
+    distinct translates, and calls cell once per run of kernel nodes that
+    share a first-axis step, into that run's rows of its table.
     """
 
-    def __init__(self, form: Callable[..., np.ndarray], valid_on: Domain,
-                 name: str):
-        self.form = form
+    def __init__(self, split: Callable[[np.ndarray], tuple], terms: tuple,
+                 cell: Callable[..., np.ndarray], valid_on: Domain, name: str):
+        self.split, self.terms, self.cell = split, tuple(terms), cell
         super().__init__(self._columns, valid_on, name=name)
 
     def _columns(self, Z: np.ndarray) -> np.ndarray:
-        return self.form(*Z.T)
+        u, v = self.split(Z)
+        return self.cell(self.terms[0](u), self.terms[1](v))
 
 
 class RadialField(ColumnField):
     """An n = 1 field that depends on |z|^2 alone: its value at z is
     profile(x*x + y*y), with x = Re z and y = Im z.
 
-    profile maps squared moduli to values elementwise and takes out=None
-    as a ufunc does; handed its own input as out it runs in place.  The
-    form computes x*x + y*y in that order, so a caller that holds the
-    squares of the real and imaginary parts of a translate (psh.mollify,
-    one add per kernel node) gets the form's bits at that translate.
+    The column field of the axes Re z and Im z with the term x * x on
+    both and the cell profile(X + Y).  profile maps squared moduli to values elementwise and takes out=None
+    as a ufunc does; handed its own input as out it runs in place.
     pushforward passes a radial field down an identity cover unchanged and
     down the square-root cover as another radial field.
     """
@@ -171,12 +185,10 @@ class RadialField(ColumnField):
         if valid_on.n != 1:
             raise ValueError("a radial field lives on one complex variable")
         self.profile = profile
-        super().__init__(self._radial, valid_on, name)
+        super().__init__(_real_parts, (_square, _square), self._cell, valid_on, name)
 
-    def _radial(self, z: np.ndarray, out=None) -> np.ndarray:
-        x, y = z.real, z.imag
-        r2 = np.multiply(x, x, out=out)
-        r2 += y * y
+    def _cell(self, X: tuple, Y: tuple, out=None) -> np.ndarray:
+        r2 = np.add(X[0], Y[0], out=out)
         return self.profile(r2, out=r2)
 
 
@@ -186,19 +198,19 @@ class SymmetricSum(ScalarField):
     phi maps a complex column to a real one.  The value is the same bits
     for both orderings of a row (IEEE addition commutes).
 
-    sp_form is the fiber sum of this field over the Vieta cover as a
-    function of (s, p) = (e1, e2): it takes the two complex columns s and
-    p and returns the sum over both orderings of the roots r1, r2 of
-    t^2 - s t + p, that is 2 (phi(r1) + phi(r2)).  pushforward evaluates
-    it in place of the roots where fiber containment is proved, after
-    checking it against the root-solved sum.
+    sp_terms (the s terms and the p terms) and sp_cell make the fiber sum
+    of this field over the Vieta cover a ColumnField of (s, p) = (e1, e2):
+    the sum over both orderings of the roots r1, r2 of t^2 - s t + p,
+    that is 2 (phi(r1) + phi(r2)).  pushforward evaluates it in place of
+    the roots where fiber containment is proved, after checking it against
+    the root-solved sum.
     """
 
     def __init__(self, phi: Callable[[np.ndarray], np.ndarray], radius: float,
-                 sp_form: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 sp_terms: tuple, sp_cell: Callable[..., np.ndarray],
                  name: str = ""):
         self.phi = phi
-        self.sp_form = sp_form
+        self.sp_terms, self.sp_cell = tuple(sp_terms), sp_cell
         super().__init__(self._sum, Polydisk((0j, 0j), (float(radius),) * 2),
                          name=name)
 
@@ -281,9 +293,10 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
     Where containment is proved, two cases are evaluated from a closed
     form with no roots:
 
-    * a SymmetricSum over the Vieta cover, from its sp_form in
-      (s, p) = (e1, e2).  For the shipped potentials the parallelogram law
-      gives |r1|^2 + |r2|^2 = (|s|^2 + |s^2 - 4p|)/2, so the kink of the
+    * a SymmetricSum over the Vieta cover, as the column field of its
+      sp_terms and sp_cell in (s, p) = (e1, e2).  For the shipped
+      potentials the parallelogram law gives
+      |r1|^2 + |r2|^2 = (|s|^2 + |s^2 - 4p|)/2, so the kink of the
       pushforward along the diagonal is |s^2 - 4p|, the modulus of the
       discriminant;
     * a RadialField over an identity cover, which is the field itself,
@@ -296,13 +309,9 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
     (an unproved chart, any other field or cover) sums f over the whole
     root-solved fiber.
 
-    The closed-form branches, and only they, return a ColumnField: its
-    evaluator is the form at the base columns, as for any field.
-    psh.mollify, where its translates are proved inside, hands an n = 2
-    form the per-axis translates of each group of kernel nodes instead,
-    and a radial profile the sums of per-axis squares; both give the bits
-    of the row path.  Such mollified evaluations do not pass through this
-    field's evaluator.
+    The closed-form branches, and only they, return a ColumnField.
+    psh.mollify, where its translates are proved inside, calls its terms
+    and cell directly, with the row path's bits, not its evaluator.
     """
     if f.n != cover.n:
         raise ValueError("field and cover dimensions differ")
@@ -323,7 +332,7 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
     if not check:
         down = cover.downstairs
         if isinstance(f, SymmetricSum) and isinstance(cover, VietaCover):
-            closed = ColumnField(f.sp_form, down, name)
+            closed = ColumnField(_complex_columns, f.sp_terms, f.sp_cell, down, name)
         elif isinstance(f, RadialField) and isinstance(cover, IdentityCover):
             closed = RadialField(f.profile, down, name)
         elif isinstance(f, RadialField) and isinstance(cover, PowerCover) and cover.d == 2:
@@ -331,7 +340,7 @@ def pushforward(cover: Cover, f: ScalarField) -> ScalarField:
     if closed is not None:
         # the probe rows were tested against f's domain just above
         want = _fiber_sum(f.eval_many(rows, check=False), deg)
-        err = np.abs(closed.form(*P.T) - want) / np.maximum(np.abs(want), 1.0)
+        err = np.abs(closed.eval_many(P, check=False) - want) / np.maximum(np.abs(want), 1.0)
         if not np.all(err <= CLOSED_FORM_RTOL):
             raise ValueError(
                 f"the closed form of {f.name or 'f'} differs from its fiber "

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .covers import ColumnField, RadialField
+from .covers import ColumnField
 from .errors import DomainError, UnsupportedDimensionError
 from .geometry import (
     PROOF_SLACK,
@@ -34,9 +34,10 @@ from .geometry import (
 )
 
 # Floats in one working block, which keeps memory flat: mollify's (K, points)
-# table (with a radial field's axis rows beside it) and reg_max_many's
-# (pairs, 16, 16) quadrature hold about this many, and the lattice checks read nodes in blocks of _EVAL_CHUNK // 32 + 1 (Levi,
-# at most 25 stencil points a node) and _EVAL_CHUNK // 8 + 1 (Laplacian).
+# table (with a real axis's translates beside it) and reg_max_many's
+# (pairs, 16, 16) quadrature hold about this many, and the lattice checks
+# read nodes in blocks of _EVAL_CHUNK // 32 + 1 (Levi, at most 25 stencil
+# points a node) and _EVAL_CHUNK // 8 + 1 (Laplacian).
 _EVAL_CHUNK = 250_000
 
 MOLL_ORDER = {1: 8, 2: 6}  # mollifier's Gauss-Legendre order per real axis, by n
@@ -229,52 +230,26 @@ def translates_stay_inside(dom: Domain, eps: float, reach: float) -> bool:
     return (1.0 - reach) * eps > PROOF_SLACK * scale
 
 
-def _axis_product(offsets: np.ndarray):
-    """Each complex axis's distinct kernel offsets, ascending (np.unique's
-    order), and each kernel node's index in the raveled product of those
-    axes.  The tensor kernel lists its nodes in that product's order, so
-    the index strictly increases; ValueError where it does not."""
-    axes, inverse = zip(*(np.unique(col, return_inverse=True) for col in offsets.T))
-    flat = np.ravel_multi_index(inverse, tuple(a.size for a in axes))
-    if not np.all(np.diff(flat) > 0):
-        raise ValueError("kernel nodes out of the order of their per-axis product")
-    return axes, flat
+def _fold_order(offsets: np.ndarray) -> np.ndarray:
+    """The kernel's nodes in mollify's fold order: each run of nodes that
+    share a first-axis offset stays together, and the runs are grouped by
+    their second-axis offsets, both in order of first appearance.  For
+    MOLL_ORDER[2] that is 8 runs of 4 nodes, then 4 runs of 12; for n = 1,
+    whose nodes have no second axis, it is the kernel order."""
+    runs = {}
+    for k, o in enumerate(offsets):
+        runs.setdefault(o[0], []).append(k)
+    groups = {}
+    for nodes in runs.values():
+        groups.setdefault(offsets[nodes, 1:].tobytes(), []).extend(nodes)
+    return np.array([k for nodes in groups.values() for k in nodes])
 
 
-def _node_groups(offsets: np.ndarray) -> list:
-    """The kernel's nodes (n <= 2) as a few full products of per-axis
-    offsets, one per set of first-axis offsets that share the same
-    second-axis offsets (_axis_product's index).
-
-    Each group is (cols, nodes): cols[j] holds the group's offsets on axis
-    j, ascending, and nodes, of shape tuple(c.size for c in cols), holds
-    the kernel position of each cell of their product.  Every node is in
-    exactly one group.  For MOLL_ORDER[2] the groups are 8 x 4 and
-    4 x 12, the 80 nodes mollifier_kernel keeps, in the order the 176-node
-    kernel's groups gave them less the 96 it drops; for n = 1 one group
-    holds all 40.
-    """
-    axes, flat = _axis_product(offsets)
-    first, second = np.divmod(flat, axes[1].size if len(axes) == 2 else 1)
-    heads, starts = np.unique(first, return_index=True)
-    # second-axis indices -> (them, the first-axis indices, their first nodes)
-    shared = {}
-    for head, start, run in zip(heads, starts, np.split(second, starts[1:])):
-        _, hs, ss = shared.setdefault(run.tobytes(), (run, [], []))
-        hs.append(head)
-        ss.append(start)
-    groups = []
-    for run, hs, ss in shared.values():
-        cols = (axes[0][hs],) + ((axes[1][run],) if len(axes) == 2 else ())
-        nodes = np.add.outer(ss, np.arange(run.size))
-        groups.append((cols, nodes.reshape(tuple(c.size for c in cols))))
-    return groups
-
-
-# mollify's product path writes each block's (K, points) table of form
-# values here: one buffer for every mollified field, grown to the largest
-# block it has served.  Fresh temporaries of this size cost page faults on
-# every block, and a buffer per field holds memory per field.
+# mollify's column branch writes each block's (K, points) table of cell
+# values here, with a real axis's translates beside it: one buffer for
+# every mollified field, grown to the largest block it has served.  Fresh
+# temporaries of this size cost page faults on every block, and a buffer
+# per field holds memory per field.
 _work = np.empty(0)
 
 
@@ -298,40 +273,33 @@ def mollify(f: ScalarField, eps: float) -> ScalarField:
     raises DomainError.  The kernel order is MOLL_ORDER[f.n], and any other
     n is unsupported.  meta records the kernel node count, kernel_nodes.
 
-    Points go in blocks of _EVAL_CHUNK // K, or of _EVAL_CHUNK // (K + 16)
-    on the radial path below, whose axis rows share the workspace.  A block
-    fills a (K, points) table whose row k holds f at the translates z - eps * o_k, the nodes
-    in _node_groups order, and the kernel sum folds it in that order:
-    acc = w_0 * row_0, then acc += w_k * row_k.  Every step is elementwise,
-    so a point's value does not depend on its block or its place in it.
-    K is the count of nodes mollifier_kernel keeps (80 for n = 2, 40 for
-    n = 1): the nodes it drops weigh under 2^-53 of the heaviest, and the
-    fold gives the full kernel's bits where their terms would sit below
-    half an ulp of the running sum (see mollifier_kernel).
+    A block fills a (K, points) table whose row k holds f at the
+    translates z - eps * o_k, the nodes in _fold_order, and the kernel sum
+    folds it in that order: acc = w_0 * row_0, then acc += w_k * row_k.
+    Every step is elementwise, so a point's value does not depend on its
+    block or its place in it.  K is the count of nodes mollifier_kernel
+    keeps (80 for n = 2, 40 for n = 1): the nodes it drops weigh under
+    2^-53 of the heaviest, and the fold gives the full kernel's bits where
+    their terms would sit below half an ulp of the running sum (see
+    mollifier_kernel).
 
-    On the row path the translates reach f as one (K * points, n) array
-    whose every coordinate is a contiguous column.  A ColumnField
-    (covers.pushforward's closed forms) whose translates are proved inside
-    takes a product path instead, which gives the row path's bits:
+    Two branches give the same bits.  On the row path the translates reach
+    f as one (K * points, n) array whose every coordinate is a contiguous
+    column.  A ColumnField (the closed forms and radial fields of
+    covers.pushforward) whose translates are proved inside takes the
+    column branch: each axis's distinct steps come once from
+    split(eps * o), and per block each axis's terms are taken once, at its
+    translates u - step (the split of the row path's subtractions).  One
+    cell call per run of nodes that share a first-axis step then writes
+    that run's rows of the table, reading the run's second-axis terms as a
+    slice where their indices are contiguous and by index elsewhere: for
+    n = 2 (axes s and p) 8 runs of 4 nodes, then 4 of 12; for n = 1 (Re z
+    and Im z) runs of 2, 4, 6, 8, 8, 6, 4 and 2; K one-cell runs for a
+    kernel without product structure.
 
-    * a form (the n = 2 closed forms): each node group is a full product
-      of per-axis offsets (for n = 2, 8 x 4 + 4 x 12 = 80 cells, exactly
-      the nodes), and f.form broadcasts over the product of the group's
-      translates z_j - (eps * a), points innermost, into the group's rows
-      of the table: one call per slab of first-axis offsets of at most
-      K // 2 cells a point (8 x 4, 3 x 12 and 1 x 12 for n = 2), so the
-      form's complex temporaries of one call are no larger than the
-      table.  Each translate is the same subtraction and every ufunc of
-      the form is elementwise;
-    * a RadialField (n = 1): with x = Re z and y = Im z, the rows
-      (x - eps a_i)^2 and (y - eps b_j)^2 over the 8 abscissae of each
-      real axis, then one add per kernel node (a_i, b_j), a run of b_j per
-      a_i, into the table, and the profile once over the table in place.
-      These are the real and imaginary parts of the translate's
-      subtraction, squared and added as the form adds them; no complex
-      translate is built.
-
-    The table and the axis rows live in the shared workspace.
+    The table lives in the shared workspace, and so do a real axis's
+    translates: an n = 1 block is _EVAL_CHUNK // (K + 16) points.  Complex
+    translates are fresh arrays, and an n = 2 block is _EVAL_CHUNK // K.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -345,60 +313,41 @@ def mollify(f: ScalarField, eps: float) -> ScalarField:
     except DomainError as exc:
         raise DomainError(f"eps={eps} too large for the field domain") from exc
 
-    node_groups = _node_groups(kern.offsets)
-    order = np.concatenate([nodes.ravel() for _, nodes in node_groups])
+    order = _fold_order(kern.offsets)
     offsets, weights = kern.offsets[order], kern.weights[order]
-    K = offsets.shape[0]
+    K, n = offsets.shape
     reach = float(np.max(np.linalg.norm(offsets, axis=1)))
     check = not translates_stay_inside(f.valid_on, eps, reach)
 
-    n, width = f.n, K   # workspace floats per point
-    if isinstance(f, RadialField) and not check:
-        # node k sits at (xs[i], ys[j]); the nodes of one xs[i] are a
-        # contiguous run of ys, so each run's table rows are one add
-        steps = eps * offsets[:, 0]
-        xs, xi = np.unique(steps.real, return_inverse=True)
-        ys, yi = np.unique(steps.imag, return_inverse=True)
-        if not np.all(np.diff(yi)[np.diff(xi) == 0] == 1):
-            raise ValueError("the nodes of one real abscissa skip an imaginary one")
-        starts = np.flatnonzero(np.diff(xi, prepend=-1))
-        runs = [(xi[a], yi[a], a, b) for a, b in zip(starts, [*starts[1:], K])]
-        nx, ny = xs.size, ys.size
-        width = K + nx + ny
+    if isinstance(f, ColumnField) and not check:
+        # each axis's distinct steps, each node's index among them, and the
+        # workspace rows its translates take (a real axis's only)
+        axes = [np.unique(c, return_inverse=True) for c in f.split(eps * offsets)]
+        spare = [steps.size if steps.dtype.kind == "f" else 0 for steps, _ in axes]
+        width = K + sum(spare)
+        (_, first), (_, second) = axes
+        starts = np.flatnonzero(np.diff(first, prepend=-1))
+        runs = []
+        for a, b in zip(starts, [*starts[1:], K]):
+            js = second[a:b]
+            if np.all(np.diff(js) == 1):
+                js = slice(js[0], js[-1] + 1)
+            runs.append((first[a], js, a, b))
 
         def _values(Zb: np.ndarray) -> np.ndarray:
             mb = Zb.shape[0]
             work = _workspace(width * mb)
-            rows = work[:K * mb].reshape(K, mb)
-            dx = work[K * mb:(K + nx) * mb].reshape(nx, mb)
-            dy = work[(K + nx) * mb:].reshape(ny, mb)
-            np.square(np.subtract(Zb[:, 0].real, xs[:, None], out=dx), out=dx)
-            np.square(np.subtract(Zb[:, 0].imag, ys[:, None], out=dy), out=dy)
-            for i, j, a, b in runs:
-                np.add(dx[i], dy[j:j + b - a], out=rows[a:b])
-            return f.profile(rows, out=rows)
-    elif isinstance(f, ColumnField) and not check:
-        # each group's axis j steps on axis j of a (u_0, ..., u_{n-1},
-        # points) product, and its nodes are the table rows a:b; a form
-        # call covers a slab of r first-axis offsets, at most K // 2 cells
-        # a point, so its complex temporaries (16 bytes a cell) stay within
-        # the size of the float table
-        ends = np.cumsum([nodes.size for _, nodes in node_groups])
-        groups = [([(eps * c).reshape([-1 if i == j else 1 for i in range(n + 1)])
-                    for j, c in enumerate(cols)], nodes.shape, b - nodes.size, b,
-                   max(1, K // 2 * nodes.shape[0] // nodes.size))
-                  for (cols, nodes), b in zip(node_groups, ends)]
-
-        def _values(Zb: np.ndarray) -> np.ndarray:
-            mb = Zb.shape[0]
-            rows = _workspace(mb * K).reshape(K, mb)
-            for (first, *rest), shape, a, b, r in groups:
-                out = rows[a:b].reshape(shape + (mb,))
-                tail = [Zb[:, j] - s for j, s in enumerate(rest, 1)]
-                for lo in range(0, shape[0], r):
-                    f.form(Zb[:, 0] - first[lo:lo + r], *tail, out=out[lo:lo + r])
+            rows, at, terms = work[:K * mb].reshape(K, mb), K * mb, []
+            for col, (steps, _), size, term in zip(f.split(Zb), axes, spare, f.terms):
+                out = work[at:at + size * mb].reshape(size, mb) if size else None
+                at += size * mb
+                terms.append(term(np.subtract(col, steps[:, None], out=out)))
+            U, V = terms
+            for i, js, a, b in runs:
+                f.cell(tuple(t[i] for t in U), tuple(t[js] for t in V), out=rows[a:b])
             return rows
     else:
+        width = K
         steps = eps * offsets.T[:, :, None]  # (n, K, 1)
 
         def _values(Zb: np.ndarray) -> np.ndarray:

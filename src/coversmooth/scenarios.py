@@ -285,25 +285,47 @@ def _log1p_abs_sq(z: np.ndarray) -> np.ndarray:
 
 
 # The Vieta fiber sums of the two potentials above, in (s, p) =
-# (e1, e2).  For the roots r1, r2 of t^2 - s t + p the parallelogram law
-# gives 2 (|r1|^2 + |r2|^2) = |s|^2 + |s^2 - 4p|, and
-# (1 + |r1|^2)(1 + |r2|^2) = 1 + |r1|^2 + |r2|^2 + |p|^2.  Each writes
-# its value into out where one is given and returns it (the
-# covers.ColumnField contract), with the bits of the allocating call.
+# (e1, e2), as s terms, p terms and a cell (covers.SymmetricSum).  For the
+# roots r1, r2 of t^2 - s t + p the parallelogram law gives
+# 2 (|r1|^2 + |r2|^2) = |s|^2 + |s^2 - 4p|, and
+# (1 + |r1|^2)(1 + |r2|^2) = 1 + |r1|^2 + |r2|^2 + |p|^2.  The p terms
+# scale p in place, which is c * p bit for bit for these powers of two c
+# (never square a complex array in place: numpy rounds s *= s on short
+# arrays differently from s * s).  Each cell writes its value into out
+# where one is given and returns it, with the bits of the allocating call.
 
-def _abs_sq_sp(s: np.ndarray, p: np.ndarray, out=None) -> np.ndarray:
-    d = np.abs(s * s - 4.0 * p, out=out)
-    return np.add(np.abs(s) ** 2, d, out=d)
+def _abs_sq_s(s: np.ndarray) -> tuple:
+    return s * s, np.abs(s) ** 2
 
 
-def _log1p_abs_sq_sp(s: np.ndarray, p: np.ndarray, out=None) -> np.ndarray:
-    # (|s|^2 + |s^2 - 4p|) / 2 as |s^2 / 2 - 2p| + |s|^2 / 2, the same
-    # bits away from subnormals, where halving is exact; on mollify's
-    # translate product the halving falls on the s and p columns, not on
-    # every cell
-    x = np.abs(0.5 * (s * s) - 2.0 * p, out=out)
-    x += 0.5 * np.abs(s) ** 2
-    x += np.abs(p) ** 2
+def _abs_sq_p(p: np.ndarray) -> tuple:
+    return (np.multiply(p, 4.0, out=p),)
+
+
+def _abs_sq_cell(S: tuple, P: tuple, out=None) -> np.ndarray:
+    # |s^2 - 4p| + |s|^2
+    d = np.abs(S[0] - P[0], out=out)
+    return np.add(S[1], d, out=d)
+
+
+# (|s|^2 + |s^2 - 4p|) / 2 as |s^2 / 2 - 2p| + |s|^2 / 2, the same bits
+# away from subnormals, where halving is exact; the halving falls on the
+# s and p terms, not on every cell
+
+def _log1p_abs_sq_s(s: np.ndarray) -> tuple:
+    return 0.5 * (s * s), 0.5 * np.abs(s) ** 2
+
+
+def _log1p_abs_sq_p(p: np.ndarray) -> tuple:
+    a = np.abs(p) ** 2
+    return np.multiply(p, 2.0, out=p), a
+
+
+def _log1p_abs_sq_cell(S: tuple, P: tuple, out=None) -> np.ndarray:
+    # 2 log1p(|s^2 / 2 - 2p| + |s|^2 / 2 + |p|^2)
+    x = np.abs(S[0] - P[0], out=out)
+    x += S[1]
+    x += P[1]
     np.log1p(x, out=x)
     x *= 2.0
     return x
@@ -312,7 +334,8 @@ def _log1p_abs_sq_sp(s: np.ndarray, p: np.ndarray, out=None) -> np.ndarray:
 def _build_s2(config: dict) -> Scenario:
     n = config["n_radius"]
     dom = Polydisk((0.0, 0.0), (1.9, 1.9))
-    potential = SymmetricSum(_abs_sq, 4.2, _abs_sq_sp, name="sum_sq")
+    potential = SymmetricSum(_abs_sq, 4.2, (_abs_sq_s, _abs_sq_p), _abs_sq_cell,
+                             name="sum_sq")
     opens, gate = _disc_tube(config, (0.55, 1.05), 4.0,
                              ((1.60, 1.60), (1.82, 1.82), (1.92, 1.92)), dom)
 
@@ -360,8 +383,9 @@ def _axis_shell(axis: int, r_in: float, r_out: float) -> Complement:
 
 def _build_s3(config: dict) -> Scenario:
     n = config["n_radius"]
-    fs1 = SymmetricSum(_log1p_abs_sq, 3.8, _log1p_abs_sq_sp)
-    fs3 = SymmetricSum(_log1p_abs_sq, 2.4, _log1p_abs_sq_sp)
+    terms = (_log1p_abs_sq_s, _log1p_abs_sq_p)
+    fs1 = SymmetricSum(_log1p_abs_sq, 3.8, terms, _log1p_abs_sq_cell)
+    fs3 = SymmetricSum(_log1p_abs_sq, 2.4, terms, _log1p_abs_sq_cell)
     dom1 = Polydisk((0.0, 0.0), (2.5, 3.5))
     dom3 = Polydisk((0.0, 0.0), (1.75, 1.05))
     tri1, gate1 = _disc_tube(config, (0.45, 0.95), 7.0,

@@ -25,9 +25,13 @@ from coversmooth.covers import (
 from coversmooth.errors import DomainError
 from coversmooth.scenarios import (
     _abs_sq,
+    _abs_sq_cell,
+    _abs_sq_p,
     _abs_sq_profile,
-    _abs_sq_sp,
-    _log1p_abs_sq_sp,
+    _abs_sq_s,
+    _log1p_abs_sq_cell,
+    _log1p_abs_sq_p,
+    _log1p_abs_sq_s,
     build_scenario,
 )
 from coversmooth.geometry import (
@@ -197,6 +201,11 @@ def _plain(f):
     return ScalarField(f.evaluator, f.valid_on, name=f.name)
 
 
+# the shipped Vieta fiber sums as SymmetricSum's (sp_terms, sp_cell)
+_ABS_SQ = ((_abs_sq_s, _abs_sq_p), _abs_sq_cell)
+_LOG1P = ((_log1p_abs_sq_s, _log1p_abs_sq_p), _log1p_abs_sq_cell)
+
+
 _coord = st.floats(-1.5, 1.5, allow_nan=False)
 
 
@@ -208,7 +217,7 @@ def test_symmetric_sum_gives_the_same_bits_under_every_permutation(n, data):
     rows = data.draw(st.lists(st.lists(st.tuples(_coord, _coord), min_size=n,
                                        max_size=n), min_size=1, max_size=16))
     Z = np.array([[complex(a, b) for a, b in row] for row in rows])
-    f = SymmetricSum(_log1p_abs_sq, 2.2, _log1p_abs_sq_sp)
+    f = SymmetricSum(_log1p_abs_sq, 2.2, *_LOG1P)
     want = f.eval_many(Z)
     for perm in itertools.permutations(range(n)):
         assert np.array_equal(f.eval_many(Z[:, list(perm)]), want)
@@ -217,7 +226,7 @@ def test_symmetric_sum_gives_the_same_bits_under_every_permutation(n, data):
 def test_symmetric_sum_pushforward_raises_when_a_fiber_escapes_at_evaluation():
     # the 128 construction probes stay below |r| = 2.992, so the cover is
     # accepted; over (2.4, -1.9) the root (2.4 + sqrt(13.36))/2 = 3.03 is not
-    f = SymmetricSum(_abs_sq, 3.0, _abs_sq_sp)
+    f = SymmetricSum(_abs_sq, 3.0, *_ABS_SQ)
     cover = VietaCover(Polydisk((0, 0), (2.5, 2.0)))
     B = np.array([[2.4 + 0j, -1.9 + 0j]])
     for g in (f, _plain(f)):
@@ -232,18 +241,18 @@ def _in_disks(rng, radii, m):
     return rad * np.exp(2j * np.pi * rng.random((m, len(radii))))
 
 
-_SHIPPED_FORMS = [(_abs_sq, _abs_sq_sp), (_log1p_abs_sq, _log1p_abs_sq_sp)]
+_SHIPPED_FORMS = [(_abs_sq, _ABS_SQ), (_log1p_abs_sq, _LOG1P)]
 
 
-@pytest.mark.parametrize("phi, sp_form", _SHIPPED_FORMS, ids=["sum_sq", "log1p"])
+@pytest.mark.parametrize("phi, closed", _SHIPPED_FORMS, ids=["sum_sq", "log1p"])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(a=st.floats(1e-3, 1e3, allow_nan=False), b=st.floats(1e-3, 1e3, allow_nan=False),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_closed_form_fiber_sums_match_the_root_path_on_random_polydisks(
-        phi, sp_form, a, b, seed):
+        phi, closed, a, b, seed):
     rng = np.random.default_rng(seed)
     bound = 0.5 * a + np.sqrt(0.25 * a * a + b)
-    f = SymmetricSum(phi, 2.0 * bound, sp_form)
+    f = SymmetricSum(phi, 2.0 * bound, *closed)
     cover = VietaCover(Polydisk((0, 0), (a, b)))
     assert fibers_inside(cover, f.valid_on)
     # near the discriminant s^2 = 4p: r2 = r1 (1 + t) with t = 0 or tiny,
@@ -261,14 +270,14 @@ def test_closed_form_fiber_sums_match_the_root_path_on_random_polydisks(
 
 def test_a_wrong_closed_form_fails_pushforward_construction():
     # the log form without its |p|^2 term
-    def bad(s, p):
-        return 2.0 * np.log1p(0.5 * _abs_sq_sp(s, p))
+    def bad(S, P, out=None):
+        return 2.0 * np.log1p(0.5 * _abs_sq_cell(S, P))
 
-    f = SymmetricSum(_log1p_abs_sq, 3.8, bad)
+    f = SymmetricSum(_log1p_abs_sq, 3.8, _ABS_SQ[0], bad)
     cover = VietaCover(Polydisk((0, 0), (2.5, 3.5)))
     with pytest.raises(ValueError, match="differs from its fiber sum"):
         pushforward(cover, f)
-    ok = SymmetricSum(_log1p_abs_sq, 3.8, _log1p_abs_sq_sp)
+    ok = SymmetricSum(_log1p_abs_sq, 3.8, *_LOG1P)
     pushforward(cover, ok)
 
 
@@ -396,76 +405,83 @@ def test_the_square_root_cover_has_the_fiber_plus_and_minus_the_principal_root()
     assert rows[3, 0, 0] == 1j * np.sqrt(2.0) and rows[4, 0, 0] == -1j * np.sqrt(2.0)
 
 
+def _cells(f, s, p):
+    """f's cell at the terms of copies of the columns s and p (the terms
+    write into the columns they are handed)."""
+    return f.cell(f.terms[0](np.array(s)), f.terms[1](np.array(p)))
+
+
 @pytest.mark.parametrize("sid", ["S2", "S3"])
-def test_a_column_fields_form_gives_its_evaluators_bits_on_the_shipped_charts(sid):
+def test_a_column_fields_cell_gives_its_evaluators_bits_on_the_shipped_charts(sid):
     s = build_scenario(sid)
     for pair in s.cover:
         pf = pushforward(pair.cover, s.upstairs.chart(pair.upstairs_name).potential)
         assert isinstance(pf, ColumnField), pair.downstairs_name
         Z = halton_sample(pf.valid_on, 4000)
-        assert pf.form(*Z.T).tobytes() == pf.eval_many(Z).tobytes()
+        assert _cells(pf, *pf.split(Z)).tobytes() == pf.eval_many(Z).tobytes()
         # broadcast over the product of 40 first and 50 second coordinates,
-        # value for value the form at the rows of the product
+        # value for value the cell at the rows of the product
         S, P = Z[:40, 0], Z[40:90, 1]
         rows = np.stack(np.meshgrid(S, P, indexing="ij"), axis=-1).reshape(-1, 2)
         want = pf.eval_many(rows).reshape(40, 50)
-        assert pf.form(S[:, None], P[None, :]).tobytes() == want.tobytes()
+        assert _cells(pf, S[:, None], P[None, :]).tobytes() == want.tobytes()
 
 
-# the slabs of mollify's node groups for n = 2 that one form call covers:
-# (first-axis, second-axis) translates
-_GROUP_SHAPES = [(8, 4), (3, 12), (1, 12)]
+# the second-axis translates of mollify's runs for n = 2, against one
+# first-axis translate each
+_RUN_SIZES = [4, 12]
 
 
-def _group_columns(a, b, mb, locus, seed):
-    """s on a leading axis of a translates and p on the next of b, with mb
-    points innermost, as mollify hands a form its translates.  On the
+def _run_columns(b, mb, locus, seed):
+    """s of mb points and p on a leading axis of b translates, with the
+    points innermost, as mollify hands a run's terms to a cell.  On the
     locus every cell has s^2 = 4p exactly: s = 2r and p = r^2 for each
     point's r, and doubling is exact."""
     rng = np.random.default_rng(seed)
     r = rng.uniform(-1.0, 1.0, mb) + 1j * rng.uniform(-1.0, 1.0, mb)
     if locus:
-        return (np.broadcast_to(2.0 * r, (a, 1, mb)),
-                np.broadcast_to(r * r, (1, b, mb)))
-    moves = rng.uniform(-0.1, 0.1, (a + b, 2)) @ np.array([1.0, 1j])
-    return 2.0 * r - moves[:a].reshape(a, 1, 1), r * r - moves[a:].reshape(1, b, 1)
+        return 2.0 * r, np.broadcast_to(r * r, (b, mb))
+    moves = rng.uniform(-0.1, 0.1, (b + 1, 2)) @ np.array([1.0, 1j])
+    return 2.0 * r - moves[0], r * r - moves[1:].reshape(b, 1)
 
 
-@pytest.mark.parametrize("form", [_abs_sq_sp, _log1p_abs_sq_sp], ids=["sum_sq", "log1p"])
-@pytest.mark.parametrize("a, b", _GROUP_SHAPES, ids=[f"{a}x{b}" for a, b in _GROUP_SHAPES])
+@pytest.mark.parametrize("form", [_ABS_SQ, _LOG1P], ids=["sum_sq", "log1p"])
+@pytest.mark.parametrize("b", _RUN_SIZES, ids=[f"run of {b}" for b in _RUN_SIZES])
 @pytest.mark.parametrize("mb, locus", [(1420, False), (0, False), (300, True)],
                          ids=["block", "0 points", "branch locus"])
-def test_a_closed_form_writes_into_out_with_the_bits_of_its_allocating_call(
-        form, a, b, mb, locus):
-    s, p = _group_columns(a, b, mb, locus, seed=a * b + mb)
+def test_a_closed_form_cell_writes_into_out_with_the_bits_of_its_allocating_call(
+        form, b, mb, locus):
+    (s_terms, p_terms), cell = form
+    s, p = _run_columns(b, mb, locus, seed=b + mb)
     if locus:
         assert np.all(s * s == 4.0 * p)
-    want = form(s, p)
-    assert want.shape == (a, b, mb)
+    S, P = s_terms(np.array(s)), p_terms(np.array(p))
+    want = cell(S, P)
+    assert want.shape == (b, mb)
     # an out one float into a larger buffer, as the workspace hands out
-    out = np.full(a * b * mb + 1, np.nan)[1:].reshape(a, b, mb)
-    assert form(s, p, out=out) is out
+    out = np.full(b * mb + 1, np.nan)[1:].reshape(b, mb)
+    assert cell(S, P, out=out) is out
     assert out.tobytes() == want.tobytes()
-    rows = np.full(a * b * mb, np.nan)
-    assert form(*(np.broadcast_to(c, (a, b, mb)).ravel() for c in (s, p)),
-                out=rows) is rows
+    rows = np.full(b * mb, np.nan)
+    flat = [tuple(np.broadcast_to(t, (b, mb)).ravel() for t in T) for T in (S, P)]
+    assert cell(*flat, out=rows) is rows
     assert rows.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("case", ["closed form", "no sp_form", "unproved",
+@pytest.mark.parametrize("case", ["closed form", "no sp_cell", "unproved",
                                   "power", "identity", "radial power", "radial identity"])
 def test_pushforward_returns_a_column_field_only_from_its_closed_form(case):
     vieta = VietaCover(Polydisk((0, 0), (2.5, 3.5)))
-    summed = SymmetricSum(_log1p_abs_sq, 3.8, _log1p_abs_sq_sp)
+    summed = SymmetricSum(_log1p_abs_sq, 3.8, *_LOG1P)
     sq = ScalarField(lambda Z: np.abs(Z[:, 0]) ** 2, Disk(0.0, 1.5))
     radial = RadialField(_abs_sq_profile, sq.valid_on, name="sq")
     cover, f = {
         "closed form": (vieta, summed),
-        "no sp_form": (vieta, _plain(summed)),
+        "no sp_cell": (vieta, _plain(summed)),
         # the bound 3.137 of (2.5, 2.0) is above the radius 3.0: the probes
         # stay inside, but containment is not proved
         "unproved": (VietaCover(Polydisk((0, 0), (2.5, 2.0))),
-                     SymmetricSum(_abs_sq, 3.0, _abs_sq_sp)),
+                     SymmetricSum(_abs_sq, 3.0, *_ABS_SQ)),
         "power": (PowerCover(2, Disk(0.0, 1.5)), sq),
         "identity": (IdentityCover(sq.valid_on), sq),
         "radial power": (PowerCover(2, Disk(0.0, 1.5)), radial),
@@ -475,24 +491,24 @@ def test_pushforward_returns_a_column_field_only_from_its_closed_form(case):
     assert isinstance(pushforward(cover, f), ColumnField) is closed
 
 
-def _log1p_abs_sq_sp_halved_per_cell(s, p):
+def _log1p_abs_sq_halved_per_cell(s, p):
     """S3's closed form with the halving on every cell, as
     (|s|^2 + |s^2 - 4p|) * 0.5: the reference for the halving on the s and
-    p columns."""
+    p terms."""
     x = np.abs(s) ** 2 + np.abs(s * s - 4.0 * p)
     x *= 0.5
     x += np.abs(p) ** 2
     return 2.0 * np.log1p(x)
 
 
-@pytest.mark.parametrize("a, b", _GROUP_SHAPES, ids=[f"{a}x{b}" for a, b in _GROUP_SHAPES])
+@pytest.mark.parametrize("b", _RUN_SIZES, ids=[f"run of {b}" for b in _RUN_SIZES])
 @pytest.mark.parametrize("mb, locus", [(1420, False), (300, True)],
                          ids=["block", "branch locus"])
-def test_halving_s3s_form_on_its_columns_keeps_the_bits_of_halving_each_cell(
-        a, b, mb, locus):
-    s, p = _group_columns(a, b, mb, locus, seed=a + b + mb)
-    want = _log1p_abs_sq_sp_halved_per_cell(s, p)
-    assert _log1p_abs_sq_sp(s, p).tobytes() == want.tobytes()
+def test_halving_s3s_terms_keeps_the_bits_of_halving_each_cell(b, mb, locus):
+    s, p = _run_columns(b, mb, locus, seed=b + 1 + mb)
+    want = _log1p_abs_sq_halved_per_cell(s, p)
+    got = _log1p_abs_sq_cell(_log1p_abs_sq_s(np.array(s)), _log1p_abs_sq_p(np.array(p)))
+    assert got.tobytes() == want.tobytes()
     # and |D / 2| is |D| / 2 on random discriminants of every scale
     rng = np.random.default_rng(mb)
     D = (rng.standard_normal(200_000) + 1j * rng.standard_normal(200_000)) \
@@ -547,7 +563,8 @@ def test_the_n1_closed_forms_give_the_root_solved_fiber_sums_within_the_probe_to
         want = rows.eval_many(B)
         got = closed.eval_many(B)
         assert np.all(np.abs(got - want) <= CLOSED_FORM_RTOL * np.maximum(np.abs(want), 1.0))
-        assert closed.form(B[:, 0]).tobytes() == got.tobytes()
+        X, Y = (t(c) for t, c in zip(closed.terms, closed.split(B)))
+        assert closed.cell(X, Y).tobytes() == got.tobytes()
     if isinstance(cover, IdentityCover):
         # the identity cover passes the field itself
         assert pushforward(cover, f).eval_many(B).tobytes() == f.eval_many(B).tobytes()
@@ -581,21 +598,26 @@ def test_a_wrong_square_root_profile_fails_pushforward_construction(monkeypatch,
 
 
 @pytest.mark.parametrize("sid, chart", _N1_CHARTS, ids=[s for s, _ in _N1_CHARTS])
-def test_an_n1_form_writes_into_out_with_the_bits_of_its_allocating_call(sid, chart):
-    # upstairs and pushed down, on a (K, points) translate block as the row
-    # path hands it, into an out one float into a larger buffer; and the
-    # profiles themselves in place
+def test_an_n1_cell_writes_into_out_with_the_bits_of_its_allocating_call(sid, chart):
+    # upstairs and pushed down, on the runs of a (K, points) table as
+    # mollify hands them, into an out one float into a larger buffer; the
+    # terms square their axis in place; and the profiles themselves in place
     cover, f = _n1_chart(sid, chart)
     rng = np.random.default_rng(1)
-    z = (rng.uniform(-0.5, 0.5, (40, 1000)) + 1j * rng.uniform(-0.5, 0.5, (40, 1000)))
-    z[0, :3] = [0j, -0.25 + 0j, complex(-0.25, -0.0)]
+    x, y = rng.uniform(-0.5, 0.5, 1000), rng.uniform(-0.5, 0.5, (8, 1000))
+    x[:3] = [0.0, -0.25, -0.0]
     pf = pushforward(cover, f)
-    for form in (f.form, pf.form):
-        want = form(z)
-        out = np.full(z.size + 1, np.nan)[1:].reshape(z.shape)
-        assert form(z, out=out) is out
+    for g in (f, pf):
+        X, Y = g.terms[0](x.copy()), g.terms[1](y.copy())
+        assert X[0].tobytes() == (x * x).tobytes()
+        want = g.cell(X, Y)
+        assert want.shape == y.shape
+        out = np.full(y.size + 1, np.nan)[1:].reshape(y.shape)
+        assert g.cell(X, Y, out=out) is out
         assert out.tobytes() == want.tobytes()
-    r2 = np.abs(z) ** 2
+        col = x.copy()
+        assert g.terms[0](col)[0] is col
+    r2 = x * x + y * y
     for profile in (f.profile, pf.profile):
         want = profile(r2)
         work = r2.copy()
@@ -607,19 +629,28 @@ def test_a_radial_form_adds_the_squares_of_the_real_and_imaginary_parts():
     rng = np.random.default_rng(2)
     z = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
     f = RadialField(_neg_profile, Disk(0.0, 10.0), name="neg")
-    assert f.form(z).tobytes() == (-(z.real * z.real + z.imag * z.imag)).tobytes()
+    got = f.eval_many(z[:, None], check=False)
+    assert got.tobytes() == (-(z.real * z.real + z.imag * z.imag)).tobytes()
     with pytest.raises(ValueError, match="one complex variable"):
         RadialField(_neg_profile, Polydisk((0, 0), (1.0, 1.0)), name="two")
 
 
-def _re(z, out=None):
-    return np.add(z.real, 0.0, out=out)
+def _itself(x):
+    return (x,)
+
+
+def _none(y):
+    return ()
+
+
+def _re_cell(X, Y, out=None):
+    return np.add(X[0], 0.0, out=out)
 
 
 @pytest.mark.parametrize("cover", [PowerCover(2, Disk(0.0, 1.0)), IdentityCover(_POWER_UP)],
                          ids=["square root", "identity"])
 def test_a_non_radial_n1_column_field_gives_the_root_solved_fiber_sum(cover):
-    odd = ColumnField(_re, _POWER_UP, name="re")
+    odd = ColumnField(covers._real_parts, (_itself, _none), _re_cell, _POWER_UP, name="re")
     assert fibers_inside(cover, odd.valid_on)
     pf = pushforward(cover, odd)
     assert not isinstance(pf, ColumnField)

@@ -37,8 +37,7 @@ from coversmooth.psh import (
     _EVAL_CHUNK,
     BUMP_INTEGRAL,
     MOLL_ORDER,
-    _axis_product,
-    _node_groups,
+    _fold_order,
     bump_profile,
     c2_ratio,
     hermitian_min_eigenvalues,
@@ -51,7 +50,7 @@ from coversmooth.psh import (
     reg_max_many,
     regmax_kernel,
 )
-from coversmooth.scenarios import C2Zone, Lattice, LeviZone, build_scenario
+from coversmooth.scenarios import SCENARIO_IDS, C2Zone, Lattice, LeviZone, build_scenario
 from coversmooth.smoothing import smooth_pushforward
 
 # int_{-1}^{1} exp(-1/(1-t^2)) dt, Gauss-Legendre order 200
@@ -625,10 +624,10 @@ def _row_major_mollify(f, eps, Z):
 
 def _pointwise_mollify(f, eps, Z):
     """mollify's value at each row z of Z from z alone: f at z's K
-    translates z - eps * o, folded one scalar at a time in the order of
-    the kernel's node groups."""
+    translates z - eps * o, folded one scalar at a time in the kernel's
+    fold order."""
     kern = mollifier_kernel(2 * f.n, MOLL_ORDER[f.n])
-    order = np.concatenate([nodes.ravel() for _, nodes in _node_groups(kern.offsets)])
+    order = _fold_order(kern.offsets)
     offsets, weights = kern.offsets[order], kern.weights[order]
     out = []
     for z in Z:
@@ -669,9 +668,9 @@ def test_mollify_is_bit_identical_to_a_pointwise_fold_in_kernel_order(sid, chart
 def _unpruned_fold(f, eps, Z):
     """mollify's value at the rows of Z on the unpruned kernel, the 96
     weightless n = 2 nodes included: f at each node's translates, folded
-    node by node in _node_groups order of the full kernel."""
+    node by node in the full kernel's fold order."""
     kern = _unpruned_kernel(2 * f.n, MOLL_ORDER[f.n])
-    order = np.concatenate([nodes.ravel() for _, nodes in _node_groups(kern.offsets)])
+    order = _fold_order(kern.offsets)
     steps, weights = eps * kern.offsets[order], kern.weights[order]
     acc = weights[0] * f.eval_many(Z - steps[0], check=False)
     for s, w in zip(steps[1:], weights[1:]):
@@ -743,44 +742,24 @@ def test_the_column_layout_adds_no_copy():
 
 
 @pytest.mark.parametrize("n", sorted(MOLL_ORDER))
-def test_the_kernel_nodes_ascend_through_the_product_of_their_axes(n):
-    kern = mollifier_kernel(2 * n, MOLL_ORDER[n])
-    axes, flat = _axis_product(kern.offsets)
-    assert len(axes) == n
-    assert np.all(np.diff(flat) > 0)
-    index = np.unravel_index(flat, tuple(a.size for a in axes))
-    for j, a in enumerate(axes):
-        assert np.array_equal(a, np.unique(kern.offsets[:, j]))
-        assert np.array_equal(a[index[j]], kern.offsets[:, j])
-    # n = 1: every node is its own axis offset; n = 2: 12 offsets per axis
-    # carry the 80 nodes
-    sizes = {1: (40,), 2: (12, 12)}[n]
-    assert tuple(a.size for a in axes) == sizes
-
-
-def test_kernel_nodes_out_of_product_order_are_refused():
-    offsets = mollifier_kernel(4, 6).offsets
-    with pytest.raises(ValueError, match="per-axis product"):
-        _axis_product(offsets[::-1])
-    with pytest.raises(ValueError, match="per-axis product"):
-        _axis_product(np.vstack([offsets[:1], offsets]))
-
-
-@pytest.mark.parametrize("n", sorted(MOLL_ORDER))
-def test_the_node_groups_place_every_kernel_node_once_in_kernel_order(n):
-    kern = mollifier_kernel(2 * n, MOLL_ORDER[n])
-    groups = _node_groups(kern.offsets)
-    placed = np.concatenate([nodes.ravel() for _, nodes in groups])
-    assert np.array_equal(np.sort(placed), np.arange(kern.offsets.shape[0]))
-    for cols, nodes in groups:
-        assert nodes.shape == tuple(c.size for c in cols)
-        # the raveled product runs through its nodes in kernel order
-        assert np.all(np.diff(nodes.ravel()) > 0)
-        for j, c in enumerate(np.meshgrid(*cols, indexing="ij")):
-            assert np.array_equal(kern.offsets[nodes, j], c)
-    # n = 1: one group of 40; n = 2: the 80 nodes and no other cell
-    shapes = {1: [(40,)], 2: [(8, 4), (4, 12)]}[n]
-    assert [nodes.shape for _, nodes in groups] == shapes
+def test_the_fold_order_places_every_kernel_node_once_in_kernel_order(n):
+    offsets = mollifier_kernel(2 * n, MOLL_ORDER[n]).offsets
+    order = _fold_order(offsets)
+    assert np.array_equal(np.sort(order), np.arange(offsets.shape[0]))
+    if n == 1:
+        assert np.array_equal(order, np.arange(offsets.shape[0]))
+        return
+    # n = 2: runs of one first-axis offset, 8 of 4 nodes, then 4 of 12;
+    # the runs of a size share their second-axis offsets, and each such
+    # group lists its nodes in kernel order, as a full product does
+    first = offsets[order, 0]
+    starts = np.flatnonzero(first[1:] != first[:-1]) + 1
+    runs = np.split(order, starts)
+    assert [r.size for r in runs] == [4] * 8 + [12] * 4
+    assert len({offsets[r[0], 0] for r in runs}) == len(runs)
+    for group in (runs[:8], runs[8:]):
+        assert all(np.array_equal(offsets[r, 1], offsets[group[0], 1]) for r in group)
+        assert np.all(np.diff(np.concatenate(group)) > 0)
 
 
 def _row_path(f):
@@ -823,52 +802,80 @@ def test_the_product_path_gives_the_row_paths_bits(sid, chart):
         assert np.array_equal(got, rows.eval_many(Z)), what
 
 
-class _FormSpy(ColumnField):
-    """A column field that records the shapes its form is handed and the
-    check flag of each eval_many call."""
+class _CellSpy(ColumnField):
+    """A column field with f's split and terms whose cell records the
+    broadcast shape it is handed, and which records the check flag of
+    each eval_many call."""
 
     def __init__(self, f, valid_on):
-        super().__init__(self._spied, valid_on, name=f.name)
-        self.inner = f.form
+        super().__init__(f.split, f.terms, self._spied, valid_on, name=f.name)
+        self.inner = f.cell
         self.shapes, self.checks = [], []
 
-    def _spied(self, *cols, out=None):
-        self.shapes.append(np.broadcast_shapes(*(c.shape for c in cols)))
-        return self.inner(*cols, out=out)
+    def _spied(self, U, V, out=None):
+        self.shapes.append(np.broadcast_shapes(*(t.shape for t in U + V)))
+        return self.inner(U, V, out=out)
 
     def eval_many(self, Z, check=True):
         self.checks.append(check)
         return super().eval_many(Z, check=check)
 
 
-def test_a_proved_column_field_is_read_on_the_translate_product():
-    f, eps = _pushforward("S3", "D1")
-    spy = _FormSpy(f, f.valid_on)
+# the runs of kernel nodes that share a first-axis step, in fold order:
+# n = 2 (axes s and p) and n = 1 (axes Re z and Im z)
+_RUNS = {2: [4] * 8 + [12] * 4, 1: [2, 4, 6, 8, 8, 6, 4, 2]}
+
+
+@pytest.mark.parametrize("sid, chart", _MOLLIFIED, ids=[s for s, _ in _MOLLIFIED])
+def test_a_proved_column_field_calls_its_cell_once_per_run_of_a_first_axis_step(sid, chart):
+    f, eps = _pushforward(sid, chart)
+    spy = _CellSpy(f, f.valid_on)
     fe = mollify(spy, eps)
-    B = _EVAL_CHUNK // fe.meta["kernel_nodes"]
+    B = _block(f, fe)
     Z = halton_sample(fe.valid_on, B + 1)
     spy.shapes.clear()
-    assert np.array_equal(fe.eval_many(Z), mollify(f, eps).eval_many(Z))
+    assert fe.eval_many(Z).tobytes() == mollify(f, eps).eval_many(Z).tobytes()
     assert spy.checks == []
-    # one broadcast per slab of a node group's first axis, at most K // 2
-    # = 40 cells, in the order of the groups' first nodes
-    slabs = [(8, 4), (3, 12), (1, 12)]
-    assert spy.shapes == [g + (B,) for g in slabs] + [g + (1,) for g in slabs]
+    runs = _RUNS[f.n]
+    assert sum(runs) == fe.meta["kernel_nodes"]
+    assert spy.shapes == [(r, B) for r in runs] + [(r, 1) for r in runs]
 
 
-def test_a_warm_block_of_the_product_path_allocates_under_two_value_blocks():
-    # the form values and the (points, K) block live in the shared
-    # workspace; what is left are the form's own temporaries
+@pytest.mark.parametrize("sid", SCENARIO_IDS)
+def test_no_evaluation_writes_into_its_callers_rows(sid):
+    # the radial terms square their axis in place, so a radial field's
+    # split hands them copies; every raw and mollified chart potential, on
+    # the column and the row path, leaves the rows it reads as they were
+    s = build_scenario(sid)
+    fields = [c.potential for c in s.upstairs.charts]
+    for pair in s.cover:
+        pf = pushforward(pair.cover, s.upstairs.chart(pair.upstairs_name).potential)
+        fields += [pf, _row_path(pf), mollify(pf, s.params.eps),
+                   mollify(_row_path(pf), s.params.eps)]
+    assert any(isinstance(f, ColumnField) for f in fields)
+    for f in fields:
+        Z = halton_sample(f.valid_on, 300)
+        before = Z.tobytes()
+        f.eval_many(Z)
+        f.eval_many(Z, check=False)
+        assert Z.tobytes() == before, f.name
+        if isinstance(f, RadialField):
+            assert not any(np.shares_memory(c, Z) for c in f.split(Z))
+
+
+def test_a_warm_block_of_the_column_branch_allocates_under_one_and_a_half_value_blocks():
+    # the cell values and the (points, K) block live in the shared
+    # workspace; what is left are the terms and the cells' temporaries
     f, eps = _pushforward("S3", "D1")
     fe = mollify(f, eps)
     K = fe.meta["kernel_nodes"]
     B = _EVAL_CHUNK // K
     Z = halton_sample(fe.valid_on, B)
     fe.eval_many(Z)
-    assert _traced_peak(lambda: fe.eval_many(Z)) < 2 * B * K * 8
+    assert _traced_peak(lambda: fe.eval_many(Z)) < 1.5 * B * K * 8
 
 
-def test_a_warm_block_of_the_product_path_leaves_one_value_table_in_the_workspace(
+def test_a_warm_block_of_the_column_branch_leaves_one_value_table_in_the_workspace(
         monkeypatch):
     f, eps = _pushforward("S3", "D1")
     fe = mollify(f, eps)
@@ -903,38 +910,40 @@ def test_fields_sharing_the_workspace_give_the_bits_each_gives_alone(monkeypatch
 
 
 class _ProfileSpy(RadialField):
-    """A radial field that records the shapes its profile and its form
-    are handed."""
+    """A radial field that records the shapes its profile is handed, and
+    whether each lies in mollify's workspace, and counts its evaluator's
+    calls."""
 
     def __init__(self, f):
         super().__init__(self._spied, f.valid_on, name=f.name)
         self.inner = f.profile
-        self.shapes, self.forms = [], 0
+        self.shapes, self.evals = [], 0
 
     def _spied(self, r2, out=None):
-        self.shapes.append(r2.shape)
+        self.shapes.append((r2.shape, np.shares_memory(r2, psh._work)))
         return self.inner(r2, out=out)
 
-    def _radial(self, z, out=None):
-        self.forms += 1
-        return super()._radial(z, out=out)
+    def _columns(self, Z):
+        self.evals += 1
+        return super()._columns(Z)
 
 
 _RADIAL = [("S1", "w"), ("S4", "near")]
 
 
 @pytest.mark.parametrize("sid, chart", _RADIAL, ids=[s for s, _ in _RADIAL])
-def test_a_proved_radial_field_runs_its_profile_once_per_block_on_the_table(sid, chart):
+def test_a_proved_radial_field_runs_its_profile_once_per_run_on_its_table_rows(sid, chart):
     f, eps = _pushforward(sid, chart)
     assert isinstance(f, RadialField)
     spy = _ProfileSpy(f)
     fe = mollify(spy, eps)
-    K, B = fe.meta["kernel_nodes"], _block(f, fe)
+    B = _block(f, fe)
     Z = halton_sample(fe.valid_on, B + 1)
     spy.shapes.clear()
     assert fe.eval_many(Z).tobytes() == mollify(f, eps).eval_many(Z).tobytes()
-    assert spy.shapes == [(K, B), (K, 1)]
-    assert spy.forms == 0
+    runs = _RUNS[1]
+    assert spy.shapes == [((r, B), True) for r in runs] + [((r, 1), True) for r in runs]
+    assert spy.evals == 0
 
 
 @pytest.mark.parametrize("sid, chart", _RADIAL, ids=[s for s, _ in _RADIAL])
@@ -963,29 +972,76 @@ def test_a_warm_s4_near_call_allocates_no_table_sized_temporary():
     assert _traced_peak(lambda: fe.eval_many(Z)) < K * B * 8 / 5
 
 
-def test_a_radial_kernel_whose_runs_skip_an_abscissa_is_refused(monkeypatch):
-    # the second run of imaginary abscissae less its second node: the
-    # nodes still ascend, but that run's table rows are no longer one add
+def _reshaped_kernels():
+    """Kernels the column branch must take without product order: the
+    shipped nodes permuted, less one node, or with the first axis turned
+    so that no two nodes share a first-axis step."""
+    def permuted(k):
+        order = np.random.default_rng(3).permutation(k.weights.size)
+        return k.offsets[order], k.weights[order]
+
+    def holed(k):   # S1: the second run of Im steps less its second node
+        keep = np.arange(k.weights.size) != 3
+        return k.offsets[keep], k.weights[keep]
+
+    def turned(k):  # node k's first axis turned by 0.01 k radians
+        turn = np.ones(k.offsets.shape, dtype=complex)
+        turn[:, 0] = np.exp(0.01j * np.arange(k.weights.size))
+        return k.offsets * turn, k.weights
+
+    return {"permuted": permuted, "holed": holed, "turned": turned}
+
+
+# (scenario, chart, kernel change, the block's runs' cell counts, in any order)
+_RESHAPED = [("S1", "w", "holed", [2, 3, 6, 8, 8, 6, 4, 2]),
+             ("S1", "w", "permuted", None),
+             ("S3", "D1", "permuted", [12] * 4 + [4] * 8),
+             ("S3", "D1", "turned", [1] * 80)]
+
+
+@pytest.mark.parametrize("sid, chart, change, runs", _RESHAPED,
+                         ids=[f"{s}_{c}" for s, _, c, _ in _RESHAPED])
+def test_a_kernel_out_of_product_order_takes_the_column_branch_with_the_row_paths_bits(
+        monkeypatch, sid, chart, change, runs):
+    # a run whose second-axis steps are not contiguous reads them by index,
+    # and a kernel with no product structure is K one-cell runs
     kernel = psh.mollifier_kernel
 
-    def holed(two_n, order):
+    def reshaped(two_n, order):
         k = kernel(two_n, order)
-        keep = np.arange(k.weights.size) != 3
-        return psh.MollifierKernel(k.offsets[keep], k.weights[keep], k.m2_unit)
+        return psh.MollifierKernel(*_reshaped_kernels()[change](k), k.m2_unit)
 
-    f, eps = _pushforward("S1", "w")
-    monkeypatch.setattr(psh, "mollifier_kernel", holed)
-    with pytest.raises(ValueError, match="skip an imaginary one"):
-        mollify(f, eps)
-    mollify(_row_path(f), eps)
+    f, eps = _pushforward(sid, chart)
+    monkeypatch.setattr(psh, "mollifier_kernel", reshaped)
+    spy = _CellSpy(f, f.valid_on)
+    fe = mollify(spy, eps)
+    Z = halton_sample(fe.valid_on, 200)
+    spy.shapes.clear()
+    assert fe.eval_many(Z).tobytes() == mollify(_row_path(f), eps).eval_many(Z).tobytes()
+    assert spy.checks == []
+    assert sum(shape[0] for shape in spy.shapes) == fe.meta["kernel_nodes"]
+    if runs is not None:
+        assert sorted(spy.shapes) == sorted((r, 200) for r in runs)
+
+
+@pytest.mark.parametrize("sid, chart", [("S1", "w"), ("S3", "D1")], ids=["n1", "n2"])
+def test_the_split_of_a_translate_is_the_difference_of_the_splits(sid, chart):
+    # mollify's column branch rests on this: the axis columns are
+    # real-linear, so split(z - eps o) is split(z) - split(eps o), bit for bit
+    f, eps = _pushforward(sid, chart)
+    K = mollifier_kernel(2 * f.n, MOLL_ORDER[f.n])
+    Z = halton_sample(mollify(f, eps).valid_on, 500)
+    for o in eps * K.offsets:
+        for whole, a, b in zip(f.split(Z - o), f.split(Z), f.split(o[None, :])):
+            assert whole.tobytes() == (a - b).tobytes()
 
 
 def test_unproved_translates_of_a_column_field_take_the_checked_row_path():
-    # the same form on an intersection, which translates_stay_inside does
+    # the same cell on an intersection, which translates_stay_inside does
     # not prove: every translate row is checked
     f, eps = _pushforward("S3", "D1")
     dom = Intersection((f.valid_on, Polydisk((0j, 0j), (2.4, 3.4))))
-    spy = _FormSpy(f, dom)
+    spy = _CellSpy(f, dom)
     fe = mollify(spy, eps)
     K = fe.meta["kernel_nodes"]
     Z = halton_sample(fe.valid_on, 50)

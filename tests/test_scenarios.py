@@ -35,6 +35,9 @@ from coversmooth.scenarios import (
     Lattice,
     OverlapDevChange,
     SupGap,
+    _abs_sq_cell,
+    _abs_sq_p,
+    _abs_sq_s,
     build_scenario,
     check_passes,
     run_scenario,
@@ -210,8 +213,7 @@ def test_s2_and_s3_raw_pushforwards_solve_no_roots(monkeypatch):
         monkeypatch.undo()
         assert solved == [], (sid, pair.downstairs_name)
 
-    f = SymmetricSum(lambda z: np.abs(z) ** 2, 3.1,
-                     lambda s, p: np.abs(s) ** 2 + np.abs(s * s - 4.0 * p))
+    f = SymmetricSum(lambda z: np.abs(z) ** 2, 3.1, (_abs_sq_s, _abs_sq_p), _abs_sq_cell)
     cover = covers.VietaCover(Polydisk((0, 0), (2.5, 2.0)))
     assert not covers.fibers_inside(cover, f.valid_on)
     pf = pushforward(cover, f)
